@@ -10,8 +10,8 @@ Subcommands:
 
 Every report embeds the full configuration, so a run can be reproduced
 from the report file alone.  ``--deterministic`` drops the timestamp so
-reruns with one seed are byte-identical; worker hints (SECTLAB_THREADS)
-never influence values.
+reruns with one seed are byte-identical.  Output destinations (``--json``,
+``--csv``, ``--pretty``) are not part of the configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -36,6 +35,8 @@ from .verifier import CHECKS, SuiteConfig, run_suite
 
 _REPORT_SCHEMA = "sectlab.report.v1"
 _SCAN_SCHEMA = "sectlab.scan.v1"
+# where and how the output is written, not what is computed
+_NOT_CONFIG = ("func", "json", "csv", "pretty")
 
 
 def _emit(payload: dict, path: str | None, pretty: bool) -> None:
@@ -50,12 +51,9 @@ def _emit(payload: dict, path: str | None, pretty: bool) -> None:
 
 def _run_config(args: argparse.Namespace) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func",) and v is not None}
+           if k not in _NOT_CONFIG and v is not None}
     cfg["version"] = __version__
     if not getattr(args, "deterministic", False):
-        # worker hints and timestamps never influence values, so they are
-        # excluded from byte-identical deterministic output
-        cfg["threads"] = os.environ.get("SECTLAB_THREADS", "")
         cfg["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return cfg
 

@@ -27,8 +27,9 @@ class Frame:
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
             raise ValueError(f"expected an n x s basis with s <= n, got shape {basis.shape}")
-        gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10):
+        eye = np.eye(basis.shape[1])
+        # np.allclose(G, I, atol=1e-10) written out: its set-up costs several times the test
+        if not (np.abs(basis.T @ basis - eye) <= 1e-10 + 1e-5 * eye).all():
             raise ValueError("basis columns are not orthonormal")
         self.basis = basis
 

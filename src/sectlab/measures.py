@@ -1,10 +1,13 @@
 """Density oracles and measure-of-body / measure-of-section estimation.
 
 A measure mu(B) = integral of a pointwise-evaluable density g over B is
-estimated in polar form: the one-dimensional radial integral is done by
-adaptive Gauss-Legendre refinement to relative 1e-9 (so the outer sphere
-Monte Carlo always dominates the error), and the spherical average by
-Monte Carlo with a reported standard error.
+estimated in polar form, mu(B) = n omega_n E_theta[ m(theta) ], where the
+ray mass m(theta) = integral_0^rho(theta) r^(n-1) g(r theta) dr comes from
+:meth:`DensityOracle.ray_mass`.  The built-in kinds (Lebesgue, Gaussian,
+radial exponential, indicator) evaluate it in closed form; any other
+density falls back to adaptive Gauss-Legendre refinement to relative 1e-9.
+Either way the spherical average, done by Monte Carlo with a reported
+standard error, dominates the error.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import math
 
 import numpy as np
+from scipy import special
 
 from .bodies import StarBody, section
 from .constants import log_ball_volume
@@ -98,6 +102,23 @@ class DensityOracle:
         """Per-direction radius beyond which the density vanishes, or None."""
         return None
 
+    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
+        """integral_0^upper r^(power-1) g(r * dir) dr for each row of ``dirs``, power > 0.
+
+        Kinds with a closed form override this; the generic path is
+        adaptive Gauss-Legendre quadrature along each ray.
+        """
+        if float(power).is_integer():
+            return _radial_integrals(self, dirs, upper, power)
+        # a fractional power makes the weight r^(power-1) weakly singular at 0
+        return _graded_radial_integrals(self, dirs, upper, power) / power
+
+
+def _gamma_ray_mass(a: float, log_scale: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(log_scale) * Gamma(a) * P(a, x), combined in log space so no factor overflows."""
+    with np.errstate(divide="ignore"):
+        return np.exp(log_scale + special.gammaln(a) + np.log(special.gammainc(a, x)))
+
 
 class LebesgueDensity(DensityOracle):
     """g == 1; the measure is volume."""
@@ -111,6 +132,9 @@ class LebesgueDensity(DensityOracle):
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1])
 
+    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
+        return np.asarray(upper, dtype=float) ** power / power
+
 
 class GaussianDensity(DensityOracle):
     """g(x) = exp(-x^T P x / 2); isotropic with P = I/sigma^2 by default."""
@@ -123,6 +147,10 @@ class GaussianDensity(DensityOracle):
             p = np.asarray(precision, dtype=float)
             if p.shape != (dim, dim):
                 raise ValueError(f"precision shape {p.shape} does not match dim {dim}")
+            # the closed-form ray mass needs dir^T P dir > 0 for every direction
+            if not (np.allclose(p, p.T, atol=1e-12 * max(1.0, np.abs(p).max()))
+                    and np.linalg.eigvalsh(p).min() > 0):
+                raise ValueError("precision must be symmetric positive definite")
             self.precision = p
         else:
             if sigma <= 0:
@@ -134,6 +162,14 @@ class GaussianDensity(DensityOracle):
         x = np.asarray(x, dtype=float)
         quad = np.einsum("...i,ij,...j->...", x, self.precision, x)
         return np.exp(-0.5 * quad)
+
+    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
+        # t = q r^2 / 2 gives (1/2) (2/q)^(p/2) Gamma(p/2) P(p/2, q upper^2 / 2)
+        dirs = np.asarray(dirs, dtype=float)
+        q = np.einsum("...i,ij,...j->...", dirs, self.precision, dirs)
+        half = 0.5 * power
+        return _gamma_ray_mass(half, math.log(0.5) + half * np.log(2.0 / q),
+                               0.5 * q * np.asarray(upper, dtype=float) ** 2)
 
 
 class RadialExpDensity(DensityOracle):
@@ -151,12 +187,18 @@ class RadialExpDensity(DensityOracle):
         x = np.asarray(x, dtype=float)
         return np.exp(-self.rate * np.linalg.norm(x, axis=-1))
 
+    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
+        # t = c r with c = rate ||dir||: c^(-p) Gamma(p) P(p, c upper)
+        c = self.rate * np.linalg.norm(np.asarray(dirs, dtype=float), axis=-1)
+        return _gamma_ray_mass(power, -power * np.log(c), c * np.asarray(upper, dtype=float))
+
 
 class IndicatorDensity(DensityOracle):
     """g = 1_D for a star body D (log-concave when D is convex).
 
     The jump makes generic quadrature unreliable, so ray integration is
-    cut off exactly at D's radial function instead.
+    cut off exactly at D's radial function instead: along dir the density
+    is 1 up to rho_D(dir / ||dir||) / ||dir|| and 0 beyond.
     """
 
     radially_nonincreasing = True
@@ -170,6 +212,12 @@ class IndicatorDensity(DensityOracle):
 
     def ray_cutoff(self, dirs: np.ndarray) -> np.ndarray:
         return self.body.radial(dirs)
+
+    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
+        dirs = np.asarray(dirs, dtype=float)
+        norms = np.linalg.norm(dirs, axis=-1)
+        cut = self.ray_cutoff(dirs / norms[..., None]) / norms
+        return np.minimum(np.asarray(upper, dtype=float), cut) ** power / power
 
 
 class SectionDensity(DensityOracle):
@@ -187,6 +235,11 @@ class SectionDensity(DensityOracle):
     def ray_cutoff(self, dirs: np.ndarray) -> np.ndarray | None:
         cut = self.ambient.ray_cutoff(self.frame.embed(np.asarray(dirs, dtype=float)))
         return cut
+
+    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
+        # the embedding is linear, so each ray of F is a ray of the ambient space
+        return self.ambient.ray_mass(self.frame.embed(np.asarray(dirs, dtype=float)),
+                                     upper, power)
 
 
 def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarray,
@@ -274,7 +327,7 @@ def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
         raise ValueError(f"density dimension {density.dim} != body dimension {body.dim}")
     gen = as_generator(rng)
     theta = sphere_directions(gen, sphere_samples, body.dim)
-    inner = _radial_integrals(density, theta, body.radial(theta), float(body.dim))
+    inner = density.ray_mass(theta, body.radial(theta), float(body.dim))
     factor = body.dim * math.exp(log_ball_volume(body.dim).log_value)
     return mean_estimate(inner, factor=factor)
 
@@ -291,7 +344,7 @@ def section_measure_values(density: DensityOracle, body: StarBody, frame: Frame,
     theta = sphere_directions(gen, sphere_samples, s)
     ambient_dirs = frame.embed(theta)
     rho = body.radial(ambient_dirs)
-    inner = _radial_integrals(SectionDensity(density, frame), theta, rho, float(s))
+    inner = density.ray_mass(ambient_dirs, rho, float(s))
     return s * math.exp(log_ball_volume(s).log_value) * inner
 
 

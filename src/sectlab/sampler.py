@@ -84,7 +84,9 @@ def uniform_in_body(body, rng, size: int | None = None) -> np.ndarray:
     Proposals are uniform in R*B_2^dim (direction uniform on the sphere,
     radius R*U^(1/dim)) and accepted when the radius does not exceed the
     body's radial function in that direction.  The radial oracle makes the
-    acceptance test exact, so no Markov chain is ever needed.
+    acceptance test exact, so no Markov chain is ever needed.  A radial
+    value beyond the stated bounding radius would bias the draw, so it
+    raises instead.
     """
     gen = as_generator(rng)
     count = 1 if size is None else int(size)
@@ -97,7 +99,12 @@ def uniform_in_body(body, rng, size: int | None = None) -> np.ndarray:
     while have < count:
         theta = sphere_directions(gen, batch, dim)
         r = radius * gen.uniform(0.0, 1.0, batch) ** (1.0 / dim)
-        keep = r <= body.radial(theta)
+        rho = body.radial(theta)
+        # 1e-12 absorbs the last-ulp excess of an exact radius (the cube's vertex direction)
+        if np.any(rho > radius * (1.0 + 1e-12)):
+            raise ValueError(f"radial value {float(rho.max())!r} exceeds the bounding radius "
+                             f"{radius!r}; uniform draws would be biased")
+        keep = r <= rho
         pts = theta[keep] * r[keep, None]
         take = min(count - have, len(pts))
         out[have:have + take] = pts[:take]
@@ -123,7 +130,9 @@ def sample_restricted(density, body, rng, size: int | None = None,
 
     Proposes uniform points in the body and accepts with probability
     g(x) / sup_K g.  Rejection rather than importance weighting keeps the
-    output i.i.d. and unweighted for the simplex-moment estimators.
+    output i.i.d. and unweighted for the simplex-moment estimators.  A
+    density value above the bound from ``sup_on`` would bias the draw, so
+    it raises instead.
     """
     gen = as_generator(rng)
     count = 1 if size is None else int(size)
@@ -138,7 +147,11 @@ def sample_restricted(density, body, rng, size: int | None = None,
     while have < count:
         pts = uniform_in_body(body, gen, size=batch)
         u = gen.uniform(0.0, 1.0, batch)
-        keep = u * bound <= density(pts)
+        vals = density(pts)
+        if np.any(vals > bound):
+            raise ValueError(f"density value {float(vals.max())!r} exceeds its bound "
+                             f"{bound!r} on the body; restricted draws would be biased")
+        keep = u * bound <= vals
         got = pts[keep]
         take = min(count - have, len(got))
         out[have:have + take] = got[:take]

@@ -29,6 +29,19 @@ def test_rejects_non_orthonormal():
         Frame(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("eps", [5e-11, 5e-10, 4e-6, 2e-5])
+def test_orthonormality_tolerance_is_allclose(eps):
+    basis = np.eye(3)[:, :2]
+    basis[0, 1] = eps                                  # Gram entry (0, 1) is eps
+    scaled = np.eye(3)[:, :2] * np.sqrt(1.0 + eps)     # Gram diagonal is 1 + eps
+    for b in (basis, scaled):
+        if np.allclose(b.T @ b, np.eye(2), atol=1e-10):
+            assert Frame(b).s == 2
+        else:
+            with pytest.raises(ValueError):
+                Frame(b)
+
+
 def test_bit_identical_for_same_stream():
     a = sample_haar(6, 2, StreamHandle(99, 3))
     b = sample_haar(6, 2, StreamHandle(99, 3))

@@ -8,10 +8,10 @@ from sectlab.bodies import LpBall, cube, section, volume
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, DivergentRayError, GaussianDensity,
                               IndicatorDensity, LebesgueDensity, QuadratureError,
-                              RadialExpDensity, SectionDensity, density_from_spec,
-                              kp_body, max_section_measure, measure_of_body,
-                              measure_of_section)
-from sectlab.sampler import StreamHandle, uniform_in_body
+                              RadialExpDensity, SectionDensity, _radial_integrals,
+                              density_from_spec, kp_body, max_section_measure,
+                              measure_of_body, measure_of_section, section_measure_values)
+from sectlab.sampler import StreamHandle, sphere_directions, uniform_in_body
 
 # closed-form oracles: (2 pi)^(3/2) P[chi^2_3 <= 1] and 2 pi (1 - e^(-1/2))
 GAUSS_BALL3 = (2 * math.pi) ** 1.5 * special.gammainc(1.5, 0.5)
@@ -43,6 +43,73 @@ class TestMeasureOfBody:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             measure_of_body(GaussianDensity(2), cube(3), 200, StreamHandle(0))
+
+
+def _closed_form_kinds(n):
+    gen = StreamHandle(30 + n).generator()
+    a = gen.standard_normal((n, n))
+    return [LebesgueDensity(n), GaussianDensity(n), GaussianDensity(n, sigma=0.7),
+            GaussianDensity(n, precision=a @ a.T + 0.5 * np.eye(n)),
+            RadialExpDensity(n), RadialExpDensity(n, rate=2.3)]
+
+
+class TestRayMass:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("power", [1.0, 2.0, 2.5, 3.0, 4.0, 5.0])
+    def test_closed_forms_match_quadrature(self, n, power):
+        gen = StreamHandle(40 + n).generator()
+        # non-unit directions: the mass is of r -> g(r dir), so ||dir|| must enter
+        dirs = sphere_directions(gen, 50, n) * gen.uniform(0.5, 2.0, (50, 1))
+        upper = gen.uniform(0.2, 3.0, 50)
+        for density in _closed_form_kinds(n):
+            exact = density.ray_mass(dirs, upper, power)
+            # the base-class path: Gauss-Legendre quadrature, graded for fractional powers
+            quad = DensityOracle.ray_mass(density, dirs, upper, power)
+            assert np.allclose(exact, quad, rtol=1e-12, atol=0), (density, power)
+
+    def test_integer_power_fallback_is_radial_integrals(self):
+        g = GaussianDensity(3)
+        gen = StreamHandle(47).generator()
+        dirs, upper = sphere_directions(gen, 20, 3), gen.uniform(0.2, 3.0, 20)
+        assert np.array_equal(DensityOracle.ray_mass(g, dirs, upper, 3.0),
+                              _radial_integrals(g, dirs, upper, 3.0))
+
+    @pytest.mark.parametrize("power", [1.0, 2.5, 3.0])
+    def test_indicator_cuts_at_its_body(self, power):
+        gen = StreamHandle(48).generator()
+        dirs = sphere_directions(gen, 50, 3) * gen.uniform(0.5, 2.0, (50, 1))
+        upper = gen.uniform(0.0, 1.0, 50)
+        cut = 0.5 / np.linalg.norm(dirs, axis=1)
+        mass = IndicatorDensity(LpBall(3, 2.0, 0.5)).ray_mass(dirs, upper, power)
+        assert np.allclose(mass, np.minimum(upper, cut) ** power / power, rtol=1e-14)
+
+    def test_indicator_measure_is_exact_past_the_jump(self):
+        # the quadrature path raised QuadratureError on the jump at radius 0.5
+        est = measure_of_body(IndicatorDensity(LpBall(3, 2.0, 0.5)), cube(3), 200,
+                              StreamHandle(0))
+        assert est.value == pytest.approx(4 / 3 * math.pi * 0.5 ** 3, rel=1e-12)
+        assert est.std_error <= 1e-15 * est.value      # zero up to rounding of the mean
+
+    @pytest.mark.parametrize("body", [cube(3), LpBall(3, 1.0)], ids=["cube3", "l1ball3"])
+    def test_section_values_match_section_density_quadrature(self, body):
+        frame = sample_haar(3, 2, StreamHandle(49))
+        theta = sphere_directions(StreamHandle(50).generator(), 300, 2)
+        rho = body.radial(frame.embed(theta))
+        for density in _closed_form_kinds(3):
+            sec = SectionDensity(density, frame)
+            old = 2 * math.pi * _radial_integrals(sec, theta, rho, 2.0)
+            new = section_measure_values(density, body, frame, 300, StreamHandle(50))
+            assert np.allclose(new, old, rtol=1e-12, atol=0), density
+            assert np.allclose(2 * math.pi * sec.ray_mass(theta, rho, 2.0), new,
+                               rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("precision", [[[1.0, 0.0], [0.0, -1.0]],
+                                           [[1.0, 0.0], [0.0, 0.0]],
+                                           [[1.0, 0.5], [0.0, 1.0]]],
+                             ids=["indefinite", "singular", "asymmetric"])
+    def test_gaussian_rejects_non_spd_precision(self, precision):
+        with pytest.raises(ValueError, match="positive definite"):
+            GaussianDensity(2, precision=np.array(precision))
 
 
 class TestMeasureOfSection:

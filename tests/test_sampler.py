@@ -64,6 +64,14 @@ class TestUniformInBody:
         counts = np.bincount(quadrant, minlength=4)
         assert stats.chisquare(counts).pvalue > 0.01
 
+    def test_understated_bounding_radius_raises(self):
+        class Understated(LpBall):
+            def bounding_radius(self):
+                return 0.5
+
+        with pytest.raises(ValueError, match="bounding radius"):
+            uniform_in_body(Understated(3, 2.0), StreamHandle(12), size=100)
+
 
 class TestSampleRestricted:
     def test_lebesgue_accepts_everything(self):
@@ -87,6 +95,14 @@ class TestSampleRestricted:
         out = sample_restricted(GaussianDensity(2), cube(2), StreamHandle(8), size=40_000)
         se = out.points.std(axis=0, ddof=1) / math.sqrt(len(out.points))
         assert np.all(np.abs(out.points.mean(axis=0)) <= 3 * se)
+
+    def test_understated_density_bound_raises(self):
+        class Understated(GaussianDensity):
+            def sup_on(self, body):
+                return 0.5
+
+        with pytest.raises(ValueError, match="exceeds its bound"):
+            sample_restricted(Understated(2), cube(2), StreamHandle(13), size=100)
 
     def test_degenerate_rejection_raises(self):
         needle = IndicatorDensity(LpBall(3, 2.0, 0.01))
