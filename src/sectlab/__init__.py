@@ -16,13 +16,13 @@ from .bodies import (Ellipsoid, HPolytope, LpBall, StarBody, body_from_json,
 from .grassmann import Frame, sample_haar
 from .measures import (DensityOracle, GaussianDensity, IndicatorDensity,
                        LebesgueDensity, RadialExpDensity, SectionDensity,
-                       density_from_json, density_from_spec, kp_body,
-                       max_section_measure, measure_of_body, measure_of_section)
+                       density_from_json, density_from_spec, measure_of_body,
+                       measure_of_section)
 from .sampler import (StreamHandle, covariance, sample_restricted, simplex_volume,
                       uniform_in_body)
-from .functionals import (blaschke_check, draw_frames, dual_affine_quermass,
-                          i_minus_k, isotropic_constant, isotropize, simplex_moment,
-                          sylvester, volume_radius, w_tilde)
+from .functionals import (draw_frames, dual_affine_quermass, i_minus_k,
+                          isotropic_constant, simplex_moment, sylvester,
+                          volume_radius, w_tilde)
 from .verifier import CHECKS, SuiteConfig, SuiteResult, run_suite
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
 
 import numpy as np
 

@@ -6,7 +6,8 @@ Subcommands:
   estimate   one functional of one body (optionally with a density)
   verify     one named check; exit 0 pass / 1 fail / 2 error
   scan       (n, k) sweep of the constants to CSV
-  suite      the default verification grid; byte-identical JSON per seed
+  suite      the default verification grid at its fixed budgets (it takes
+             no budget flags); byte-identical JSON per seed
 
 Every report embeds the full configuration, so a run can be reproduced
 from the report file alone.  ``--deterministic`` drops the timestamp so
@@ -87,9 +88,11 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     body = body_from_json(args.body)
+    name = args.functional
+    if args.measure and name not in ("sylvester", "L"):
+        raise ValueError(f"functional {name!r} takes no --measure")
     density = density_from_json(args.measure, body.dim) if args.measure else None
     rng = StreamHandle(args.seed)
-    name = args.functional
     if name == "sylvester":
         est = sylvester(body, body.dim, args.p, args.trials, rng, density=density)
     elif name == "L":
@@ -116,13 +119,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
     body = body_from_json(args.body)
     rng = StreamHandle(args.seed)
-    kwargs: dict = {"k": args.k, "frames": args.frames, "rng": rng, "seed": args.seed}
-    heavy = args.check in ("bp_identity", "logconcave_identity")
-    if heavy:
+    kwargs: dict = {"k": args.k, "frames": args.frames, "sphere_samples": args.samples,
+                    "rng": rng, "seed": args.seed}
+    if args.check in ("bp_identity", "logconcave_identity"):
         kwargs["points_per_frame"] = args.points
-        kwargs["sphere_samples"] = args.samples
-    else:
-        kwargs["sphere_samples"] = args.samples
     if args.check == "busemann_petty_volume":
         if not args.body2:
             raise ValueError("busemann_petty_volume needs --body2")
@@ -130,11 +130,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kwargs["body_d"] = body_from_json(args.body2)
     else:
         kwargs["body"] = body
-    if args.check in ("slicing_chain", "stability_chain", "dpp_bound",
-                      "logconcave_identity"):
+    if args.check in ("slicing_chain", "dpp_bound", "logconcave_identity"):
         if not args.measure:
             raise ValueError(f"{args.check} needs --measure")
         kwargs["density"] = density_from_json(args.measure, body.dim)
+    elif args.measure:
+        raise ValueError(f"{args.check} takes no --measure")
     if args.check == "grinberg":
         kwargs["transforms"] = args.transforms
     out = CHECKS[args.check](**kwargs)
@@ -173,10 +174,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    cfg = SuiteConfig(seed=args.seed, frames=args.frames,
-                      sphere_samples=args.samples,
-                      points_per_frame=args.points,
-                      include_negative_control=args.negative_control)
+    cfg = SuiteConfig(seed=args.seed, include_negative_control=args.negative_control)
     result = run_suite(cfg)
     payload = result.as_dict()
     payload["config"] = _run_config(args)
@@ -240,9 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("suite", help="run the default verification grid")
-    p.add_argument("--frames", type=int, default=500)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--points", type=int, default=500)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--negative-control", action="store_true",
                    help="append the reversed-inequality self-test fixture")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp

@@ -1,9 +1,9 @@
 """Scalar functionals of bodies and measures.
 
 Implements the simplex-moment (Sylvester) functionals, the isotropic
-constant and isotropic position, the dual affine quermassintegral and its
-companions (mean-section functional, negative moment), and the volume
-radius.  Subspace averages are Monte Carlo over Haar frames; means of
+constant, the dual affine quermassintegral and its companions
+(mean-section functional, negative moment), and the volume radius.
+Subspace averages are Monte Carlo over Haar frames; means of
 n-th powers of section volumes are heavy-tailed and therefore accumulated
 in log domain.
 
@@ -15,14 +15,14 @@ paired comparisons share common random frames.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bodies import StarBody, linear_image, section, translate, volume
+from .bodies import StarBody, volume
 from .constants import log_ball_volume
-from .estimates import (CheckReport, Estimate, equality_report, exact_log_estimate,
-                        log_mean_estimate, log_power_product, mean_estimate)
+from .estimates import (Estimate, exact_log_estimate, log_mean_estimate,
+                        log_power_product, mean_estimate)
 from .grassmann import Frame, sample_haar
 from .measures import DensityOracle, measure_of_body
 from .sampler import (StreamHandle, as_generator, covariance, sample_restricted,
@@ -32,10 +32,7 @@ __all__ = [
     "draw_frames",
     "simplex_moment",
     "sylvester",
-    "blaschke_check",
     "isotropic_constant",
-    "IsotropicPosition",
-    "isotropize",
     "dual_affine_quermass",
     "w_tilde",
     "i_minus_k",
@@ -138,31 +135,6 @@ def _batched_cov_dets(points: np.ndarray) -> np.ndarray:
     return dets
 
 
-def blaschke_check(body: StarBody, trials: int, rng: StreamHandle,
-                   density: DensityOracle | None = None, seed: int = 0) -> CheckReport:
-    """m! S_2^2 against det Cov for a centered probability source.
-
-    The two sides come from independent substreams.  Centering is
-    validated first: the empirical mean must sit within 3 standard errors
-    of the origin in every coordinate.
-    """
-    m = body.dim
-    if density is None:
-        pts = uniform_in_body(body, rng.split(1), size=trials)
-    else:
-        pts = sample_restricted(density, body, rng.split(1), size=trials).points
-    se = pts.std(axis=0, ddof=1) / math.sqrt(trials)
-    mean = pts.mean(axis=0)
-    if np.any(np.abs(mean) > 3.0 * se + 1e-12):
-        raise ValueError(f"source is not centered: empirical mean {mean} exceeds 3 SE {se}")
-
-    moment2 = simplex_moment(body, m, 2.0, trials, rng.split(2), density=density)
-    lhs = moment2.scaled(float(math.factorial(m)))
-    rhs = mean_estimate(_batched_cov_dets(pts))
-    return equality_report("blaschke_determinant", m, 0, lhs, rhs, seed=seed,
-                           inputs={"trials": trials})
-
-
 def isotropic_constant(body: StarBody, samples: int, rng: StreamHandle,
                        density: DensityOracle | None = None) -> Estimate:
     """L = (sup f / integral f)^(1/n) * det(Cov)^(1/2n).
@@ -185,47 +157,6 @@ def isotropic_constant(body: StarBody, samples: int, rng: StreamHandle,
     l_est = det_est.powered(1.0 / (2 * n)).times(
         exact_log_estimate(log_sup / n)).divided_by(log_mass.powered(1.0 / n))
     return l_est.to_linear()
-
-
-class IsotropicPosition(NamedTuple):
-    body: StarBody
-    transform: np.ndarray     # applied after recentering
-    shift: np.ndarray         # subtracted from points of the input body
-    constant: Estimate        # the isotropic constant of the input body
-
-
-def isotropize(body: StarBody, samples: int, rng: StreamHandle,
-               condition_limit: float = 1e8) -> IsotropicPosition:
-    """Whiten a convex body: map x -> T (x - shift) so the image has volume 1
-    and covariance proportional to the identity.
-
-    T = Cov^(-1/2) (symmetric eigendecomposition) up to the volume-one
-    rescaling.  A covariance condition number above ``condition_limit``
-    is rejected as degenerate.
-    """
-    n = body.dim
-    pts = uniform_in_body(body, rng.split(1), size=samples)
-    shift = pts.mean(axis=0)
-    centered = translate(body, -shift) if float(np.linalg.norm(shift)) > 1e-12 else body
-
-    pts_c = uniform_in_body(centered, rng.split(2), size=samples)
-    cov, _ = covariance(pts_c)
-    eigval, eigvec = np.linalg.eigh(cov)
-    if eigval.min() <= 0 or eigval.max() / eigval.min() > condition_limit:
-        raise ValueError("degenerate body: covariance condition number "
-                         f"{eigval.max() / max(eigval.min(), 0.0):.3e}")
-    white = eigvec @ np.diag(eigval ** -0.5) @ eigvec.T
-
-    whitened = linear_image(centered, white)
-    log_vol = log_volume_estimate(whitened, samples, rng.split(3))
-    scale = math.exp(-log_vol.value / n)
-    transform = scale * white
-    iso = linear_image(centered, transform)
-
-    det_est = mean_estimate(_batched_cov_dets(pts_c))
-    log_mass = log_volume_estimate(centered, samples, rng.split(4))
-    constant = det_est.powered(1.0 / (2 * n)).divided_by(log_mass.powered(1.0 / n))
-    return IsotropicPosition(iso, transform, shift, constant.to_linear())
 
 
 def _frame_section_values(body: StarBody, frames: Sequence[Frame], sphere_samples: int,
@@ -289,14 +220,13 @@ def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estima
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
     gen = rng.split(0).generator()
-    from .sampler import sphere_directions
     theta = sphere_directions(gen, samples, n)
     rho = body.radial(theta)
     moment = mean_estimate(rho ** (n - k)).to_log()
     log_vol = log_volume_estimate(body, samples, rng.split(_AUX))
     log_factor = math.log(n) + log_ball_volume(n).log_value - math.log(n - k)
-    # rescaling K -> K1 multiplies the integral by |K|^((k-n)/n) ... |K|^(-1) net of
-    # the change of variables: integral_K1 = |K|^(-(n-k)/n - k/n ... ) handled on logs:
+    # K1 = |K|^(-1/n) K; substituting x = |K|^(-1/n) y gives
+    # integral_K1 ||x||^(-k) dx = |K|^(-(n-k)/n) integral_K ||y||^(-k) dy
     log_integral = log_factor + moment.value - (n - k) / n * log_vol.value
     se = math.hypot(moment.std_error, (n - k) / n * log_vol.std_error)
     return Estimate(-log_integral / k, se / k, samples, log_domain=True).to_linear()
@@ -304,7 +234,6 @@ def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estima
 
 def volume_radius(body: StarBody, samples: int, rng) -> Estimate:
     """(E_theta rho^n)^(1/n) = (|K| / omega_n)^(1/n)."""
-    from .sampler import as_generator, sphere_directions
     gen = as_generator(rng)
     theta = sphere_directions(gen, samples, body.dim)
     rho = body.radial(theta)

@@ -18,10 +18,10 @@ import math
 import numpy as np
 from scipy import special
 
-from .bodies import StarBody, section
+from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import Estimate, mean_estimate
-from .grassmann import Frame, sample_haar
+from .grassmann import Frame
 from .sampler import as_generator, sphere_directions, uniform_in_body
 
 __all__ = [
@@ -34,13 +34,9 @@ __all__ = [
     "measure_of_body",
     "measure_of_section",
     "section_measure_values",
-    "max_section_measure",
-    "kp_body",
-    "KpBody",
     "density_from_spec",
     "density_from_json",
     "QuadratureError",
-    "DivergentRayError",
 ]
 
 _REL_TOL = 1e-9
@@ -54,10 +50,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, direction: np.ndarray | None = None):
         super().__init__(message)
         self.direction = direction
-
-
-class DivergentRayError(RuntimeError):
-    """A ray integral of the density does not converge."""
 
 
 class DensityOracle:
@@ -97,10 +89,6 @@ class DensityOracle:
         pts = uniform_in_body(body, np.random.Generator(np.random.Philox(key=97531)),
                               size=4096)
         return 1.05 * float(np.max(self(pts)))
-
-    def ray_cutoff(self, dirs: np.ndarray) -> np.ndarray | None:
-        """Per-direction radius beyond which the density vanishes, or None."""
-        return None
 
     def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
         """integral_0^upper r^(power-1) g(r * dir) dr for each row of ``dirs``, power > 0.
@@ -210,13 +198,10 @@ class IndicatorDensity(DensityOracle):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.body.contains(np.asarray(x, dtype=float)).astype(float)
 
-    def ray_cutoff(self, dirs: np.ndarray) -> np.ndarray:
-        return self.body.radial(dirs)
-
     def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
         dirs = np.asarray(dirs, dtype=float)
         norms = np.linalg.norm(dirs, axis=-1)
-        cut = self.ray_cutoff(dirs / norms[..., None]) / norms
+        cut = self.body.radial(dirs / norms[..., None]) / norms
         return np.minimum(np.asarray(upper, dtype=float), cut) ** power / power
 
 
@@ -232,41 +217,30 @@ class SectionDensity(DensityOracle):
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.ambient(self.frame.embed(np.asarray(u, dtype=float)))
 
-    def ray_cutoff(self, dirs: np.ndarray) -> np.ndarray | None:
-        cut = self.ambient.ray_cutoff(self.frame.embed(np.asarray(dirs, dtype=float)))
-        return cut
-
-    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
-        # the embedding is linear, so each ray of F is a ray of the ambient space
-        return self.ambient.ray_mass(self.frame.embed(np.asarray(dirs, dtype=float)),
-                                     upper, power)
-
 
 def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarray,
-                      power: float, lower: np.ndarray | None = None) -> np.ndarray:
-    """integral_lower^upper r^(power-1) g(r * theta) dr per direction, vectorized.
+                      power: float) -> np.ndarray:
+    """integral_0^upper r^(power-1) g(r * theta) dr per direction, vectorized.
 
     Panels of 15-point Gauss-Legendre; the panel count doubles until
     consecutive refinements agree to relative 1e-9.  The integrand must be
-    smooth on the interval (integer powers from polar volume weights, or
-    any power when lower > 0); :func:`_graded_radial_integrals` handles the
-    weakly singular weights of the moment bodies at r = 0.
+    smooth on [0, upper], which holds for the integer powers of the polar
+    volume weights; :func:`_graded_radial_integrals` handles the weakly
+    singular weight r^(power-1) of a fractional power at r = 0.
     """
     dirs = np.asarray(dirs, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    lower = np.zeros_like(upper) if lower is None else np.asarray(lower, dtype=float)
-    width = upper - lower
     prev = None
     panels = 1
     while panels <= _MAX_PANELS:
         edges = np.arange(panels) / panels
         t = edges[:, None] + (0.5 + 0.5 * _GL_NODES[None, :]) / panels   # (P, 15)
-        r = lower[:, None, None] + width[:, None, None] * t[None, :, :]  # (D, P, 15)
+        r = upper[:, None, None] * t[None, :, :]                         # (D, P, 15)
         pts = r[..., None] * dirs[:, None, None, :]
         vals = density(pts)
         if power != 1.0:
             vals = vals * r ** (power - 1.0)
-        integral = width * np.einsum("dpk,k->d", vals, _GL_WEIGHTS) / (2.0 * panels)
+        integral = upper * np.einsum("dpk,k->d", vals, _GL_WEIGHTS) / (2.0 * panels)
         if prev is not None:
             err = np.abs(integral - prev)
             tol = _REL_TOL * np.maximum(np.abs(integral), 1e-300)
@@ -355,81 +329,6 @@ def measure_of_section(density: DensityOracle, body: StarBody, frame: Frame,
         raise ValueError(f"need at least 100 sphere samples, got {sphere_samples}")
     return mean_estimate(section_measure_values(density, body, frame,
                                                 sphere_samples, rng))
-
-
-def max_section_measure(density: DensityOracle, body: StarBody, k: int, frames: int,
-                        sphere_samples: int, rng) -> tuple[Estimate, Frame]:
-    """Max of mu(K cap F) over Haar frame draws: a lower bound for the true max."""
-    if frames < 1:
-        raise ValueError(f"need at least one frame, got {frames}")
-    from .sampler import StreamHandle
-    if not isinstance(rng, StreamHandle):
-        raise TypeError("max_section_measure needs a StreamHandle for per-frame substreams")
-    s = body.dim - k
-    best: Estimate | None = None
-    best_frame: Frame | None = None
-    for j in range(frames):
-        sub = rng.split(j)
-        frame = sample_haar(body.dim, s, sub)
-        est = measure_of_section(density, body, frame, sphere_samples, sub.split(1))
-        if best is None or est.value > best.value:
-            best, best_frame = est, frame
-    return best, best_frame
-
-
-class KpBody(StarBody):
-    """Star body with rho(theta)^p = (1/g(0)) integral_0^inf p r^(p-1) g(r theta) dr.
-
-    Radial values are computed on demand by quadrature; infinite rays are
-    truncated once the running increment drops below 1e-12 of the total.
-    """
-
-    def __init__(self, density: DensityOracle, p: float):
-        if p <= 0:
-            raise ValueError(f"moment order p must be positive, got {p}")
-        g0 = density.value_at_origin
-        if not g0 > 0:
-            raise ValueError(f"density must be positive at the origin, got {g0}")
-        super().__init__(density.dim, symmetric=density.even, exact_volume=None)
-        self.density = density
-        self.p = float(p)
-        self._g0 = g0
-
-    def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_unit(np.atleast_2d(dirs))
-        cut = self.density.ray_cutoff(dirs)
-        if cut is not None:
-            integral = _graded_radial_integrals(self.density, dirs,
-                                                np.asarray(cut, float), self.p)
-        else:
-            integral = self._tail_integrals(dirs)
-        return (integral / self._g0) ** (1.0 / self.p)
-
-    def _tail_integrals(self, dirs: np.ndarray) -> np.ndarray:
-        # graded panels absorb the r=0 weight singularity on [0, 1]; the
-        # outward chunks [R, 2R] are smooth and integrated directly, doubling
-        # the truncation radius until the increment is negligible
-        total = _graded_radial_integrals(self.density, dirs, np.ones(len(dirs)), self.p)
-        lo = 1.0
-        for _ in range(64):
-            chunk = self.p * _radial_integrals(self.density, dirs,
-                                               np.full(len(dirs), 2.0 * lo), self.p,
-                                               lower=np.full(len(dirs), lo))
-            total = total + chunk
-            if np.all(chunk <= 1e-12 * np.maximum(total, 1e-300)):
-                return total
-            lo *= 2.0
-        raise DivergentRayError(
-            "ray integral still growing after truncation radius 2^64; divergent density tail")
-
-    def bounding_radius(self) -> float:
-        gen = np.random.Generator(np.random.Philox(key=86420))
-        net = sphere_directions(gen, 1024, self.dim)
-        return 2.0 * float(self.radial(net).max())
-
-
-def kp_body(density: DensityOracle, p: float) -> KpBody:
-    return KpBody(density, p)
 
 
 def density_from_spec(spec: dict, dim: int) -> DensityOracle:

@@ -47,6 +47,13 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out)["estimate"]["value"] == pytest.approx(1.20899, rel=1e-4)
 
+    def test_measure_unused_by_functional_is_error(self, capsys):
+        code, _, err = run_cli(["estimate", "--functional", "phi",
+                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                                "--measure", '{"kind":"gaussian"}'], capsys)
+        assert code == 2
+        assert "takes no --measure" in json.loads(err)["error"]
+
 
 class TestVerifyCommand:
     def test_pass_gives_exit_zero(self, capsys, tmp_path):
@@ -85,6 +92,13 @@ class TestVerifyCommand:
                                 "--body", '{"kind":"cube","dim":2}'], capsys)
         assert code == 2
 
+    def test_measure_unused_by_check_is_error(self, capsys):
+        code, _, err = run_cli(["verify", "--check", "grinberg",
+                                "--body", '{"kind":"cube","dim":3}',
+                                "--measure", '{"kind":"gaussian"}'], capsys)
+        assert code == 2
+        assert "takes no --measure" in json.loads(err)["error"]
+
     def test_grinberg_emits_two_reports(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "grinberg",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
@@ -113,6 +127,14 @@ class TestScanCommand:
         code, out, _ = run_cli(["scan", "--n-max", "3"], capsys)
         assert code == 0
         assert out.splitlines()[0].startswith("schema,")
+
+
+class TestSuiteCommand:
+    @pytest.mark.parametrize("flag", ["--frames", "--samples", "--points"])
+    def test_takes_no_budget_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", flag, "10"])
+        assert exc.value.code == 2
 
 
 class TestDeterminism:

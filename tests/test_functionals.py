@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sectlab.bodies import Ellipsoid, LpBall, cube, linear_image
+from sectlab.bodies import LpBall, cube, linear_image
 from sectlab.constants import gamma_nk, log_ball_volume
-from sectlab.functionals import (blaschke_check, draw_frames, dual_affine_quermass,
-                                 i_minus_k, isotropic_constant, isotropize,
-                                 section_volume, simplex_moment, sylvester,
-                                 volume_radius, w_tilde)
+from sectlab.functionals import (draw_frames, dual_affine_quermass, i_minus_k,
+                                 isotropic_constant, section_volume, simplex_moment,
+                                 sylvester, volume_radius, w_tilde)
 from sectlab.measures import GaussianDensity
-from sectlab.sampler import StreamHandle, covariance, uniform_in_body
+from sectlab.sampler import StreamHandle
 
 DISC = LpBall(2, 2.0)
 
@@ -67,23 +66,6 @@ class TestSylvester:
         assert est.value == pytest.approx(S2_DISC * math.pi, rel=0.05)
 
 
-class TestBlaschkeDeterminant:
-    def test_square(self):
-        rep = blaschke_check(cube(2, 0.5), 30_000, StreamHandle(9))
-        assert rep.passed
-        assert rep.lhs.to_linear().value == pytest.approx(1 / 144, rel=0.05)
-
-    def test_disc(self):
-        rep = blaschke_check(DISC, 30_000, StreamHandle(10))
-        assert rep.passed
-        assert rep.rhs.to_linear().value == pytest.approx(1 / 16, rel=0.05)
-
-    def test_segment(self):
-        rep = blaschke_check(cube(1), 30_000, StreamHandle(11))
-        assert rep.passed
-        assert rep.lhs.to_linear().value == pytest.approx(1 / 3, rel=0.05)
-
-
 class TestIsotropicConstant:
     def test_volume_one_cube(self):
         for n in (2, 3, 4):
@@ -104,35 +86,6 @@ class TestIsotropicConstant:
         a = isotropic_constant(cube(2, 0.5), 60_000, StreamHandle(17))
         b = isotropic_constant(linear_image(cube(2, 0.5), t), 60_000, StreamHandle(18))
         assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
-
-
-class TestIsotropize:
-    def test_ball_needs_only_scaling(self):
-        pos = isotropize(LpBall(3, 2.0), 40_000, StreamHandle(19))
-        t = pos.transform
-        scale = np.trace(t) / 3
-        assert np.max(np.abs(t - scale * np.eye(3))) < 0.02 * scale
-
-    def test_stretched_disc_recovers_isotropy(self):
-        body = Ellipsoid(np.diag([16.0, 1.0]))   # diag(4, 1) image of the disc
-        pos = isotropize(body, 60_000, StreamHandle(20))
-        pts = uniform_in_body(pos.body, StreamHandle(21), size=40_000)
-        cov, _ = covariance(pts)
-        off_ratio = abs(cov[0, 1]) / math.sqrt(cov[0, 0] * cov[1, 1])
-        assert off_ratio < 0.05
-        assert cov[0, 0] == pytest.approx(cov[1, 1], rel=0.05)
-        vol = pos.body.exact_volume
-        assert vol == pytest.approx(1.0, rel=0.02)
-
-    def test_cube_already_isotropic(self):
-        pos = isotropize(cube(3), 40_000, StreamHandle(22))
-        t = pos.transform
-        scale = np.trace(t) / 3
-        assert np.max(np.abs(t - scale * np.eye(3))) < 0.02 * scale
-
-    def test_constant_matches_direct_estimate(self):
-        pos = isotropize(cube(2), 60_000, StreamHandle(23))
-        assert abs(pos.constant.value - 1 / math.sqrt(12)) <= 4 * pos.constant.std_error
 
 
 class TestSectionPowerFunctional:
@@ -226,8 +179,3 @@ def test_simplex_moment_matches_disc_mean():
     # E|conv(0, x1, x2)| = (1/2) (2/3)^2 (2/pi) = 4/(9 pi) on the unit disc
     assert abs(est.value - 4 / (9 * math.pi)) <= 3 * est.std_error
 
-
-def test_blaschke_rejects_uncentered_source():
-    shifted = pytest.importorskip("sectlab.bodies").translate(DISC, np.array([0.4, 0.0]))
-    with pytest.raises(ValueError, match="not centered"):
-        blaschke_check(shifted, 5000, StreamHandle(42))

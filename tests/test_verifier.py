@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ import pytest
 from sectlab.bodies import LpBall, cube
 from sectlab.measures import GaussianDensity, LebesgueDensity, RadialExpDensity
 from sectlab.sampler import StreamHandle
-from sectlab.verifier import (SuiteConfig, check_alpha_beta_construction,
+from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _max_section_log,
                               check_bp_identity, check_busemann_petty_volume,
                               check_dpp, check_grinberg, check_logconcave_identity,
-                              check_slicing_chain, check_stability, negative_control,
-                              run_suite)
+                              check_slicing_chain, negative_control, run_suite)
 
 BALL3 = LpBall(3, 2.0)
 CUBE3 = cube(3)
@@ -53,17 +53,24 @@ class TestChains:
                         + 2 * math.log(math.pi) + (2 / 3) * math.log(4 * math.pi / 3))
         assert rep.rhs.value == pytest.approx(rhs_expected, rel=1e-6)
 
-    def test_stability_matches_slicing_form(self):
-        a = check_stability(GaussianDensity(3), CUBE3, 1, 80, 300, StreamHandle(6))
-        b = check_slicing_chain(GaussianDensity(3), CUBE3, 1, 80, 300, StreamHandle(6))
-        assert a.passed and b.passed
-        assert a.lhs.value == b.lhs.value     # same chain, same substreams
-        assert a.check_name != b.check_name
-
     def test_l1_ball_4d(self):
         rep = check_slicing_chain(LebesgueDensity(4), LpBall(4, 1.0), 2, 80, 300,
                                   StreamHandle(7))
         assert rep.passed
+
+
+class TestMaxSection:
+    def test_ball_sections_constant(self):
+        est, argmax = _max_section_log(LebesgueDensity(3), BALL3, 50, 1, 200,
+                                       StreamHandle(12))
+        assert est.to_linear().value == pytest.approx(math.pi, rel=1e-9)
+        assert 0 <= argmax < 50
+
+    def test_square_max_chord_approaches_diagonal(self):
+        est, _ = _max_section_log(LebesgueDensity(2), cube(2), 1000, 1, 100,
+                                  StreamHandle(13))
+        assert est.to_linear().value >= 2.75
+        assert est.to_linear().value <= 2 * math.sqrt(2) + 1e-9
 
 
 class TestDpp:
@@ -163,29 +170,21 @@ class TestBusemannPetty:
         assert rep.inputs["dominance_violations"] == 40
 
 
-class TestAlphaBeta:
-    def test_ball_gives_unit_radius(self):
-        rep = check_alpha_beta_construction(BALL3, 1, 60, 300, StreamHandle(23))
-        assert rep.passed
-        assert rep.inputs["r"] == pytest.approx(1.0, rel=1e-9)
-
-    def test_square_diagonal(self):
-        rep = check_alpha_beta_construction(cube(2), 1, 2000, 200, StreamHandle(24))
-        assert rep.passed
-        assert rep.inputs["r"] == pytest.approx(math.sqrt(2), rel=2e-3)
-
-    def test_l1_ball_by_construction(self):
-        rep = check_alpha_beta_construction(LpBall(3, 1.0), 1, 100, 300, StreamHandle(25))
-        assert rep.passed
-        assert rep.inputs["implied_beta_power_k"] > 0
-
-    def test_rejects_asymmetric(self):
-        from sectlab.bodies import centered_simplex
-        with pytest.raises(ValueError, match="symmetric"):
-            check_alpha_beta_construction(centered_simplex(2), 1, 10, 100, StreamHandle(26))
-
-
 class TestSuite:
+    def test_registry(self):
+        assert set(CHECKS) == {"bp_identity", "slicing_chain", "dpp_bound",
+                               "logconcave_identity", "grinberg",
+                               "busemann_petty_volume", "negative_control"}
+
+    def test_default_grid_composition(self):
+        grid = _default_grid()
+        counts = Counter(name for name, _, _ in grid)
+        assert counts == {"bp_identity": 4, "slicing_chain": 24, "dpp_bound": 24,
+                          "grinberg": 4, "logconcave_identity": 2,
+                          "busemann_petty_volume": 2}
+        assert len(grid) == 60
+        assert all(name in CHECKS for name, _, _ in grid)
+
     def test_empty_grid_passes(self):
         res = run_suite(SuiteConfig(seed=0, grid=[]))
         assert res.status == "pass" and res.reports == [] and res.exit_code == 0
