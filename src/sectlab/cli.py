@@ -38,11 +38,22 @@ _REPORT_SCHEMA = "sectlab.report.v1"
 _SCAN_SCHEMA = "sectlab.scan.v1"
 # where and how the output is written, not what is computed
 _NOT_CONFIG = ("func", "json", "csv", "pretty")
+# verify's optional flags and the checks that read each; any other check rejects
+# the flag.  Defaults are filled in only where read, so config records only
+# budgets that ran.
+_FLAG_READERS = {
+    "measure": ("slicing_chain", "dpp_bound", "logconcave_identity"),
+    "points": ("bp_identity", "logconcave_identity"),
+    "transforms": ("grinberg",),
+    "body2": ("busemann_petty_volume",),
+}
+_FLAG_DEFAULTS = {"points": 500, "transforms": 5}
 
 
 def _emit(payload: dict, path: str | None, pretty: bool) -> None:
+    # strict RFC 8259: a non-finite value raises ValueError, an exit-2 error
     text = json.dumps(payload, indent=2 if pretty else None,
-                      sort_keys=True, allow_nan=True)
+                      sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -117,11 +128,17 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.check not in CHECKS:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
+    for flag, readers in _FLAG_READERS.items():
+        if args.check not in readers:
+            if getattr(args, flag) is not None:
+                raise ValueError(f"{args.check} takes no --{flag}")
+        elif getattr(args, flag) is None and flag in _FLAG_DEFAULTS:
+            setattr(args, flag, _FLAG_DEFAULTS[flag])
     body = body_from_json(args.body)
     rng = StreamHandle(args.seed)
     kwargs: dict = {"k": args.k, "frames": args.frames, "sphere_samples": args.samples,
                     "rng": rng, "seed": args.seed}
-    if args.check in ("bp_identity", "logconcave_identity"):
+    if args.check in _FLAG_READERS["points"]:
         kwargs["points_per_frame"] = args.points
     if args.check == "busemann_petty_volume":
         if not args.body2:
@@ -130,13 +147,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kwargs["body_d"] = body_from_json(args.body2)
     else:
         kwargs["body"] = body
-    if args.check in ("slicing_chain", "dpp_bound", "logconcave_identity"):
+    if args.check in _FLAG_READERS["measure"]:
         if not args.measure:
             raise ValueError(f"{args.check} needs --measure")
         kwargs["density"] = density_from_json(args.measure, body.dim)
-    elif args.measure:
-        raise ValueError(f"{args.check} takes no --measure")
-    if args.check == "grinberg":
+    if args.check in _FLAG_READERS["transforms"]:
         kwargs["transforms"] = args.transforms
     out = CHECKS[args.check](**kwargs)
     reports = out if isinstance(out, list) else [out]
@@ -226,8 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--frames", type=int, default=500)
     p.add_argument("--samples", type=int, default=2000, help="sphere samples per frame")
-    p.add_argument("--points", type=int, default=500, help="simplex draws per frame")
-    p.add_argument("--transforms", type=int, default=5)
+    p.add_argument("--points", type=int,
+                   help="direction s-tuples per frame (bp_identity and "
+                        "logconcave_identity only; default 500)")
+    p.add_argument("--transforms", type=int,
+                   help="volume-preserving images (grinberg only; default 5)")
     p.add_argument("--csv", metavar="PATH")
     common(p)
     p.set_defaults(func=_cmd_verify)

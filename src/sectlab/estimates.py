@@ -217,14 +217,15 @@ def inequality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estim
     """One-sided comparison lhs <= rhs up to Monte Carlo noise.
 
     The rule lhs <= rhs*(1 + 3 relSE) never excuses a genuine violation
-    beyond sampling noise; margin is reported in combined-SE units
-    (inf when both sides are exact).
+    beyond sampling noise; margin is the log slack in combined-SE units,
+    with the SE floored at the rule's additive floor so that two exact
+    sides still give a finite margin.
     """
     a, b = lhs.to_log(), rhs.to_log()
     sigma = _combined_log_se(lhs, rhs)
     slack = b.value - a.value             # positive = strictly below
     passed = slack >= -(SE_MULTIPLIER * sigma + EXACT_FLOOR)
-    margin = slack / sigma if sigma > 0 else math.copysign(math.inf, slack) if slack != 0 else math.inf
+    margin = slack / max(sigma, EXACT_FLOOR)
     rule = (f"log lhs <= log rhs + {SE_MULTIPLIER}*combined log SE ({sigma:.3e}) + {EXACT_FLOOR}")
     return CheckReport(check_name, n, k, lhs, rhs, "<=", margin, bool(passed), rule,
                        inputs or {}, seed, note)

@@ -130,9 +130,10 @@ def sample_restricted(density, body, rng, size: int | None = None,
 
     Proposes uniform points in the body and accepts with probability
     g(x) / sup_K g.  Rejection rather than importance weighting keeps the
-    output i.i.d. and unweighted for the simplex-moment estimators.  A
-    density value above the bound from ``sup_on`` would bias the draw, so
-    it raises instead.
+    output i.i.d. and unweighted for the functionals that need actual
+    points: ``functionals.simplex_moment`` (behind ``sylvester``) and
+    ``functionals.isotropic_constant``.  A density value above the bound
+    from ``sup_on`` would bias the draw, so it raises instead.
     """
     gen = as_generator(rng)
     count = 1 if size is None else int(size)

@@ -19,15 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import StarBody, linear_image, section
-from .constants import gamma_nk, log_bp_constant
+from .bodies import StarBody, linear_image
+from .constants import gamma_nk, log_ball_volume, log_bp_constant
 from .estimates import (CheckReport, Estimate, equality_report, exact_log_estimate,
                         inequality_report, log_mean_estimate, log_power_product)
 from .functionals import (dual_affine_quermass, log_volume_estimate, section_volume,
-                          section_volume_values, _resolve_frames)
-from .measures import (DensityOracle, SectionDensity, measure_of_body,
+                          _resolve_frames)
+from .grassmann import Frame
+from .measures import (DensityOracle, LebesgueDensity, measure_of_body,
                        measure_of_section, section_measure_values)
-from .sampler import StreamHandle, sample_restricted, simplex_volume, uniform_in_body
+from .sampler import StreamHandle, simplex_volume, sphere_directions
 
 __all__ = [
     "check_bp_identity",
@@ -47,46 +48,63 @@ _AUX = 1 << 40
 _SAMPLED_MAX_NOTE = "max is sampled (lower bound of the true Grassmannian max)"
 
 
-def _simplex_log_moment(sec_body: StarBody, k: int, points: int, rng: StreamHandle,
-                        sec_density: DensityOracle | None = None) -> float:
-    """log E|conv(0, x_1..x_s)|^k for draws inside one section."""
-    s = sec_body.dim
-    if sec_density is None:
-        pts = uniform_in_body(sec_body, rng, size=points * s)
-    else:
-        pts = sample_restricted(sec_density, sec_body, rng, size=points * s).points
-    vols = simplex_volume(pts.reshape(points, s, s))
-    moment = float(np.mean(vols ** k))
-    if moment <= 0:
-        raise ValueError("simplex moment vanished; degenerate section draws")
-    return math.log(moment)
+def _polar_log_moment(density: DensityOracle, body: StarBody, frame: Frame, k: int,
+                      points: int, rng: StreamHandle) -> float:
+    """log of the integral over (K cap F)^s of |conv(0, x_1..x_s)|^k prod_i g(x_i) dx.
 
-
-def check_bp_identity(body: StarBody, k: int, frames, points_per_frame: int,
-                      rng: StreamHandle, sphere_samples: int = 2000,
-                      seed: int = 0) -> CheckReport:
-    """|K|^(n-k) against p(n, n-k) E_F[ |K cap F|^(n-k) E|conv|^k ].
-
-    Both sides are exact identities of the body; the right side is Monte
-    Carlo over frames, with uniform vertex draws inside each section.
+    Writing x_i = r_i theta_i inside F and integrating the radii gives
+    (s omega_s)^s E_theta[ (|det theta| / s!)^k prod_i m(theta_i) ], with
+    theta_1..theta_s uniform on S^(s-1) and m(theta) the ray mass of g up to
+    rho(theta) at power s + k.  ``points`` is the number of direction
+    s-tuples averaged.
     """
+    s = frame.s
+    theta = sphere_directions(rng.generator(), points * s, s)
+    dirs = frame.embed(theta)
+    mass = density.ray_mass(dirs, body.radial(dirs), float(s + k))
+    vols = simplex_volume(theta.reshape(points, s, s))
+    moment = float(np.mean(vols ** k * mass.reshape(points, s).prod(axis=1)))
+    if moment <= 0:
+        raise ValueError("simplex moment vanished; degenerate section directions")
+    return s * (math.log(s) + log_ball_volume(s).log_value) + math.log(moment)
+
+
+def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames,
+                     points_per_frame: int, rng: StreamHandle, lhs: Estimate,
+                     sphere_samples: int, seed: int) -> CheckReport:
+    """Compare lhs with p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
     n = body.dim
     s = n - k
     frame_list = _resolve_frames(frames, n, s, rng)
     logs = np.empty(len(frame_list))
     for j, frame in enumerate(frame_list):
-        sub = rng.split(j)
-        vals = section_volume_values(body, frame, sphere_samples, sub.split(1))
-        m_log = _simplex_log_moment(section(body, frame), k, points_per_frame, sub.split(2))
-        logs[j] = log_power_product(vals, s) + m_log
+        logs[j] = _polar_log_moment(density, body, frame, k, points_per_frame,
+                                    rng.split(j).split(1))
     mean_log = log_mean_estimate(logs)
     rhs = Estimate(log_bp_constant(n, s).log_value + mean_log.value,
                    mean_log.std_error, len(frame_list), log_domain=True)
-    lhs = log_volume_estimate(body, max(sphere_samples, 20_000), rng.split(_AUX)).powered(s)
-    return equality_report("bp_identity", n, k, lhs, rhs, seed=seed,
+    return equality_report(name, n, k, lhs, rhs, seed=seed,
                            inputs={"frames": len(frame_list),
                                    "points_per_frame": points_per_frame,
                                    "sphere_samples": sphere_samples})
+
+
+def check_bp_identity(body: StarBody, k: int, frames, points_per_frame: int,
+                      rng: StreamHandle, sphere_samples: int = 2000,
+                      seed: int = 0) -> CheckReport:
+    """|K|^(n-k) against p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k ].
+
+    The right side is Monte Carlo over frames.  Inside each section the
+    integral is taken in polar form, (s omega_s)^s E_theta[ (|det theta|/s!)^k
+    prod_i rho(theta_i)^(s+k) / (s+k) ] with s = n - k, averaged over
+    ``points_per_frame`` direction s-tuples; no point is sampled inside the
+    section.  ``sphere_samples`` sizes only the left side's volume estimate,
+    which uses at least 20 000 directions (none when the volume is exact).
+    """
+    lhs = log_volume_estimate(body, max(sphere_samples, 20_000),
+                              rng.split(_AUX)).powered(body.dim - k)
+    return _identity_report("bp_identity", LebesgueDensity(body.dim), body, k, frames,
+                            points_per_frame, rng, lhs, sphere_samples, seed)
 
 
 def _max_section_log(density: DensityOracle, body: StarBody, frames, k: int,
@@ -162,32 +180,25 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
 def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames,
                               points_per_frame: int, rng: StreamHandle,
                               sphere_samples: int = 2000, seed: int = 0) -> CheckReport:
-    """mu(K)^(n-k) = p(n, n-k) E_F[ mu(K cap F)^(n-k) E|conv|^k ] for even
-    log-concave densities on symmetric bodies, with vertices drawn from the
-    normalized restricted measure on each section."""
+    """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ]
+    for even log-concave densities g on symmetric bodies.
+
+    Inside each section the integral is taken in polar form,
+    (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
+    s = n - k and m(theta) = ``density.ray_mass`` up to rho(theta) at power
+    s + k, averaged over ``points_per_frame`` direction s-tuples; no point
+    is sampled and no density supremum is needed.  ``sphere_samples`` sizes
+    only the left side's measure estimate, which uses at least 20 000
+    directions.
+    """
     if not (density.even and density.log_concave):
         raise ValueError("identity requires an even log-concave density")
     if not body.symmetric:
         raise ValueError("identity requires a symmetric body")
-    n = body.dim
-    s = n - k
-    frame_list = _resolve_frames(frames, n, s, rng)
-    logs = np.empty(len(frame_list))
-    for j, frame in enumerate(frame_list):
-        sub = rng.split(j)
-        vals = section_measure_values(density, body, frame, sphere_samples, sub.split(1))
-        m_log = _simplex_log_moment(section(body, frame), k, points_per_frame,
-                                    sub.split(2), SectionDensity(density, frame))
-        logs[j] = log_power_product(vals, s) + m_log
-    mean_log = log_mean_estimate(logs)
-    rhs = Estimate(log_bp_constant(n, s).log_value + mean_log.value,
-                   mean_log.std_error, len(frame_list), log_domain=True)
     lhs = measure_of_body(density, body, max(sphere_samples, 20_000),
-                          rng.split(_AUX + 1)).powered(s)
-    return equality_report("logconcave_identity", n, k, lhs, rhs, seed=seed,
-                           inputs={"frames": len(frame_list),
-                                   "points_per_frame": points_per_frame,
-                                   "sphere_samples": sphere_samples})
+                          rng.split(_AUX + 1)).powered(body.dim - k)
+    return _identity_report("logconcave_identity", density, body, k, frames,
+                            points_per_frame, rng, lhs, sphere_samples, seed)
 
 
 def _haar_rotation(n: int, gen: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sectlab import cli
 from sectlab.cli import main
 
 
@@ -28,6 +29,13 @@ class TestConstantsCommand:
         code, _, err = run_cli(["constants", "--n", "2", "--k", "5"], capsys)
         assert code == 2
         assert "error" in json.loads(err)
+
+    def test_non_finite_value_is_error(self, capsys, monkeypatch):
+        # output is strict JSON: no bare Infinity or NaN
+        monkeypatch.setattr(cli, "growth_ratio", lambda n, k: math.inf)
+        code, out, err = run_cli(["constants", "--n", "3", "--k", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "JSON compliant" in json.loads(err)["error"]
 
 
 class TestEstimateCommand:
@@ -99,6 +107,29 @@ class TestVerifyCommand:
         assert code == 2
         assert "takes no --measure" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "7"),
+        ("--transforms", "9"),
+        ("--body2", '{"kind":"cube","dim":3}'),
+    ])
+    def test_flag_unused_by_check_is_error(self, capsys, flag, value):
+        code, _, err = run_cli(["verify", "--check", "dpp_bound",
+                                "--body", '{"kind":"cube","dim":3}',
+                                "--measure", '{"kind":"gaussian"}', flag, value], capsys)
+        assert code == 2
+        assert f"takes no {flag}" in json.loads(err)["error"]
+
+    def test_points_default_recorded_only_where_read(self, capsys):
+        code, out, _ = run_cli(["verify", "--check", "bp_identity",
+                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                                "--frames", "20", "--samples", "200",
+                                "--deterministic"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["points"] == 500
+        assert "transforms" not in payload["config"]
+        assert payload["reports"][0]["inputs"]["points_per_frame"] == 500
+
     def test_grinberg_emits_two_reports(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "grinberg",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
@@ -130,6 +161,15 @@ class TestScanCommand:
 
 
 class TestSuiteCommand:
+    def test_default_suite_is_strict_json(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        code, out, _ = run_cli(["suite", "--seed", "0", "--deterministic"], capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["status"] == "pass" and payload["n_checks"] == 64
+
     @pytest.mark.parametrize("flag", ["--frames", "--samples", "--points"])
     def test_takes_no_budget_flags(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

@@ -127,6 +127,18 @@ class TestReports:
         rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(0.0))
         assert rep.passed
 
+    def test_exact_sides_give_finite_margin(self):
+        # two exact sides: the slack is divided by the 1e-9 floor, not by 0
+        rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(-1e-10))
+        assert rep.passed and rep.margin == pytest.approx(-0.1)
+        strict = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(0.5))
+        assert math.isfinite(strict.margin) and strict.margin == pytest.approx(0.5e9)
+
+    def test_margin_in_se_units_when_sigma_is_positive(self):
+        rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0),
+                                Estimate(0.03, 0.01, 100, log_domain=True))
+        assert rep.margin == pytest.approx(3.0)
+
     def test_as_dict_shape(self):
         rep = inequality_report("demo", 4, 2, exact_estimate(1.0), exact_estimate(2.0), seed=9)
         d = rep.as_dict()

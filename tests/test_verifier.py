@@ -1,16 +1,21 @@
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from sectlab.bodies import LpBall, cube
-from sectlab.measures import GaussianDensity, LebesgueDensity, RadialExpDensity
+from sectlab.bodies import LpBall, cube, section
+from sectlab.functionals import simplex_moment
+from sectlab.grassmann import Frame, sample_haar
+from sectlab.measures import (GaussianDensity, LebesgueDensity, RadialExpDensity,
+                              SectionDensity, measure_of_section)
 from sectlab.sampler import StreamHandle
 from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _max_section_log,
-                              check_bp_identity, check_busemann_petty_volume,
-                              check_dpp, check_grinberg, check_logconcave_identity,
-                              check_slicing_chain, negative_control, run_suite)
+                              _polar_log_moment, check_bp_identity,
+                              check_busemann_petty_volume, check_dpp, check_grinberg,
+                              check_logconcave_identity, check_slicing_chain,
+                              negative_control, run_suite)
 
 BALL3 = LpBall(3, 2.0)
 CUBE3 = cube(3)
@@ -34,6 +39,46 @@ class TestBpIdentity:
         rep = check_bp_identity(LpBall(2, 2.0), 1, 300, 500, StreamHandle(3),
                                 sphere_samples=200)
         assert rep.passed
+
+
+AXIS_FRAME = Frame(np.eye(3)[:, :2])
+
+
+class TestPolarLogMoment:
+    def test_unit_disc(self):
+        # (2 pi)^2 E[|sin(phi_1 - phi_2)| / 2] / 3^2 = 4 pi / 9 on the unit disc,
+        # and the relative SD of |sin| is sqrt(pi^2 / 8 - 1)
+        points = 20_000
+        value = math.exp(_polar_log_moment(LebesgueDensity(3), BALL3, AXIS_FRAME, 1,
+                                           points, StreamHandle(0)))
+        exact = 4 * math.pi / 9
+        se = exact * math.sqrt(math.pi ** 2 / 8 - 1) / math.sqrt(points)
+        assert abs(value - exact) <= 3 * se
+
+    @pytest.mark.parametrize("density", [LebesgueDensity(3), GaussianDensity(3)],
+                             ids=["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("frame", [AXIS_FRAME, sample_haar(3, 2, StreamHandle(31))],
+                             ids=["axis", "haar"])
+    def test_matches_rejection_reference(self, density, frame):
+        # mu(K cap F)^2 E|conv(0, x_1, x_2)| with vertices drawn by rejection
+        # from the normalized restricted measure on the section
+        reps = 8
+        polar = np.exp([_polar_log_moment(density, CUBE3, frame, 1, 5000,
+                                           StreamHandle(7).split(r)) for r in range(reps)])
+        polar_mean, polar_se = polar.mean(), polar.std(ddof=1) / math.sqrt(reps)
+        mu = measure_of_section(density, CUBE3, frame, 20_000, StreamHandle(8))
+        moment = simplex_moment(section(CUBE3, frame), 2, 1.0, 20_000, StreamHandle(9),
+                                density=SectionDensity(density, frame))
+        ref = mu.value ** 2 * moment.value
+        ref_se = ref * math.hypot(2 * mu.std_error / mu.value,
+                                  moment.std_error / moment.value)
+        assert abs(polar_mean - ref) <= 3 * math.hypot(polar_se, ref_se)
+
+    def test_same_seed_same_report_bytes(self):
+        a = check_bp_identity(CUBE3, 1, 40, 100, StreamHandle(4), sphere_samples=300)
+        b = check_bp_identity(CUBE3, 1, 40, 100, StreamHandle(4), sphere_samples=300)
+        assert (json.dumps(a.as_dict(), sort_keys=True)
+                == json.dumps(b.as_dict(), sort_keys=True))
 
 
 class TestChains:
