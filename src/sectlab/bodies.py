@@ -48,6 +48,19 @@ __all__ = [
 _COND_TOL = 1e-10
 
 
+def _fold_columns(op, a: np.ndarray) -> np.ndarray:
+    """op folded over the last axis, column by column from the first.
+
+    For the short trailing axes of direction stacks this is much cheaper
+    than a reduction along that axis, and gives the same bits for max, min
+    and the in-order sums numpy takes over fewer than eight terms.
+    """
+    out = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = op(out, a[..., i])
+    return out
+
+
 class UnboundedBodyError(ValueError):
     """A direction along which the body extends to infinity."""
 
@@ -113,8 +126,8 @@ class LpBall(StarBody):
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_unit(dirs)
         if math.isinf(self.p):
-            return self.radius / np.max(np.abs(dirs), axis=-1)
-        return self.radius / np.sum(np.abs(dirs) ** self.p, axis=-1) ** (1.0 / self.p)
+            return self.radius / _fold_columns(np.maximum, np.abs(dirs))
+        return self.radius / _fold_columns(np.add, np.abs(dirs) ** self.p) ** (1.0 / self.p)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -224,7 +237,7 @@ class HPolytope(StarBody):
         dots = dirs @ self.normals.T                     # (..., facets)
         with np.errstate(divide="ignore"):
             t = np.where(dots > 0, self.offsets / dots, np.inf)
-        rho = t.min(axis=-1)
+        rho = _fold_columns(np.minimum, t)
         if np.any(~np.isfinite(rho)):
             raise UnboundedBodyError("unbounded body")
         return rho
@@ -306,7 +319,7 @@ class LinearImage(StarBody):
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_unit(dirs)
         v = dirs @ self._inv.T
-        norms = np.linalg.norm(v, axis=-1)
+        norms = np.sqrt(_fold_columns(np.add, v * v))
         return self.base.radial(v / norms[..., None]) / norms
 
     def contains(self, points: np.ndarray) -> np.ndarray:

@@ -106,15 +106,20 @@ class Estimate:
         }
 
 
+def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and its std error along the last axis, one pair per row."""
+    n = values.shape[-1]
+    return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n)
+
+
 def mean_estimate(values: np.ndarray, factor: float = 1.0) -> Estimate:
     """Plain Monte Carlo mean with std error, optionally scaled."""
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float).ravel()
     n = values.size
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    m = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n))
-    return Estimate(factor * m, abs(factor) * se, n)
+    m, se = _mean_and_se(values)
+    return Estimate(factor * float(m), abs(factor) * float(se), n)
 
 
 def log_mean_estimate(log_values: np.ndarray) -> Estimate:
@@ -138,25 +143,38 @@ def log_mean_estimate(log_values: np.ndarray) -> Estimate:
     return Estimate(log_mean, math.sqrt(rel_var_mean), n, log_domain=True)
 
 
-def log_power_product(values: np.ndarray, power: int) -> float:
-    """log of the product of ``power`` disjoint group means.
+def _log(values) -> np.ndarray:
+    """math.log of each entry, and -inf for an entry <= 0.
+
+    numpy's vectorised log picks a SIMD kernel by CPU and can differ from
+    the C library's in the last bit, so report bytes would depend on the
+    machine; math.log does not.
+    """
+    flat = [-math.inf if v <= 0 else math.log(v) for v in np.ravel(values).tolist()]
+    return np.reshape(flat, np.shape(values))
+
+
+def log_power_product(values: np.ndarray, power: int) -> float | np.ndarray:
+    """log of the product of ``power`` disjoint group means, one per row of (..., m) values.
 
     E[prod of independent group means] = (E[value])^power exactly, unlike
     mean(values)^power whose upward bias grows with the power; per-frame
-    n-th powers of section volumes use this estimator.
+    n-th powers of section volumes use this estimator.  A row with a group
+    mean <= 0 gives -inf.  1-D values give a float.
     """
     values = np.asarray(values, dtype=float)
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power}")
-    if len(values) < 2 * power:
+    if values.shape[-1] < 2 * power:
         raise ValueError(f"need at least {2 * power} values for {power} groups")
-    total = 0.0
-    for group in np.array_split(values, power):
-        m = group.mean()
-        if m <= 0:
-            return -math.inf
-        total += math.log(m)
-    return total
+    means = np.stack([group.mean(axis=-1)
+                      for group in np.array_split(values, power, axis=-1)])
+    logs = _log(means)
+    total = np.zeros(values.shape[:-1])
+    for row in logs:                      # group by group, in order
+        total = total + row
+    total = np.where((means <= 0).any(axis=0), -math.inf, total)
+    return float(total) if total.ndim == 0 else total
 
 
 def exact_estimate(value: float) -> Estimate:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .bodies import StarBody, volume
 from .constants import log_ball_volume
-from .estimates import (Estimate, exact_log_estimate, log_mean_estimate,
+from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
                         log_power_product, mean_estimate)
-from .grassmann import Frame, sample_haar
+from .grassmann import Frame, _embedded_directions, _haar_bases, sample_haar
 from .measures import DensityOracle, measure_of_body
 from .sampler import (StreamHandle, as_generator, covariance, sample_restricted,
                       simplex_volume, sphere_directions, uniform_in_body)
@@ -43,11 +43,26 @@ __all__ = [
 
 _N_BATCHES = 20
 _AUX = 1 << 40      # substream offset reserved for auxiliary draws
+# directions per frame block: bounds the (B, count, n) arrays a block allocates
+_BLOCK_DIRS = 1 << 13
 
 
 def draw_frames(n: int, s: int, count: int, rng: StreamHandle) -> list[Frame]:
-    """Haar frames from per-index substreams: frame j depends only on (rng, j)."""
-    return [sample_haar(n, s, rng.split(j)) for j in range(count)]
+    """Haar frames from per-index substreams: frame j depends only on (rng, j).
+
+    Equal to ``[sample_haar(n, s, rng.split(j)) for j in range(count)]``:
+    one batched QR orthonormalises every frame's first Gaussian draw, and a
+    numerically rank-deficient draw goes to :func:`sample_haar`, which
+    repeats it from the same substream and retries.
+    """
+    if not 1 <= s <= n - 1:
+        raise ValueError(f"need 1 <= s <= n-1, got n={n}, s={s}")
+    draws = np.empty((count, n, s))
+    for j in range(count):
+        draws[j] = rng.split(j).generator().standard_normal((n, s))
+    bases, deficient = _haar_bases(draws)
+    return [sample_haar(n, s, rng.split(j)) if deficient[j] else Frame(bases[j])
+            for j in range(count)]
 
 
 def _resolve_frames(frames, n: int, s: int, rng: StreamHandle) -> list[Frame]:
@@ -67,6 +82,11 @@ def log_volume_estimate(body: StarBody, samples: int, rng: StreamHandle) -> Esti
     return volume(body, samples, rng).to_log()
 
 
+def _section_volume_values(body: StarBody, dirs: np.ndarray, s: int) -> np.ndarray:
+    """omega_s rho^s for each embedded direction of an s-dimensional section."""
+    return math.exp(log_ball_volume(s).log_value) * body.radial(dirs) ** s
+
+
 def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
                           rng) -> np.ndarray:
     """Per-direction polar values omega_s rho^s whose mean estimates |K cap F|.
@@ -75,11 +95,8 @@ def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
     to :func:`~sectlab.estimates.log_power_product` instead of powering the
     mean.
     """
-    gen = as_generator(rng)
-    s = frame.s
-    theta = sphere_directions(gen, sphere_samples, s)
-    rho = body.radial(frame.embed(theta))
-    return math.exp(log_ball_volume(s).log_value) * rho ** s
+    _, dirs = _embedded_directions([frame], [as_generator(rng)], sphere_samples)
+    return _section_volume_values(body, dirs[0], frame.s)
 
 
 def section_volume(body: StarBody, frame: Frame, sphere_samples: int, rng) -> Estimate:
@@ -159,16 +176,35 @@ def isotropic_constant(body: StarBody, samples: int, rng: StreamHandle,
     return l_est.to_linear()
 
 
-def _frame_section_values(body: StarBody, frames: Sequence[Frame], sphere_samples: int,
-                          rng: StreamHandle) -> list[np.ndarray]:
-    """Per-frame per-direction section-volume values.
+def _over_frames(fn, frames: Sequence[Frame], count: int, rng: StreamHandle) -> np.ndarray:
+    """fn(theta, dirs) on blocks of frames, concatenated along the frame axis.
 
-    Frame j may have been drawn from rng.split(j), so its sphere directions
-    come from a child substream; the two stay independent while paired
-    comparisons that share (frames, rng) also share all directions.
+    Each frame gets ``count`` sphere directions, drawn from rng.split(j).split(1)
+    for frame j: a child of the substream frame j may have been drawn from,
+    so the two stay independent, while calls that share (frames, rng) share
+    every direction.  theta (B, count, s) and dirs (B, count, n) are as
+    :func:`~sectlab.grassmann._embedded_directions` returns them.  A block
+    holds at most ``_BLOCK_DIRS`` directions, and at least one frame.
     """
-    return [section_volume_values(body, frame, sphere_samples, rng.split(j).split(1))
-            for j, frame in enumerate(frames)]
+    if not frames:
+        raise ValueError("need at least one frame")
+    step = max(1, _BLOCK_DIRS // max(count, 1))
+    parts = []
+    for start in range(0, len(frames), step):
+        block = frames[start:start + step]
+        gens = [rng.split(j).split(1).generator() for j in range(start, start + len(block))]
+        parts.append(fn(*_embedded_directions(block, gens, count)))
+    return np.concatenate(parts)
+
+
+def _quermass_from_logs(body: StarBody, k: int, logs: np.ndarray, sphere_samples: int,
+                        rng: StreamHandle) -> Estimate:
+    """(E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n estimates."""
+    n = body.dim
+    log_vol = log_volume_estimate(body, max(sphere_samples, 2000), rng.split(_AUX))
+    mean_log = log_mean_estimate(logs - (n - k) * log_vol.value)
+    se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error) / (k * n)
+    return Estimate(mean_log.value / (k * n), se, len(logs), log_domain=True).to_linear()
 
 
 def dual_affine_quermass(body: StarBody, k: int, frames, sphere_samples: int,
@@ -179,19 +215,19 @@ def dual_affine_quermass(body: StarBody, k: int, frames, sphere_samples: int,
     is estimated without bias by a product of independent group means, the
     frame average is a log-sum-exp (the powers are heavy-tailed), and the
     1/(kn) root is applied on the log scale.  Invariant under
-    volume-preserving linear maps, maximized by the ball.
+    volume-preserving linear maps, maximized by the ball.  Frame j's sphere
+    directions depend only on (rng, j), so bodies estimated on common
+    frames with the same ``rng`` share their directions too.
     """
     n = body.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    frame_list = _resolve_frames(frames, n, n - k, rng)
-    log_vol = log_volume_estimate(body, max(sphere_samples, 2000), rng.split(_AUX))
-    values = _frame_section_values(body, frame_list, sphere_samples, rng)
-    logs = np.array([log_power_product(v, n) for v in values]) - (n - k) * log_vol.value
-    mean_log = log_mean_estimate(logs)
-    se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error) / (k * n)
-    return Estimate(mean_log.value / (k * n), se, len(frame_list),
-                    log_domain=True).to_linear()
+    s = n - k
+    frame_list = _resolve_frames(frames, n, s, rng)
+    logs = _over_frames(
+        lambda theta, dirs: log_power_product(_section_volume_values(body, dirs, s), n),
+        frame_list, sphere_samples, rng)
+    return _quermass_from_logs(body, k, logs, sphere_samples, rng)
 
 
 def w_tilde(body: StarBody, k: int, frames, sphere_samples: int,
@@ -200,10 +236,13 @@ def w_tilde(body: StarBody, k: int, frames, sphere_samples: int,
     n = body.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    frame_list = _resolve_frames(frames, n, n - k, rng)
+    s = n - k
+    frame_list = _resolve_frames(frames, n, s, rng)
     log_vol = log_volume_estimate(body, max(sphere_samples, 2000), rng.split(_AUX))
-    values = _frame_section_values(body, frame_list, sphere_samples, rng)
-    logs = np.array([math.log(v.mean()) for v in values]) - (n - k) / n * log_vol.value
+    means = _over_frames(
+        lambda theta, dirs: _section_volume_values(body, dirs, s).mean(axis=-1),
+        frame_list, sphere_samples, rng)
+    logs = _log(means) - (n - k) / n * log_vol.value
     mean_log = log_mean_estimate(logs)
     se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error / n) / k
     return Estimate(mean_log.value / k, se, len(frame_list), log_domain=True).to_linear()

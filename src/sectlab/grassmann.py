@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler import as_generator
+from .sampler import as_generator, sphere_directions
 
 __all__ = ["Frame", "sample_haar"]
 
@@ -66,6 +66,18 @@ class Frame:
         return f"Frame(n={self.n}, s={self.s})"
 
 
+def _haar_bases(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of a stack (..., n, s) of Gaussian matrices, by one QR.
+
+    Column signs make the R diagonal positive.  The second result flags the
+    numerically rank-deficient matrices, whose bases are not to be used.
+    """
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    deficient = np.abs(diag).min(axis=-1) <= _ORTHO_TOL * max(g.shape[-2:])
+    return q * np.sign(diag)[..., None, :], deficient
+
+
 def sample_haar(n: int, s: int, rng) -> Frame:
     """Draw a Haar-distributed frame on the Grassmannian of s-planes in R^n.
 
@@ -78,10 +90,19 @@ def sample_haar(n: int, s: int, rng) -> Frame:
         raise ValueError(f"need 1 <= s <= n-1, got n={n}, s={s}")
     gen = as_generator(rng)
     for _ in range(4):
-        g = gen.standard_normal((n, s))
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r)
-        if np.min(np.abs(diag)) <= _ORTHO_TOL * max(n, s):
-            continue
-        return Frame(q * np.sign(diag))
+        basis, deficient = _haar_bases(gen.standard_normal((n, s)))
+        if not deficient:
+            return Frame(basis)
     raise RuntimeError(f"rank-deficient Gaussian draws for a {n} x {s} frame, 4 attempts")
+
+
+def _embedded_directions(frames, gens, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` uniform directions in each frame's subspace, and their embeddings.
+
+    Frame i's directions come from ``gens[i]`` alone.  Returns theta, of
+    shape (B, count, s) in subspace coordinates, and theta embedded in R^n,
+    of shape (B, count, n), computed for the whole block in one matmul.
+    """
+    theta = np.stack([sphere_directions(gen, count, frames[0].s) for gen in gens])
+    bases = np.stack([frame.basis for frame in frames])
+    return theta, theta @ bases.transpose(0, 2, 1)

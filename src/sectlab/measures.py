@@ -21,7 +21,7 @@ from scipy import special
 from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import Estimate, mean_estimate
-from .grassmann import Frame
+from .grassmann import Frame, _embedded_directions
 from .sampler import as_generator, sphere_directions, uniform_in_body
 
 __all__ = [
@@ -306,6 +306,14 @@ def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
     return mean_estimate(inner, factor=factor)
 
 
+def _section_measure_values(density: DensityOracle, body: StarBody, dirs: np.ndarray,
+                            s: int) -> np.ndarray:
+    """s omega_s times the ray mass at power s of each embedded direction of a section."""
+    rho = body.radial(dirs)
+    inner = density.ray_mass(dirs, rho, float(s))
+    return s * math.exp(log_ball_volume(s).log_value) * inner
+
+
 def section_measure_values(density: DensityOracle, body: StarBody, frame: Frame,
                            sphere_samples: int, rng) -> np.ndarray:
     """Per-direction polar values whose mean estimates mu(K cap F).
@@ -313,13 +321,8 @@ def section_measure_values(density: DensityOracle, body: StarBody, frame: Frame,
     Exposed separately so that checks needing unbiased powers of the
     section measure can combine independent groups of these values.
     """
-    gen = as_generator(rng)
-    s = frame.s
-    theta = sphere_directions(gen, sphere_samples, s)
-    ambient_dirs = frame.embed(theta)
-    rho = body.radial(ambient_dirs)
-    inner = density.ray_mass(ambient_dirs, rho, float(s))
-    return s * math.exp(log_ball_volume(s).log_value) * inner
+    _, dirs = _embedded_directions([frame], [as_generator(rng)], sphere_samples)
+    return _section_measure_values(density, body, dirs[0], frame.s)
 
 
 def measure_of_section(density: DensityOracle, body: StarBody, frame: Frame,

@@ -21,14 +21,16 @@ import numpy as np
 
 from .bodies import StarBody, linear_image
 from .constants import gamma_nk, log_ball_volume, log_bp_constant
-from .estimates import (CheckReport, Estimate, equality_report, exact_log_estimate,
-                        inequality_report, log_mean_estimate, log_power_product)
-from .functionals import (dual_affine_quermass, log_volume_estimate, section_volume,
-                          _resolve_frames)
-from .grassmann import Frame
-from .measures import (DensityOracle, LebesgueDensity, measure_of_body,
-                       measure_of_section, section_measure_values)
-from .sampler import StreamHandle, simplex_volume, sphere_directions
+from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_report,
+                        exact_log_estimate, inequality_report, log_mean_estimate,
+                        log_power_product)
+from .functionals import (_over_frames, _quermass_from_logs, _resolve_frames,
+                          _section_volume_values, dual_affine_quermass,
+                          log_volume_estimate)
+from .grassmann import Frame, _embedded_directions
+from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
+                       measure_of_body)
+from .sampler import StreamHandle, simplex_volume
 
 __all__ = [
     "check_bp_identity",
@@ -48,25 +50,31 @@ _AUX = 1 << 40
 _SAMPLED_MAX_NOTE = "max is sampled (lower bound of the true Grassmannian max)"
 
 
-def _polar_log_moment(density: DensityOracle, body: StarBody, frame: Frame, k: int,
-                      points: int, rng: StreamHandle) -> float:
-    """log of the integral over (K cap F)^s of |conv(0, x_1..x_s)|^k prod_i g(x_i) dx.
+def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: int,
+                       theta: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """log of the integral over (K cap F)^s of |conv(0, x_1..x_s)|^k prod_i g(x_i) dx,
+    one per frame of a block.
 
     Writing x_i = r_i theta_i inside F and integrating the radii gives
     (s omega_s)^s E_theta[ (|det theta| / s!)^k prod_i m(theta_i) ], with
     theta_1..theta_s uniform on S^(s-1) and m(theta) the ray mass of g up to
-    rho(theta) at power s + k.  ``points`` is the number of direction
-    s-tuples averaged.
+    rho(theta) at power s + k.  Each frame's ``points`` direction s-tuples
+    are its rows of theta (B, points * s, s), embedded as dirs.
     """
-    s = frame.s
-    theta = sphere_directions(rng.generator(), points * s, s)
-    dirs = frame.embed(theta)
+    frames, _, s = theta.shape
     mass = density.ray_mass(dirs, body.radial(dirs), float(s + k))
-    vols = simplex_volume(theta.reshape(points, s, s))
-    moment = float(np.mean(vols ** k * mass.reshape(points, s).prod(axis=1)))
-    if moment <= 0:
+    vols = simplex_volume(theta.reshape(frames, points, s, s))
+    moment = (vols ** k * mass.reshape(frames, points, s).prod(axis=-1)).mean(axis=-1)
+    if np.any(moment <= 0):
         raise ValueError("simplex moment vanished; degenerate section directions")
-    return s * (math.log(s) + log_ball_volume(s).log_value) + math.log(moment)
+    return s * (math.log(s) + log_ball_volume(s).log_value) + _log(moment)
+
+
+def _polar_log_moment(density: DensityOracle, body: StarBody, frame: Frame, k: int,
+                      points: int, rng: StreamHandle) -> float:
+    """The polar log moment of one frame, its directions drawn from ``rng``."""
+    theta, dirs = _embedded_directions([frame], [rng.generator()], points * frame.s)
+    return float(_polar_log_moments(density, body, k, points, theta, dirs)[0])
 
 
 def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames,
@@ -76,10 +84,10 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
     n = body.dim
     s = n - k
     frame_list = _resolve_frames(frames, n, s, rng)
-    logs = np.empty(len(frame_list))
-    for j, frame in enumerate(frame_list):
-        logs[j] = _polar_log_moment(density, body, frame, k, points_per_frame,
-                                    rng.split(j).split(1))
+    logs = _over_frames(
+        lambda theta, dirs: _polar_log_moments(density, body, k, points_per_frame,
+                                               theta, dirs),
+        frame_list, points_per_frame * s, rng)
     mean_log = log_mean_estimate(logs)
     rhs = Estimate(log_bp_constant(n, s).log_value + mean_log.value,
                    mean_log.std_error, len(frame_list), log_domain=True)
@@ -110,16 +118,18 @@ def check_bp_identity(body: StarBody, k: int, frames, points_per_frame: int,
 def _max_section_log(density: DensityOracle, body: StarBody, frames, k: int,
                      sphere_samples: int, rng: StreamHandle) -> tuple[Estimate, int]:
     """Largest sampled section measure, in log domain, plus its frame index."""
+    if sphere_samples < 100:
+        raise ValueError(f"need at least 100 sphere samples, got {sphere_samples}")
     n = body.dim
-    frame_list = _resolve_frames(frames, n, n - k, rng)
-    best_val, best_se, best_j = -math.inf, 0.0, -1
-    for j, frame in enumerate(frame_list):
-        est = measure_of_section(density, body, frame, sphere_samples,
-                                 rng.split(j).split(1))
-        if est.value > best_val:
-            best_val, best_se, best_j = est.value, est.std_error, j
-    est = Estimate(best_val, best_se, sphere_samples)
-    return est.to_log(), best_j
+    s = n - k
+    frame_list = _resolve_frames(frames, n, s, rng)
+    stats = _over_frames(
+        lambda theta, dirs: np.stack(
+            _mean_and_se(_section_measure_values(density, body, dirs, s)), axis=-1),
+        frame_list, sphere_samples, rng)
+    best = int(np.argmax(stats[:, 0]))
+    est = Estimate(float(stats[best, 0]), float(stats[best, 1]), sphere_samples)
+    return est.to_log(), best
 
 
 def _chain_report(name: str, density: DensityOracle, body: StarBody, k: int, frames,
@@ -159,12 +169,12 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
     so that fixture sits at the tolerance boundary by design.
     """
     n = body.dim
-    frame_list = _resolve_frames(frames, n, n - k, rng)
-    logs = np.empty(len(frame_list))
-    for j, frame in enumerate(frame_list):
-        vals = section_measure_values(density, body, frame, sphere_samples,
-                                      rng.split(j).split(1))
-        logs[j] = log_power_product(vals, n)
+    s = n - k
+    frame_list = _resolve_frames(frames, n, s, rng)
+    logs = _over_frames(
+        lambda theta, dirs: log_power_product(
+            _section_measure_values(density, body, dirs, s), n),
+        frame_list, sphere_samples, rng)
     lhs = log_mean_estimate(logs)
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
     sup = density.sup_on(body)
@@ -228,31 +238,37 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
     """Two-part check of the section-power functional.
 
     Part A (invariance): the functional agrees on the body and on seeded
-    volume-preserving images, estimated over common random frames.
+    volume-preserving images, estimated over common random frames; the body
+    and its images also share every sphere direction, drawn once per frame.
     Part B (maximality): the functional never exceeds the ball value
     gamma_{n,k}^(-1/k).
     """
     n = body.dim
-    frame_list = _resolve_frames(frames, n, n - k, rng)
-    phi = dual_affine_quermass(body, k, frame_list, sphere_samples, rng)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    s = n - k
+    frame_list = _resolve_frames(frames, n, s, rng)
+    bodies = [body] + [linear_image(body, _random_sl_matrix(n, rng.split(_AUX + 2 + t)))
+                       for t in range(transforms)]
+    logs = _over_frames(
+        lambda theta, dirs: np.stack(
+            [log_power_product(_section_volume_values(b, dirs, s), n) for b in bodies],
+            axis=-1),
+        frame_list, sphere_samples, rng)
+    phi, *images = [_quermass_from_logs(b, k, logs[:, i], sphere_samples, rng)
+                    for i, b in enumerate(bodies)]
 
-    pair_reports = []
-    values = [phi.value]
-    for t in range(transforms):
-        mat = _random_sl_matrix(n, rng.split(_AUX + 2 + t))
-        phi_t = dual_affine_quermass(linear_image(body, mat), k, frame_list,
-                                     sphere_samples, rng)
-        values.append(phi_t.value)
-        pair_reports.append(
-            equality_report("grinberg_invariance", n, k, phi, phi_t, seed=seed,
-                            inputs={"transform_index": t, "frames": len(frame_list)}))
+    pair_reports = [
+        equality_report("grinberg_invariance", n, k, phi, phi_t, seed=seed,
+                        inputs={"transform_index": t, "frames": len(frame_list)})
+        for t, phi_t in enumerate(images)]
     if pair_reports:
         failed = [r for r in pair_reports if not r.passed]
         worst = failed[0] if failed else max(pair_reports, key=lambda r: r.margin)
     else:
         worst = equality_report("grinberg_invariance", n, k, phi, phi, seed=seed,
                                 inputs={"transform_index": None})
-    worst.inputs["all_values"] = values
+    worst.inputs["all_values"] = [phi.value] + [phi_t.value for phi_t in images]
 
     ball_value = exact_log_estimate(-gamma_nk(n, k).log_value / k)
     part_b = inequality_report("grinberg_maximality", n, k, phi, ball_value, seed=seed,
@@ -268,21 +284,31 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
 
     Dominance |K cap F| <= |D cap F| is verified empirically on every
     common frame first (within 3 combined SEs); a violation is reported as
-    "hypothesis fails" rather than raised.
+    "hypothesis fails" rather than raised.  Both bodies share every frame
+    and every sphere direction, and the same section values serve the
+    dominance test and both functionals.
     """
     if body_k.dim != body_d.dim:
         raise ValueError("bodies must share an ambient dimension")
     n = body_k.dim
-    frame_list = _resolve_frames(frames, n, n - k, rng)
-    violations = 0
-    for j, frame in enumerate(frame_list):
-        sub = rng.split(j).split(1)        # same directions for both bodies
-        vk = section_volume(body_k, frame, sphere_samples, sub)
-        vd = section_volume(body_d, frame, sphere_samples, sub)
-        if vk.value > vd.value + 3.0 * math.hypot(vk.std_error, vd.std_error) + 1e-12:
-            violations += 1
-    phi_k = dual_affine_quermass(body_k, k, frame_list, sphere_samples, rng)
-    phi_d = dual_affine_quermass(body_d, k, frame_list, sphere_samples, rng)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    s = n - k
+    frame_list = _resolve_frames(frames, n, s, rng)
+
+    def stats(theta, dirs):
+        # per frame, for K then D: mean and SE of the section volume, log of its n-th power
+        rows = []
+        for body in (body_k, body_d):
+            vals = _section_volume_values(body, dirs, s)
+            rows.append(np.stack([*_mean_and_se(vals), log_power_product(vals, n)], axis=-1))
+        return np.stack(rows, axis=1)
+
+    per_frame = _over_frames(stats, frame_list, sphere_samples, rng)
+    violations = sum(vk > vd + 3.0 * math.hypot(sk, sd) + 1e-12
+                     for (vk, sk, _), (vd, sd, _) in per_frame.tolist())
+    phi_k = _quermass_from_logs(body_k, k, per_frame[:, 0, 2], sphere_samples, rng)
+    phi_d = _quermass_from_logs(body_d, k, per_frame[:, 1, 2], sphere_samples, rng)
     lhs = log_volume_estimate(body_k, 20_000, rng.split(_AUX)).powered((n - k) / n)
     rhs = phi_d.divided_by(phi_k).powered(k).times(
         log_volume_estimate(body_d, 20_000, rng.split(_AUX + 1)).powered((n - k) / n))

@@ -9,7 +9,7 @@ from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, UnboundedBodyError,
                             centered_simplex, cube, linear_image, section,
                             translate, volume)
 from sectlab.grassmann import Frame, sample_haar
-from sectlab.sampler import StreamHandle, uniform_in_body
+from sectlab.sampler import StreamHandle, sphere_directions, uniform_in_body
 
 AXIS_FRAME_E1E2 = Frame(np.eye(3)[:, :2])
 AXIS_FRAME_E1E3 = Frame(np.eye(3)[:, [0, 2]])
@@ -260,3 +260,45 @@ class TestBodySpecs:
         path = tmp_path / "body.json"
         path.write_text(json.dumps({"kind": "cube", "dim": 2}))
         assert body_from_json(str(path)).dim == 2
+
+
+def _cube_reference(dirs, radius=1.0):
+    return radius / np.max(np.abs(dirs), axis=-1)
+
+
+def _lp_reference(dirs, p, radius=1.0):
+    return radius / np.sum(np.abs(dirs) ** p, axis=-1) ** (1.0 / p)
+
+
+def _polytope_reference(body, dirs):
+    dots = dirs @ body.normals.T
+    with np.errstate(divide="ignore"):
+        return np.where(dots > 0, body.offsets / dots, np.inf).min(axis=-1)
+
+
+def _image_reference(body, dirs):
+    v = dirs @ body._inv.T
+    norms = np.linalg.norm(v, axis=-1)
+    return _cube_reference(v / norms[..., None]) / norms
+
+
+SIMPLEX3 = centered_simplex(3)
+IMAGE3 = linear_image(cube(3), np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 0.8]]))
+
+
+@pytest.mark.parametrize("body,reference", [
+    (cube(3), _cube_reference),
+    (LpBall(3, 1.0), lambda d: _lp_reference(d, 1.0)),
+    (LpBall(4, 1.0), lambda d: _lp_reference(d, 1.0)),
+    (LpBall(3, 3.0, 1.4), lambda d: _lp_reference(d, 3.0, 1.4)),
+    (LpBall(3, 2.0), lambda d: _lp_reference(d, 2.0)),
+    (SIMPLEX3, lambda d: _polytope_reference(SIMPLEX3, d)),
+    (IMAGE3, lambda d: _image_reference(IMAGE3, d)),
+], ids=["cube3", "l1ball3", "l1ball4", "l3ball3", "ball3", "simplex3", "linear_image"])
+def test_radial_equals_axis_reductions(body, reference):
+    # the radial functions fold their short trailing axes column by column;
+    # that must give the bits of the reduction along the axis
+    gen = np.random.Generator(np.random.Philox(key=77))
+    dirs = sphere_directions(gen, 6000, body.dim).reshape(20, 300, body.dim)
+    assert body.radial(dirs).tobytes() == reference(dirs).tobytes()
+    assert body.radial(dirs[0, 0]).tobytes() == reference(dirs[0, 0]).tobytes()

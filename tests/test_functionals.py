@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sectlab.bodies import LpBall, cube, linear_image
+from sectlab import functionals
+from sectlab.bodies import LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import gamma_nk, log_ball_volume
+from sectlab.estimates import Estimate, log_mean_estimate, log_power_product
 from sectlab.functionals import (draw_frames, dual_affine_quermass, i_minus_k,
-                                 isotropic_constant, section_volume, simplex_moment,
-                                 sylvester, volume_radius, w_tilde)
-from sectlab.measures import GaussianDensity
-from sectlab.sampler import StreamHandle
+                                 isotropic_constant, section_volume,
+                                 section_volume_values, simplex_moment, sylvester,
+                                 volume_radius, w_tilde)
+from sectlab.grassmann import sample_haar
+from sectlab.measures import GaussianDensity, section_measure_values
+from sectlab.sampler import StreamHandle, sphere_directions
 
 DISC = LpBall(2, 2.0)
 
@@ -179,3 +183,78 @@ def test_simplex_moment_matches_disc_mean():
     # E|conv(0, x1, x2)| = (1/2) (2/3)^2 (2/pi) = 4/(9 pi) on the unit disc
     assert abs(est.value - 4 / (9 * math.pi)) <= 3 * est.std_error
 
+
+
+class TestFrameBlockReference:
+    """The frame-block kernel against the per-frame loop it batches, bit for bit."""
+
+    @pytest.mark.parametrize("n,s", [(3, 2), (3, 1), (4, 2)])
+    def test_draw_frames_equals_sample_haar(self, n, s):
+        rng = StreamHandle(50)
+        frames = [f.basis.tobytes() for f in draw_frames(n, s, 40, rng)]
+        assert frames == [sample_haar(n, s, rng.split(j)).basis.tobytes() for j in range(40)]
+        written_out = []
+        for j in range(40):
+            q, r = np.linalg.qr(rng.split(j).generator().standard_normal((n, s)))
+            written_out.append((q * np.sign(np.diagonal(r))).tobytes())
+        assert frames == written_out
+
+    def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
+        batched = functionals._haar_bases
+        redrawn = []
+
+        def flag_frame_3(g):
+            bases, deficient = batched(g)
+            deficient[3] = True
+            return bases, deficient
+
+        def recording_sample_haar(n, s, rng):
+            redrawn.append(rng)
+            return sample_haar(n, s, rng)
+
+        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3)
+        monkeypatch.setattr(functionals, "sample_haar", recording_sample_haar)
+        rng = StreamHandle(51)
+        frames = draw_frames(3, 2, 6, rng)
+        assert redrawn == [rng.split(3)]
+        assert frames[3].basis.tobytes() == sample_haar(3, 2, rng.split(3)).basis.tobytes()
+
+    @pytest.mark.parametrize("body", [
+        cube(3), LpBall(3, 1.0), centered_simplex(3),
+        linear_image(cube(3), np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 0.8]]))],
+        ids=["cube3", "l1ball3", "simplex3", "linear_image"])
+    def test_dual_affine_quermass_equals_per_frame_loop(self, body):
+        n, k, frames, samples = 3, 1, 30, 300
+        rng = StreamHandle(52)
+        omega = math.exp(log_ball_volume(n - k).log_value)
+        logs = []
+        for j, frame in enumerate(draw_frames(n, n - k, frames, rng)):
+            sub = rng.split(j).split(1)
+            theta = sphere_directions(sub.generator(), samples, n - k)
+            values = omega * body.radial(frame.embed(theta)) ** (n - k)
+            one_frame = section_volume_values(body, frame, samples, sub)
+            assert one_frame.tobytes() == values.tobytes()
+            logs.append(sum(math.log(g.mean()) for g in np.array_split(values, n)))
+        mean_log = log_mean_estimate(np.array(logs) - (n - k) * math.log(body.exact_volume))
+        expected = Estimate(mean_log.value / (k * n), mean_log.std_error / (k * n), frames,
+                            log_domain=True).to_linear()
+        est = dual_affine_quermass(body, k, frames, samples, rng)
+        assert (est.value, est.std_error) == (expected.value, expected.std_error)
+
+    def test_section_measure_values_keep_per_frame_bytes(self):
+        density, body = GaussianDensity(3), LpBall(3, 1.0)
+        frame = sample_haar(3, 2, StreamHandle(53))
+        theta = sphere_directions(StreamHandle(54).generator(), 300, 2)
+        dirs = frame.embed(theta)
+        expected = (2 * math.exp(log_ball_volume(2).log_value)
+                    * density.ray_mass(dirs, body.radial(dirs), 2.0))
+        got = section_measure_values(density, body, frame, 300, StreamHandle(54))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_log_power_product_rows_equal_one_dimensional_calls(self):
+        values = np.random.default_rng(3).exponential(1.0, (6, 61))
+        values[4, :21] = 0.0          # the first of 3 groups of row 4
+        rows = log_power_product(values, 3)
+        assert rows.shape == (6,)
+        assert rows.tolist() == [log_power_product(v, 3) for v in values]
+        assert rows[4] == -math.inf

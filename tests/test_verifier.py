@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sectlab.bodies import LpBall, cube, section
+from sectlab import functionals
+from sectlab.bodies import Ellipsoid, LpBall, centered_simplex, cube, section
 from sectlab.functionals import simplex_moment
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, RadialExpDensity,
@@ -263,3 +264,47 @@ def test_negative_control_fails_decisively():
     rep = negative_control(CUBE3, 1, 100, 400, StreamHandle(27))
     assert not rep.passed
     assert rep.margin < -3
+
+
+ELLIPSOID3 = Ellipsoid(np.array([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 0.5]]))
+# the checks on the frame-block kernel, each on 10 frames of 100 directions; the
+# k = 2 sections are lines, whose values depend on the directions' signs only
+# on a body that is not symmetric
+BLOCKED_CHECKS = {
+    "grinberg/simplex3": lambda: check_grinberg(centered_simplex(3), 1, 2, 10, 100,
+                                                StreamHandle(40)),
+    "grinberg/ellipsoid3": lambda: check_grinberg(ELLIPSOID3, 1, 2, 10, 100,
+                                                  StreamHandle(41)),
+    "busemann_petty_volume": lambda: check_busemann_petty_volume(
+        CUBE3, LpBall(3, 2.0, math.sqrt(3.0)), 1, 10, 100, StreamHandle(42)),
+    "dpp/gaussian": lambda: check_dpp(GaussianDensity(3), CUBE3, 1, 10, 100,
+                                      StreamHandle(43)),
+    "dpp/radial_exp": lambda: check_dpp(RadialExpDensity(3), centered_simplex(3), 2, 10,
+                                        100, StreamHandle(44)),
+    "slicing_chain/gaussian": lambda: check_slicing_chain(GaussianDensity(3), CUBE3, 1, 10,
+                                                          100, StreamHandle(45)),
+    "slicing_chain/radial_exp": lambda: check_slicing_chain(
+        RadialExpDensity(3), centered_simplex(3), 2, 10, 100, StreamHandle(46)),
+    "bp_identity": lambda: check_bp_identity(CUBE3, 1, 10, 50, StreamHandle(47),
+                                             sphere_samples=300),
+    "logconcave_identity": lambda: check_logconcave_identity(
+        GaussianDensity(3), CUBE3, 1, 10, 50, StreamHandle(48), sphere_samples=300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_CHECKS))
+def test_block_size_does_not_change_report_bytes(monkeypatch, name):
+    texts = set()
+    # one frame per block; blocks of 3 frames (3 + 3 + 3 + 1); every frame in one block
+    for block_dirs in (1, 3 * 100, 1 << 40):
+        monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
+        out = BLOCKED_CHECKS[name]()
+        reports = out if isinstance(out, list) else [out]
+        texts.add(json.dumps([r.as_dict() for r in reports], sort_keys=True,
+                             allow_nan=True))
+    assert len(texts) == 1
+
+
+def test_no_frames_is_a_clear_error():
+    with pytest.raises(ValueError, match="at least one frame"):
+        check_grinberg(CUBE3, 1, 2, 0, 100, StreamHandle(49))
