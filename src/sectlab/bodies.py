@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import log_ball_volume
 from .grassmann import Frame
-from .sampler import as_generator, sphere_directions, uniform_in_body
+from .sampler import _fold_columns, as_generator, sphere_directions, uniform_in_body
 from .estimates import Estimate, mean_estimate
 
 __all__ = [
@@ -46,19 +46,6 @@ __all__ = [
 ]
 
 _COND_TOL = 1e-10
-
-
-def _fold_columns(op, a: np.ndarray) -> np.ndarray:
-    """op folded over the last axis, column by column from the first.
-
-    For the short trailing axes of direction stacks this is much cheaper
-    than a reduction along that axis, and gives the same bits for max, min
-    and the in-order sums numpy takes over fewer than eight terms.
-    """
-    out = a[..., 0]
-    for i in range(1, a.shape[-1]):
-        out = op(out, a[..., i])
-    return out
 
 
 class UnboundedBodyError(ValueError):

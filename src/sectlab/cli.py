@@ -7,7 +7,10 @@ Subcommands:
   verify     one named check; exit 0 pass / 1 fail / 2 error
   scan       (n, k) sweep of the constants to CSV
   suite      the default verification grid at its fixed budgets (it takes
-             no budget flags); byte-identical JSON per seed
+             no budget flags); byte-identical JSON per seed.  Its entries
+             run on SECTLAB_WORKERS forked processes, by default one per
+             CPU this process may use; SECTLAB_WORKERS=1 runs them all in
+             this process.  The count does not change the output.
 
 Every report embeds the full configuration, so a run can be reproduced
 from the report file alone.  ``--deterministic`` drops the timestamp so
@@ -255,7 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("suite", help="run the default verification grid")
+    p = sub.add_parser("suite", help="run the default verification grid on "
+                                     "SECTLAB_WORKERS processes (default: one per CPU)")
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--negative-control", action="store_true",
                    help="append the reversed-inequality self-test fixture")

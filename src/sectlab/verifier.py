@@ -10,11 +10,18 @@ one), which is recorded in the report note.
 Checks are pure functions of (inputs, seed): substreams are derived per
 frame and per purpose, so rerunning any check with the same seed gives a
 bit-identical report regardless of scheduling.
+
+:func:`run_suite` runs the grid entries on a pool of forked worker
+processes, one per CPU this process may run on, or ``SECTLAB_WORKERS`` of
+them; the reports come back in grid order, so the result is byte-identical
+to a serial run.  ``SECTLAB_WORKERS=1`` runs every entry in this process,
+which is the way to debug or profile a check.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -443,29 +450,78 @@ def _default_grid() -> list:
     return grid
 
 
+def _worker_count(entries: int) -> int:
+    """Worker processes for a grid of ``entries``: ``SECTLAB_WORKERS``, else
+    the CPUs this process may run on, and never more than the entries."""
+    raw = os.environ.get("SECTLAB_WORKERS")
+    if raw is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    elif raw.strip().isdecimal() and int(raw) > 0:
+        workers = int(raw)
+    else:
+        raise ValueError(f"SECTLAB_WORKERS must be a positive integer, got {raw!r}")
+    return min(workers, entries)
+
+
+def _run_entry(name: str, params: dict, label: str, index: int,
+               seed: int) -> tuple[list[CheckReport], str | None]:
+    """Run grid entry ``index`` on its own substream: its reports, or its error."""
+    fn = CHECKS[name]
+    try:
+        out = fn(rng=StreamHandle(seed).split(index), seed=seed, **params)
+    except Exception as exc:           # a check error is distinct from a failure
+        return [], f"{name}[{label}]: {type(exc).__name__}: {exc}"
+    reports = out if isinstance(out, list) else [out]
+    for rep in reports:
+        rep.inputs.setdefault("fixture", label)
+    return reports, None
+
+
+def _run_entries(entries: list[tuple], workers: int) -> list[tuple]:
+    """``_run_entry`` over the entries, in their order, on ``workers`` processes.
+
+    The workers are forked, so they start without importing anything and see
+    ``CHECKS`` as it is now.  A worker that dies raises ``BrokenProcessPool``.
+    """
+    if workers > 1:
+        # imported here so that importing sectlab does not load multiprocessing
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(_run_entry, *entry) for entry in entries]
+                return [f.result() for f in futures]
+    return [_run_entry(*entry) for entry in entries]
+
+
 def run_suite(config: SuiteConfig) -> SuiteResult:
-    """Run a configured grid of checks; deterministic given the seed."""
+    """Run a configured grid of checks; deterministic given the seed.
+
+    Entry ``i`` runs on the substream ``StreamHandle(seed).split(i)``, on a
+    pool of forked processes: ``SECTLAB_WORKERS`` of them, by default one
+    per CPU this process may run on (``os.sched_getaffinity``), and at most
+    one per entry.  Reports and errors are gathered in grid order, so the
+    result does not depend on the worker count.  ``SECTLAB_WORKERS=1``, an
+    empty grid, or a platform without fork runs every entry in this process,
+    where a debugger or profiler sees it.  A value that is not a positive
+    integer raises ``ValueError``.
+    """
     grid = _default_grid() if config.grid is None else list(config.grid)
     if config.include_negative_control:
         from .bodies import cube
         grid.append(("negative_control",
                      {"body": cube(3), "k": 1, "frames": 100, "sphere_samples": 400},
                      "self-test"))
-    handle = StreamHandle(config.seed)
+    entries = [(name, params, label, index, config.seed)
+               for index, (name, params, label) in enumerate(grid)]
     reports: list[CheckReport] = []
     errors: list[str] = []
-    for index, (name, params, label) in enumerate(grid):
-        fn = CHECKS[name]
-        rng = handle.split(index)
-        try:
-            out = fn(rng=rng, seed=config.seed, **params)
-        except Exception as exc:           # a check error is distinct from a failure
-            errors.append(f"{name}[{label}]: {type(exc).__name__}: {exc}")
-            continue
-        outs = out if isinstance(out, list) else [out]
-        for rep in outs:
-            rep.inputs.setdefault("fixture", label)
-            reports.append(rep)
+    for outs, error in _run_entries(entries, _worker_count(len(entries))):
+        reports.extend(outs)
+        if error is not None:
+            errors.append(error)
     if errors:
         status = "error"
     elif all(r.passed for r in reports):

@@ -190,11 +190,11 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_hint_does_not_change_bytes(self, capsys, tmp_path, monkeypatch):
-        args = ["constants", "--n", "10", "--k", "3", "--deterministic"]
+        args = ["suite", "--seed", "0", "--deterministic"]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        monkeypatch.setenv("SECTLAB_THREADS", "1")
+        monkeypatch.setenv("SECTLAB_WORKERS", "1")
         assert main(args + ["--json", str(a)]) == 0
-        monkeypatch.setenv("SECTLAB_THREADS", "16")
+        monkeypatch.setenv("SECTLAB_WORKERS", "2")
         assert main(args + ["--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()

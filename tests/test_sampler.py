@@ -10,7 +10,7 @@ from sectlab.bodies import LpBall, centered_simplex, cube
 from sectlab.measures import GaussianDensity, IndicatorDensity, LebesgueDensity
 from sectlab.sampler import (DegenerateRejectionError, StreamHandle, as_generator,
                              covariance, sample_restricted, simplex_volume,
-                             uniform_in_body)
+                             sphere_directions, uniform_in_body)
 
 
 class TestStreams:
@@ -32,6 +32,40 @@ class TestStreams:
         assert isinstance(as_generator(5), np.random.Generator)
         with pytest.raises(TypeError):
             as_generator("nope")
+
+
+class _ScriptedNormals:
+    """Stands in for a Generator whose standard_normal returns the given arrays in turn."""
+
+    def __init__(self, *outputs):
+        self.outputs = list(outputs)
+
+    def standard_normal(self, shape):
+        out = self.outputs.pop(0)
+        assert out.shape == shape
+        return out.copy()
+
+
+class TestSphereDirections:
+    # 9 columns take the pairwise np.linalg.norm path; the rest the column fold
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
+    def test_same_bits_as_linalg_norm(self, dim):
+        g = StreamHandle(5, dim).generator().standard_normal((5000, dim))
+        expected = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        got = sphere_directions(StreamHandle(5, dim).generator(), 5000, dim)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_zero_rows_are_redrawn(self, dim):
+        draws = StreamHandle(6, dim).generator().standard_normal((12, dim))
+        first = draws[:10].copy()
+        first[[2, 7]] = 0.0
+        # the first redraw of rows 2 and 7 gives row 2 a zero again
+        second = np.vstack([np.zeros(dim), draws[10]])
+        got = sphere_directions(_ScriptedNormals(first, second, draws[11:]), 10, dim)
+        g = first.copy()
+        g[2], g[7] = draws[11], draws[10]
+        assert got.tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
 
 
 class TestUniformInBody:

@@ -1,19 +1,23 @@
 import json
 import math
+import os
+import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from sectlab import functionals
 from sectlab.bodies import Ellipsoid, LpBall, centered_simplex, cube, section
+from sectlab.estimates import equality_report, exact_log_estimate
 from sectlab.functionals import simplex_moment
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, RadialExpDensity,
                               SectionDensity, measure_of_section)
 from sectlab.sampler import StreamHandle
 from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _max_section_log,
-                              _polar_log_moment, check_bp_identity,
+                              _polar_log_moment, _worker_count, check_bp_identity,
                               check_busemann_petty_volume, check_dpp, check_grinberg,
                               check_logconcave_identity, check_slicing_chain,
                               negative_control, run_suite)
@@ -308,3 +312,82 @@ def test_block_size_does_not_change_report_bytes(monkeypatch, name):
 def test_no_frames_is_a_clear_error():
     with pytest.raises(ValueError, match="at least one frame"):
         check_grinberg(CUBE3, 1, 2, 0, 100, StreamHandle(49))
+
+
+class TestWorkerPool:
+    # every test here runs at most 3 workers
+    MIXED_GRID = [
+        ("grinberg", {"body": LpBall(3, 1.0), "k": 1, "transforms": 1, "frames": 20,
+                      "sphere_samples": 100}, "l1ball3"),
+        ("bp_identity", {"body": CUBE3, "k": 5, "frames": 10, "points_per_frame": 100},
+         "bad-k-first"),
+        ("dpp_bound", {"density": GaussianDensity(3), "body": BALL3, "k": 2, "frames": 5,
+                       "sphere_samples": 100}, "ball3/gaussian"),
+        ("bp_identity", {"body": CUBE3, "k": 0, "frames": 10, "points_per_frame": 100},
+         "bad-k-second"),
+    ]
+
+    @staticmethod
+    def _stub(monkeypatch, fn):
+        # forked workers inherit CHECKS, so a stub registered here runs in them
+        def check(rng, seed, delay=0.0):
+            fn()
+            time.sleep(delay)
+            return equality_report("stub", 3, 1, exact_log_estimate(0.0),
+                                   exact_log_estimate(0.0), seed=seed,
+                                   inputs={"pid": os.getpid()})
+        monkeypatch.setitem(CHECKS, "stub", check)
+
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch):
+        texts = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("SECTLAB_WORKERS", workers)
+            res = run_suite(SuiteConfig(seed=4, grid=self.MIXED_GRID,
+                                        include_negative_control=True))
+            texts.append(json.dumps(res.as_dict(), sort_keys=True, allow_nan=True))
+        assert len(set(texts)) == 1
+        assert res.status == "error"
+        assert [r.inputs["fixture"] for r in res.reports] == [
+            "l1ball3", "l1ball3", "ball3/gaussian", "self-test"]
+        assert [e.split(":")[0] for e in res.errors] == [
+            "bp_identity[bad-k-first]", "bp_identity[bad-k-second]"]
+
+    @pytest.mark.parametrize("workers, children", [("1", 0), ("2", 2)])
+    def test_entries_run_in_worker_processes(self, monkeypatch, workers, children):
+        self._stub(monkeypatch, lambda: None)
+        monkeypatch.setenv("SECTLAB_WORKERS", workers)
+        grid = [("stub", {"delay": 0.1}, f"entry{i}") for i in range(6)]
+        res = run_suite(SuiteConfig(seed=0, grid=grid))
+        pids = {r.inputs["pid"] for r in res.reports}
+        assert len(res.reports) == 6
+        if children:
+            assert os.getpid() not in pids and len(pids) >= children
+        else:
+            assert pids == {os.getpid()}
+
+    def test_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_child():
+            # a pool gone serial must fail this test, not end the test run
+            if os.getpid() != parent:
+                os._exit(1)
+
+        self._stub(monkeypatch, die_in_child)
+        monkeypatch.setenv("SECTLAB_WORKERS", "2")
+        with pytest.raises(BrokenProcessPool):
+            run_suite(SuiteConfig(seed=0, grid=[("stub", {}, "a"), ("stub", {}, "b")]))
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", ""])
+    def test_bad_worker_count_raises(self, monkeypatch, value):
+        monkeypatch.setenv("SECTLAB_WORKERS", value)
+        with pytest.raises(ValueError, match="SECTLAB_WORKERS"):
+            run_suite(SuiteConfig(seed=0, grid=[], include_negative_control=True))
+
+    def test_default_worker_count(self, monkeypatch):
+        monkeypatch.delenv("SECTLAB_WORKERS", raising=False)
+        cpus = len(os.sched_getaffinity(0))
+        assert _worker_count(100) == cpus
+        assert _worker_count(1) == 1 and _worker_count(0) == 0
+        monkeypatch.setenv("SECTLAB_WORKERS", "3")
+        assert _worker_count(100) == 3 and _worker_count(2) == 2
