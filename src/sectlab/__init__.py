@@ -11,13 +11,11 @@ from .constants import (LogScalar, gamma_nk, gamma_within_bounds, growth_ratio,
                         log_ball_volume, log_bp_constant)
 from .estimates import CheckReport, Estimate
 from .bodies import (Ellipsoid, HPolytope, LpBall, StarBody, body_from_json,
-                     body_from_spec, center_of_mass, centered_simplex, cube,
-                     linear_image, section, translate, volume)
+                     body_from_spec, centered_simplex, cube, linear_image, translate)
 from .grassmann import Frame, sample_haar
 from .measures import (DensityOracle, GaussianDensity, IndicatorDensity,
-                       LebesgueDensity, RadialExpDensity, SectionDensity,
-                       density_from_json, density_from_spec, measure_of_body,
-                       measure_of_section)
+                       LebesgueDensity, RadialExpDensity, density_from_json,
+                       density_from_spec, measure_of_body)
 from .sampler import (StreamHandle, covariance, sample_restricted, simplex_volume,
                       uniform_in_body)
 from .functionals import (draw_frames, dual_affine_quermass, i_minus_k,

@@ -1,16 +1,18 @@
-"""Star and convex body oracles: radial function, membership, sections, images.
+"""Star and convex body oracles: radial function, membership, images, translates.
 
 Every body is an immutable value object exposing
 
   * ``radial(dirs)``   -- rho(theta) for unit directions, vectorized,
-  * ``contains(pts)``  -- exact membership where the kind allows it,
+  * ``contains(pts)``  -- exact membership,
   * ``bounding_radius()`` -- a valid upper bound for max rho (exact for
     the analytic kinds), used by the rejection sampler,
 
-plus ``dim``, ``symmetric`` and ``exact_volume`` metadata.  Adaptors
-(section, linear_image, translate) compose lazily, so slicing a body by
-thousands of subspaces allocates nothing per slice.  All bodies keep the
-origin strictly interior; that is a standing assumption, not an option.
+plus ``dim``, ``symmetric`` and ``exact_volume`` metadata.  The adaptors
+(linear_image, translate) wrap a body without copying it.  A central
+section needs no body of its own: :mod:`sectlab.measures` evaluates the
+radial function at directions embedded from the subspace.  All bodies
+keep the origin strictly interior; that is a standing assumption, not an
+option.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import math
 import numpy as np
 
 from .constants import log_ball_volume
-from .grassmann import Frame
-from .sampler import _fold_columns, as_generator, sphere_directions, uniform_in_body
-from .estimates import Estimate, mean_estimate
+from .sampler import _fold_columns, sphere_directions
 
 __all__ = [
     "StarBody",
@@ -32,14 +32,10 @@ __all__ = [
     "HPolytope",
     "centered_simplex",
     "cube",
-    "SectionBody",
     "LinearImage",
     "TranslatedBody",
-    "section",
     "linear_image",
     "translate",
-    "volume",
-    "center_of_mass",
     "body_from_spec",
     "body_from_json",
     "UnboundedBodyError",
@@ -73,15 +69,7 @@ class StarBody:
         raise NotImplementedError
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Default membership via the radial oracle; kinds override with exact tests."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        norms = np.linalg.norm(pts, axis=-1)
-        out = np.ones(norms.shape, dtype=bool)
-        pos = norms > 0
-        if pos.any():
-            dirs = pts[pos] / norms[pos, None]
-            out[pos] = norms[pos] <= self.radial(dirs)
-        return out if np.asarray(points).ndim > 1 else bool(out[0])
+        raise NotImplementedError
 
     def _require_unit(self, dirs: np.ndarray) -> np.ndarray:
         dirs = np.asarray(dirs, dtype=float)
@@ -262,29 +250,6 @@ def centered_simplex(dim: int, scale: float = 1.0) -> HPolytope:
     return HPolytope(normals, offsets, symmetric=(n == 1), exact_volume=vol)
 
 
-class SectionBody(StarBody):
-    """K intersected with a linear subspace, in the frame's coordinates."""
-
-    def __init__(self, body: StarBody, frame: Frame):
-        if frame.n != body.dim:
-            raise ValueError(f"frame ambient dimension {frame.n} != body dimension {body.dim}")
-        if frame.s >= body.dim:
-            raise ValueError("section dimension must be strictly below the body dimension")
-        super().__init__(frame.s, symmetric=body.symmetric, exact_volume=None)
-        self.parent = body
-        self.frame = frame
-
-    def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_unit(dirs)
-        return self.parent.radial(self.frame.embed(dirs))
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return self.parent.contains(self.frame.embed(np.asarray(points, dtype=float)))
-
-    def bounding_radius(self) -> float:
-        return self.parent.bounding_radius()
-
-
 class LinearImage(StarBody):
     """T(K) for an invertible T: rho_{T(K)}(theta) = rho_K(v/|v|) / |v|, v = T^{-1} theta."""
 
@@ -362,47 +327,12 @@ class TranslatedBody(StarBody):
         return self._radius
 
 
-def section(body: StarBody, frame: Frame) -> SectionBody:
-    """The central section K intersect F as a body in F's coordinates."""
-    return SectionBody(body, frame)
-
-
 def linear_image(body: StarBody, transform: np.ndarray) -> LinearImage:
     return LinearImage(body, transform)
 
 
 def translate(body: StarBody, shift: np.ndarray) -> TranslatedBody:
     return TranslatedBody(body, shift)
-
-
-def volume(body: StarBody, samples: int, rng) -> Estimate:
-    """Monte Carlo volume by polar integration: |K| = omega_n E[rho(theta)^n].
-
-    The integrand is constant for Euclidean balls, so those come back with
-    zero standard error.
-    """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    gen = as_generator(rng)
-    theta = sphere_directions(gen, samples, body.dim)
-    rho = body.radial(theta)
-    omega = math.exp(log_ball_volume(body.dim).log_value)
-    return mean_estimate(rho ** body.dim, factor=omega)
-
-
-def center_of_mass(body: StarBody, samples: int, rng) -> tuple[np.ndarray, Estimate]:
-    """Empirical center of mass from uniform interior samples.
-
-    Returns the mean vector and an Estimate whose value/std error refer to
-    the Euclidean norm of the mean (per-coordinate errors are identical by
-    exchangeability of the draws).
-    """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
-    pts = uniform_in_body(body, rng, size=samples)
-    mean = pts.mean(axis=0)
-    se = float(pts.std(axis=0, ddof=1).max() / math.sqrt(samples))
-    return mean, Estimate(float(np.linalg.norm(mean)), se, samples)
 
 
 def body_from_spec(spec: dict) -> StarBody:

@@ -28,12 +28,12 @@ import sys
 import time
 
 from . import __version__
-from .bodies import body_from_json, volume
+from .bodies import body_from_json
 from .constants import gamma_nk, gamma_within_bounds, growth_ratio, log_ball_volume, log_bp_constant
 from .estimates import CheckReport
 from .functionals import (dual_affine_quermass, i_minus_k, isotropic_constant,
                           sylvester, volume_radius, w_tilde)
-from .measures import density_from_json
+from .measures import LebesgueDensity, density_from_json, measure_of_body
 from .sampler import StreamHandle
 from .verifier import CHECKS, SuiteConfig, run_suite
 
@@ -120,7 +120,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     elif name == "vrad":
         est = volume_radius(body, args.samples, rng)
     elif name == "volume":
-        est = volume(body, args.samples, rng)
+        est = measure_of_body(LebesgueDensity(body.dim), body, args.samples, rng)
     else:
         raise ValueError(f"unknown functional {name!r}")
     payload = {"functional": name, "estimate": est.as_dict(), "config": _run_config(args)}

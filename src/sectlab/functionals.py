@@ -19,12 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import StarBody, volume
+from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
                         log_power_product, mean_estimate)
 from .grassmann import Frame, _embedded_directions, _haar_bases, sample_haar
-from .measures import DensityOracle, measure_of_body
+from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
+                       measure_of_body, section_measure_values)
 from .sampler import (StreamHandle, as_generator, covariance, sample_restricted,
                       simplex_volume, sphere_directions, uniform_in_body)
 
@@ -38,10 +39,10 @@ __all__ = [
     "i_minus_k",
     "volume_radius",
     "log_volume_estimate",
-    "section_volume",
 ]
 
 _N_BATCHES = 20
+_VOLUME_SAMPLES = 20_000    # polar directions for |K| when the body does not know it
 _AUX = 1 << 40      # substream offset reserved for auxiliary draws
 # directions per frame block: bounds the (B, count, n) arrays a block allocates
 _BLOCK_DIRS = 1 << 13
@@ -76,32 +77,20 @@ def _resolve_frames(frames, n: int, s: int, rng: StreamHandle) -> list[Frame]:
 
 
 def log_volume_estimate(body: StarBody, samples: int, rng: StreamHandle) -> Estimate:
-    """log |K|: exact when the body knows its volume, else polar Monte Carlo."""
+    """log |K|: exact when the body knows its volume, else the polar Lebesgue measure."""
     if body.exact_volume is not None:
         return exact_log_estimate(math.log(body.exact_volume))
-    return volume(body, samples, rng).to_log()
-
-
-def _section_volume_values(body: StarBody, dirs: np.ndarray, s: int) -> np.ndarray:
-    """omega_s rho^s for each embedded direction of an s-dimensional section."""
-    return math.exp(log_ball_volume(s).log_value) * body.radial(dirs) ** s
+    return measure_of_body(LebesgueDensity(body.dim), body, samples, rng).to_log()
 
 
 def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
                           rng) -> np.ndarray:
-    """Per-direction polar values omega_s rho^s whose mean estimates |K cap F|.
+    """Per-direction polar values omega_s rho^s of one frame; their mean estimates |K cap F|.
 
-    Callers that need an unbiased estimate of |K cap F|^m feed these values
-    to :func:`~sectlab.estimates.log_power_product` instead of powering the
-    mean.
+    The checks evaluate the section kernel on blocks of frames; this
+    one-frame form stays for ``perfbench``'s tracer, which binds it.
     """
-    _, dirs = _embedded_directions([frame], [as_generator(rng)], sphere_samples)
-    return _section_volume_values(body, dirs[0], frame.s)
-
-
-def section_volume(body: StarBody, frame: Frame, sphere_samples: int, rng) -> Estimate:
-    """|K cap F| by polar Monte Carlo inside F."""
-    return mean_estimate(section_volume_values(body, frame, sphere_samples, rng))
+    return section_measure_values(LebesgueDensity(frame.n), body, frame, sphere_samples, rng)
 
 
 def simplex_moment(body: StarBody, m: int, p: float, trials: int, rng: StreamHandle,
@@ -125,8 +114,7 @@ def simplex_moment(body: StarBody, m: int, p: float, trials: int, rng: StreamHan
 
 
 def sylvester(body: StarBody, m: int, p: float, trials: int, rng: StreamHandle,
-              density: DensityOracle | None = None,
-              volume_samples: int = 20_000) -> Estimate:
+              density: DensityOracle | None = None) -> Estimate:
     """Normalized p-th simplex-volume moment S_p.
 
     For the uniform-on-body case the volume normalization makes S_p
@@ -137,7 +125,7 @@ def sylvester(body: StarBody, m: int, p: float, trials: int, rng: StreamHandle,
     moment = simplex_moment(body, m, p, trials, rng, density=density)
     s_p = moment.powered(1.0 / p)
     if density is None:
-        s_p = s_p.divided_by(log_volume_estimate(body, volume_samples, rng.split(_AUX)))
+        s_p = s_p.divided_by(log_volume_estimate(body, _VOLUME_SAMPLES, rng.split(_AUX)))
     return s_p.to_linear()
 
 
@@ -225,7 +213,8 @@ def dual_affine_quermass(body: StarBody, k: int, frames, sphere_samples: int,
     s = n - k
     frame_list = _resolve_frames(frames, n, s, rng)
     logs = _over_frames(
-        lambda theta, dirs: log_power_product(_section_volume_values(body, dirs, s), n),
+        lambda theta, dirs: log_power_product(
+            _section_measure_values(LebesgueDensity(n), body, dirs, s), n),
         frame_list, sphere_samples, rng)
     return _quermass_from_logs(body, k, logs, sphere_samples, rng)
 
@@ -240,7 +229,8 @@ def w_tilde(body: StarBody, k: int, frames, sphere_samples: int,
     frame_list = _resolve_frames(frames, n, s, rng)
     log_vol = log_volume_estimate(body, max(sphere_samples, 2000), rng.split(_AUX))
     means = _over_frames(
-        lambda theta, dirs: _section_volume_values(body, dirs, s).mean(axis=-1),
+        lambda theta, dirs: _section_measure_values(LebesgueDensity(n), body, dirs,
+                                                    s).mean(axis=-1),
         frame_list, sphere_samples, rng)
     logs = _log(means) - (n - k) / n * log_vol.value
     mean_log = log_mean_estimate(logs)

@@ -48,20 +48,6 @@ class Frame:
             raise ValueError(f"expected trailing dimension {self.s}, got {u.shape[-1]}")
         return u @ self.basis.T
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto F in subspace coordinates: (..., n) -> (..., s)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n:
-            raise ValueError(f"expected trailing dimension {self.n}, got {x.shape[-1]}")
-        return x @ self.basis
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "s": self.s, "basis": self.basis.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Frame":
-        return cls(np.asarray(d["basis"], dtype=float))
-
     def __repr__(self) -> str:
         return f"Frame(n={self.n}, s={self.s})"
 

@@ -1,13 +1,16 @@
-"""Density oracles and measure-of-body / measure-of-section estimation.
+"""Density oracles and the polar measure kernels of bodies and their sections.
 
 A measure mu(B) = integral of a pointwise-evaluable density g over B is
 estimated in polar form, mu(B) = n omega_n E_theta[ m(theta) ], where the
 ray mass m(theta) = integral_0^rho(theta) r^(n-1) g(r theta) dr comes from
-:meth:`DensityOracle.ray_mass`.  The built-in kinds (Lebesgue, Gaussian,
-radial exponential, indicator) evaluate it in closed form; any other
-density falls back to adaptive Gauss-Legendre refinement to relative 1e-9.
-Either way the spherical average, done by Monte Carlo with a reported
-standard error, dominates the error.
+:meth:`DensityOracle.ray_mass`.  A central section K cap F of dimension s
+takes the same form inside F at power s (:func:`_section_measure_values`,
+the one section kernel); volume is the case g == 1, :class:`LebesgueDensity`.
+The built-in kinds (Lebesgue, Gaussian, radial exponential, indicator)
+evaluate the ray mass in closed form; any other density falls back to
+adaptive Gauss-Legendre refinement to relative 1e-9.  Either way the
+spherical average, done by Monte Carlo with a reported standard error,
+dominates the error.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ __all__ = [
     "GaussianDensity",
     "RadialExpDensity",
     "IndicatorDensity",
-    "SectionDensity",
     "measure_of_body",
-    "measure_of_section",
     "section_measure_values",
     "density_from_spec",
     "density_from_json",
@@ -205,19 +206,6 @@ class IndicatorDensity(DensityOracle):
         return np.minimum(np.asarray(upper, dtype=float), cut) ** power / power
 
 
-class SectionDensity(DensityOracle):
-    """The ambient density read in a subspace's coordinates: g(embed(u))."""
-
-    def __init__(self, density: DensityOracle, frame: Frame):
-        super().__init__(frame.s, even=density.even, log_concave=density.log_concave)
-        self.radially_nonincreasing = density.radially_nonincreasing
-        self.ambient = density
-        self.frame = frame
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.ambient(self.frame.embed(np.asarray(u, dtype=float)))
-
-
 def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarray,
                       power: float) -> np.ndarray:
     """integral_0^upper r^(power-1) g(r * theta) dr per direction, vectorized.
@@ -308,7 +296,12 @@ def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
 
 def _section_measure_values(density: DensityOracle, body: StarBody, dirs: np.ndarray,
                             s: int) -> np.ndarray:
-    """s omega_s times the ray mass at power s of each embedded direction of a section."""
+    """s omega_s times the ray mass at power s of each embedded direction of a section.
+
+    The mean over uniform directions of one frame estimates mu(K cap F);
+    with :class:`LebesgueDensity` the values are omega_s rho^s and the mean
+    estimates |K cap F|.  ``dirs`` may stack several frames' directions.
+    """
     rho = body.radial(dirs)
     inner = density.ray_mass(dirs, rho, float(s))
     return s * math.exp(log_ball_volume(s).log_value) * inner
@@ -316,22 +309,13 @@ def _section_measure_values(density: DensityOracle, body: StarBody, dirs: np.nda
 
 def section_measure_values(density: DensityOracle, body: StarBody, frame: Frame,
                            sphere_samples: int, rng) -> np.ndarray:
-    """Per-direction polar values whose mean estimates mu(K cap F).
+    """Per-direction polar values of one frame whose mean estimates mu(K cap F).
 
-    Exposed separately so that checks needing unbiased powers of the
-    section measure can combine independent groups of these values.
+    The checks evaluate :func:`_section_measure_values` on blocks of frames;
+    this one-frame form stays for ``perfbench``'s tracer, which binds it.
     """
     _, dirs = _embedded_directions([frame], [as_generator(rng)], sphere_samples)
     return _section_measure_values(density, body, dirs[0], frame.s)
-
-
-def measure_of_section(density: DensityOracle, body: StarBody, frame: Frame,
-                       sphere_samples: int, rng) -> Estimate:
-    """Same polar scheme run inside the subspace F, against s-dim Lebesgue."""
-    if sphere_samples < 100:
-        raise ValueError(f"need at least 100 sphere samples, got {sphere_samples}")
-    return mean_estimate(section_measure_values(density, body, frame,
-                                                sphere_samples, rng))
 
 
 def density_from_spec(spec: dict, dim: int) -> DensityOracle:

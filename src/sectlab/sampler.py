@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# sample_restricted gives up below this acceptance rate, once it has made this many proposals
+_MIN_ACCEPTANCE = 1e-4
+_REJECTION_WINDOW = 100_000
 
 
 def _mix64(a: int, b: int) -> int:
@@ -148,8 +151,7 @@ class DegenerateRejectionError(RuntimeError):
     """Rejection sampling acceptance collapsed below the safety threshold."""
 
 
-def sample_restricted(density, body, rng, size: int | None = None,
-                      min_rate: float = 1e-4, window: int = 100_000) -> RestrictedSample:
+def sample_restricted(density, body, rng, size: int | None = None) -> RestrictedSample:
     """Exact draws from a density restricted to a body and normalized.
 
     Proposes uniform points in the body and accepts with probability
@@ -157,7 +159,8 @@ def sample_restricted(density, body, rng, size: int | None = None,
     output i.i.d. and unweighted for the functionals that need actual
     points: ``functionals.simplex_moment`` (behind ``sylvester``) and
     ``functionals.isotropic_constant``.  A density value above the bound
-    from ``sup_on`` would bias the draw, so it raises instead.
+    from ``sup_on`` would bias the draw, so it raises instead, and so does an
+    acceptance rate below 1e-4 after 100 000 proposals.
     """
     gen = as_generator(rng)
     count = 1 if size is None else int(size)
@@ -183,10 +186,10 @@ def sample_restricted(density, body, rng, size: int | None = None,
         have += take
         proposals += batch
         accepted_total += len(got)
-        if proposals >= window and accepted_total < min_rate * proposals:
+        if proposals >= _REJECTION_WINDOW and accepted_total < _MIN_ACCEPTANCE * proposals:
             raise DegenerateRejectionError(
-                f"acceptance rate {accepted_total / proposals:.2e} below {min_rate:.0e} "
-                f"after {proposals} proposals")
+                f"acceptance rate {accepted_total / proposals:.2e} below "
+                f"{_MIN_ACCEPTANCE:.0e} after {proposals} proposals")
         batch = int(min(max((count - have) * proposals / max(accepted_total, 1) + 64, 512),
                         2_000_000))
     rate = accepted_total / proposals

@@ -32,9 +32,7 @@ from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_repo
                         exact_log_estimate, inequality_report, log_mean_estimate,
                         log_power_product)
 from .functionals import (_over_frames, _quermass_from_logs, _resolve_frames,
-                          _section_volume_values, dual_affine_quermass,
-                          log_volume_estimate)
-from .grassmann import Frame, _embedded_directions
+                          dual_affine_quermass, log_volume_estimate)
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
                        measure_of_body)
 from .sampler import StreamHandle, simplex_volume
@@ -75,13 +73,6 @@ def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: i
     if np.any(moment <= 0):
         raise ValueError("simplex moment vanished; degenerate section directions")
     return s * (math.log(s) + log_ball_volume(s).log_value) + _log(moment)
-
-
-def _polar_log_moment(density: DensityOracle, body: StarBody, frame: Frame, k: int,
-                      points: int, rng: StreamHandle) -> float:
-    """The polar log moment of one frame, its directions drawn from ``rng``."""
-    theta, dirs = _embedded_directions([frame], [rng.generator()], points * frame.s)
-    return float(_polar_log_moments(density, body, k, points, theta, dirs)[0])
 
 
 def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames,
@@ -143,16 +134,17 @@ def _chain_report(name: str, density: DensityOracle, body: StarBody, k: int, fra
                   sphere_samples: int, rng: StreamHandle, seed: int) -> CheckReport:
     """mu(K)^(n-k) <= gamma^(-n) p(n, n-k) (max_F mu(K cap F))^(n-k) |K|^(k(n-k)/n)."""
     n = body.dim
+    frame_list = _resolve_frames(frames, n, n - k, rng)
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
-    max_log, argmax = _max_section_log(density, body, frames, k, sphere_samples, rng)
+    max_log, argmax = _max_section_log(density, body, frame_list, k, sphere_samples, rng)
     log_vol = log_volume_estimate(body, max(sphere_samples, 20_000), rng.split(_AUX))
     consts = exact_log_estimate(-n * gamma_nk(n, k).log_value
                                 + log_bp_constant(n, n - k).log_value)
     rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
     lhs = mu_total.powered(n - k)
-    n_frames = frames if isinstance(frames, int) else len(frames)
     return inequality_report(name, n, k, lhs, rhs, seed=seed, note=_SAMPLED_MAX_NOTE,
-                             inputs={"frames": n_frames, "sphere_samples": sphere_samples,
+                             inputs={"frames": len(frame_list),
+                                     "sphere_samples": sphere_samples,
                                      "argmax_frame": argmax,
                                      "max_section_log": max_log.value})
 
@@ -248,18 +240,22 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
     volume-preserving images, estimated over common random frames; the body
     and its images also share every sphere direction, drawn once per frame.
     Part B (maximality): the functional never exceeds the ball value
-    gamma_{n,k}^(-1/k).
+    gamma_{n,k}^(-1/k).  Part A needs at least one image.
     """
     n = body.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    if transforms < 1:
+        raise ValueError(f"need at least one transform, got {transforms}")
     s = n - k
+    volume = LebesgueDensity(n)
     frame_list = _resolve_frames(frames, n, s, rng)
     bodies = [body] + [linear_image(body, _random_sl_matrix(n, rng.split(_AUX + 2 + t)))
                        for t in range(transforms)]
     logs = _over_frames(
         lambda theta, dirs: np.stack(
-            [log_power_product(_section_volume_values(b, dirs, s), n) for b in bodies],
+            [log_power_product(_section_measure_values(volume, b, dirs, s), n)
+             for b in bodies],
             axis=-1),
         frame_list, sphere_samples, rng)
     phi, *images = [_quermass_from_logs(b, k, logs[:, i], sphere_samples, rng)
@@ -269,12 +265,8 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
         equality_report("grinberg_invariance", n, k, phi, phi_t, seed=seed,
                         inputs={"transform_index": t, "frames": len(frame_list)})
         for t, phi_t in enumerate(images)]
-    if pair_reports:
-        failed = [r for r in pair_reports if not r.passed]
-        worst = failed[0] if failed else max(pair_reports, key=lambda r: r.margin)
-    else:
-        worst = equality_report("grinberg_invariance", n, k, phi, phi, seed=seed,
-                                inputs={"transform_index": None})
+    failed = [r for r in pair_reports if not r.passed]
+    worst = failed[0] if failed else max(pair_reports, key=lambda r: r.margin)
     worst.inputs["all_values"] = [phi.value] + [phi_t.value for phi_t in images]
 
     ball_value = exact_log_estimate(-gamma_nk(n, k).log_value / k)
@@ -302,12 +294,13 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
     s = n - k
     frame_list = _resolve_frames(frames, n, s, rng)
+    volume = LebesgueDensity(n)
 
     def stats(theta, dirs):
         # per frame, for K then D: mean and SE of the section volume, log of its n-th power
         rows = []
         for body in (body_k, body_d):
-            vals = _section_volume_values(body, dirs, s)
+            vals = _section_measure_values(volume, body, dirs, s)
             rows.append(np.stack([*_mean_and_se(vals), log_power_product(vals, n)], axis=-1))
         return np.stack(rows, axis=1)
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, UnboundedBodyError,
-                            body_from_json, body_from_spec, center_of_mass,
-                            centered_simplex, cube, linear_image, section,
-                            translate, volume)
+                            body_from_json, body_from_spec, centered_simplex, cube,
+                            linear_image, translate)
 from sectlab.grassmann import Frame, sample_haar
-from sectlab.sampler import StreamHandle, sphere_directions, uniform_in_body
+from sectlab.measures import LebesgueDensity, _section_measure_values, measure_of_body
+from sectlab.sampler import StreamHandle, sphere_directions
 
 AXIS_FRAME_E1E2 = Frame(np.eye(3)[:, :2])
 AXIS_FRAME_E1E3 = Frame(np.eye(3)[:, [0, 2]])
@@ -27,7 +27,6 @@ def all_kinds():
                   np.array([1.0, 1.0, 1.0, 1.0, 1.5])),
         linear_image(cube(2), np.array([[2.0, 0.3], [0.0, 0.5]])),
         translate(LpBall(2, 2.0), np.array([0.25, -0.1])),
-        section(cube(3), AXIS_FRAME_E1E2),
     ]
 
 
@@ -84,38 +83,39 @@ class TestRadial:
             assert np.allclose(body.radial(dirs), body.radial(-dirs), rtol=1e-12)
 
 
+def _section_volume_values(body, frame, theta):
+    """omega_s rho^s of K cap F at unit directions theta of F, by the section kernel."""
+    return _section_measure_values(LebesgueDensity(body.dim), body, frame.embed(theta),
+                                   frame.s)
+
+
 class TestSection:
     def test_ball_section_is_disc(self):
-        b = LpBall(3, 2.0)
         f = sample_haar(3, 2, StreamHandle(3))
-        s = section(b, f)
         dirs = StreamHandle(4).generator().standard_normal((100, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        assert np.allclose(s.radial(dirs), 1.0, rtol=1e-12)
+        assert np.allclose(_section_volume_values(LpBall(3, 2.0), f, dirs), math.pi,
+                           rtol=1e-12)
 
     def test_axis_cube_section_is_square(self):
-        s = section(cube(3), AXIS_FRAME_E1E2)
-        assert s.radial(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
-        d = np.array([[1.0, 1.0]]) / math.sqrt(2)
-        assert s.radial(d)[0] == pytest.approx(math.sqrt(2), rel=1e-12)
+        # rho of the square is 1 on an axis and sqrt(2) on the diagonal
+        dirs = np.array([[1.0, 0.0], [1.0, 1.0]]) / np.array([[1.0], [math.sqrt(2)]])
+        vals = _section_volume_values(cube(3), AXIS_FRAME_E1E2, dirs)
+        assert vals == pytest.approx([math.pi, 2 * math.pi], rel=1e-12)
 
     def test_ellipsoid_section_semiaxes(self):
-        e = Ellipsoid(np.diag([1.0, 1.0, 4.0]))
-        s = section(e, AXIS_FRAME_E1E3)
-        assert s.radial(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
-        assert s.radial(np.array([[0.0, 1.0]]))[0] == pytest.approx(2.0)
+        vals = _section_volume_values(Ellipsoid(np.diag([1.0, 1.0, 4.0])), AXIS_FRAME_E1E3,
+                                      np.eye(2))
+        assert vals == pytest.approx([math.pi, 4 * math.pi], rel=1e-12)
 
     def test_radial_delegates_exactly(self):
+        # at s = 2 the measure form 2 omega_2 (rho^2 / 2) keeps the bits of omega_2 rho^2
         body = LpBall(3, 1.0)
         f = sample_haar(3, 2, StreamHandle(5))
-        s = section(body, f)
         u = StreamHandle(6).generator().standard_normal((50, 2))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        assert np.array_equal(s.radial(u), body.radial(f.embed(u)))
-
-    def test_rejects_full_dimension(self):
-        with pytest.raises(ValueError):
-            section(cube(2), Frame(np.eye(2)))
+        assert np.array_equal(_section_volume_values(body, f, u),
+                              math.pi * body.radial(f.embed(u)) ** 2)
 
 
 class TestLinearImage:
@@ -143,7 +143,7 @@ class TestLinearImage:
     def test_det_one_preserves_area(self):
         img = linear_image(LpBall(2, 2.0), np.diag([2.0, 0.5]))
         assert img.exact_volume == pytest.approx(math.pi, rel=1e-12)
-        est = volume(img, 40_000, StreamHandle(9))
+        est = measure_of_body(LebesgueDensity(2), img, 40_000, StreamHandle(9))
         assert abs(est.value - math.pi) <= 3 * est.std_error
 
     def test_rejects_singular(self):
@@ -174,16 +174,16 @@ class TestTranslate:
 
 class TestVolume:
     def test_ball_zero_variance(self):
-        est = volume(LpBall(3, 2.0), 500, StreamHandle(10))
+        est = measure_of_body(LebesgueDensity(3), LpBall(3, 2.0), 500, StreamHandle(10))
         assert est.value == pytest.approx(4 * math.pi / 3, rel=1e-12)
         assert est.std_error < 1e-12
 
     def test_cube(self):
-        est = volume(cube(3), 100_000, StreamHandle(11))
+        est = measure_of_body(LebesgueDensity(3), cube(3), 100_000, StreamHandle(11))
         assert abs(est.value - 8.0) <= 3 * est.std_error
 
     def test_cross_polytope(self):
-        est = volume(LpBall(3, 1.0), 100_000, StreamHandle(12))
+        est = measure_of_body(LebesgueDensity(3), LpBall(3, 1.0), 100_000, StreamHandle(12))
         assert abs(est.value - 4 / 3) <= 3 * est.std_error
 
     def test_exact_volumes(self):
@@ -195,26 +195,7 @@ class TestVolume:
 
     def test_requires_samples(self):
         with pytest.raises(ValueError):
-            volume(cube(2), 10, StreamHandle(0))
-
-
-class TestCenterOfMass:
-    def test_cube_centered(self):
-        mean, est = center_of_mass(cube(3), 50_000, StreamHandle(13))
-        assert np.all(np.abs(mean) <= 3 * est.std_error)
-
-    def test_translated_disc(self):
-        body = translate(LpBall(2, 2.0), np.array([0.3, 0.0]))
-        mean, est = center_of_mass(body, 50_000, StreamHandle(14))
-        assert abs(mean[0] - 0.3) <= 3 * est.std_error
-        assert abs(mean[1]) <= 3 * est.std_error
-
-    def test_shifted_simplex_recenters(self):
-        # nudging the centered simplex keeps 0 interior; its mass center moves with it
-        shift = np.array([0.05, 0.02])
-        body = translate(centered_simplex(2), shift)
-        mean, est = center_of_mass(body, 60_000, StreamHandle(15))
-        assert np.all(np.abs(mean - shift) <= 3 * est.std_error + 1e-3)
+            measure_of_body(LebesgueDensity(2), cube(2), 10, StreamHandle(0))
 
 
 class TestHPolytopeValidation:

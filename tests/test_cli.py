@@ -47,6 +47,23 @@ class TestEstimateCommand:
         payload = json.loads(out)
         assert payload["estimate"]["value"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_volume_of_ball_is_exact(self, capsys):
+        code, out, _ = run_cli(["estimate", "--functional", "volume",
+                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                                "--samples", "500", "--deterministic"], capsys)
+        assert code == 0
+        est = json.loads(out)["estimate"]
+        assert est["value"] == pytest.approx(4 * math.pi / 3, rel=1e-12)
+        assert est["se"] < 1e-12
+
+    def test_volume_of_cube(self, capsys):
+        code, out, _ = run_cli(["estimate", "--functional", "volume",
+                                "--body", '{"kind":"cube","dim":3}',
+                                "--samples", "20000", "--deterministic"], capsys)
+        assert code == 0
+        est = json.loads(out)["estimate"]
+        assert abs(est["value"] - 8.0) <= 3 * est["se"]
+
     def test_phi_with_measure_flag_unused(self, capsys):
         code, out, _ = run_cli(["estimate", "--functional", "phi",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
@@ -134,9 +151,20 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--check", "grinberg",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
                                 "--k", "1", "--frames", "50", "--samples", "300",
-                                "--transforms", "0", "--deterministic"], capsys)
-        assert code == 0
-        assert len(json.loads(out)["reports"]) == 2
+                                "--transforms", "1", "--deterministic"], capsys)
+        reports = json.loads(out)["reports"]
+        assert [r["check_name"] for r in reports] == ["grinberg_invariance",
+                                                      "grinberg_maximality"]
+        assert code == (0 if all(r["pass"] for r in reports) else 1)
+
+    def test_grinberg_without_transforms_is_error(self, capsys):
+        # invariance with no image would compare the functional with itself
+        code, out, err = run_cli(["verify", "--check", "grinberg",
+                                  "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                                  "--frames", "20", "--samples", "200",
+                                  "--transforms", "0"], capsys)
+        assert code == 2 and out == ""
+        assert "at least one transform" in json.loads(err)["error"]
 
 
 class TestScanCommand:

@@ -8,11 +8,11 @@ from sectlab.bodies import LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import gamma_nk, log_ball_volume
 from sectlab.estimates import Estimate, log_mean_estimate, log_power_product
 from sectlab.functionals import (draw_frames, dual_affine_quermass, i_minus_k,
-                                 isotropic_constant, section_volume,
-                                 section_volume_values, simplex_moment, sylvester,
-                                 volume_radius, w_tilde)
+                                 isotropic_constant, section_volume_values,
+                                 simplex_moment, sylvester, volume_radius, w_tilde)
 from sectlab.grassmann import sample_haar
-from sectlab.measures import GaussianDensity, section_measure_values
+from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
+                              section_measure_values)
 from sectlab.sampler import StreamHandle, sphere_directions
 
 DISC = LpBall(2, 2.0)
@@ -124,8 +124,10 @@ class TestSectionPowerFunctional:
         frames = draw_frames(3, 2, 200, StreamHandle(29))
         handle = StreamHandle(29)
         est = dual_affine_quermass(body, 1, frames, 600, handle)
-        vols = [section_volume(body, f, 600, handle.split(j).split(1)).value
-                for j, f in enumerate(frames)]
+        vols = functionals._over_frames(
+            lambda theta, dirs: _section_measure_values(LebesgueDensity(3), body, dirs,
+                                                        2).mean(axis=-1),
+            frames, 600, handle)
         max_normalized = max(vols) / body.exact_volume ** (2 / 3)
         assert est.value <= max_normalized * (1 + 3 * est.std_error / est.value + 1e-9)
 

@@ -4,17 +4,35 @@ import numpy as np
 import pytest
 from scipy import special
 
-from sectlab.bodies import LpBall, cube, section, volume
+from sectlab.bodies import LpBall, cube
+from sectlab.estimates import mean_estimate
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, IndicatorDensity,
                               LebesgueDensity, QuadratureError, RadialExpDensity,
-                              SectionDensity, _radial_integrals, density_from_spec,
-                              measure_of_body, measure_of_section, section_measure_values)
-from sectlab.sampler import StreamHandle, sphere_directions, uniform_in_body
+                              _radial_integrals, _section_measure_values, density_from_spec,
+                              measure_of_body)
+from sectlab.sampler import StreamHandle, sphere_directions
 
 # closed-form oracles: (2 pi)^(3/2) P[chi^2_3 <= 1] and 2 pi (1 - e^(-1/2))
 GAUSS_BALL3 = (2 * math.pi) ** 1.5 * special.gammainc(1.5, 0.5)
 GAUSS_DISC = 2 * math.pi * (1 - math.exp(-0.5))
+
+
+class SectionDensity(DensityOracle):
+    """Reference adaptor: the ambient density read in a frame's coordinates, g(embed(u))."""
+
+    def __init__(self, density, frame):
+        super().__init__(frame.s, even=density.even, log_concave=density.log_concave)
+        self.ambient, self.frame = density, frame
+
+    def __call__(self, u):
+        return self.ambient(self.frame.embed(np.asarray(u, dtype=float)))
+
+
+def measure_of_section(density, body, frame, sphere_samples, rng):
+    """mu(K cap F): the mean of the section kernel over uniform directions of F."""
+    theta = sphere_directions(rng.generator(), sphere_samples, frame.s)
+    return mean_estimate(_section_measure_values(density, body, frame.embed(theta), frame.s))
 
 
 class TestMeasureOfBody:
@@ -32,12 +50,6 @@ class TestMeasureOfBody:
         assert GAUSS_DISC == pytest.approx(2.4722407777192264, rel=1e-12)
         est = measure_of_body(GaussianDensity(2), LpBall(2, 2.0), 200, StreamHandle(3))
         assert est.value == pytest.approx(GAUSS_DISC, rel=1e-8)
-
-    def test_agrees_with_volume_on_cube(self):
-        handle = StreamHandle(4)
-        est = measure_of_body(LebesgueDensity(3), cube(3), 4000, handle)
-        vol = volume(cube(3), 4000, handle)        # same stream: same directions
-        assert est.value == pytest.approx(vol.value, rel=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -96,9 +108,9 @@ class TestRayMass:
         rho = body.radial(frame.embed(theta))
         for density in _closed_form_kinds(3):
             sec = SectionDensity(density, frame)
-            old = 2 * math.pi * _radial_integrals(sec, theta, rho, 2.0)
-            new = section_measure_values(density, body, frame, 300, StreamHandle(50))
-            assert np.allclose(new, old, rtol=1e-12, atol=0), density
+            reference = 2 * math.pi * _radial_integrals(sec, theta, rho, 2.0)
+            values = _section_measure_values(density, body, frame.embed(theta), 2)
+            assert np.allclose(values, reference, rtol=1e-12, atol=0), density
 
     @pytest.mark.parametrize("precision", [[[1.0, 0.0], [0.0, -1.0]],
                                            [[1.0, 0.0], [0.0, 0.0]],
@@ -137,17 +149,6 @@ class TestSupOnAndSectionDensity:
         for density in (LebesgueDensity(3), GaussianDensity(3), RadialExpDensity(3)):
             assert density.sup_on(cube(3)) == pytest.approx(1.0)
             assert density.sup_is_exact
-
-    def test_sup_on_section_equals_origin_value(self):
-        # even log-concave density on a symmetric section: sup attained at 0
-        g = GaussianDensity(3)
-        f = sample_haar(3, 2, StreamHandle(14))
-        sec = section(cube(3), f)
-        sec_g = SectionDensity(g, f)
-        pts = uniform_in_body(sec, StreamHandle(15), size=1000)
-        vals = sec_g(pts)
-        assert np.max(vals) <= sec_g.value_at_origin + 1e-12
-        assert np.max(vals) >= 0.98 * sec_g.value_at_origin
 
     def test_probed_sup_carries_safety_factor(self):
         class Tilted(DensityOracle):
@@ -195,6 +196,3 @@ class TestDensitySpecs:
     def test_flags(self):
         g = GaussianDensity(3)
         assert g.even and g.log_concave
-        f = sample_haar(3, 2, StreamHandle(20))
-        sec = SectionDensity(g, f)
-        assert sec.even and sec.log_concave and sec.dim == 2

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from sectlab import functionals
-from sectlab.bodies import Ellipsoid, LpBall, centered_simplex, cube, section
-from sectlab.estimates import equality_report, exact_log_estimate
+from sectlab.bodies import Ellipsoid, LpBall, StarBody, centered_simplex, cube
+from sectlab.estimates import equality_report, exact_log_estimate, mean_estimate
 from sectlab.functionals import simplex_moment
-from sectlab.grassmann import Frame, sample_haar
-from sectlab.measures import (GaussianDensity, LebesgueDensity, RadialExpDensity,
-                              SectionDensity, measure_of_section)
-from sectlab.sampler import StreamHandle
+from sectlab.grassmann import Frame, _embedded_directions, sample_haar
+from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity,
+                              RadialExpDensity, _section_measure_values)
+from sectlab.sampler import StreamHandle, sphere_directions
 from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _max_section_log,
-                              _polar_log_moment, _worker_count, check_bp_identity,
+                              _polar_log_moments, _worker_count, check_bp_identity,
                               check_busemann_petty_volume, check_dpp, check_grinberg,
                               check_logconcave_identity, check_slicing_chain,
                               negative_control, run_suite)
@@ -49,6 +49,38 @@ class TestBpIdentity:
 AXIS_FRAME = Frame(np.eye(3)[:, :2])
 
 
+class SectionBody(StarBody):
+    """Reference adaptor: K cap F as a body in the frame's coordinates."""
+
+    def __init__(self, body, frame):
+        super().__init__(frame.s, symmetric=body.symmetric, exact_volume=None)
+        self.parent, self.frame = body, frame
+
+    def radial(self, dirs):
+        return self.parent.radial(self.frame.embed(dirs))
+
+    def bounding_radius(self):
+        return self.parent.bounding_radius()
+
+
+class SectionDensity(DensityOracle):
+    """Reference adaptor: the ambient density read in a frame's coordinates, g(embed(u))."""
+
+    def __init__(self, density, frame):
+        super().__init__(frame.s, even=density.even, log_concave=density.log_concave)
+        self.radially_nonincreasing = density.radially_nonincreasing
+        self.ambient, self.frame = density, frame
+
+    def __call__(self, u):
+        return self.ambient(self.frame.embed(np.asarray(u, dtype=float)))
+
+
+def _polar_log_moment(density, body, frame, k, points, rng):
+    """The polar log moment of one frame, its directions drawn from ``rng``."""
+    theta, dirs = _embedded_directions([frame], [rng.generator()], points * frame.s)
+    return float(_polar_log_moments(density, body, k, points, theta, dirs)[0])
+
+
 class TestPolarLogMoment:
     def test_unit_disc(self):
         # (2 pi)^2 E[|sin(phi_1 - phi_2)| / 2] / 3^2 = 4 pi / 9 on the unit disc,
@@ -71,8 +103,9 @@ class TestPolarLogMoment:
         polar = np.exp([_polar_log_moment(density, CUBE3, frame, 1, 5000,
                                            StreamHandle(7).split(r)) for r in range(reps)])
         polar_mean, polar_se = polar.mean(), polar.std(ddof=1) / math.sqrt(reps)
-        mu = measure_of_section(density, CUBE3, frame, 20_000, StreamHandle(8))
-        moment = simplex_moment(section(CUBE3, frame), 2, 1.0, 20_000, StreamHandle(9),
+        theta = sphere_directions(StreamHandle(8).generator(), 20_000, 2)
+        mu = mean_estimate(_section_measure_values(density, CUBE3, frame.embed(theta), 2))
+        moment = simplex_moment(SectionBody(CUBE3, frame), 2, 1.0, 20_000, StreamHandle(9),
                                 density=SectionDensity(density, frame))
         ref = mu.value ** 2 * moment.value
         ref_se = ref * math.hypot(2 * mu.std_error / mu.value,
@@ -107,6 +140,12 @@ class TestChains:
         rep = check_slicing_chain(LebesgueDensity(4), LpBall(4, 1.0), 2, 80, 300,
                                   StreamHandle(7))
         assert rep.passed
+
+    def test_numpy_integer_frame_count(self):
+        texts = {json.dumps(check_slicing_chain(GaussianDensity(3), CUBE3, 1, frames, 200,
+                                                StreamHandle(6)).as_dict(), sort_keys=True)
+                 for frames in (20, np.int64(20))}
+        assert len(texts) == 1
 
 
 class TestMaxSection:
@@ -188,9 +227,14 @@ class TestGrinberg:
         assert max_rep.passed
         assert max_rep.lhs.value == pytest.approx(1.2089939655123523, rel=1e-6)
 
+    def test_no_transforms_is_an_error(self):
+        # invariance with no image would compare the functional with itself
+        with pytest.raises(ValueError, match="at least one transform"):
+            check_grinberg(CUBE3, 1, 0, 50, 300, StreamHandle(16))
+
     def test_maximality_l1_ball(self):
         # the cross-polytope value sits within half a percent of the ball's
-        reports = check_grinberg(LpBall(4, 1.0), 2, 0, 250, 600, StreamHandle(18))
+        reports = check_grinberg(LpBall(4, 1.0), 2, 1, 250, 600, StreamHandle(18))
         assert reports[1].passed
 
 
