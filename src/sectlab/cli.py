@@ -41,16 +41,25 @@ _REPORT_SCHEMA = "sectlab.report.v1"
 _SCAN_SCHEMA = "sectlab.scan.v1"
 # where and how the output is written, not what is computed
 _NOT_CONFIG = ("func", "json", "csv", "pretty")
-# verify's optional flags and the checks that read each; any other check rejects
-# the flag.  Defaults are filled in only where read, so config records only
-# budgets that ran.
-_FLAG_READERS = {
+# optional flags and the functionals (estimate) or checks (verify) that read
+# each; any other rejects the flag.  Defaults are filled in only where read,
+# so config records only budgets that ran.
+_ESTIMATE_READERS = {
+    "measure": ("sylvester", "L"),
+    "k": ("phi", "w", "i_minus_k"),
+    "p": ("sylvester",),
+    "samples": ("L", "phi", "w", "i_minus_k", "vrad", "volume"),
+    "frames": ("phi", "w"),
+    "trials": ("sylvester",),
+}
+_ESTIMATE_DEFAULTS = {"k": 1, "p": 1.0, "samples": 20_000, "frames": 500, "trials": 20_000}
+_VERIFY_READERS = {
     "measure": ("slicing_chain", "dpp_bound", "logconcave_identity"),
     "points": ("bp_identity", "logconcave_identity"),
     "transforms": ("grinberg",),
     "body2": ("busemann_petty_volume",),
 }
-_FLAG_DEFAULTS = {"points": 500, "transforms": 5}
+_VERIFY_DEFAULTS = {"points": 500, "transforms": 5}
 
 
 def _emit(payload: dict, path: str | None, pretty: bool) -> None:
@@ -100,11 +109,20 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_flags(args: argparse.Namespace, name: str, readers: dict, defaults: dict) -> None:
+    """Reject each flag in ``readers`` that ``name`` does not read; default the rest."""
+    for flag, names in readers.items():
+        if name not in names:
+            if getattr(args, flag) is not None:
+                raise ValueError(f"{name} takes no --{flag}")
+        elif getattr(args, flag) is None and flag in defaults:
+            setattr(args, flag, defaults[flag])
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    body = body_from_json(args.body)
     name = args.functional
-    if args.measure and name not in ("sylvester", "L"):
-        raise ValueError(f"functional {name!r} takes no --measure")
+    _read_flags(args, name, _ESTIMATE_READERS, _ESTIMATE_DEFAULTS)
+    body = body_from_json(args.body)
     density = density_from_json(args.measure, body.dim) if args.measure else None
     rng = StreamHandle(args.seed)
     if name == "sylvester":
@@ -131,17 +149,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.check not in CHECKS:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
-    for flag, readers in _FLAG_READERS.items():
-        if args.check not in readers:
-            if getattr(args, flag) is not None:
-                raise ValueError(f"{args.check} takes no --{flag}")
-        elif getattr(args, flag) is None and flag in _FLAG_DEFAULTS:
-            setattr(args, flag, _FLAG_DEFAULTS[flag])
+    _read_flags(args, args.check, _VERIFY_READERS, _VERIFY_DEFAULTS)
     body = body_from_json(args.body)
     rng = StreamHandle(args.seed)
     kwargs: dict = {"k": args.k, "frames": args.frames, "sphere_samples": args.samples,
                     "rng": rng, "seed": args.seed}
-    if args.check in _FLAG_READERS["points"]:
+    if args.check in _VERIFY_READERS["points"]:
         kwargs["points_per_frame"] = args.points
     if args.check == "busemann_petty_volume":
         if not args.body2:
@@ -150,11 +163,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kwargs["body_d"] = body_from_json(args.body2)
     else:
         kwargs["body"] = body
-    if args.check in _FLAG_READERS["measure"]:
+    if args.check in _VERIFY_READERS["measure"]:
         if not args.measure:
             raise ValueError(f"{args.check} needs --measure")
         kwargs["density"] = density_from_json(args.measure, body.dim)
-    if args.check in _FLAG_READERS["transforms"]:
+    if args.check in _VERIFY_READERS["transforms"]:
         kwargs["transforms"] = args.transforms
     out = CHECKS[args.check](**kwargs)
     reports = out if isinstance(out, list) else [out]
@@ -227,12 +240,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", required=True,
                    choices=["sylvester", "L", "phi", "w", "i_minus_k", "vrad", "volume"])
     p.add_argument("--body", required=True, metavar="SPEC", help="JSON literal or path")
-    p.add_argument("--measure", metavar="SPEC", help="density JSON literal or path")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--frames", type=int, default=500)
-    p.add_argument("--trials", type=int, default=20_000)
+    p.add_argument("--measure", metavar="SPEC",
+                   help="density JSON literal or path (sylvester and L only)")
+    p.add_argument("--k", type=int, help="codimension (phi, w, i_minus_k; default 1)")
+    p.add_argument("--p", type=float, help="moment order (sylvester only; default 1)")
+    p.add_argument("--samples", type=int,
+                   help="samples or sphere directions (all but sylvester; default 20000)")
+    p.add_argument("--frames", type=int, help="sampled frames (phi and w only; default 500)")
+    p.add_argument("--trials", type=int,
+                   help="sampled simplices (sylvester only; default 20000)")
     common(p)
     p.set_defaults(func=_cmd_estimate)
 

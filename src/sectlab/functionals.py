@@ -26,7 +26,7 @@ from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
 from .grassmann import Frame, _embedded_directions, _haar_bases, sample_haar
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
                        measure_of_body, section_measure_values)
-from .sampler import (StreamHandle, as_generator, covariance, sample_restricted,
+from .sampler import (StreamHandle, covariance, sample_restricted,
                       simplex_volume, sphere_directions, uniform_in_body)
 
 __all__ = [
@@ -66,7 +66,11 @@ def draw_frames(n: int, s: int, count: int, rng: StreamHandle) -> list[Frame]:
             for j in range(count)]
 
 
-def _resolve_frames(frames, n: int, s: int, rng: StreamHandle) -> list[Frame]:
+def _resolve_frames(frames, n: int, k: int, rng: StreamHandle) -> list[Frame]:
+    """Frames of codimension k in R^n: ``frames`` drawn if a count, else checked."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    s = n - k
     if isinstance(frames, (int, np.integer)):
         return draw_frames(n, s, int(frames), rng)
     frames = list(frames)
@@ -76,11 +80,12 @@ def _resolve_frames(frames, n: int, s: int, rng: StreamHandle) -> list[Frame]:
     return frames
 
 
-def log_volume_estimate(body: StarBody, samples: int, rng: StreamHandle) -> Estimate:
-    """log |K|: exact when the body knows its volume, else the polar Lebesgue measure."""
+def log_volume_estimate(body: StarBody, rng: StreamHandle) -> Estimate:
+    """log |K|: exact when the body knows its volume, else the polar Lebesgue measure
+    over ``_VOLUME_SAMPLES`` directions drawn from rng."""
     if body.exact_volume is not None:
         return exact_log_estimate(math.log(body.exact_volume))
-    return measure_of_body(LebesgueDensity(body.dim), body, samples, rng).to_log()
+    return measure_of_body(LebesgueDensity(body.dim), body, _VOLUME_SAMPLES, rng).to_log()
 
 
 def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
@@ -125,7 +130,7 @@ def sylvester(body: StarBody, m: int, p: float, trials: int, rng: StreamHandle,
     moment = simplex_moment(body, m, p, trials, rng, density=density)
     s_p = moment.powered(1.0 / p)
     if density is None:
-        s_p = s_p.divided_by(log_volume_estimate(body, _VOLUME_SAMPLES, rng.split(_AUX)))
+        s_p = s_p.divided_by(log_volume_estimate(body, rng.split(_AUX)))
     return s_p.to_linear()
 
 
@@ -151,7 +156,7 @@ def isotropic_constant(body: StarBody, samples: int, rng: StreamHandle,
     n = body.dim
     if density is None:
         pts = uniform_in_body(body, rng.split(1), size=samples)
-        log_mass = log_volume_estimate(body, samples, rng.split(2))
+        log_mass = log_volume_estimate(body, rng.split(2))
         log_sup = 0.0
     else:
         pts = sample_restricted(density, body, rng.split(1), size=samples).points
@@ -185,11 +190,11 @@ def _over_frames(fn, frames: Sequence[Frame], count: int, rng: StreamHandle) -> 
     return np.concatenate(parts)
 
 
-def _quermass_from_logs(body: StarBody, k: int, logs: np.ndarray, sphere_samples: int,
+def _quermass_from_logs(body: StarBody, k: int, logs: np.ndarray,
                         rng: StreamHandle) -> Estimate:
     """(E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n estimates."""
     n = body.dim
-    log_vol = log_volume_estimate(body, max(sphere_samples, 2000), rng.split(_AUX))
+    log_vol = log_volume_estimate(body, rng.split(_AUX))
     mean_log = log_mean_estimate(logs - (n - k) * log_vol.value)
     se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error) / (k * n)
     return Estimate(mean_log.value / (k * n), se, len(logs), log_domain=True).to_linear()
@@ -208,26 +213,22 @@ def dual_affine_quermass(body: StarBody, k: int, frames, sphere_samples: int,
     frames with the same ``rng`` share their directions too.
     """
     n = body.dim
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
     s = n - k
-    frame_list = _resolve_frames(frames, n, s, rng)
+    frame_list = _resolve_frames(frames, n, k, rng)
     logs = _over_frames(
         lambda theta, dirs: log_power_product(
             _section_measure_values(LebesgueDensity(n), body, dirs, s), n),
         frame_list, sphere_samples, rng)
-    return _quermass_from_logs(body, k, logs, sphere_samples, rng)
+    return _quermass_from_logs(body, k, logs, rng)
 
 
 def w_tilde(body: StarBody, k: int, frames, sphere_samples: int,
             rng: StreamHandle) -> Estimate:
     """Mean section volume functional (E_F |K1 cap F|)^(1/k) for volume-one K1."""
     n = body.dim
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
     s = n - k
-    frame_list = _resolve_frames(frames, n, s, rng)
-    log_vol = log_volume_estimate(body, max(sphere_samples, 2000), rng.split(_AUX))
+    frame_list = _resolve_frames(frames, n, k, rng)
+    log_vol = log_volume_estimate(body, rng.split(_AUX))
     means = _over_frames(
         lambda theta, dirs: _section_measure_values(LebesgueDensity(n), body, dirs,
                                                     s).mean(axis=-1),
@@ -248,11 +249,11 @@ def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estima
     n = body.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    gen = rng.split(0).generator()
-    theta = sphere_directions(gen, samples, n)
-    rho = body.radial(theta)
-    moment = mean_estimate(rho ** (n - k)).to_log()
-    log_vol = log_volume_estimate(body, samples, rng.split(_AUX))
+    if samples < 100:
+        raise ValueError(f"need at least 100 sphere samples, got {samples}")
+    theta = sphere_directions(rng.split(0).generator(), samples, n)
+    moment = mean_estimate(body.radial(theta) ** (n - k)).to_log()
+    log_vol = log_volume_estimate(body, rng.split(_AUX))
     log_factor = math.log(n) + log_ball_volume(n).log_value - math.log(n - k)
     # K1 = |K|^(-1/n) K; substituting x = |K|^(-1/n) y gives
     # integral_K1 ||x||^(-k) dx = |K|^(-(n-k)/n) integral_K ||y||^(-k) dy
@@ -262,8 +263,8 @@ def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estima
 
 
 def volume_radius(body: StarBody, samples: int, rng) -> Estimate:
-    """(E_theta rho^n)^(1/n) = (|K| / omega_n)^(1/n)."""
-    gen = as_generator(rng)
-    theta = sphere_directions(gen, samples, body.dim)
-    rho = body.radial(theta)
-    return mean_estimate(rho ** body.dim).powered(1.0 / body.dim).to_linear()
+    """(|K| / omega_n)^(1/n), with |K| from :func:`~sectlab.measures.measure_of_body`
+    under Lebesgue measure on ``samples`` directions (at least 100)."""
+    n = body.dim
+    volume = measure_of_body(LebesgueDensity(n), body, samples, rng)
+    return volume.scaled(math.exp(-log_ball_volume(n).log_value)).powered(1.0 / n).to_linear()

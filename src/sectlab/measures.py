@@ -6,11 +6,13 @@ ray mass m(theta) = integral_0^rho(theta) r^(n-1) g(r theta) dr comes from
 :meth:`DensityOracle.ray_mass`.  A central section K cap F of dimension s
 takes the same form inside F at power s (:func:`_section_measure_values`,
 the one section kernel); volume is the case g == 1, :class:`LebesgueDensity`.
-The built-in kinds (Lebesgue, Gaussian, radial exponential, indicator)
-evaluate the ray mass in closed form; any other density falls back to
-adaptive Gauss-Legendre refinement to relative 1e-9.  Either way the
-spherical average, done by Monte Carlo with a reported standard error,
-dominates the error.
+The power is a positive integer: n for mu(K), s for a section, s + k in
+the identity checks.  The built-in kinds (Lebesgue, Gaussian, radial
+exponential, indicator) evaluate the ray mass in closed form; any other
+density falls back to adaptive Gauss-Legendre refinement to relative
+1e-9, which needs the integer power to keep the integrand smooth at
+r = 0.  Either way the spherical average, done by Monte Carlo with a
+reported standard error, dominates the error.
 """
 
 from __future__ import annotations
@@ -92,15 +94,16 @@ class DensityOracle:
         return 1.05 * float(np.max(self(pts)))
 
     def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
-        """integral_0^upper r^(power-1) g(r * dir) dr for each row of ``dirs``, power > 0.
+        """integral_0^upper r^(power-1) g(r * dir) dr for each row of ``dirs``.
 
-        Kinds with a closed form override this; the generic path is
-        adaptive Gauss-Legendre quadrature along each ray.
+        ``power`` is a positive integer.  Kinds with a closed form override
+        this; the generic path is adaptive Gauss-Legendre quadrature along
+        each ray and raises ``ValueError`` on any other power, whose weight
+        r^(power-1) is not smooth at r = 0.
         """
-        if float(power).is_integer():
-            return _radial_integrals(self, dirs, upper, power)
-        # a fractional power makes the weight r^(power-1) weakly singular at 0
-        return _graded_radial_integrals(self, dirs, upper, power) / power
+        if not (power >= 1 and float(power).is_integer()):
+            raise ValueError(f"ray mass quadrature needs a positive integer power, got {power}")
+        return _radial_integrals(self, dirs, upper, power)
 
 
 def _gamma_ray_mass(a: float, log_scale: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -213,8 +216,7 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
     Panels of 15-point Gauss-Legendre; the panel count doubles until
     consecutive refinements agree to relative 1e-9.  The integrand must be
     smooth on [0, upper], which holds for the integer powers of the polar
-    volume weights; :func:`_graded_radial_integrals` handles the weakly
-    singular weight r^(power-1) of a fractional power at r = 0.
+    volume weights.
     """
     dirs = np.asarray(dirs, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -239,45 +241,6 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
     worst = int(np.argmax(np.abs(integral - prev)))
     raise QuadratureError(
         f"radial quadrature did not converge at {_MAX_PANELS} panels", dirs[worst])
-
-
-_GRADED_LEVELS = 40
-
-
-def _graded_radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarray,
-                             power: float) -> np.ndarray:
-    """integral_0^upper power * r^(power-1) g(r theta) dr with graded panels.
-
-    The weight is weakly singular at r = 0 for non-integer power, so the
-    panels are dyadically graded toward the origin; the microscopic
-    leftover [0, upper*2^-40] is added in closed form as g(0) * eps^power
-    (g is continuous at 0, making the relative error of that term O(eps)).
-    Subpanel counts double until consecutive refinements agree to 1e-9.
-    """
-    dirs = np.asarray(dirs, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    eps = upper * 2.0 ** -_GRADED_LEVELS
-    leftover = density.value_at_origin * eps ** power
-    scale = 2.0 ** -np.arange(_GRADED_LEVELS, -1, -1.0)   # ascending dyadic edges
-    lefts = upper[:, None] * scale[None, :-1]             # (D, J)
-    widths = lefts                                        # each panel is [a, 2a]
-    prev = None
-    sub = 1
-    while sub <= 8:
-        offs = (np.arange(sub)[:, None] + 0.5 + 0.5 * _GL_NODES[None, :]) / sub  # (sub, 15)
-        r = lefts[:, :, None, None] + widths[:, :, None, None] * offs[None, None, :, :]
-        vals = density(r[..., None] * dirs[:, None, None, None, :])
-        vals = vals * power * r ** (power - 1.0)
-        integral = leftover + (np.einsum("djsk,k->dj", vals, _GL_WEIGHTS)
-                               * widths / (2.0 * sub)).sum(axis=1)
-        if prev is not None:
-            err = np.abs(integral - prev)
-            if np.all(err <= _REL_TOL * np.maximum(np.abs(integral), 1e-300)):
-                return integral
-        prev = integral
-        sub *= 2
-    worst = int(np.argmax(np.abs(integral - prev)))
-    raise QuadratureError("graded radial quadrature did not converge", dirs[worst])
 
 
 def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,

@@ -31,8 +31,8 @@ from .constants import gamma_nk, log_ball_volume, log_bp_constant
 from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_report,
                         exact_log_estimate, inequality_report, log_mean_estimate,
                         log_power_product)
-from .functionals import (_over_frames, _quermass_from_logs, _resolve_frames,
-                          dual_affine_quermass, log_volume_estimate)
+from .functionals import (_AUX, _VOLUME_SAMPLES, _over_frames, _quermass_from_logs,
+                          _resolve_frames, dual_affine_quermass, log_volume_estimate)
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
                        measure_of_body)
 from .sampler import StreamHandle, simplex_volume
@@ -51,7 +51,6 @@ __all__ = [
     "CHECKS",
 ]
 
-_AUX = 1 << 40
 _SAMPLED_MAX_NOTE = "max is sampled (lower bound of the true Grassmannian max)"
 
 
@@ -81,7 +80,7 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
     """Compare lhs with p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
     n = body.dim
     s = n - k
-    frame_list = _resolve_frames(frames, n, s, rng)
+    frame_list = _resolve_frames(frames, n, k, rng)
     logs = _over_frames(
         lambda theta, dirs: _polar_log_moments(density, body, k, points_per_frame,
                                                theta, dirs),
@@ -104,11 +103,11 @@ def check_bp_identity(body: StarBody, k: int, frames, points_per_frame: int,
     integral is taken in polar form, (s omega_s)^s E_theta[ (|det theta|/s!)^k
     prod_i rho(theta_i)^(s+k) / (s+k) ] with s = n - k, averaged over
     ``points_per_frame`` direction s-tuples; no point is sampled inside the
-    section.  ``sphere_samples`` sizes only the left side's volume estimate,
-    which uses at least 20 000 directions (none when the volume is exact).
+    section.  The left side's volume is exact when the body knows it, else
+    estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is not
+    read: it is only recorded in the report's inputs.
     """
-    lhs = log_volume_estimate(body, max(sphere_samples, 20_000),
-                              rng.split(_AUX)).powered(body.dim - k)
+    lhs = log_volume_estimate(body, rng.split(_AUX)).powered(body.dim - k)
     return _identity_report("bp_identity", LebesgueDensity(body.dim), body, k, frames,
                             points_per_frame, rng, lhs, sphere_samples, seed)
 
@@ -120,7 +119,7 @@ def _max_section_log(density: DensityOracle, body: StarBody, frames, k: int,
         raise ValueError(f"need at least 100 sphere samples, got {sphere_samples}")
     n = body.dim
     s = n - k
-    frame_list = _resolve_frames(frames, n, s, rng)
+    frame_list = _resolve_frames(frames, n, k, rng)
     stats = _over_frames(
         lambda theta, dirs: np.stack(
             _mean_and_se(_section_measure_values(density, body, dirs, s)), axis=-1),
@@ -130,34 +129,29 @@ def _max_section_log(density: DensityOracle, body: StarBody, frames, k: int,
     return est.to_log(), best
 
 
-def _chain_report(name: str, density: DensityOracle, body: StarBody, k: int, frames,
-                  sphere_samples: int, rng: StreamHandle, seed: int) -> CheckReport:
-    """mu(K)^(n-k) <= gamma^(-n) p(n, n-k) (max_F mu(K cap F))^(n-k) |K|^(k(n-k)/n)."""
-    n = body.dim
-    frame_list = _resolve_frames(frames, n, n - k, rng)
-    mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
-    max_log, argmax = _max_section_log(density, body, frame_list, k, sphere_samples, rng)
-    log_vol = log_volume_estimate(body, max(sphere_samples, 20_000), rng.split(_AUX))
-    consts = exact_log_estimate(-n * gamma_nk(n, k).log_value
-                                + log_bp_constant(n, n - k).log_value)
-    rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
-    lhs = mu_total.powered(n - k)
-    return inequality_report(name, n, k, lhs, rhs, seed=seed, note=_SAMPLED_MAX_NOTE,
-                             inputs={"frames": len(frame_list),
-                                     "sphere_samples": sphere_samples,
-                                     "argmax_frame": argmax,
-                                     "max_section_log": max_log.value})
-
-
 def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames,
                         sphere_samples: int, rng: StreamHandle, seed: int = 0) -> CheckReport:
-    """Explicit-constant slicing bound for an arbitrary bounded density.
+    """Explicit-constant slicing bound for an arbitrary bounded density:
+    mu(K)^(n-k) <= gamma^(-n) p(n, n-k) (max_F mu(K cap F))^(n-k) |K|^(k(n-k)/n).
 
     The sampled max under-estimates the true max, so the check is
     conservative (stricter than the proved inequality).
     """
-    return _chain_report("slicing_chain", density, body, k, frames,
-                         sphere_samples, rng, seed)
+    n = body.dim
+    frame_list = _resolve_frames(frames, n, k, rng)
+    mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
+    max_log, argmax = _max_section_log(density, body, frame_list, k, sphere_samples, rng)
+    log_vol = log_volume_estimate(body, rng.split(_AUX))
+    consts = exact_log_estimate(-n * gamma_nk(n, k).log_value
+                                + log_bp_constant(n, n - k).log_value)
+    rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
+    lhs = mu_total.powered(n - k)
+    return inequality_report("slicing_chain", n, k, lhs, rhs, seed=seed,
+                             note=_SAMPLED_MAX_NOTE,
+                             inputs={"frames": len(frame_list),
+                                     "sphere_samples": sphere_samples,
+                                     "argmax_frame": argmax,
+                                     "max_section_log": max_log.value})
 
 
 def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
@@ -169,7 +163,7 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
     """
     n = body.dim
     s = n - k
-    frame_list = _resolve_frames(frames, n, s, rng)
+    frame_list = _resolve_frames(frames, n, k, rng)
     logs = _over_frames(
         lambda theta, dirs: log_power_product(
             _section_measure_values(density, body, dirs, s), n),
@@ -196,15 +190,15 @@ def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, fr
     (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
     s = n - k and m(theta) = ``density.ray_mass`` up to rho(theta) at power
     s + k, averaged over ``points_per_frame`` direction s-tuples; no point
-    is sampled and no density supremum is needed.  ``sphere_samples`` sizes
-    only the left side's measure estimate, which uses at least 20 000
-    directions.
+    is sampled and no density supremum is needed.  The left side's measure
+    is estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is
+    not read: it is only recorded in the report's inputs.
     """
     if not (density.even and density.log_concave):
         raise ValueError("identity requires an even log-concave density")
     if not body.symmetric:
         raise ValueError("identity requires a symmetric body")
-    lhs = measure_of_body(density, body, max(sphere_samples, 20_000),
+    lhs = measure_of_body(density, body, _VOLUME_SAMPLES,
                           rng.split(_AUX + 1)).powered(body.dim - k)
     return _identity_report("logconcave_identity", density, body, k, frames,
                             points_per_frame, rng, lhs, sphere_samples, seed)
@@ -243,13 +237,11 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
     gamma_{n,k}^(-1/k).  Part A needs at least one image.
     """
     n = body.dim
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
     if transforms < 1:
         raise ValueError(f"need at least one transform, got {transforms}")
     s = n - k
     volume = LebesgueDensity(n)
-    frame_list = _resolve_frames(frames, n, s, rng)
+    frame_list = _resolve_frames(frames, n, k, rng)
     bodies = [body] + [linear_image(body, _random_sl_matrix(n, rng.split(_AUX + 2 + t)))
                        for t in range(transforms)]
     logs = _over_frames(
@@ -258,7 +250,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
              for b in bodies],
             axis=-1),
         frame_list, sphere_samples, rng)
-    phi, *images = [_quermass_from_logs(b, k, logs[:, i], sphere_samples, rng)
+    phi, *images = [_quermass_from_logs(b, k, logs[:, i], rng)
                     for i, b in enumerate(bodies)]
 
     pair_reports = [
@@ -290,10 +282,8 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     if body_k.dim != body_d.dim:
         raise ValueError("bodies must share an ambient dimension")
     n = body_k.dim
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
     s = n - k
-    frame_list = _resolve_frames(frames, n, s, rng)
+    frame_list = _resolve_frames(frames, n, k, rng)
     volume = LebesgueDensity(n)
 
     def stats(theta, dirs):
@@ -307,11 +297,11 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     per_frame = _over_frames(stats, frame_list, sphere_samples, rng)
     violations = sum(vk > vd + 3.0 * math.hypot(sk, sd) + 1e-12
                      for (vk, sk, _), (vd, sd, _) in per_frame.tolist())
-    phi_k = _quermass_from_logs(body_k, k, per_frame[:, 0, 2], sphere_samples, rng)
-    phi_d = _quermass_from_logs(body_d, k, per_frame[:, 1, 2], sphere_samples, rng)
-    lhs = log_volume_estimate(body_k, 20_000, rng.split(_AUX)).powered((n - k) / n)
+    phi_k = _quermass_from_logs(body_k, k, per_frame[:, 0, 2], rng)
+    phi_d = _quermass_from_logs(body_d, k, per_frame[:, 1, 2], rng)
+    lhs = log_volume_estimate(body_k, rng.split(_AUX)).powered((n - k) / n)
     rhs = phi_d.divided_by(phi_k).powered(k).times(
-        log_volume_estimate(body_d, 20_000, rng.split(_AUX + 1)).powered((n - k) / n))
+        log_volume_estimate(body_d, rng.split(_AUX + 1)).powered((n - k) / n))
     report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=seed,
                                inputs={"frames": len(frame_list),
                                        "phi_ratio": phi_d.value / phi_k.value,
@@ -332,7 +322,7 @@ def negative_control(body: StarBody, k: int, frames, sphere_samples: int,
     containing this fixture must report status "fail".
     """
     n = body.dim
-    frame_list = _resolve_frames(frames, n, n - k, rng)
+    frame_list = _resolve_frames(frames, n, k, rng)
     phi = dual_affine_quermass(body, k, frame_list, sphere_samples, rng)
     ball_value = exact_log_estimate(-gamma_nk(n, k).log_value / k)
     report = inequality_report("negative_control", n, k, ball_value,

@@ -72,6 +72,32 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out)["estimate"]["value"] == pytest.approx(1.20899, rel=1e-4)
 
+    @pytest.mark.parametrize("functional", ["volume", "vrad", "i_minus_k"])
+    def test_too_few_samples_is_error(self, capsys, functional):
+        code, out, err = run_cli(["estimate", "--functional", functional,
+                                  "--body", '{"kind":"cube","dim":3}',
+                                  "--samples", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "need at least 100 sphere samples, got 1" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--frames", "7"), ("--trials", "3"), ("--p", "9"), ("--k", "2"),
+    ])
+    def test_flag_unused_by_functional_is_error(self, capsys, flag, value):
+        code, out, err = run_cli(["estimate", "--functional", "volume",
+                                  "--body", '{"kind":"cube","dim":3}', flag, value], capsys)
+        assert code == 2 and out == ""
+        assert f"volume takes no {flag}" in json.loads(err)["error"]
+
+    def test_defaults_recorded_only_where_read(self, capsys):
+        code, out, _ = run_cli(["estimate", "--functional", "sylvester",
+                                "--body", '{"kind":"cube","dim":2}',
+                                "--deterministic"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["p"], config["trials"]) == (1.0, 20_000)
+        assert not {"k", "samples", "frames"} & set(config)
+
     def test_measure_unused_by_functional_is_error(self, capsys):
         code, _, err = run_cli(["estimate", "--functional", "phi",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -11,3 +12,13 @@ def test_every_export_resolves(name):
     module = importlib.import_module(f"sectlab.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_tracer_binds_every_traced_name(monkeypatch):
+    # perfbench's tracer wraps sectlab names by attribute; one that is gone raises here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from sectlab import functionals
-from sectlab.bodies import LpBall, centered_simplex, cube, linear_image
+from sectlab.bodies import HPolytope, LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import gamma_nk, log_ball_volume
 from sectlab.estimates import Estimate, log_mean_estimate, log_power_product
 from sectlab.functionals import (draw_frames, dual_affine_quermass, i_minus_k,
-                                 isotropic_constant, section_volume_values,
-                                 simplex_moment, sylvester, volume_radius, w_tilde)
+                                 isotropic_constant, log_volume_estimate,
+                                 section_volume_values, simplex_moment, sylvester,
+                                 volume_radius, w_tilde)
 from sectlab.grassmann import sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
-                              section_measure_values)
+                              measure_of_body, section_measure_values)
 from sectlab.sampler import StreamHandle, sphere_directions
 
 DISC = LpBall(2, 2.0)
@@ -178,6 +179,21 @@ class TestVolumeRadius:
     def test_homogeneity(self):
         est = volume_radius(LpBall(3, 2.0, 2.0), 500, StreamHandle(40))
         assert est.value == pytest.approx(2.0, rel=1e-12)
+
+    def test_is_root_of_measure_of_body(self):
+        est = volume_radius(cube(3), 500, StreamHandle(39))
+        vol = measure_of_body(LebesgueDensity(3), cube(3), 500, StreamHandle(39))
+        omega_3 = math.exp(log_ball_volume(3).log_value)
+        assert est.value == pytest.approx((vol.value / omega_3) ** (1 / 3), rel=1e-15)
+        assert est.n_samples == vol.n_samples == 500
+
+
+def test_log_volume_estimate_of_unknown_volume_uses_fixed_samples():
+    body = HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    assert body.exact_volume is None
+    est = log_volume_estimate(body, StreamHandle(42))
+    assert est.n_samples == 20_000
+    assert abs(est.value - math.log(8.0)) <= 3 * est.std_error
 
 
 def test_simplex_moment_matches_disc_mean():

@@ -353,6 +353,27 @@ def test_block_size_does_not_change_report_bytes(monkeypatch, name):
     assert len(texts) == 1
 
 
+# arguments besides k, frames, sphere_samples and rng, one set per registered check
+CHECK_ARGS = {
+    "bp_identity": {"body": CUBE3, "points_per_frame": 50},
+    "slicing_chain": {"density": GaussianDensity(3), "body": CUBE3},
+    "dpp_bound": {"density": GaussianDensity(3), "body": CUBE3},
+    "logconcave_identity": {"density": GaussianDensity(3), "body": CUBE3,
+                            "points_per_frame": 50},
+    "grinberg": {"body": CUBE3, "transforms": 1},
+    "busemann_petty_volume": {"body_k": CUBE3, "body_d": LpBall(3, 2.0, math.sqrt(3.0))},
+    "negative_control": {"body": CUBE3},
+}
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_codimension_out_of_range_is_an_error(name, k):
+    with pytest.raises(ValueError, match=f"need 1 <= k <= n-1, got n=3, k={k}$"):
+        CHECKS[name](k=k, frames=10, sphere_samples=100, rng=StreamHandle(50),
+                     **CHECK_ARGS[name])
+
+
 def test_no_frames_is_a_clear_error():
     with pytest.raises(ValueError, match="at least one frame"):
         check_grinberg(CUBE3, 1, 2, 0, 100, StreamHandle(49))
