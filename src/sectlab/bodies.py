@@ -4,8 +4,8 @@ Every body is an immutable value object exposing
 
   * ``radial(dirs)``   -- rho(theta) for unit directions, vectorized,
   * ``contains(pts)``  -- exact membership,
-  * ``bounding_radius()`` -- a valid upper bound for max rho (exact for
-    the analytic kinds), used by the rejection sampler,
+  * ``bounding_radius()`` -- an upper bound for max rho, never estimated
+    (exact but for the adaptors), used by the rejection sampler,
 
 plus ``dim``, ``symmetric`` and ``exact_volume`` metadata.  The adaptors
 (linear_image, translate) wrap a body without copying it.  A central
@@ -155,7 +155,8 @@ class HPolytope(StarBody):
     Boundedness is probed at construction on a deterministic direction net
     (2n axis directions plus 100 seeded random ones); the hard error for a
     direction with no positive facet surfaces at radial-evaluation time.
-    The exact bounding radius comes from vertex enumeration when possible.
+    ``bounding_radius()`` is the exact vertex radius from qhull, computed on
+    first use and cached; a qhull failure raises ``ValueError``.
     """
 
     def __init__(self, normals: np.ndarray, offsets: np.ndarray, symmetric: bool | None = None,
@@ -172,7 +173,7 @@ class HPolytope(StarBody):
         super().__init__(n, symmetric=symmetric, exact_volume=exact_volume)
         self.normals = a
         self.offsets = b
-        self._radius = self._vertex_radius()
+        self._radius: float | None = None
         self._probe_bounded()
 
     @staticmethod
@@ -184,7 +185,7 @@ class HPolytope(StarBody):
                 return False
         return True
 
-    def _vertex_radius(self) -> float | None:
+    def _vertex_radius(self) -> float:
         if self.dim < 2:
             pos = self.normals[:, 0] > 0
             neg = self.normals[:, 0] < 0
@@ -193,13 +194,18 @@ class HPolytope(StarBody):
             hi = np.min(self.offsets[pos] / self.normals[pos, 0])
             lo = np.max(self.offsets[neg] / self.normals[neg, 0])
             return float(max(hi, -lo))
+        # imported here: constructing a polytope needs no scipy.spatial
+        from scipy.spatial import HalfspaceIntersection, QhullError
+        hs = np.hstack([self.normals, -self.offsets[:, None]])
         try:
-            from scipy.spatial import HalfspaceIntersection
-            hs = np.hstack([self.normals, -self.offsets[:, None]])
             inter = HalfspaceIntersection(hs, np.zeros(self.dim))
-            return float(np.linalg.norm(inter.intersections, axis=1).max())
-        except Exception:
-            return None
+        except QhullError as exc:
+            raise ValueError(f"vertex enumeration failed, so the polytope has no "
+                             f"exact bounding radius: {exc}") from exc
+        # bounded iff 0 is strictly inside the dual hull; qhull can report finite vertices anyway
+        if np.any(inter.dual_equations[:, -1] >= 0):
+            raise UnboundedBodyError("unbounded body")
+        return float(np.linalg.norm(inter.intersections, axis=1).max())
 
     def _probe_bounded(self) -> None:
         net = np.vstack([np.eye(self.dim), -np.eye(self.dim),
@@ -222,13 +228,9 @@ class HPolytope(StarBody):
         return np.all(pts @ self.normals.T <= self.offsets, axis=-1)
 
     def bounding_radius(self) -> float:
-        if self._radius is not None:
-            return self._radius
-        # fall back to a probed bound with a safety factor
-        gen = np.random.Generator(np.random.Philox(key=54321))
-        net = np.vstack([np.eye(self.dim), -np.eye(self.dim),
-                         sphere_directions(gen, 4096, self.dim)])
-        return 2.0 * float(self.radial(net).max())
+        if self._radius is None:
+            self._radius = self._vertex_radius()
+        return self._radius
 
 
 def cube(dim: int, halfwidth: float = 1.0) -> LpBall:

@@ -224,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", metavar="PATH", help="write the JSON report here")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
         p.add_argument("--deterministic", action="store_true",
@@ -249,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, help="sampled frames (phi and w only; default 500)")
     p.add_argument("--trials", type=int,
                    help="sampled simplices (sylvester only; default 20000)")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_estimate)
 
@@ -265,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "logconcave_identity only; default 500)")
     p.add_argument("--transforms", type=int,
                    help="volume-preserving images (grinberg only; default 5)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", metavar="PATH")
     common(p)
     p.set_defaults(func=_cmd_verify)
@@ -279,6 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--negative-control", action="store_true",
                    help="append the reversed-inequality self-test fixture")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_suite)
     return parser

@@ -47,7 +47,8 @@ class Estimate:
     ``std_error`` follows the plain sample-mean rule for direct means and
     the delta method for powers and ratios. ``log_domain=True`` means
     ``value`` is the natural log of the estimated quantity and
-    ``std_error`` is the std error of that log.
+    ``std_error`` is the std error of that log.  ``n_samples`` is 1 for an
+    exact value and at least 2 for a sampled one.
     """
 
     value: float
@@ -76,15 +77,15 @@ class Estimate:
                         e.n_samples, log_domain=True)
 
     def times(self, other: "Estimate") -> "Estimate":
-        """Product of independent estimates (errors add in quadrature on logs)."""
+        """Product of independent estimates (errors add in quadrature on logs);
+        an exact factor (one sample) keeps the other factor's count."""
         a, b = self.to_log(), other.to_log()
+        counts = (a.n_samples, b.n_samples)
         return Estimate(a.value + b.value, math.hypot(a.std_error, b.std_error),
-                        min(a.n_samples, b.n_samples), log_domain=True)
+                        max(counts) if 1 in counts else min(counts), log_domain=True)
 
     def divided_by(self, other: "Estimate") -> "Estimate":
-        a, b = self.to_log(), other.to_log()
-        return Estimate(a.value - b.value, math.hypot(a.std_error, b.std_error),
-                        min(a.n_samples, b.n_samples), log_domain=True)
+        return self.times(other.powered(-1.0))
 
     def scaled(self, factor: float) -> "Estimate":
         if self.log_domain:

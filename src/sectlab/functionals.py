@@ -24,8 +24,8 @@ from .constants import log_ball_volume
 from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
                         log_power_product, mean_estimate)
 from .grassmann import Frame, _embedded_directions, _haar_bases, sample_haar
-from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
-                       measure_of_body, section_measure_values)
+from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
+                       _section_measure_values, measure_of_body, section_measure_values)
 from .sampler import (StreamHandle, covariance, sample_restricted,
                       simplex_volume, sphere_directions, uniform_in_body)
 
@@ -249,8 +249,7 @@ def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estima
     n = body.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    if samples < 100:
-        raise ValueError(f"need at least 100 sphere samples, got {samples}")
+    _require_sphere_samples(samples)
     theta = sphere_directions(rng.split(0).generator(), samples, n)
     moment = mean_estimate(body.radial(theta) ** (n - k)).to_log()
     log_vol = log_volume_estimate(body, rng.split(_AUX))

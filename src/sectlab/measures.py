@@ -27,7 +27,7 @@ from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import Estimate, mean_estimate
 from .grassmann import Frame, _embedded_directions
-from .sampler import as_generator, sphere_directions, uniform_in_body
+from .sampler import as_generator, sphere_directions
 
 __all__ = [
     "DensityOracle",
@@ -45,6 +45,12 @@ __all__ = [
 _REL_TOL = 1e-9
 _MAX_PANELS = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_MIN_SPHERE_SAMPLES = 100
+
+
+def _require_sphere_samples(count: int) -> None:
+    if count < _MIN_SPHERE_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SPHERE_SAMPLES} sphere samples, got {count}")
 
 
 class QuadratureError(RuntimeError):
@@ -58,11 +64,11 @@ class QuadratureError(RuntimeError):
 class DensityOracle:
     """Pointwise-evaluable nonnegative density with structural flags.
 
-    ``radially_nonincreasing`` marks kinds whose supremum over any body
-    containing the origin is attained at 0, which makes ``sup_on`` exact.
-    For other kinds ``sup_on`` probes uniform samples and applies a 1.05
-    safety factor (an underestimate would invalidate upper-bound checks,
-    so the probed path is flagged via ``sup_is_exact = False``).
+    ``sup_on`` gives sup_K g exactly, or raises: the upper-bound checks and
+    the restricted sampler take it as a bound, and an understated one would
+    bias them without a sign.  ``radially_nonincreasing`` marks kinds whose
+    supremum over any body containing the origin is g(0); every built-in
+    kind sets it.  Any other kind must override ``sup_on``.
     """
 
     dim: int
@@ -78,20 +84,11 @@ class DensityOracle:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def value_at_origin(self) -> float:
-        return float(self(np.zeros(self.dim)))
-
-    @property
-    def sup_is_exact(self) -> bool:
-        return self.radially_nonincreasing
-
     def sup_on(self, body: StarBody) -> float:
-        if self.radially_nonincreasing:
-            return self.value_at_origin
-        pts = uniform_in_body(body, np.random.Generator(np.random.Philox(key=97531)),
-                              size=4096)
-        return 1.05 * float(np.max(self(pts)))
+        if not self.radially_nonincreasing:
+            raise ValueError(f"{type(self).__name__} is not radially nonincreasing, so its "
+                             f"supremum on a body is not known exactly; override sup_on")
+        return float(self(np.zeros(self.dim)))
 
     def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
         """integral_0^upper r^(power-1) g(r * dir) dr for each row of ``dirs``.
@@ -246,8 +243,7 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
 def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
                     rng) -> Estimate:
     """mu(K) = n omega_n E_theta[ integral_0^rho r^(n-1) g(r theta) dr ]."""
-    if sphere_samples < 100:
-        raise ValueError(f"need at least 100 sphere samples, got {sphere_samples}")
+    _require_sphere_samples(sphere_samples)
     if body.dim != density.dim:
         raise ValueError(f"density dimension {density.dim} != body dimension {body.dim}")
     gen = as_generator(rng)

@@ -158,9 +158,10 @@ def sample_restricted(density, body, rng, size: int | None = None) -> Restricted
     g(x) / sup_K g.  Rejection rather than importance weighting keeps the
     output i.i.d. and unweighted for the functionals that need actual
     points: ``functionals.simplex_moment`` (behind ``sylvester``) and
-    ``functionals.isotropic_constant``.  A density value above the bound
-    from ``sup_on`` would bias the draw, so it raises instead, and so does an
-    acceptance rate below 1e-4 after 100 000 proposals.
+    ``functionals.isotropic_constant``.  The bound is ``sup_on``, exact or
+    raising, and no bounding radius is estimated.  A density value above
+    it (a wrong ``sup_on`` override) would bias the draw, so it raises
+    instead, and so does an acceptance rate below 1e-4 after 100 000 proposals.
     """
     gen = as_generator(rng)
     count = 1 if size is None else int(size)

@@ -33,8 +33,8 @@ from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_repo
                         log_power_product)
 from .functionals import (_AUX, _VOLUME_SAMPLES, _over_frames, _quermass_from_logs,
                           _resolve_frames, dual_affine_quermass, log_volume_estimate)
-from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
-                       measure_of_body)
+from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
+                       _section_measure_values, measure_of_body)
 from .sampler import StreamHandle, simplex_volume
 
 __all__ = [
@@ -115,8 +115,7 @@ def check_bp_identity(body: StarBody, k: int, frames, points_per_frame: int,
 def _max_section_log(density: DensityOracle, body: StarBody, frames, k: int,
                      sphere_samples: int, rng: StreamHandle) -> tuple[Estimate, int]:
     """Largest sampled section measure, in log domain, plus its frame index."""
-    if sphere_samples < 100:
-        raise ValueError(f"need at least 100 sphere samples, got {sphere_samples}")
+    _require_sphere_samples(sphere_samples)
     n = body.dim
     s = n - k
     frame_list = _resolve_frames(frames, n, k, rng)
@@ -161,6 +160,7 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
     Equality holds exactly for the uniform density on a Euclidean ball,
     so that fixture sits at the tolerance boundary by design.
     """
+    sup = density.sup_on(body)
     n = body.dim
     s = n - k
     frame_list = _resolve_frames(frames, n, k, rng)
@@ -170,14 +170,12 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
         frame_list, sphere_samples, rng)
     lhs = log_mean_estimate(logs)
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
-    sup = density.sup_on(body)
     rhs = exact_log_estimate(-n * gamma_nk(n, k).log_value + k * math.log(sup)).times(
         mu_total.powered(n - k))
     return inequality_report("dpp_bound", n, k, lhs, rhs, seed=seed,
                              inputs={"frames": len(frame_list),
                                      "sphere_samples": sphere_samples,
-                                     "sup_on_body": sup,
-                                     "sup_is_exact": density.sup_is_exact})
+                                     "sup_on_body": sup})
 
 
 def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames,

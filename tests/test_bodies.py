@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sectlab
 
 from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, UnboundedBodyError,
                             body_from_json, body_from_spec, centered_simplex, cube,
@@ -206,6 +212,39 @@ class TestHPolytopeValidation:
     def test_unbounded_rejected_at_construction(self):
         with pytest.raises(UnboundedBodyError):
             HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+
+    def test_unbounded_cone_missed_by_the_net_has_no_radius(self):
+        # the recession cone |<d, v>| <= 1e-4 <d, u> around u at 0.7 rad slips
+        # between the probe directions; qhull alone returns a finite radius
+        u = np.array([math.cos(0.7), math.sin(0.7)])
+        v = np.array([-u[1], u[0]])
+        body = HPolytope(np.vstack([v - 1e-4 * u, -v - 1e-4 * u, -u]), np.ones(3))
+        with pytest.raises(UnboundedBodyError):
+            body.bounding_radius()
+
+    def test_qhull_failure_raises(self, monkeypatch):
+        import scipy.spatial
+
+        def fail(*args, **kwargs):
+            raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", fail)
+        body = HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+        with pytest.raises(ValueError, match="vertex enumeration failed") as err:
+            body.bounding_radius()
+        assert isinstance(err.value.__cause__, scipy.spatial.QhullError)
+
+    def test_construction_does_not_load_qhull(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import sectlab\n"
+                "from sectlab.bodies import HPolytope, centered_simplex\n"
+                "centered_simplex(3)\n"
+                "HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))\n"
+                "assert 'scipy.spatial' not in sys.modules\n")
+        src = str(Path(sectlab.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_simplex_volume_formula(self):
         s = centered_simplex(4)

@@ -25,6 +25,12 @@ class TestConstantsCommand:
         assert payload["gamma_bounds_ok"] is True
         assert payload["config"]["command"] == "constants"
 
+    def test_takes_no_seed(self):
+        # nothing random is computed, so a seed would be recorded and never read
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--n", "3", "--k", "1", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_bad_input_is_structured_error(self, capsys):
         code, _, err = run_cli(["constants", "--n", "2", "--k", "5"], capsys)
         assert code == 2
@@ -94,9 +100,12 @@ class TestEstimateCommand:
                                 "--body", '{"kind":"cube","dim":2}',
                                 "--deterministic"], capsys)
         assert code == 0
-        config = json.loads(out)["config"]
+        payload = json.loads(out)
+        config = payload["config"]
         assert (config["p"], config["trials"]) == (1.0, 20_000)
         assert not {"k", "samples", "frames"} & set(config)
+        # the exact volume of the square does not hide the trials that ran
+        assert payload["estimate"]["n_samples"] == 20_000
 
     def test_measure_unused_by_functional_is_error(self, capsys):
         code, _, err = run_cli(["estimate", "--functional", "phi",

@@ -91,6 +91,14 @@ class TestEstimateAlgebra:
         ratio = a.divided_by(b).to_linear()
         assert ratio.value == pytest.approx(2 / 3)
 
+    def test_exact_factor_keeps_the_sampled_count(self):
+        sampled, exact = Estimate(2.0, 0.02, 500), exact_estimate(3.0)
+        assert sampled.times(exact).n_samples == 500
+        assert exact.times(sampled).n_samples == 500
+        assert sampled.divided_by(exact).n_samples == 500
+        assert exact.divided_by(exact).n_samples == 1
+        assert sampled.times(Estimate(3.0, 0.03, 40)).n_samples == 40
+
     def test_scaled(self):
         est = Estimate(2.0, 0.5, 10).scaled(3.0)
         assert (est.value, est.std_error) == (6.0, 1.5)

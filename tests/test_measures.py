@@ -11,7 +11,8 @@ from sectlab.measures import (DensityOracle, GaussianDensity, IndicatorDensity,
                               LebesgueDensity, QuadratureError, RadialExpDensity,
                               _radial_integrals, _section_measure_values, density_from_spec,
                               measure_of_body)
-from sectlab.sampler import StreamHandle, sphere_directions
+from sectlab.sampler import StreamHandle, sample_restricted, sphere_directions
+from sectlab.verifier import check_dpp
 
 # closed-form oracles: (2 pi)^(3/2) P[chi^2_3 <= 1] and 2 pi (1 - e^(-1/2))
 GAUSS_BALL3 = (2 * math.pi) ** 1.5 * special.gammainc(1.5, 0.5)
@@ -155,9 +156,9 @@ class TestSupOnAndSectionDensity:
     def test_sup_is_value_at_origin_for_radial_kinds(self):
         for density in (LebesgueDensity(3), GaussianDensity(3), RadialExpDensity(3)):
             assert density.sup_on(cube(3)) == pytest.approx(1.0)
-            assert density.sup_is_exact
 
-    def test_probed_sup_carries_safety_factor(self):
+    def test_sup_of_other_kinds_raises(self):
+        # sup_K g = e is off the origin; every bound-taking caller raises, none estimates it
         class Tilted(DensityOracle):
             def __init__(self):
                 super().__init__(2, even=False, log_concave=True)
@@ -167,10 +168,12 @@ class TestSupOnAndSectionDensity:
                 return np.exp(x[..., 0])
 
         density = Tilted()
-        assert not density.sup_is_exact
-        sup = density.sup_on(cube(2))
-        assert sup >= math.e * 0.99          # true sup is e^1 at the corner edge
-        assert sup <= math.e * 1.06
+        with pytest.raises(ValueError, match="Tilted .*override sup_on"):
+            density.sup_on(cube(2))
+        with pytest.raises(ValueError, match="override sup_on"):
+            check_dpp(density, cube(2), 1, 20, 100, StreamHandle(3))
+        with pytest.raises(ValueError, match="override sup_on"):
+            sample_restricted(density, cube(2), StreamHandle(3), size=10)
 
 
 class TestQuadratureControl:
