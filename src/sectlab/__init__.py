@@ -7,8 +7,8 @@ computable identity and inequality of the theory with explicit error
 control.
 """
 
-from .constants import (LogScalar, gamma_nk, gamma_within_bounds, growth_ratio,
-                        log_ball_volume, log_bp_constant)
+from .constants import (gamma_within_bounds, growth_ratio, log_ball_volume, log_bp_constant,
+                        log_gamma_nk)
 from .estimates import CheckReport, Estimate
 from .bodies import (Ellipsoid, HPolytope, LpBall, StarBody, body_from_json,
                      body_from_spec, centered_simplex, cube, linear_image, translate)

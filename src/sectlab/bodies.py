@@ -7,16 +7,16 @@ Every body is an immutable value object exposing
   * ``bounding_radius()`` -- an upper bound for max rho, never estimated
     (exact but for the adaptors), used by the rejection sampler,
 
-plus ``dim``, ``symmetric`` and ``exact_volume`` metadata.  The adaptors
-(linear_image, translate) wrap a body without copying it.  A central
-section needs no body of its own: :mod:`sectlab.measures` evaluates the
-radial function at directions embedded from the subspace.  All bodies
-keep the origin strictly interior; that is a standing assumption, not an
-option.
+plus ``dim`` and ``exact_volume``.  The adaptors (linear_image,
+translate) wrap a body without copying it.  A central section needs no
+body of its own: :mod:`sectlab.measures` evaluates the radial function at
+directions embedded from the subspace.  All bodies keep the origin
+strictly interior; that is a standing assumption, not an option.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _COND_TOL = 1e-10
+_RAY_TOL = 1e-12
+_SUBSETS_PER_BLOCK = 4096
 
 
 class UnboundedBodyError(ValueError):
@@ -52,14 +54,12 @@ class StarBody:
     """Base class: a compact star-shaped set with 0 in its interior."""
 
     dim: int
-    symmetric: bool
     exact_volume: float | None
 
-    def __init__(self, dim: int, symmetric: bool, exact_volume: float | None):
+    def __init__(self, dim: int, exact_volume: float | None):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
-        self.symmetric = bool(symmetric)
         self.exact_volume = exact_volume
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ class LpBall(StarBody):
             raise ValueError(f"exponent p must be positive, got {p}")
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
-        super().__init__(dim, symmetric=True, exact_volume=self._volume(dim, p, radius))
+        super().__init__(dim, exact_volume=self._volume(dim, p, radius))
         self.p = float(p)
         self.radius = float(radius)
 
@@ -130,8 +130,8 @@ class Ellipsoid(StarBody):
         if eigval.min() <= 0:
             raise ValueError("ellipsoid matrix must be positive definite")
         n = a.shape[0]
-        vol = math.exp(log_ball_volume(n).log_value + 0.5 * float(np.sum(np.log(eigval))))
-        super().__init__(n, symmetric=True, exact_volume=vol)
+        vol = math.exp(log_ball_volume(n) + 0.5 * float(np.sum(np.log(eigval))))
+        super().__init__(n, exact_volume=vol)
         self.matrix = a
         self._inv = eigvec @ np.diag(1.0 / eigval) @ eigvec.T
         self._max_eig = float(eigval.max())
@@ -152,14 +152,13 @@ class Ellipsoid(StarBody):
 class HPolytope(StarBody):
     """{x : A x <= b} with strictly positive offsets (origin interior).
 
-    Boundedness is probed at construction on a deterministic direction net
-    (2n axis directions plus 100 seeded random ones); the hard error for a
-    direction with no positive facet surfaces at radial-evaluation time.
+    Boundedness is tested exactly at construction (:meth:`_check_bounded`),
+    which raises ``UnboundedBodyError`` for an unbounded polytope.
     ``bounding_radius()`` is the exact vertex radius from qhull, computed on
     first use and cached; a qhull failure raises ``ValueError``.
     """
 
-    def __init__(self, normals: np.ndarray, offsets: np.ndarray, symmetric: bool | None = None,
+    def __init__(self, normals: np.ndarray, offsets: np.ndarray,
                  exact_volume: float | None = None):
         a = np.asarray(normals, dtype=float)
         b = np.asarray(offsets, dtype=float)
@@ -167,33 +166,40 @@ class HPolytope(StarBody):
             raise ValueError(f"incompatible normals {a.shape} and offsets {b.shape}")
         if np.any(b <= 0):
             raise ValueError("all offsets must be strictly positive (origin interior)")
-        n = a.shape[1]
-        if symmetric is None:
-            symmetric = self._detect_symmetry(a, b)
-        super().__init__(n, symmetric=symmetric, exact_volume=exact_volume)
+        super().__init__(a.shape[1], exact_volume=exact_volume)
         self.normals = a
         self.offsets = b
         self._radius: float | None = None
-        self._probe_bounded()
+        self._check_bounded()
 
-    @staticmethod
-    def _detect_symmetry(a: np.ndarray, b: np.ndarray) -> bool:
-        scaled = a / b[:, None]
-        # symmetric iff the set of scaled facets is closed under negation
-        for row in scaled:
-            if not np.any(np.all(np.abs(scaled + row) < 1e-9, axis=1)):
-                return False
-        return True
+    def _check_bounded(self) -> None:
+        """Raise ``UnboundedBodyError`` unless no d != 0 has A d <= 0.
+
+        Such a d exists iff rank A < n or, failing that, the pointed cone
+        {A d <= 0} has an extreme ray: the null vector of n-1 unit normals.
+        Every (n-1)-subset is tried with both signs, to a tolerance of 1e-12;
+        the cost grows as C(facets, n-1).
+        """
+        norms = np.linalg.norm(self.normals, axis=1)
+        a = self.normals[norms > 0] / norms[norms > 0, None]    # a zero normal bounds nothing
+        n = self.dim
+        if np.linalg.matrix_rank(a) < n:
+            raise UnboundedBodyError("unbounded body: the facet normals do not span R^n")
+        subsets = itertools.combinations(range(len(a)), n - 1)
+        for _ in range(0, math.comb(len(a), n - 1), _SUBSETS_PER_BLOCK):
+            block = list(itertools.islice(subsets, _SUBSETS_PER_BLOCK))
+            rows = a[np.array(block, dtype=np.intp)]                      # (B, n-1, n)
+            # a zero row squares each block; its last right singular vector spans the null space
+            square = np.concatenate([rows, np.zeros((len(rows), 1, n))], axis=1)
+            dots = np.linalg.svd(square)[2][:, -1, :] @ a.T
+            if np.any((dots <= _RAY_TOL).all(axis=1) | (dots >= -_RAY_TOL).all(axis=1)):
+                raise UnboundedBodyError("unbounded body: the facet normals do not "
+                                         "positively span R^n")
 
     def _vertex_radius(self) -> float:
+        # the polytope is bounded (_check_bounded), so its vertices are finite
         if self.dim < 2:
-            pos = self.normals[:, 0] > 0
-            neg = self.normals[:, 0] < 0
-            if not (pos.any() and neg.any()):
-                raise UnboundedBodyError("unbounded body")
-            hi = np.min(self.offsets[pos] / self.normals[pos, 0])
-            lo = np.max(self.offsets[neg] / self.normals[neg, 0])
-            return float(max(hi, -lo))
+            return float(self.radial(np.array([[1.0], [-1.0]])).max())
         # imported here: constructing a polytope needs no scipy.spatial
         from scipy.spatial import HalfspaceIntersection, QhullError
         hs = np.hstack([self.normals, -self.offsets[:, None]])
@@ -202,16 +208,7 @@ class HPolytope(StarBody):
         except QhullError as exc:
             raise ValueError(f"vertex enumeration failed, so the polytope has no "
                              f"exact bounding radius: {exc}") from exc
-        # bounded iff 0 is strictly inside the dual hull; qhull can report finite vertices anyway
-        if np.any(inter.dual_equations[:, -1] >= 0):
-            raise UnboundedBodyError("unbounded body")
         return float(np.linalg.norm(inter.intersections, axis=1).max())
-
-    def _probe_bounded(self) -> None:
-        net = np.vstack([np.eye(self.dim), -np.eye(self.dim),
-                         sphere_directions(np.random.Generator(np.random.Philox(key=12345)),
-                                           100, self.dim)])
-        self.radial(net)   # raises UnboundedBodyError on a bad direction
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_unit(dirs)
@@ -249,7 +246,7 @@ def centered_simplex(dim: int, scale: float = 1.0) -> HPolytope:
     normals = np.vstack([-np.eye(n), np.ones((1, n))])
     offsets = np.full(n + 1, scale / (n + 1))
     vol = scale ** n / math.factorial(n)
-    return HPolytope(normals, offsets, symmetric=(n == 1), exact_volume=vol)
+    return HPolytope(normals, offsets, exact_volume=vol)
 
 
 class LinearImage(StarBody):
@@ -264,7 +261,7 @@ class LinearImage(StarBody):
             raise ValueError("singular transform")
         det = abs(float(np.linalg.det(t)))
         vol = body.exact_volume * det if body.exact_volume is not None else None
-        super().__init__(body.dim, symmetric=body.symmetric, exact_volume=vol)
+        super().__init__(body.dim, exact_volume=vol)
         self.base = body
         self.transform = t
         self._inv = np.linalg.inv(t)
@@ -300,8 +297,7 @@ class TranslatedBody(StarBody):
             inward = -shift / norm
             if norm >= float(body.radial(inward[None, :])[0]):
                 raise ValueError("origin not interior")
-        super().__init__(body.dim, symmetric=False,
-                         exact_volume=body.exact_volume)
+        super().__init__(body.dim, exact_volume=body.exact_volume)
         self.base = body
         self.shift = shift
         self._radius = body.bounding_radius() + norm

@@ -29,7 +29,8 @@ import time
 
 from . import __version__
 from .bodies import body_from_json
-from .constants import gamma_nk, gamma_within_bounds, growth_ratio, log_ball_volume, log_bp_constant
+from .constants import (gamma_within_bounds, growth_ratio, log_ball_volume, log_bp_constant,
+                        log_gamma_nk)
 from .estimates import CheckReport
 from .functionals import (dual_affine_quermass, i_minus_k, isotropic_constant,
                           sylvester, volume_radius, w_tilde)
@@ -98,10 +99,10 @@ def _reports_to_csv(reports: list[CheckReport], path: str) -> None:
 def _cmd_constants(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     payload = {
-        "omega_n_log": log_ball_volume(n).log_value,
-        "gamma_nk": math.exp(gamma_nk(n, k).log_value),
+        "omega_n_log": log_ball_volume(n),
+        "gamma_nk": math.exp(log_gamma_nk(n, k)),
         "gamma_bounds_ok": gamma_within_bounds(n, k),
-        "p_log": log_bp_constant(n, n - k).log_value,
+        "p_log": log_bp_constant(n, n - k),
         "growth_ratio": growth_ratio(n, k),
         "config": _run_config(args),
     }
@@ -185,10 +186,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for n in range(2, args.n_max + 1):
         for k in range(1, n):
             rows.append([_SCAN_SCHEMA, n, k,
-                         f"{log_ball_volume(n).log_value:.12g}",
-                         f"{math.exp(gamma_nk(n, k).log_value):.12g}",
+                         f"{log_ball_volume(n):.12g}",
+                         f"{math.exp(log_gamma_nk(n, k)):.12g}",
                          int(gamma_within_bounds(n, k)),
-                         f"{log_bp_constant(n, n - k).log_value:.12g}",
+                         f"{log_bp_constant(n, n - k):.12g}",
                          f"{growth_ratio(n, k):.12g}"])
     header = ["schema", "n", "k", "omega_n_log", "gamma_nk", "gamma_bounds_ok",
               "p_log", "growth_ratio"]

@@ -2,64 +2,32 @@
 
 Everything here is a closed-form function of small integers, but the
 quantities themselves (`p(n, s)`, `gamma^{-n}`) overflow double precision
-long before n reaches 100, so every value is carried as a natural
-logarithm.  ``math.lgamma`` is the only special function needed.
+long before n reaches 100, so every function returns the natural
+logarithm of its constant as a plain float, and its name says so with a
+``log_`` prefix.  ``math.lgamma`` is the only special function needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "LogScalar",
     "log_ball_volume",
-    "gamma_nk",
+    "log_gamma_nk",
     "gamma_within_bounds",
     "log_bp_constant",
     "growth_ratio",
 ]
 
 
-@dataclass(frozen=True)
-class LogScalar:
-    """A nonnegative real stored as its natural log.
-
-    ``log_value = -inf`` encodes zero.  Multiplication and division are
-    exact log-domain additions; ``value`` converts back to linear scale
-    and is only safe while ``|log_value|`` stays below ~700.
-    """
-
-    log_value: float
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogScalar":
-        if x < 0:
-            raise ValueError(f"LogScalar requires a nonnegative value, got {x!r}")
-        return cls(math.log(x) if x > 0 else -math.inf)
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(self.log_value - other.log_value)
-
-    def __pow__(self, exponent: float) -> "LogScalar":
-        return LogScalar(exponent * self.log_value)
-
-
-def log_ball_volume(n: int) -> LogScalar:
-    """Volume of the unit Euclidean ball in R^n, in log domain.
+def log_ball_volume(n: int) -> float:
+    """log omega_n, the log volume of the unit Euclidean ball in R^n.
 
     omega_n = pi^(n/2) / Gamma(n/2 + 1).
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return LogScalar(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
+    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
 def _check_codim(n: int, k: int) -> None:
@@ -67,26 +35,23 @@ def _check_codim(n: int, k: int) -> None:
         raise ValueError(f"codimension k must satisfy 1 <= k <= n-1, got n={n}, k={k}")
 
 
-def gamma_nk(n: int, k: int) -> LogScalar:
-    """The section constant gamma_{n,k} = omega_n^((n-k)/n) / omega_{n-k}.
+def log_gamma_nk(n: int, k: int) -> float:
+    """log gamma_{n,k}, the log of the section constant omega_n^((n-k)/n) / omega_{n-k}.
 
     Equals the reciprocal of the (n-k)-volume of any central section of
     the volume-one Euclidean ball; always strictly between e^(-k/2) and 1.
     """
     _check_codim(n, k)
-    log_wn = log_ball_volume(n).log_value
-    log_ws = log_ball_volume(n - k).log_value
-    return LogScalar((n - k) / n * log_wn - log_ws)
+    return (n - k) / n * log_ball_volume(n) - log_ball_volume(n - k)
 
 
 def gamma_within_bounds(n: int, k: int) -> bool:
     """Check e^(-k/2) < gamma_{n,k} < 1 in log domain."""
-    lg = gamma_nk(n, k).log_value
-    return -0.5 * k < lg < 0.0
+    return -0.5 * k < log_gamma_nk(n, k) < 0.0
 
 
-def log_bp_constant(n: int, s: int) -> LogScalar:
-    """The Blaschke-Petkantschin constant p(n, s), in log domain.
+def log_bp_constant(n: int, s: int) -> float:
+    """log p(n, s), the log of the Blaschke-Petkantschin constant.
 
     p(n, s) = (s!)^(n-s) * prod_{j=n-s+1..n} (j omega_j)
                          / prod_{j=1..s}     (j omega_j)
@@ -98,10 +63,10 @@ def log_bp_constant(n: int, s: int) -> LogScalar:
         raise ValueError(f"subspace dimension must satisfy 1 <= s <= n-1, got n={n}, s={s}")
     total = (n - s) * math.lgamma(s + 1.0)
     for j in range(n - s + 1, n + 1):
-        total += math.log(j) + log_ball_volume(j).log_value
+        total += math.log(j) + log_ball_volume(j)
     for j in range(1, s + 1):
-        total -= math.log(j) + log_ball_volume(j).log_value
-    return LogScalar(total)
+        total -= math.log(j) + log_ball_volume(j)
+    return total
 
 
 def growth_ratio(n: int, k: int) -> float:
@@ -113,5 +78,5 @@ def growth_ratio(n: int, k: int) -> float:
     regression bound for n <= 60.
     """
     _check_codim(n, k)
-    log_bracket = -n * gamma_nk(n, k).log_value + log_bp_constant(n, n - k).log_value
+    log_bracket = -n * log_gamma_nk(n, k) + log_bp_constant(n, n - k)
     return math.exp(log_bracket / (k * (n - k))) / math.sqrt(n - k)

@@ -253,7 +253,7 @@ def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estima
     theta = sphere_directions(rng.split(0).generator(), samples, n)
     moment = mean_estimate(body.radial(theta) ** (n - k)).to_log()
     log_vol = log_volume_estimate(body, rng.split(_AUX))
-    log_factor = math.log(n) + log_ball_volume(n).log_value - math.log(n - k)
+    log_factor = math.log(n) + log_ball_volume(n) - math.log(n - k)
     # K1 = |K|^(-1/n) K; substituting x = |K|^(-1/n) y gives
     # integral_K1 ||x||^(-k) dx = |K|^(-(n-k)/n) integral_K ||y||^(-k) dy
     log_integral = log_factor + moment.value - (n - k) / n * log_vol.value
@@ -266,4 +266,4 @@ def volume_radius(body: StarBody, samples: int, rng) -> Estimate:
     under Lebesgue measure on ``samples`` directions (at least 100)."""
     n = body.dim
     volume = measure_of_body(LebesgueDensity(n), body, samples, rng)
-    return volume.scaled(math.exp(-log_ball_volume(n).log_value)).powered(1.0 / n).to_linear()
+    return volume.scaled(math.exp(-log_ball_volume(n))).powered(1.0 / n).to_linear()

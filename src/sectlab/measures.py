@@ -62,7 +62,7 @@ class QuadratureError(RuntimeError):
 
 
 class DensityOracle:
-    """Pointwise-evaluable nonnegative density with structural flags.
+    """Pointwise-evaluable nonnegative density on R^dim.
 
     ``sup_on`` gives sup_K g exactly, or raises: the upper-bound checks and
     the restricted sampler take it as a bound, and an understated one would
@@ -72,14 +72,10 @@ class DensityOracle:
     """
 
     dim: int
-    even: bool
-    log_concave: bool
     radially_nonincreasing: bool = False
 
-    def __init__(self, dim: int, even: bool, log_concave: bool):
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        self.even = bool(even)
-        self.log_concave = bool(log_concave)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -115,7 +111,7 @@ class LebesgueDensity(DensityOracle):
     radially_nonincreasing = True
 
     def __init__(self, dim: int):
-        super().__init__(dim, even=True, log_concave=True)
+        super().__init__(dim)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -131,7 +127,7 @@ class GaussianDensity(DensityOracle):
     radially_nonincreasing = True
 
     def __init__(self, dim: int, sigma: float = 1.0, precision: np.ndarray | None = None):
-        super().__init__(dim, even=True, log_concave=True)
+        super().__init__(dim)
         if precision is not None:
             p = np.asarray(precision, dtype=float)
             if p.shape != (dim, dim):
@@ -162,14 +158,14 @@ class GaussianDensity(DensityOracle):
 
 
 class RadialExpDensity(DensityOracle):
-    """g(x) = exp(-rate * ||x||_2); even and log-concave."""
+    """g(x) = exp(-rate * ||x||_2)."""
 
     radially_nonincreasing = True
 
     def __init__(self, dim: int, rate: float = 1.0):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        super().__init__(dim, even=True, log_concave=True)
+        super().__init__(dim)
         self.rate = float(rate)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -183,7 +179,7 @@ class RadialExpDensity(DensityOracle):
 
 
 class IndicatorDensity(DensityOracle):
-    """g = 1_D for a star body D (log-concave when D is convex).
+    """g = 1_D for a star body D.
 
     The jump makes generic quadrature unreliable, so ray integration is
     cut off exactly at D's radial function instead: along dir the density
@@ -193,7 +189,7 @@ class IndicatorDensity(DensityOracle):
     radially_nonincreasing = True
 
     def __init__(self, body: StarBody):
-        super().__init__(body.dim, even=body.symmetric, log_concave=True)
+        super().__init__(body.dim)
         self.body = body
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -210,13 +206,18 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
                       power: float) -> np.ndarray:
     """integral_0^upper r^(power-1) g(r * theta) dr per direction, vectorized.
 
+    ``dirs`` has shape (..., n) and ``upper`` its leading shape, so a block
+    of frames (B, count, n) works as well as one frame; the leading axes are
+    flattened, and a block gives the same values as its flattened call.
     Panels of 15-point Gauss-Legendre; the panel count doubles until
-    consecutive refinements agree to relative 1e-9.  The integrand must be
-    smooth on [0, upper], which holds for the integer powers of the polar
-    volume weights.
+    consecutive refinements agree to relative 1e-9 on every direction.  The
+    integrand must be smooth on [0, upper], which holds for the integer
+    powers of the polar volume weights.
     """
     dirs = np.asarray(dirs, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    shape = dirs.shape[:-1]
+    dirs = dirs.reshape(-1, dirs.shape[-1])
+    upper = np.asarray(upper, dtype=float).reshape(-1)
     prev = None
     panels = 1
     while panels <= _MAX_PANELS:
@@ -232,7 +233,7 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
             err = np.abs(integral - prev)
             tol = _REL_TOL * np.maximum(np.abs(integral), 1e-300)
             if np.all(err <= tol):
-                return integral
+                return integral.reshape(shape)
         prev = integral
         panels *= 2
     worst = int(np.argmax(np.abs(integral - prev)))
@@ -249,7 +250,7 @@ def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
     gen = as_generator(rng)
     theta = sphere_directions(gen, sphere_samples, body.dim)
     inner = density.ray_mass(theta, body.radial(theta), float(body.dim))
-    factor = body.dim * math.exp(log_ball_volume(body.dim).log_value)
+    factor = body.dim * math.exp(log_ball_volume(body.dim))
     return mean_estimate(inner, factor=factor)
 
 
@@ -263,7 +264,7 @@ def _section_measure_values(density: DensityOracle, body: StarBody, dirs: np.nda
     """
     rho = body.radial(dirs)
     inner = density.ray_mass(dirs, rho, float(s))
-    return s * math.exp(log_ball_volume(s).log_value) * inner
+    return s * math.exp(log_ball_volume(s)) * inner
 
 
 def section_measure_values(density: DensityOracle, body: StarBody, frame: Frame,

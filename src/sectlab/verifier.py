@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import StarBody, linear_image
-from .constants import gamma_nk, log_ball_volume, log_bp_constant
+from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
 from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_report,
                         exact_log_estimate, inequality_report, log_mean_estimate,
                         log_power_product)
 from .functionals import (_AUX, _VOLUME_SAMPLES, _over_frames, _quermass_from_logs,
                           _resolve_frames, dual_affine_quermass, log_volume_estimate)
+from .grassmann import _haar_bases
 from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
                        _section_measure_values, measure_of_body)
 from .sampler import StreamHandle, simplex_volume
@@ -71,7 +72,7 @@ def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: i
     moment = (vols ** k * mass.reshape(frames, points, s).prod(axis=-1)).mean(axis=-1)
     if np.any(moment <= 0):
         raise ValueError("simplex moment vanished; degenerate section directions")
-    return s * (math.log(s) + log_ball_volume(s).log_value) + _log(moment)
+    return s * (math.log(s) + log_ball_volume(s)) + _log(moment)
 
 
 def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames,
@@ -86,7 +87,7 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
                                                theta, dirs),
         frame_list, points_per_frame * s, rng)
     mean_log = log_mean_estimate(logs)
-    rhs = Estimate(log_bp_constant(n, s).log_value + mean_log.value,
+    rhs = Estimate(log_bp_constant(n, s) + mean_log.value,
                    mean_log.std_error, len(frame_list), log_domain=True)
     return equality_report(name, n, k, lhs, rhs, seed=seed,
                            inputs={"frames": len(frame_list),
@@ -141,8 +142,7 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames,
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
     max_log, argmax = _max_section_log(density, body, frame_list, k, sphere_samples, rng)
     log_vol = log_volume_estimate(body, rng.split(_AUX))
-    consts = exact_log_estimate(-n * gamma_nk(n, k).log_value
-                                + log_bp_constant(n, n - k).log_value)
+    consts = exact_log_estimate(-n * log_gamma_nk(n, k) + log_bp_constant(n, n - k))
     rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
     lhs = mu_total.powered(n - k)
     return inequality_report("slicing_chain", n, k, lhs, rhs, seed=seed,
@@ -170,7 +170,7 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
         frame_list, sphere_samples, rng)
     lhs = log_mean_estimate(logs)
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
-    rhs = exact_log_estimate(-n * gamma_nk(n, k).log_value + k * math.log(sup)).times(
+    rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
         mu_total.powered(n - k))
     return inequality_report("dpp_bound", n, k, lhs, rhs, seed=seed,
                              inputs={"frames": len(frame_list),
@@ -181,8 +181,13 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
 def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames,
                               points_per_frame: int, rng: StreamHandle,
                               sphere_samples: int = 2000, seed: int = 0) -> CheckReport:
-    """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ]
-    for even log-concave densities g on symmetric bodies.
+    """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ].
+
+    The generalized Blaschke-Petkantschin formula: it holds for every
+    locally integrable density g and every star body K with 0 in its
+    interior, symmetric or not (Schneider & Weil, Stochastic and Integral
+    Geometry, 2008, sec. 7.2).  The name is historical: g need not be
+    log-concave or even.
 
     Inside each section the integral is taken in polar form,
     (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
@@ -192,10 +197,6 @@ def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, fr
     is estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is
     not read: it is only recorded in the report's inputs.
     """
-    if not (density.even and density.log_concave):
-        raise ValueError("identity requires an even log-concave density")
-    if not body.symmetric:
-        raise ValueError("identity requires a symmetric body")
     lhs = measure_of_body(density, body, _VOLUME_SAMPLES,
                           rng.split(_AUX + 1)).powered(body.dim - k)
     return _identity_report("logconcave_identity", density, body, k, frames,
@@ -203,8 +204,7 @@ def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, fr
 
 
 def _haar_rotation(n: int, gen: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(gen.standard_normal((n, n)))
-    q = q * np.sign(np.diagonal(r))
+    q, _ = _haar_bases(gen.standard_normal((n, n)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
@@ -259,7 +259,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
     worst = failed[0] if failed else max(pair_reports, key=lambda r: r.margin)
     worst.inputs["all_values"] = [phi.value] + [phi_t.value for phi_t in images]
 
-    ball_value = exact_log_estimate(-gamma_nk(n, k).log_value / k)
+    ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
     part_b = inequality_report("grinberg_maximality", n, k, phi, ball_value, seed=seed,
                                inputs={"frames": len(frame_list),
                                        "ball_value": math.exp(ball_value.value)})
@@ -322,7 +322,7 @@ def negative_control(body: StarBody, k: int, frames, sphere_samples: int,
     n = body.dim
     frame_list = _resolve_frames(frames, n, k, rng)
     phi = dual_affine_quermass(body, k, frame_list, sphere_samples, rng)
-    ball_value = exact_log_estimate(-gamma_nk(n, k).log_value / k)
+    ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
     report = inequality_report("negative_control", n, k, ball_value,
                                phi.scaled(0.9), seed=seed,
                                inputs={"frames": len(frame_list)})

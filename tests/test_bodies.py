@@ -58,7 +58,6 @@ class TestRadial:
         dirs = StreamHandle(0).generator().standard_normal((200, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         assert np.allclose(hp.radial(dirs), cube(3).radial(dirs), rtol=1e-12)
-        assert hp.symmetric
 
     @pytest.mark.parametrize("body", all_kinds())
     def test_radial_membership_consistency(self, body):
@@ -80,9 +79,16 @@ class TestRadial:
         assert body.radial(dirs).max() <= body.bounding_radius() * (1 + 1e-12)
 
     def test_symmetric_radial_is_even(self):
-        for body in all_kinds():
-            if not body.symmetric:
-                continue
+        symmetric = [
+            LpBall(3, 2.0),
+            LpBall(3, 1.0),
+            LpBall(2, 3.0, 1.4),
+            cube(3),
+            Ellipsoid(np.diag([1.0, 1.0, 4.0])),
+            HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+            linear_image(cube(2), np.array([[2.0, 0.3], [0.0, 0.5]])),
+        ]
+        for body in symmetric:
             gen = StreamHandle(29).generator()
             dirs = gen.standard_normal((500, body.dim))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -214,13 +220,18 @@ class TestHPolytopeValidation:
             HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
 
     def test_unbounded_cone_missed_by_the_net_has_no_radius(self):
-        # the recession cone |<d, v>| <= 1e-4 <d, u> around u at 0.7 rad slips
-        # between the probe directions; qhull alone returns a finite radius
+        # the recession cone |<d, v>| <= eps <d, u> around u at 0.7 rad slips
+        # between the directions of any finite probe net, and qhull alone
+        # returns a finite radius for it; at eps = 1e-7 a polar volume
+        # estimate reads about 1526
         u = np.array([math.cos(0.7), math.sin(0.7)])
         v = np.array([-u[1], u[0]])
-        body = HPolytope(np.vstack([v - 1e-4 * u, -v - 1e-4 * u, -u]), np.ones(3))
-        with pytest.raises(UnboundedBodyError):
-            body.bounding_radius()
+        for eps in (1e-4, 1e-7):
+            with pytest.raises(UnboundedBodyError):
+                HPolytope(np.vstack([v - eps * u, -v - eps * u, -u]), np.ones(3))
+        # the facet <x, u> <= 1 closes the cone; its far vertices are u +- (1 + 1e-7) v
+        closed = HPolytope(np.vstack([v - 1e-7 * u, -v - 1e-7 * u, -u, u]), np.ones(4))
+        assert closed.bounding_radius() == pytest.approx(math.hypot(1.0, 1.0 + 1e-7), rel=1e-12)
 
     def test_qhull_failure_raises(self, monkeypatch):
         import scipy.spatial

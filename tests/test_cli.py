@@ -182,6 +182,15 @@ class TestVerifyCommand:
         assert "transforms" not in payload["config"]
         assert payload["reports"][0]["inputs"]["points_per_frame"] == 500
 
+    def test_identity_runs_on_a_non_symmetric_body(self, capsys):
+        code, out, _ = run_cli(["verify", "--check", "logconcave_identity",
+                                "--body", '{"kind":"simplex","dim":3}',
+                                "--measure", '{"kind":"gaussian"}',
+                                "--frames", "40", "--samples", "200", "--points", "100",
+                                "--deterministic"], capsys)
+        assert code in (0, 1)
+        assert json.loads(out)["reports"][0]["check_name"] == "logconcave_identity"
+
     def test_grinberg_emits_two_reports(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "grinberg",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',

@@ -2,20 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sectlab.constants import (LogScalar, gamma_nk, gamma_within_bounds,
-                               growth_ratio, log_ball_volume, log_bp_constant)
+from sectlab.constants import (gamma_within_bounds, growth_ratio, log_ball_volume,
+                               log_bp_constant, log_gamma_nk)
 
 
 class TestBallVolume:
     def test_known_values(self):
-        assert log_ball_volume(1).value == pytest.approx(2.0, rel=1e-12)
-        assert log_ball_volume(2).value == pytest.approx(math.pi, rel=1e-12)
+        assert math.exp(log_ball_volume(1)) == pytest.approx(2.0, rel=1e-12)
+        assert math.exp(log_ball_volume(2)) == pytest.approx(math.pi, rel=1e-12)
         # omega_4 = pi^2/2 via Gamma(3) = 2
-        assert log_ball_volume(4).value == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
-        assert log_ball_volume(4).log_value == pytest.approx(1.5963125911388554, abs=1e-12)
+        assert math.exp(log_ball_volume(4)) == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
+        assert log_ball_volume(4) == pytest.approx(1.5963125911388554, abs=1e-12)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -24,21 +22,21 @@ class TestBallVolume:
     def test_recursion(self):
         # omega_n = omega_{n-2} * 2 pi / n
         for n in range(3, 201):
-            expected = log_ball_volume(n - 2).log_value + math.log(2 * math.pi / n)
-            assert log_ball_volume(n).log_value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+            expected = log_ball_volume(n - 2) + math.log(2 * math.pi / n)
+            assert log_ball_volume(n) == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 class TestGamma:
     def test_exact_values(self):
-        assert gamma_nk(2, 1).value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-10)
-        assert gamma_nk(4, 2).value == pytest.approx(1 / math.sqrt(2), rel=1e-10)
+        assert math.exp(log_gamma_nk(2, 1)) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-10)
+        assert math.exp(log_gamma_nk(4, 2)) == pytest.approx(1 / math.sqrt(2), rel=1e-10)
         # frozen from the closed form omega_3^(2/3) / omega_2
-        assert gamma_nk(3, 1).value == pytest.approx(0.8271339878658664, rel=1e-12)
+        assert math.exp(log_gamma_nk(3, 1)) == pytest.approx(0.8271339878658664, rel=1e-12)
 
     @pytest.mark.parametrize("n,k", [(2, 0), (2, 2), (5, 5), (3, -1)])
     def test_rejects_bad_codim(self, n, k):
         with pytest.raises(ValueError):
-            gamma_nk(n, k)
+            log_gamma_nk(n, k)
 
     def test_bounds_up_to_200(self):
         # e^(-k/2) < gamma < 1 for every 1 <= k <= n-1, n <= 200
@@ -49,9 +47,9 @@ class TestGamma:
 
 class TestBpConstant:
     def test_exact_values(self):
-        assert log_bp_constant(2, 1).value == pytest.approx(math.pi, rel=1e-10)
-        assert log_bp_constant(3, 2).value == pytest.approx(4 * math.pi, rel=1e-10)
-        assert log_bp_constant(4, 2).value == pytest.approx(8 * math.pi ** 2, rel=1e-10)
+        assert math.exp(log_bp_constant(2, 1)) == pytest.approx(math.pi, rel=1e-10)
+        assert math.exp(log_bp_constant(3, 2)) == pytest.approx(4 * math.pi, rel=1e-10)
+        assert math.exp(log_bp_constant(4, 2)) == pytest.approx(8 * math.pi ** 2, rel=1e-10)
 
     def test_rejects_bad_subspace_dim(self):
         with pytest.raises(ValueError):
@@ -61,8 +59,8 @@ class TestBpConstant:
 
     def test_large_arguments_stay_finite_in_log_domain(self):
         val = log_bp_constant(200, 100)
-        assert math.isfinite(val.log_value)
-        assert val.log_value > 700  # far beyond linear double range
+        assert math.isfinite(val)
+        assert val > 700  # far beyond linear double range
 
 
 class TestGrowthRatio:
@@ -84,29 +82,6 @@ class TestGrowthRatio:
                 assert 0.3 <= r <= 5.0, (n, k, r)
 
 
-class TestLogScalar:
-    @given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
-    def test_multiplication_is_log_addition(self, a, b):
-        prod = LogScalar.from_value(a) * LogScalar.from_value(b)
-        assert prod.log_value == pytest.approx(math.log(a) + math.log(b), abs=1e-12)
-
-    @given(st.floats(min_value=-690.0, max_value=690.0))
-    def test_roundtrip(self, log_value):
-        x = LogScalar(log_value)
-        back = LogScalar.from_value(x.value)
-        assert abs(back.log_value - log_value) < 1e-12
-
-    def test_zero_and_negative(self):
-        assert LogScalar.from_value(0.0).log_value == -math.inf
-        with pytest.raises(ValueError):
-            LogScalar.from_value(-1.0)
-
-    def test_power_and_division(self):
-        x = LogScalar.from_value(3.0)
-        assert (x ** 2).value == pytest.approx(9.0, rel=1e-12)
-        assert (x / LogScalar.from_value(2.0)).value == pytest.approx(1.5, rel=1e-12)
-
-
 def test_ball_moment_consistency_with_simplex_functional():
     """omega_n^(n-k) = p(n, n-k) omega_{n-k}^n S_k(ball section)^k, checked by
     Monte Carlo for n=3, k=1 where the section functional is S_1 of the disc."""
@@ -115,7 +90,7 @@ def test_ball_moment_consistency_with_simplex_functional():
     from sectlab.sampler import StreamHandle
 
     s1 = sylvester(LpBall(2, 2.0), 2, 1.0, 40_000, StreamHandle(11))
-    lhs = log_ball_volume(3).value ** 2
-    rhs = log_bp_constant(3, 2).value * log_ball_volume(2).value ** 3 * s1.value
-    rhs_se = log_bp_constant(3, 2).value * log_ball_volume(2).value ** 3 * s1.std_error
+    lhs = math.exp(log_ball_volume(3)) ** 2
+    rhs = math.exp(log_bp_constant(3, 2)) * math.exp(log_ball_volume(2)) ** 3 * s1.value
+    rhs_se = math.exp(log_bp_constant(3, 2)) * math.exp(log_ball_volume(2)) ** 3 * s1.std_error
     assert abs(lhs - rhs) <= 3 * rhs_se

@@ -12,7 +12,7 @@ from sectlab.measures import (DensityOracle, GaussianDensity, IndicatorDensity,
                               _radial_integrals, _section_measure_values, density_from_spec,
                               measure_of_body)
 from sectlab.sampler import StreamHandle, sample_restricted, sphere_directions
-from sectlab.verifier import check_dpp
+from sectlab.verifier import check_dpp, check_slicing_chain
 
 # closed-form oracles: (2 pi)^(3/2) P[chi^2_3 <= 1] and 2 pi (1 - e^(-1/2))
 GAUSS_BALL3 = (2 * math.pi) ** 1.5 * special.gammainc(1.5, 0.5)
@@ -23,11 +23,21 @@ class SectionDensity(DensityOracle):
     """Reference adaptor: the ambient density read in a frame's coordinates, g(embed(u))."""
 
     def __init__(self, density, frame):
-        super().__init__(frame.s, even=density.even, log_concave=density.log_concave)
+        super().__init__(frame.s)
         self.ambient, self.frame = density, frame
 
     def __call__(self, u):
         return self.ambient(self.frame.embed(np.asarray(u, dtype=float)))
+
+
+class CauchyDensity(DensityOracle):
+    """g(x) = 1 / (1 + |x|^2): no closed-form ray mass, so the generic quadrature runs."""
+
+    radially_nonincreasing = True
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return 1.0 / (1.0 + np.sum(x * x, axis=-1))
 
 
 def measure_of_section(density, body, frame, sphere_samples, rng):
@@ -92,6 +102,22 @@ class TestRayMass:
         dirs, upper = sphere_directions(gen, 20, 3), gen.uniform(0.2, 3.0, 20)
         assert np.array_equal(DensityOracle.ray_mass(g, dirs, upper, 3.0),
                               _radial_integrals(g, dirs, upper, 3.0))
+
+    def test_generic_path_takes_frame_blocks(self):
+        # a block of frames' directions (B, count, n) gives its flattened call's values
+        gen = StreamHandle(51).generator()
+        dirs = sphere_directions(gen, 60, 3).reshape(4, 15, 3)
+        upper = gen.uniform(0.2, 3.0, (4, 15))
+        g = CauchyDensity(3)
+        block = g.ray_mass(dirs, upper, 2.0)
+        assert block.shape == (4, 15)
+        assert np.array_equal(block.reshape(-1),
+                              g.ray_mass(dirs.reshape(-1, 3), upper.reshape(-1), 2.0))
+
+    def test_section_checks_run_on_the_generic_path(self):
+        g = CauchyDensity(3)
+        assert check_slicing_chain(g, cube(3), 1, 20, 200, StreamHandle(52)).passed
+        assert check_dpp(g, cube(3), 1, 20, 200, StreamHandle(53)).passed
 
     @pytest.mark.parametrize("power", [1.0, 2.5, 3.0])
     def test_indicator_cuts_at_its_body(self, power):
@@ -161,7 +187,7 @@ class TestSupOnAndSectionDensity:
         # sup_K g = e is off the origin; every bound-taking caller raises, none estimates it
         class Tilted(DensityOracle):
             def __init__(self):
-                super().__init__(2, even=False, log_concave=True)
+                super().__init__(2)
 
             def __call__(self, x):
                 x = np.asarray(x, dtype=float)
@@ -180,7 +206,7 @@ class TestQuadratureControl:
     def test_wild_density_raises_with_direction(self):
         class Wild(DensityOracle):
             def __init__(self):
-                super().__init__(2, even=True, log_concave=False)
+                super().__init__(2)
 
             def __call__(self, x):
                 r = np.linalg.norm(np.asarray(x, float), axis=-1)
@@ -202,7 +228,3 @@ class TestDensitySpecs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown density kind"):
             density_from_spec({"kind": "cauchy"}, 2)
-
-    def test_flags(self):
-        g = GaussianDensity(3)
-        assert g.even and g.log_concave
