@@ -7,8 +7,9 @@ Every body is an immutable value object exposing
   * ``bounding_radius()`` -- an upper bound for max rho, never estimated
     (exact but for the adaptors), used by the rejection sampler,
 
-plus ``dim`` and ``exact_volume``.  The adaptors (linear_image,
-translate) wrap a body without copying it.  A central section needs no
+plus ``dim`` and ``exact_volume``.  The adaptors (linear_image, and
+translate of a curved body) wrap a body without copying it; a translated
+polytope or cube is again an :class:`HPolytope`.  A central section needs no
 body of its own: :mod:`sectlab.measures` evaluates the radial function at
 directions embedded from the subspace.  All bodies keep the origin
 strictly interior; that is a standing assumption, not an option.
@@ -329,8 +330,27 @@ def linear_image(body: StarBody, transform: np.ndarray) -> LinearImage:
     return LinearImage(body, transform)
 
 
-def translate(body: StarBody, shift: np.ndarray) -> TranslatedBody:
-    return TranslatedBody(body, shift)
+def translate(body: StarBody, shift: np.ndarray) -> StarBody:
+    """K + shift, which must keep the origin interior ("origin not interior").
+
+    {A x <= b} + v is {A x <= b + A v}, so a polytope, and a cube through
+    its H-form, stays an :class:`HPolytope` with an exact radial function.
+    Any other body becomes a :class:`TranslatedBody`, whose radial function
+    bisects on membership.
+    """
+    if isinstance(body, LpBall) and math.isinf(body.p):
+        n = body.dim
+        body = HPolytope(np.vstack([np.eye(n), -np.eye(n)]), np.full(2 * n, body.radius),
+                         exact_volume=body.exact_volume)
+    if not isinstance(body, HPolytope):
+        return TranslatedBody(body, shift)
+    shift = np.asarray(shift, dtype=float)
+    if shift.shape != (body.dim,):
+        raise ValueError(f"shift shape {shift.shape} does not match dimension {body.dim}")
+    offsets = body.offsets + body.normals @ shift
+    if np.any(offsets <= 0):
+        raise ValueError("origin not interior")
+    return HPolytope(body.normals, offsets, exact_volume=body.exact_volume)
 
 
 def body_from_spec(spec: dict) -> StarBody:

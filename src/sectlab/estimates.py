@@ -4,7 +4,9 @@ An :class:`Estimate` is a value with a standard error and a sample count.
 When ``log_domain`` is set, ``value`` and ``std_error`` live on the log
 scale (the std error of a log is the relative std error of the linear
 quantity).  Heavy-tailed means of n-th powers are always accumulated via
-log-sum-exp and kept in log domain.
+log-sum-exp and kept in log domain.  The log-sum-exp is :func:`_logsumexp`,
+a numpy port of ``scipy.special.logsumexp`` that reproduces its bits, so
+importing this package loads no ``scipy`` module.
 
 A :class:`CheckReport` records the outcome of comparing two sides of an
 identity ("=") or inequality ("<=") under the fixed tolerance policy:
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Estimate",
@@ -123,6 +124,27 @@ def mean_estimate(values: np.ndarray, factor: float = 1.0) -> Estimate:
     return Estimate(factor * float(m), abs(factor) * float(se), n)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) over every entry: ``scipy.special.logsumexp(a)``, bit for bit.
+
+    The same steps as scipy's: the m entries equal to the maximum leave the
+    shifted sum s, which gives log1p(s / m) + log(m) + max, and a result
+    that is not finite falls back to log(sum(exp(a))).
+    """
+    a = np.ravel(np.asarray(a, dtype=float))
+    a_max = a.max()
+    ties = a == a_max
+    m = float(np.count_nonzero(ties))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def log_mean_estimate(log_values: np.ndarray) -> Estimate:
     """Log-domain mean of exp(log_values), with relative std error.
 
@@ -135,8 +157,8 @@ def log_mean_estimate(log_values: np.ndarray) -> Estimate:
     n = lv.size
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    lse1 = float(logsumexp(lv))
-    lse2 = float(logsumexp(2.0 * lv))
+    lse1 = _logsumexp(lv)
+    lse2 = _logsumexp(2.0 * lv)
     log_mean = lse1 - math.log(n)
     # relative variance of the sample: s^2/m^2 = N (N e^D - 1)/(N-1)
     d = lse2 - 2.0 * lse1

@@ -13,15 +13,24 @@ density falls back to adaptive Gauss-Legendre refinement to relative
 1e-9, which needs the integer power to keep the integrand smooth at
 r = 0.  Either way the spherical average, done by Monte Carlo with a
 reported standard error, dominates the error.
+
+The Gaussian and radial exponential closed forms are Gamma(a) P(a, x) at
+a = power/2 or a = power, with P the regularised lower incomplete gamma
+function.  :func:`_log_gammainc` evaluates log P in numpy alone: the power
+series below x = a + 1 and Legendre's continued fraction for 1 - P above
+(Numerical Recipes 6.2; DiDonato & Morris, ACM TOMS 12, 1986), each cut
+where its remainder falls below 2^-53.  It agrees with
+``scipy.special.gammainc`` to relative 1e-12 for a in {1/2, 1, ..., 8} and
+x in [0, 50], and this module imports no ``scipy``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
 import numpy as np
-from scipy import special
 
 from .bodies import StarBody
 from .constants import log_ball_volume
@@ -99,10 +108,85 @@ class DensityOracle:
         return _radial_integrals(self, dirs, upper, power)
 
 
-def _gamma_ray_mass(a: float, log_scale: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """exp(log_scale) * Gamma(a) * P(a, x), combined in log space so no factor overflows."""
+_ROUNDOFF = 2.0 ** -53
+_MAX_FRACTION_DEPTH = 10_000
+
+
+@functools.lru_cache(maxsize=64)
+def _gammainc_rule(a: float) -> tuple[tuple[float, ...], int]:
+    """Series coefficients and continued-fraction depth that settle P(a, x) to 2^-53.
+
+    The coefficients are 1 / ((a+1)...(a+n)) for n = 0, 1, ...  Both parts
+    converge slowest at the switch point x = a + 1: the series terms grow
+    with x, and Legendre's fraction settles faster as x grows.  So both
+    lengths are set there, once per a, and every x gets the same arithmetic
+    whatever block it comes in.  The series stops once its geometric tail,
+    ratio x / (a+n+1), is below 2^-53 of a sum that is at least 1; the depth
+    is where the modified Lentz iteration (Numerical Recipes 6.2) stops
+    moving.  At an integer a the fraction ends at depth a, where it is the
+    finite sum e^-x sum_{j<a} x^j / j!.
+    """
+    x = a + 1.0
+    coeffs = [1.0]
+    while True:
+        coeffs.append(coeffs[-1] / (a + len(coeffs)))
+        ratio = x / (a + len(coeffs))
+        if coeffs[-1] * x ** (len(coeffs) - 1) * ratio <= _ROUNDOFF * (1.0 - ratio):
+            break
+    b = x + 1.0 - a
+    c, d = 1e300, 1.0 / b
+    for depth in range(1, _MAX_FRACTION_DEPTH):
+        an = -depth * (depth - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        if abs(c * d - 1.0) <= _ROUNDOFF:
+            return tuple(coeffs), depth
+    raise ValueError(f"continued fraction for Q({a}, {x}) did not settle")
+
+
+def _log_gammainc(a: float, x: np.ndarray) -> np.ndarray:
+    """log P(a, x), the regularised lower incomplete gamma function, elementwise.
+
+    Below x = a + 1, P = x^a e^-x / Gamma(a+1) * sum_n x^n / ((a+1)...(a+n)),
+    a polynomial summed by Horner's rule; from x = a + 1 on, 1 - P is
+    x^a e^-x / Gamma(a) over Legendre's continued fraction, evaluated from
+    its tail.  Both have a fixed length per a (:func:`_gammainc_rule`), so
+    no loop tests convergence per entry and an entry's bits do not depend
+    on the rest of its block.  log P(a, 0) is -inf, without a warning.
+    """
+    x = np.asarray(x, dtype=float)
+    coeffs, depth = _gammainc_rule(a)
+    low = x < a + 1.0
+    xl = x if low.all() else x[low]
+    total = np.full(xl.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        total *= xl
+        total += c
     with np.errstate(divide="ignore"):
-        return np.exp(log_scale + special.gammaln(a) + np.log(special.gammainc(a, x)))
+        log_p = a * np.log(xl) - xl - math.lgamma(a + 1.0) + np.log(total)
+    if xl is x:
+        return log_p
+    out = np.full(x.shape, np.nan)
+    out[low] = log_p
+    high = x >= a + 1.0
+    xh = x[high]
+    tail = np.zeros_like(xh)
+    for n in range(depth, 0, -1):
+        tail += xh
+        tail += 2 * n + 1 - a
+        np.divide(n * (a - n), tail, out=tail)
+    out[high] = np.log1p(-np.exp(a * np.log(xh) - xh - math.lgamma(a)) / (xh + (1.0 - a) + tail))
+    return out
+
+
+def _gamma_ray_mass(a: float, log_scale: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(log_scale) * Gamma(a) * P(a, x), combined in log space so no factor overflows.
+
+    P comes from :func:`_log_gammainc`, within relative 1e-12 of
+    ``scipy.special.gammainc``; x = 0 gives 0.
+    """
+    return np.exp(log_scale + math.lgamma(a) + _log_gammainc(a, x))
 
 
 class LebesgueDensity(DensityOracle):

@@ -10,9 +10,9 @@ import pytest
 
 import sectlab
 
-from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, UnboundedBodyError,
-                            body_from_json, body_from_spec, centered_simplex, cube,
-                            linear_image, translate)
+from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, TranslatedBody,
+                            UnboundedBodyError, body_from_json, body_from_spec,
+                            centered_simplex, cube, linear_image, translate)
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import LebesgueDensity, _section_measure_values, measure_of_body
 from sectlab.sampler import StreamHandle, sphere_directions
@@ -182,6 +182,26 @@ class TestTranslate:
             translate(LpBall(2, 2.0), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="origin not interior"):
             translate(centered_simplex(2), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="origin not interior"):
+            translate(cube(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("body, shift", [
+        (cube(3), [0.3, -0.2, 0.5]),
+        (cube(2, 2.0), [1.5, 0.1]),
+        (centered_simplex(3), [0.05, -0.02, 0.01]),
+        (HPolytope(np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]), np.ones(5)), [0.2, 0.3]),
+    ])
+    def test_polytope_stays_exact(self, body, shift):
+        # {A x <= b} + v = {A x <= b + A v}: same exact radial as bisection, no bisection
+        shift = np.array(shift)
+        moved = translate(body, shift)
+        assert isinstance(moved, HPolytope)
+        assert moved.exact_volume == body.exact_volume
+        dirs = sphere_directions(StreamHandle(17).generator(), 500, body.dim)
+        bisected = TranslatedBody(body, shift).radial(dirs)
+        assert np.allclose(moved.radial(dirs), bisected, rtol=1e-12, atol=0)
+        pts = dirs * StreamHandle(18).generator().uniform(0.0, 2.5, (500, 1))
+        assert np.array_equal(moved.contains(pts), body.contains(pts - shift))
 
 
 class TestVolume:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sectlab.estimates import (Estimate, equality_report, exact_estimate,
+from scipy import special
+
+from sectlab.estimates import (Estimate, _logsumexp, equality_report, exact_estimate,
                                exact_log_estimate, inequality_report,
                                log_mean_estimate, log_power_product, mean_estimate)
 
@@ -34,6 +36,39 @@ class TestMeanEstimates:
         est = log_mean_estimate(np.array([5000.0, 5001.0, 4999.0]))
         assert math.isfinite(est.value)
         assert 4999.0 < est.value < 5001.0
+
+
+class TestLogSumExp:
+    @staticmethod
+    def _same_bits(a):
+        with np.errstate(all="ignore"):
+            ref = float(special.logsumexp(a))
+        got = _logsumexp(a)
+        assert np.array_equal(np.float64(got), np.float64(ref), equal_nan=True), (a, got, ref)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
+    def test_random_arrays_match_scipy_bit_for_bit(self, scale):
+        gen = np.random.default_rng(int(scale * 1000))
+        for i in range(200):
+            n = int(gen.integers(1, 2000))
+            a = gen.standard_normal(n) * scale
+            if i % 3 == 0:                          # ties at the maximum
+                a[gen.integers(0, n, max(1, n // 10))] = a.max()
+            if i % 4 == 0:                          # zero terms
+                a[gen.integers(0, n, max(1, n // 7))] = -math.inf
+            self._same_bits(a)
+
+    @pytest.mark.parametrize("a", [
+        [0.25, -1.5], [2.0, 2.0], [700.0, 699.5], [-745.0, -746.0],
+        [1.7] * 9, [-math.inf] * 4, [-math.inf, 0.3], [math.inf, 1.0], [math.nan, 1.0],
+    ])
+    def test_edge_arrays_match_scipy(self, a):
+        self._same_bits(np.array(a))
+
+    def test_log_mean_takes_it(self):
+        lv = np.random.default_rng(3).standard_normal(500)
+        est = log_mean_estimate(lv)
+        assert est.value == float(special.logsumexp(lv)) - math.log(500)
 
 
 class TestLogPowerProduct:

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +25,23 @@ def test_tracer_binds_every_traced_name(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_import_and_default_suite_load_no_scipy():
+    # start-up stays numpy-only; only the rejection samplers' qhull loads scipy
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import sectlab\n"
+            "from sectlab.estimates import log_mean_estimate\n"
+            "from sectlab.measures import GaussianDensity, RadialExpDensity\n"
+            "from sectlab.verifier import SuiteConfig, _default_grid\n"
+            "config = SuiteConfig(grid=_default_grid(), include_negative_control=True)\n"
+            "dirs, upper = np.eye(3), np.full(3, 0.5)\n"
+            "GaussianDensity(3).ray_mass(dirs, upper, 3.0)\n"
+            "RadialExpDensity(3).ray_mass(dirs, upper, 3.0)\n"
+            "log_mean_estimate(np.arange(4.0))\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from sectlab.estimates import mean_estimate
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, IndicatorDensity,
                               LebesgueDensity, QuadratureError, RadialExpDensity,
-                              _radial_integrals, _section_measure_values, density_from_spec,
-                              measure_of_body)
+                              _gamma_ray_mass, _log_gammainc, _radial_integrals,
+                              _section_measure_values, density_from_spec, measure_of_body)
 from sectlab.sampler import StreamHandle, sample_restricted, sphere_directions
 from sectlab.verifier import check_dpp, check_slicing_chain
 
@@ -73,6 +74,47 @@ def _closed_form_kinds(n):
     return [LebesgueDensity(n), GaussianDensity(n), GaussianDensity(n, sigma=0.7),
             GaussianDensity(n, precision=a @ a.T + 0.5 * np.eye(n)),
             RadialExpDensity(n), RadialExpDensity(n, rate=2.3)]
+
+
+HALF_INTEGERS = [j / 2 for j in range(1, 17)]
+
+
+class TestIncompleteGamma:
+    @pytest.mark.parametrize("a", HALF_INTEGERS)
+    def test_matches_scipy_on_0_to_50(self, a):
+        # one block spans both the series and the continued fraction
+        x = np.concatenate([np.linspace(0.0, 50.0, 5001), np.geomspace(1e-9, 50.0, 2000),
+                            [a + 1.0, np.nextafter(a + 1.0, 0.0)]])
+        assert np.allclose(np.exp(_log_gammainc(a, x)), special.gammainc(a, x),
+                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("a", HALF_INTEGERS)
+    def test_an_entry_does_not_depend_on_its_block(self, a):
+        # report bytes must not depend on how directions are blocked
+        x = np.random.default_rng(int(2 * a)).uniform(0.0, 3.0 * a + 3.0, 60)
+        single = np.array([_log_gammainc(a, x[i:i + 1])[0] for i in range(len(x))])
+        assert np.array_equal(single, _log_gammainc(a, x))
+        assert np.allclose(np.exp(single), special.gammainc(a, x), rtol=1e-12, atol=0)
+
+    def test_keeps_the_shape_of_a_frame_block(self):
+        x = np.random.default_rng(5).uniform(0.0, 6.0, (4, 25))
+        block = _log_gammainc(1.5, x)
+        assert block.shape == (4, 25)
+        assert np.array_equal(block.reshape(-1), _log_gammainc(1.5, x.reshape(-1)))
+
+    @pytest.mark.parametrize("a", HALF_INTEGERS)
+    def test_ray_mass_matches_scipy(self, a):
+        gen = np.random.default_rng(int(4 * a))
+        log_scale, x = gen.uniform(-3.0, 3.0, 300), gen.uniform(0.0, 50.0, 300)
+        ref = np.exp(log_scale + special.gammaln(a) + np.log(special.gammainc(a, x)))
+        assert np.allclose(_gamma_ray_mass(a, log_scale, x), ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("a", HALF_INTEGERS)
+    def test_edges(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gamma_ray_mass(a, np.zeros(2), np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+            assert np.exp(_log_gammainc(a, np.array([200.0, 800.0, 1e6]))).tolist() == [1.0] * 3
 
 
 class TestRayMass:

@@ -182,6 +182,12 @@ class TestSimplexVolume:
         with pytest.raises(ValueError):
             simplex_volume(np.ones((3, 2)))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_closed_form_matches_lapack(self, m):
+        stack = np.random.default_rng(m).standard_normal((20, 30, m, m))
+        expected = np.abs(np.linalg.det(stack)) / math.factorial(m)
+        assert np.allclose(simplex_volume(stack), expected, rtol=1e-9, atol=1e-15)
+
 
 class TestCovariance:
     def test_cube_covariance(self):
