@@ -7,15 +7,15 @@ Subspace averages are Monte Carlo over Haar frames; means of
 n-th powers of section volumes are heavy-tailed and therefore accumulated
 in log domain.
 
-Frame-valued arguments accept either a count (frames are drawn from
-per-index substreams) or an explicit sequence of frames, which is how
-paired comparisons share common random frames.
+Every subspace average, here and in the checks, runs on one
+:class:`_FrameDesign`.  Its frame argument is a count or an explicit
+sequence of frames; ``draw_frames(n, n - k, count, rng)`` gives the same
+bytes as ``count``, and is how paired comparisons share common random frames.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
                         log_power_product, mean_estimate)
-from .grassmann import Frame, _embedded_directions, _haar_bases, sample_haar
+from .grassmann import Frame, _haar_bases, _require_orthonormal, sample_haar
 from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
                        _section_measure_values, measure_of_body, section_measure_values)
 from .sampler import (StreamHandle, covariance, sample_restricted,
@@ -48,6 +48,17 @@ _AUX = 1 << 40      # substream offset reserved for auxiliary draws
 _BLOCK_DIRS = 1 << 13
 
 
+def _haar_stack(n: int, s: int, count: int, rng: StreamHandle) -> np.ndarray:
+    """The bases of :func:`draw_frames` as one (count, n, s) stack, with no Frame built."""
+    draws = np.empty((count, n, s))
+    for j in range(count):
+        draws[j] = rng.split(j).generator().standard_normal((n, s))
+    bases, deficient = _haar_bases(draws)
+    for j in np.flatnonzero(deficient):
+        bases[j] = sample_haar(n, s, rng.split(int(j))).basis
+    return bases
+
+
 def draw_frames(n: int, s: int, count: int, rng: StreamHandle) -> list[Frame]:
     """Haar frames from per-index substreams: frame j depends only on (rng, j).
 
@@ -58,26 +69,65 @@ def draw_frames(n: int, s: int, count: int, rng: StreamHandle) -> list[Frame]:
     """
     if not 1 <= s <= n - 1:
         raise ValueError(f"need 1 <= s <= n-1, got n={n}, s={s}")
-    draws = np.empty((count, n, s))
-    for j in range(count):
-        draws[j] = rng.split(j).generator().standard_normal((n, s))
-    bases, deficient = _haar_bases(draws)
-    return [sample_haar(n, s, rng.split(j)) if deficient[j] else Frame(bases[j])
-            for j in range(count)]
+    return [Frame(basis) for basis in _haar_stack(n, s, count, rng)]
 
 
-def _resolve_frames(frames, n: int, k: int, rng: StreamHandle) -> list[Frame]:
-    """Frames of codimension k in R^n: ``frames`` drawn if a count, else checked."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    s = n - k
-    if isinstance(frames, (int, np.integer)):
-        return draw_frames(n, s, int(frames), rng)
-    frames = list(frames)
-    for f in frames:
-        if f.n != n or f.s != s:
-            raise ValueError(f"frame {f!r} does not match n={n}, s={s}")
-    return frames
+class _FrameDesign:
+    """The frames of one average over the Grassmannian G_{n,n-k}, and their directions.
+
+    ``frames`` is a count, drawn as :func:`draw_frames` draws it, or a
+    sequence of frames of codimension k in R^n; either way the bases are
+    held as one (F, n, n - k) stack.  Frame j gets ``count`` sphere
+    directions, drawn from rng.split(j).split(1): a child of the substream
+    frame j may have been drawn from, so the two stay independent, while
+    designs that share (frames, rng) share every direction.  Every average
+    over frames goes through :meth:`map` and :meth:`log_mean`.
+    """
+
+    def __init__(self, frames, n: int, k: int, count: int, rng: StreamHandle):
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+        if count < 1:
+            raise ValueError(f"need at least one sphere direction per frame, got {count}")
+        s = n - k
+        if isinstance(frames, (int, np.integer)):
+            bases = _haar_stack(n, s, max(int(frames), 0), rng)
+        else:
+            frames = list(frames)
+            for f in frames:
+                if f.n != n or f.s != s:
+                    raise ValueError(f"frame {f!r} does not match n={n}, s={s}")
+            bases = np.array([f.basis for f in frames]).reshape(-1, n, s)   # empty: (0, n, s)
+        if not len(bases):
+            raise ValueError("need at least one frame")
+        _require_orthonormal(bases)
+        self.bases, self.count, self.rng = bases, count, rng
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def map(self, fn) -> np.ndarray:
+        """fn(theta, dirs) on blocks of frames, concatenated along the frame axis.
+
+        theta (B, count, s) holds each frame's directions in subspace
+        coordinates and dirs (B, count, n) their embeddings in R^n, computed
+        for the whole block in one matmul.  A block holds at most
+        ``_BLOCK_DIRS`` directions, and at least one frame.
+        """
+        step = max(1, _BLOCK_DIRS // self.count)
+        parts = []
+        for start in range(0, len(self.bases), step):
+            bases = self.bases[start:start + step]
+            theta = np.stack([
+                sphere_directions(self.rng.split(j).split(1).generator(), self.count,
+                                  bases.shape[-1])
+                for j in range(start, start + len(bases))])
+            parts.append(fn(theta, theta @ bases.transpose(0, 2, 1)))
+        return np.concatenate(parts)
+
+    def log_mean(self, logs: np.ndarray) -> Estimate:
+        """log of the mean over frames of exp(logs), one log per frame, with its SE."""
+        return log_mean_estimate(logs)
 
 
 def log_volume_estimate(body: StarBody, rng: StreamHandle) -> Estimate:
@@ -169,33 +219,12 @@ def isotropic_constant(body: StarBody, samples: int, rng: StreamHandle,
     return l_est.to_linear()
 
 
-def _over_frames(fn, frames: Sequence[Frame], count: int, rng: StreamHandle) -> np.ndarray:
-    """fn(theta, dirs) on blocks of frames, concatenated along the frame axis.
-
-    Each frame gets ``count`` sphere directions, drawn from rng.split(j).split(1)
-    for frame j: a child of the substream frame j may have been drawn from,
-    so the two stay independent, while calls that share (frames, rng) share
-    every direction.  theta (B, count, s) and dirs (B, count, n) are as
-    :func:`~sectlab.grassmann._embedded_directions` returns them.  A block
-    holds at most ``_BLOCK_DIRS`` directions, and at least one frame.
-    """
-    if not frames:
-        raise ValueError("need at least one frame")
-    step = max(1, _BLOCK_DIRS // max(count, 1))
-    parts = []
-    for start in range(0, len(frames), step):
-        block = frames[start:start + step]
-        gens = [rng.split(j).split(1).generator() for j in range(start, start + len(block))]
-        parts.append(fn(*_embedded_directions(block, gens, count)))
-    return np.concatenate(parts)
-
-
 def _quermass_from_logs(body: StarBody, k: int, logs: np.ndarray,
-                        rng: StreamHandle) -> Estimate:
+                        design: _FrameDesign) -> Estimate:
     """(E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n estimates."""
     n = body.dim
-    log_vol = log_volume_estimate(body, rng.split(_AUX))
-    mean_log = log_mean_estimate(logs - (n - k) * log_vol.value)
+    log_vol = log_volume_estimate(body, design.rng.split(_AUX))
+    mean_log = design.log_mean(logs - (n - k) * log_vol.value)
     se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error) / (k * n)
     return Estimate(mean_log.value / (k * n), se, len(logs), log_domain=True).to_linear()
 
@@ -213,30 +242,23 @@ def dual_affine_quermass(body: StarBody, k: int, frames, sphere_samples: int,
     frames with the same ``rng`` share their directions too.
     """
     n = body.dim
-    s = n - k
-    frame_list = _resolve_frames(frames, n, k, rng)
-    logs = _over_frames(
-        lambda theta, dirs: log_power_product(
-            _section_measure_values(LebesgueDensity(n), body, dirs, s), n),
-        frame_list, sphere_samples, rng)
-    return _quermass_from_logs(body, k, logs, rng)
+    design = _FrameDesign(frames, n, k, sphere_samples, rng)
+    logs = design.map(lambda theta, dirs: log_power_product(
+        _section_measure_values(LebesgueDensity(n), body, dirs, n - k), n))
+    return _quermass_from_logs(body, k, logs, design)
 
 
 def w_tilde(body: StarBody, k: int, frames, sphere_samples: int,
             rng: StreamHandle) -> Estimate:
     """Mean section volume functional (E_F |K1 cap F|)^(1/k) for volume-one K1."""
     n = body.dim
-    s = n - k
-    frame_list = _resolve_frames(frames, n, k, rng)
+    design = _FrameDesign(frames, n, k, sphere_samples, rng)
     log_vol = log_volume_estimate(body, rng.split(_AUX))
-    means = _over_frames(
-        lambda theta, dirs: _section_measure_values(LebesgueDensity(n), body, dirs,
-                                                    s).mean(axis=-1),
-        frame_list, sphere_samples, rng)
-    logs = _log(means) - (n - k) / n * log_vol.value
-    mean_log = log_mean_estimate(logs)
+    means = design.map(lambda theta, dirs: _section_measure_values(
+        LebesgueDensity(n), body, dirs, n - k).mean(axis=-1))
+    mean_log = design.log_mean(_log(means) - (n - k) / n * log_vol.value)
     se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error / n) / k
-    return Estimate(mean_log.value / k, se, len(frame_list), log_domain=True).to_linear()
+    return Estimate(mean_log.value / k, se, len(design), log_domain=True).to_linear()
 
 
 def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estimate:

@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler import as_generator, sphere_directions
+from .sampler import as_generator
 
 __all__ = ["Frame", "sample_haar"]
 
 _ORTHO_TOL = 1e-12
+
+
+def _require_orthonormal(bases: np.ndarray) -> None:
+    """Raise unless every basis of a stack (..., n, s) has orthonormal columns."""
+    eye = np.eye(bases.shape[-1])
+    # np.allclose(G, I, atol=1e-10) written out: its set-up costs several times the test
+    if not (np.abs(bases.swapaxes(-1, -2) @ bases - eye) <= 1e-10 + 1e-5 * eye).all():
+        raise ValueError("basis columns are not orthonormal")
 
 
 class Frame:
@@ -27,10 +35,7 @@ class Frame:
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
             raise ValueError(f"expected an n x s basis with s <= n, got shape {basis.shape}")
-        eye = np.eye(basis.shape[1])
-        # np.allclose(G, I, atol=1e-10) written out: its set-up costs several times the test
-        if not (np.abs(basis.T @ basis - eye) <= 1e-10 + 1e-5 * eye).all():
-            raise ValueError("basis columns are not orthonormal")
+        _require_orthonormal(basis)
         self.basis = basis
 
     @property
@@ -81,14 +86,3 @@ def sample_haar(n: int, s: int, rng) -> Frame:
             return Frame(basis)
     raise RuntimeError(f"rank-deficient Gaussian draws for a {n} x {s} frame, 4 attempts")
 
-
-def _embedded_directions(frames, gens, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` uniform directions in each frame's subspace, and their embeddings.
-
-    Frame i's directions come from ``gens[i]`` alone.  Returns theta, of
-    shape (B, count, s) in subspace coordinates, and theta embedded in R^n,
-    of shape (B, count, n), computed for the whole block in one matmul.
-    """
-    theta = np.stack([sphere_directions(gen, count, frames[0].s) for gen in gens])
-    bases = np.stack([frame.basis for frame in frames])
-    return theta, theta @ bases.transpose(0, 2, 1)

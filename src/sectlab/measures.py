@@ -35,7 +35,7 @@ import numpy as np
 from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import Estimate, mean_estimate
-from .grassmann import Frame, _embedded_directions
+from .grassmann import Frame
 from .sampler import as_generator, sphere_directions
 
 __all__ = [
@@ -358,8 +358,8 @@ def section_measure_values(density: DensityOracle, body: StarBody, frame: Frame,
     The checks evaluate :func:`_section_measure_values` on blocks of frames;
     this one-frame form stays for ``perfbench``'s tracer, which binds it.
     """
-    _, dirs = _embedded_directions([frame], [as_generator(rng)], sphere_samples)
-    return _section_measure_values(density, body, dirs[0], frame.s)
+    theta = sphere_directions(as_generator(rng), sphere_samples, frame.s)
+    return _section_measure_values(density, body, frame.embed(theta), frame.s)
 
 
 def density_from_spec(spec: dict, dim: int) -> DensityOracle:

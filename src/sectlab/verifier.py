@@ -7,9 +7,10 @@ maxima over *sampled* frames; for right-hand-side maxima this makes the
 inequality checks conservative (the sampled max under-estimates the true
 one), which is recorded in the report note.
 
-Checks are pure functions of (inputs, seed): substreams are derived per
-frame and per purpose, so rerunning any check with the same seed gives a
-bit-identical report regardless of scheduling.
+Checks are pure functions of (inputs, seed): each builds one frame design
+(:class:`~sectlab.functionals._FrameDesign`), which draws frame j and its
+directions from substreams of (rng, j), and every other purpose has its own
+substream, so a rerun gives a bit-identical report regardless of scheduling.
 
 :func:`run_suite` runs the grid entries on a pool of forked worker
 processes, one per CPU this process may run on, or ``SECTLAB_WORKERS`` of
@@ -29,13 +30,12 @@ import numpy as np
 from .bodies import StarBody, linear_image
 from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
 from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_report,
-                        exact_log_estimate, inequality_report, log_mean_estimate,
-                        log_power_product)
-from .functionals import (_AUX, _VOLUME_SAMPLES, _over_frames, _quermass_from_logs,
-                          _resolve_frames, dual_affine_quermass, log_volume_estimate)
+                        exact_log_estimate, inequality_report, log_power_product)
+from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
+                          dual_affine_quermass, log_volume_estimate)
 from .grassmann import _haar_bases
-from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
-                       _section_measure_values, measure_of_body)
+from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
+                       measure_of_body)
 from .sampler import StreamHandle, simplex_volume
 
 __all__ = [
@@ -80,17 +80,14 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
                      sphere_samples: int, seed: int) -> CheckReport:
     """Compare lhs with p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
     n = body.dim
-    s = n - k
-    frame_list = _resolve_frames(frames, n, k, rng)
-    logs = _over_frames(
+    design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng)
+    mean_log = design.log_mean(design.map(
         lambda theta, dirs: _polar_log_moments(density, body, k, points_per_frame,
-                                               theta, dirs),
-        frame_list, points_per_frame * s, rng)
-    mean_log = log_mean_estimate(logs)
-    rhs = Estimate(log_bp_constant(n, s) + mean_log.value,
-                   mean_log.std_error, len(frame_list), log_domain=True)
+                                               theta, dirs)))
+    rhs = Estimate(log_bp_constant(n, n - k) + mean_log.value,
+                   mean_log.std_error, len(design), log_domain=True)
     return equality_report(name, n, k, lhs, rhs, seed=seed,
-                           inputs={"frames": len(frame_list),
+                           inputs={"frames": len(design),
                                    "points_per_frame": points_per_frame,
                                    "sphere_samples": sphere_samples})
 
@@ -113,19 +110,13 @@ def check_bp_identity(body: StarBody, k: int, frames, points_per_frame: int,
                             points_per_frame, rng, lhs, sphere_samples, seed)
 
 
-def _max_section_log(density: DensityOracle, body: StarBody, frames, k: int,
-                     sphere_samples: int, rng: StreamHandle) -> tuple[Estimate, int]:
-    """Largest sampled section measure, in log domain, plus its frame index."""
-    _require_sphere_samples(sphere_samples)
-    n = body.dim
-    s = n - k
-    frame_list = _resolve_frames(frames, n, k, rng)
-    stats = _over_frames(
-        lambda theta, dirs: np.stack(
-            _mean_and_se(_section_measure_values(density, body, dirs, s)), axis=-1),
-        frame_list, sphere_samples, rng)
+def _max_section_log(density: DensityOracle, body: StarBody,
+                     design: _FrameDesign) -> tuple[Estimate, int]:
+    """Largest section measure over the design's frames, in log domain, plus its frame index."""
+    stats = design.map(lambda theta, dirs: np.stack(
+        _mean_and_se(_section_measure_values(density, body, dirs, theta.shape[-1])), axis=-1))
     best = int(np.argmax(stats[:, 0]))
-    est = Estimate(float(stats[best, 0]), float(stats[best, 1]), sphere_samples)
+    est = Estimate(float(stats[best, 0]), float(stats[best, 1]), design.count)
     return est.to_log(), best
 
 
@@ -138,16 +129,16 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames,
     conservative (stricter than the proved inequality).
     """
     n = body.dim
-    frame_list = _resolve_frames(frames, n, k, rng)
+    design = _FrameDesign(frames, n, k, sphere_samples, rng)
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
-    max_log, argmax = _max_section_log(density, body, frame_list, k, sphere_samples, rng)
+    max_log, argmax = _max_section_log(density, body, design)
     log_vol = log_volume_estimate(body, rng.split(_AUX))
     consts = exact_log_estimate(-n * log_gamma_nk(n, k) + log_bp_constant(n, n - k))
     rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
     lhs = mu_total.powered(n - k)
     return inequality_report("slicing_chain", n, k, lhs, rhs, seed=seed,
                              note=_SAMPLED_MAX_NOTE,
-                             inputs={"frames": len(frame_list),
+                             inputs={"frames": len(design),
                                      "sphere_samples": sphere_samples,
                                      "argmax_frame": argmax,
                                      "max_section_log": max_log.value})
@@ -162,18 +153,14 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
     """
     sup = density.sup_on(body)
     n = body.dim
-    s = n - k
-    frame_list = _resolve_frames(frames, n, k, rng)
-    logs = _over_frames(
-        lambda theta, dirs: log_power_product(
-            _section_measure_values(density, body, dirs, s), n),
-        frame_list, sphere_samples, rng)
-    lhs = log_mean_estimate(logs)
+    design = _FrameDesign(frames, n, k, sphere_samples, rng)
+    lhs = design.log_mean(design.map(lambda theta, dirs: log_power_product(
+        _section_measure_values(density, body, dirs, n - k), n)))
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
     rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
         mu_total.powered(n - k))
     return inequality_report("dpp_bound", n, k, lhs, rhs, seed=seed,
-                             inputs={"frames": len(frame_list),
+                             inputs={"frames": len(design),
                                      "sphere_samples": sphere_samples,
                                      "sup_on_body": sup})
 
@@ -237,23 +224,19 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
     n = body.dim
     if transforms < 1:
         raise ValueError(f"need at least one transform, got {transforms}")
-    s = n - k
     volume = LebesgueDensity(n)
-    frame_list = _resolve_frames(frames, n, k, rng)
+    design = _FrameDesign(frames, n, k, sphere_samples, rng)
     bodies = [body] + [linear_image(body, _random_sl_matrix(n, rng.split(_AUX + 2 + t)))
                        for t in range(transforms)]
-    logs = _over_frames(
-        lambda theta, dirs: np.stack(
-            [log_power_product(_section_measure_values(volume, b, dirs, s), n)
-             for b in bodies],
-            axis=-1),
-        frame_list, sphere_samples, rng)
-    phi, *images = [_quermass_from_logs(b, k, logs[:, i], rng)
+    logs = design.map(lambda theta, dirs: np.stack(
+        [log_power_product(_section_measure_values(volume, b, dirs, n - k), n)
+         for b in bodies], axis=-1))
+    phi, *images = [_quermass_from_logs(b, k, logs[:, i], design)
                     for i, b in enumerate(bodies)]
 
     pair_reports = [
         equality_report("grinberg_invariance", n, k, phi, phi_t, seed=seed,
-                        inputs={"transform_index": t, "frames": len(frame_list)})
+                        inputs={"transform_index": t, "frames": len(design)})
         for t, phi_t in enumerate(images)]
     failed = [r for r in pair_reports if not r.passed]
     worst = failed[0] if failed else max(pair_reports, key=lambda r: r.margin)
@@ -261,7 +244,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
 
     ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
     part_b = inequality_report("grinberg_maximality", n, k, phi, ball_value, seed=seed,
-                               inputs={"frames": len(frame_list),
+                               inputs={"frames": len(design),
                                        "ball_value": math.exp(ball_value.value)})
     return [worst, part_b]
 
@@ -280,34 +263,33 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     if body_k.dim != body_d.dim:
         raise ValueError("bodies must share an ambient dimension")
     n = body_k.dim
-    s = n - k
-    frame_list = _resolve_frames(frames, n, k, rng)
+    design = _FrameDesign(frames, n, k, sphere_samples, rng)
     volume = LebesgueDensity(n)
 
     def stats(theta, dirs):
         # per frame, for K then D: mean and SE of the section volume, log of its n-th power
         rows = []
         for body in (body_k, body_d):
-            vals = _section_measure_values(volume, body, dirs, s)
+            vals = _section_measure_values(volume, body, dirs, n - k)
             rows.append(np.stack([*_mean_and_se(vals), log_power_product(vals, n)], axis=-1))
         return np.stack(rows, axis=1)
 
-    per_frame = _over_frames(stats, frame_list, sphere_samples, rng)
+    per_frame = design.map(stats)
     violations = sum(vk > vd + 3.0 * math.hypot(sk, sd) + 1e-12
                      for (vk, sk, _), (vd, sd, _) in per_frame.tolist())
-    phi_k = _quermass_from_logs(body_k, k, per_frame[:, 0, 2], rng)
-    phi_d = _quermass_from_logs(body_d, k, per_frame[:, 1, 2], rng)
+    phi_k = _quermass_from_logs(body_k, k, per_frame[:, 0, 2], design)
+    phi_d = _quermass_from_logs(body_d, k, per_frame[:, 1, 2], design)
     lhs = log_volume_estimate(body_k, rng.split(_AUX)).powered((n - k) / n)
     rhs = phi_d.divided_by(phi_k).powered(k).times(
         log_volume_estimate(body_d, rng.split(_AUX + 1)).powered((n - k) / n))
     report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=seed,
-                               inputs={"frames": len(frame_list),
+                               inputs={"frames": len(design),
                                        "phi_ratio": phi_d.value / phi_k.value,
                                        "dominance_violations": violations})
     if violations:
         report.passed = False
         report.note = (f"hypothesis fails: section dominance violated on "
-                       f"{violations}/{len(frame_list)} sampled frames")
+                       f"{violations}/{len(design)} sampled frames")
     return report
 
 
@@ -320,12 +302,12 @@ def negative_control(body: StarBody, k: int, frames, sphere_samples: int,
     containing this fixture must report status "fail".
     """
     n = body.dim
-    frame_list = _resolve_frames(frames, n, k, rng)
-    phi = dual_affine_quermass(body, k, frame_list, sphere_samples, rng)
+    phi = dual_affine_quermass(body, k, frames, sphere_samples, rng)
     ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
+    # phi is a mean over frames, so its sample count is the frame count
     report = inequality_report("negative_control", n, k, ball_value,
                                phi.scaled(0.9), seed=seed,
-                               inputs={"frames": len(frame_list)})
+                               inputs={"frames": phi.n_samples})
     report.note = "self-test fixture: the reversed inequality is expected to fail"
     return report
 

@@ -210,6 +210,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "at least one transform" in json.loads(err)["error"]
 
+    def test_zero_points_is_error(self, capsys):
+        # the zero per-frame budget is refused up front, not reported as a NaN margin
+        code, out, err = run_cli(["verify", "--check", "bp_identity",
+                                  "--body", '{"kind":"cube","dim":3}', "--k", "1",
+                                  "--frames", "10", "--points", "0", "--deterministic"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            "ValueError: need at least one sphere direction per frame, got 0")
+
 
 class TestScanCommand:
     def test_csv_schema_and_band(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -45,3 +46,26 @@ def test_import_and_default_suite_load_no_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_frame_design_is_the_only_frame_plumbing():
+    # every mean over frames goes through _FrameDesign.log_mean, and the per-check
+    # frame helpers it replaced stay gone, so a change to the design stays local
+    src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
+    gone = {"_resolve_frames", "_over_frames", "_embedded_directions"}
+    for name in ("verifier.py", "functionals.py"):
+        tree = ast.parse((src / name).read_text())
+        design = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "_FrameDesign"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            ref = (node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute)
+                   else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                   else None)
+            assert ref not in gone, f"{name}:{node.lineno} refers to {ref}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert callee != "log_mean_estimate" or id(node) in design, (
+                    f"{name}:{node.lineno} calls log_mean_estimate outside _FrameDesign")

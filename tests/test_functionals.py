@@ -11,7 +11,7 @@ from sectlab.functionals import (draw_frames, dual_affine_quermass, i_minus_k,
                                  isotropic_constant, log_volume_estimate,
                                  section_volume_values, simplex_moment, sylvester,
                                  volume_radius, w_tilde)
-from sectlab.grassmann import sample_haar
+from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
                               measure_of_body, section_measure_values)
 from sectlab.sampler import StreamHandle, sphere_directions
@@ -125,10 +125,9 @@ class TestSectionPowerFunctional:
         frames = draw_frames(3, 2, 200, StreamHandle(29))
         handle = StreamHandle(29)
         est = dual_affine_quermass(body, 1, frames, 600, handle)
-        vols = functionals._over_frames(
+        vols = functionals._FrameDesign(frames, 3, 1, 600, handle).map(
             lambda theta, dirs: _section_measure_values(LebesgueDensity(3), body, dirs,
-                                                        2).mean(axis=-1),
-            frames, 600, handle)
+                                                        2).mean(axis=-1))
         max_normalized = max(vols) / body.exact_volume ** (2 / 3)
         assert est.value <= max_normalized * (1 + 3 * est.std_error / est.value + 1e-9)
 
@@ -186,6 +185,11 @@ class TestVolumeRadius:
         omega_3 = math.exp(log_ball_volume(3))
         assert est.value == pytest.approx((vol.value / omega_3) ** (1 / 3), rel=1e-15)
         assert est.n_samples == vol.n_samples == 500
+
+
+def test_zero_sphere_samples_is_an_error():
+    with pytest.raises(ValueError, match="sphere direction per frame, got 0$"):
+        w_tilde(cube(3), 1, 10, 0, StreamHandle(39))
 
 
 def test_log_volume_estimate_of_unknown_volume_uses_fixed_samples():
@@ -276,3 +280,69 @@ class TestFrameBlockReference:
         assert rows.shape == (6,)
         assert rows.tolist() == [log_power_product(v, 3) for v in values]
         assert rows[4] == -math.inf
+
+
+class TestFrameDesign:
+    """The frame design's (theta, dirs) blocks against a plain per-frame loop, bit for bit."""
+
+    N, K, FRAMES, COUNT = 4, 2, 10, 7
+
+    def _per_frame(self, rng):
+        n, s = self.N, self.N - self.K
+        thetas, dirs = [], []
+        for j in range(self.FRAMES):
+            frame = sample_haar(n, s, rng.split(j))
+            theta = sphere_directions(rng.split(j).split(1).generator(), self.COUNT, s)
+            thetas.append(theta)
+            dirs.append(frame.embed(theta))
+        return np.stack(thetas), np.stack(dirs)
+
+    def _blocks(self, frames, rng):
+        blocks = []
+        out = functionals._FrameDesign(frames, self.N, self.K, self.COUNT, rng).map(
+            lambda theta, dirs: blocks.append((theta, dirs)) or dirs.sum(axis=(1, 2)))
+        return blocks, out
+
+    @pytest.mark.parametrize("block_dirs", [1, 3 * COUNT, 1 << 40])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["count", "draw_frames"])
+    def test_blocks_equal_per_frame_loop(self, monkeypatch, block_dirs, explicit):
+        monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
+        rng = StreamHandle(55)
+        frames = (draw_frames(self.N, self.N - self.K, self.FRAMES, rng) if explicit
+                  else self.FRAMES)
+        blocks, out = self._blocks(frames, rng)
+        step = max(1, block_dirs // self.COUNT)
+        assert [len(theta) for theta, _ in blocks] == [
+            min(step, self.FRAMES - start) for start in range(0, self.FRAMES, step)]
+        theta, dirs = self._per_frame(rng)
+        assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
+        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+        assert out.tobytes() == np.concatenate([d.sum(axis=(1, 2)) for _, d in blocks]).tobytes()
+
+    def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
+        batched = functionals._haar_bases
+        redrawn = []
+
+        def flag_frame_3(g):
+            bases, deficient = batched(g)
+            deficient[3] = True
+            return bases, deficient
+
+        def recording_sample_haar(n, s, rng):
+            redrawn.append(rng)
+            return sample_haar(n, s, rng)
+
+        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3)
+        monkeypatch.setattr(functionals, "sample_haar", recording_sample_haar)
+        rng = StreamHandle(56)
+        blocks, _ = self._blocks(self.FRAMES, rng)
+        assert redrawn == [rng.split(3)]
+        theta, dirs = self._per_frame(rng)
+        assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
+        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+
+    def test_non_orthonormal_frame_is_an_error(self):
+        frame = Frame(np.eye(4)[:, :2])
+        frame.basis = frame.basis * 2.0
+        with pytest.raises(ValueError, match="not orthonormal"):
+            functionals._FrameDesign([frame], self.N, self.K, self.COUNT, StreamHandle(57))

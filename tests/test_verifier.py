@@ -11,8 +11,8 @@ import pytest
 from sectlab import functionals
 from sectlab.bodies import Ellipsoid, LpBall, StarBody, centered_simplex, cube, translate
 from sectlab.estimates import equality_report, exact_log_estimate, mean_estimate
-from sectlab.functionals import simplex_moment
-from sectlab.grassmann import Frame, _embedded_directions, sample_haar
+from sectlab.functionals import _FrameDesign, draw_frames, simplex_moment
+from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity,
                               RadialExpDensity, _section_measure_values)
 from sectlab.sampler import StreamHandle, sphere_directions
@@ -77,8 +77,9 @@ class SectionDensity(DensityOracle):
 
 def _polar_log_moment(density, body, frame, k, points, rng):
     """The polar log moment of one frame, its directions drawn from ``rng``."""
-    theta, dirs = _embedded_directions([frame], [rng.generator()], points * frame.s)
-    return float(_polar_log_moments(density, body, k, points, theta, dirs)[0])
+    theta = sphere_directions(rng.generator(), points * frame.s, frame.s)
+    return float(_polar_log_moments(density, body, k, points, theta[None],
+                                    frame.embed(theta)[None])[0])
 
 
 class TestPolarLogMoment:
@@ -151,14 +152,14 @@ class TestChains:
 
 class TestMaxSection:
     def test_ball_sections_constant(self):
-        est, argmax = _max_section_log(LebesgueDensity(3), BALL3, 50, 1, 200,
-                                       StreamHandle(12))
+        est, argmax = _max_section_log(LebesgueDensity(3), BALL3,
+                                       _FrameDesign(50, 3, 1, 200, StreamHandle(12)))
         assert est.to_linear().value == pytest.approx(math.pi, rel=1e-9)
         assert 0 <= argmax < 50
 
     def test_square_max_chord_approaches_diagonal(self):
-        est, _ = _max_section_log(LebesgueDensity(2), cube(2), 1000, 1, 100,
-                                  StreamHandle(13))
+        est, _ = _max_section_log(LebesgueDensity(2), cube(2),
+                                  _FrameDesign(1000, 2, 1, 100, StreamHandle(13)))
         assert est.to_linear().value >= 2.75
         assert est.to_linear().value <= 2 * math.sqrt(2) + 1e-9
 
@@ -400,6 +401,29 @@ def test_codimension_out_of_range_is_an_error(name, k):
     with pytest.raises(ValueError, match=f"need 1 <= k <= n-1, got n=3, k={k}$"):
         CHECKS[name](k=k, frames=10, sphere_samples=100, rng=StreamHandle(50),
                      **CHECK_ARGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_frame_count_and_drawn_frames_give_same_bytes(name):
+    # common random frames: a count and the list draw_frames gives for it are one design
+    n, k, frames = 3, 1, 12
+    texts = set()
+    for arg in (frames, draw_frames(n, n - k, frames, StreamHandle(51))):
+        out = CHECKS[name](k=k, frames=arg, sphere_samples=100, rng=StreamHandle(51),
+                           **CHECK_ARGS[name])
+        reports = out if isinstance(out, list) else [out]
+        texts.add(json.dumps([r.as_dict() for r in reports], sort_keys=True,
+                             allow_nan=True))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_bp_identity(CUBE3, 1, 10, 0, StreamHandle(52)),
+    lambda: check_logconcave_identity(GaussianDensity(3), CUBE3, 1, 10, 0, StreamHandle(52))],
+    ids=["bp_identity", "logconcave_identity"])
+def test_zero_points_per_frame_is_an_error(check):
+    with pytest.raises(ValueError, match="sphere direction per frame, got 0$"):
+        check()
 
 
 def test_no_frames_is_a_clear_error():
