@@ -17,7 +17,6 @@ strictly interior; that is a standing assumption, not an option.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 _COND_TOL = 1e-10
-_RAY_TOL = 1e-12
-_SUBSETS_PER_BLOCK = 4096
+_SPAN_TOL = 1e-12     # relative residual |A^T lam| / sum(lam) of positively spanning normals
 
 
 class UnboundedBodyError(ValueError):
@@ -101,9 +99,13 @@ class LpBall(StarBody):
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_unit(dirs)
+        mags = np.abs(dirs)
         if math.isinf(self.p):
-            return self.radius / _fold_columns(np.maximum, np.abs(dirs))
-        return self.radius / _fold_columns(np.add, np.abs(dirs) ** self.p) ** (1.0 / self.p)
+            return self.radius / _fold_columns(np.maximum, mags)
+        mags **= self.p                      # in place: a block's temporaries are large
+        norms = _fold_columns(np.add, mags)
+        norms **= 1.0 / self.p               # one direction's is a numpy scalar: rebinds
+        return self.radius / norms
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -176,26 +178,20 @@ class HPolytope(StarBody):
     def _check_bounded(self) -> None:
         """Raise ``UnboundedBodyError`` unless no d != 0 has A d <= 0.
 
-        Such a d exists iff rank A < n or, failing that, the pointed cone
-        {A d <= 0} has an extreme ray: the null vector of n-1 unit normals.
-        Every (n-1)-subset is tried with both signs, to a tolerance of 1e-12;
-        the cost grows as C(facets, n-1).
+        By Stiemke's lemma no such d exists iff rank A = n and A^T lam = 0
+        for some lam > 0.  Scaled to lam >= 1, that is a zero minimum of
+        ||A^T (1 + mu)|| over mu >= 0, a nonnegative least-squares problem
+        (:func:`_nnls`).  A residual r = A^T lam beyond rounding is itself a
+        certificate: at the minimum A r >= 0, so d = -r recedes.
         """
         norms = np.linalg.norm(self.normals, axis=1)
         a = self.normals[norms > 0] / norms[norms > 0, None]    # a zero normal bounds nothing
-        n = self.dim
-        if np.linalg.matrix_rank(a) < n:
+        if np.linalg.matrix_rank(a) < self.dim:
             raise UnboundedBodyError("unbounded body: the facet normals do not span R^n")
-        subsets = itertools.combinations(range(len(a)), n - 1)
-        for _ in range(0, math.comb(len(a), n - 1), _SUBSETS_PER_BLOCK):
-            block = list(itertools.islice(subsets, _SUBSETS_PER_BLOCK))
-            rows = a[np.array(block, dtype=np.intp)]                      # (B, n-1, n)
-            # a zero row squares each block; its last right singular vector spans the null space
-            square = np.concatenate([rows, np.zeros((len(rows), 1, n))], axis=1)
-            dots = np.linalg.svd(square)[2][:, -1, :] @ a.T
-            if np.any((dots <= _RAY_TOL).all(axis=1) | (dots >= -_RAY_TOL).all(axis=1)):
-                raise UnboundedBodyError("unbounded body: the facet normals do not "
-                                         "positively span R^n")
+        lam = 1.0 + _nnls(a.T, -a.sum(axis=0))
+        if np.linalg.norm(a.T @ lam) > _SPAN_TOL * lam.sum():
+            raise UnboundedBodyError("unbounded body: the facet normals do not "
+                                     "positively span R^n")
 
     def _vertex_radius(self) -> float:
         # the polytope is bounded (_check_bounded), so its vertices are finite
@@ -214,8 +210,10 @@ class HPolytope(StarBody):
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_unit(dirs)
         dots = dirs @ self.normals.T                     # (..., facets)
+        away = dots <= 0
         with np.errstate(divide="ignore"):
-            t = np.where(dots > 0, self.offsets / dots, np.inf)
+            t = np.divide(self.offsets, dots, out=dots)   # in place: a block's dots are large
+        t[away] = np.inf
         rho = _fold_columns(np.minimum, t)
         if np.any(~np.isfinite(rho)):
             raise UnboundedBodyError("unbounded body")
@@ -229,6 +227,32 @@ class HPolytope(StarBody):
         if self._radius is None:
             self._radius = self._vertex_radius()
         return self._radius
+
+
+def _nnls(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||m x - b|| over x >= 0, by the active-set method of Lawson and Hanson
+    (*Solving Least Squares Problems*, 1974, ch. 23), capped at 3 steps per column."""
+    cols = m.shape[1]
+    tol = 10 * max(m.shape) * np.abs(m).sum(axis=0).max() * np.finfo(float).eps
+    x = np.zeros(cols)
+    passive = np.zeros(cols, dtype=bool)
+    for _ in range(3 * cols):
+        gradient = m.T @ (b - m @ x)
+        if passive.all() or gradient[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, gradient))] = True
+        while True:
+            z = np.zeros(cols)
+            z[passive] = np.linalg.lstsq(m[:, passive], b, rcond=None)[0]
+            if not passive.any() or z[passive].min() > 0:
+                break
+            # move toward z until a passive entry reaches 0, and free it
+            hit = passive & (z <= 0)
+            x += (x[hit] / np.maximum(x[hit] - z[hit], np.finfo(float).tiny)).min() * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = z
+    return x
 
 
 def cube(dim: int, halfwidth: float = 1.0) -> LpBall:
@@ -272,7 +296,8 @@ class LinearImage(StarBody):
         dirs = self._require_unit(dirs)
         v = dirs @ self._inv.T
         norms = np.sqrt(_fold_columns(np.add, v * v))
-        return self.base.radial(v / norms[..., None]) / norms
+        v /= norms[..., None]                            # in place: v is fresh
+        return self.base.radial(v) / norms
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -190,8 +190,14 @@ def log_power_product(values: np.ndarray, power: int) -> float | np.ndarray:
         raise ValueError(f"power must be a positive integer, got {power}")
     if values.shape[-1] < 2 * power:
         raise ValueError(f"need at least {2 * power} values for {power} groups")
-    means = np.stack([group.mean(axis=-1)
-                      for group in np.array_split(values, power, axis=-1)])
+    # the groups of np.array_split, whose first m % power hold one value more;
+    # sum / size is the bits of each group's .mean()
+    size, extra = divmod(values.shape[-1], power)
+    means, stop = [], 0
+    for group in range(power):
+        start, stop = stop, stop + size + (group < extra)
+        means.append(np.add.reduce(values[..., start:stop], axis=-1) / (stop - start))
+    means = np.array(means)
     logs = _log(means)
     total = np.zeros(values.shape[:-1])
     for row in logs:                      # group by group, in order

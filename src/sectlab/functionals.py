@@ -26,8 +26,9 @@ from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
 from .grassmann import Frame, _haar_bases, _require_orthonormal, sample_haar
 from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
                        _section_measure_values, measure_of_body, section_measure_values)
-from .sampler import (StreamHandle, covariance, sample_restricted,
-                      simplex_volume, sphere_directions, uniform_in_body)
+from .sampler import (StreamHandle, _rekeyable, _stream_directions, _stream_normals,
+                      covariance, sample_restricted, simplex_volume, sphere_directions,
+                      uniform_in_body)
 
 __all__ = [
     "draw_frames",
@@ -44,16 +45,25 @@ __all__ = [
 _N_BATCHES = 20
 _VOLUME_SAMPLES = 20_000    # polar directions for |K| when the body does not know it
 _AUX = 1 << 40      # substream offset reserved for auxiliary draws
-# directions per frame block: bounds the (B, count, n) arrays a block allocates
-_BLOCK_DIRS = 1 << 13
+# Directions per frame block: bounds the (B, count, n) arrays a block allocates.
+# At 2**13 glibc handed each block's temporaries back to the OS and faulted
+# them in again: 231k minor faults in the pool's children on volume_sections
+# (seed 0), 72k on density_sections, 61k on identity_sampling.  At 2**12 the
+# allocator reuses them, and the children take 4.7k, 4.2k and 5.8k faults,
+# about the 4.5k of forking the pool.  2**11 faults about as little but
+# adds per-block overhead; 2**12 ran fastest of the three.
+_BLOCK_DIRS = 1 << 12
 
 
-def _haar_stack(n: int, s: int, count: int, rng: StreamHandle) -> np.ndarray:
-    """The bases of :func:`draw_frames` as one (count, n, s) stack, with no Frame built."""
-    draws = np.empty((count, n, s))
-    for j in range(count):
-        draws[j] = rng.split(j).generator().standard_normal((n, s))
-    bases, deficient = _haar_bases(draws)
+def _haar_stack(n: int, s: int, count: int, rng: StreamHandle,
+                gen: np.random.Generator) -> np.ndarray:
+    """The bases of :func:`draw_frames` as one (count, n, s) stack, with no Frame built.
+
+    Frame j's Gaussian draw comes from rng.split(j) through ``gen``, one
+    re-keyed generator (:func:`~sectlab.sampler._stream_normals`).
+    """
+    handles = [rng.split(j) for j in range(count)]
+    bases, deficient = _haar_bases(_stream_normals(gen, handles, (n, s)))
     for j in np.flatnonzero(deficient):
         bases[j] = sample_haar(n, s, rng.split(int(j))).basis
     return bases
@@ -69,7 +79,7 @@ def draw_frames(n: int, s: int, count: int, rng: StreamHandle) -> list[Frame]:
     """
     if not 1 <= s <= n - 1:
         raise ValueError(f"need 1 <= s <= n-1, got n={n}, s={s}")
-    return [Frame(basis) for basis in _haar_stack(n, s, count, rng)]
+    return [Frame(basis) for basis in _haar_stack(n, s, count, rng, _rekeyable())]
 
 
 class _FrameDesign:
@@ -82,6 +92,12 @@ class _FrameDesign:
     frame j may have been drawn from, so the two stay independent, while
     designs that share (frames, rng) share every direction.  Every average
     over frames goes through :meth:`map` and :meth:`log_mean`.
+
+    A design builds one Philox generator and re-keys it to each frame's
+    substream (:func:`~sectlab.sampler._stream_normals`), for the frame
+    draws and for every block's directions; building one per frame cost
+    more than drawing its normals.  The bits are those of a new generator
+    per substream.
     """
 
     def __init__(self, frames, n: int, k: int, count: int, rng: StreamHandle):
@@ -90,8 +106,9 @@ class _FrameDesign:
         if count < 1:
             raise ValueError(f"need at least one sphere direction per frame, got {count}")
         s = n - k
+        gen = _rekeyable()
         if isinstance(frames, (int, np.integer)):
-            bases = _haar_stack(n, s, max(int(frames), 0), rng)
+            bases = _haar_stack(n, s, max(int(frames), 0), rng, gen)
         else:
             frames = list(frames)
             for f in frames:
@@ -101,7 +118,7 @@ class _FrameDesign:
         if not len(bases):
             raise ValueError("need at least one frame")
         _require_orthonormal(bases)
-        self.bases, self.count, self.rng = bases, count, rng
+        self.bases, self.count, self.rng, self._gen = bases, count, rng, gen
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -111,17 +128,16 @@ class _FrameDesign:
 
         theta (B, count, s) holds each frame's directions in subspace
         coordinates and dirs (B, count, n) their embeddings in R^n, computed
-        for the whole block in one matmul.  A block holds at most
-        ``_BLOCK_DIRS`` directions, and at least one frame.
+        for the whole block in one matmul; theta is normalised for the whole
+        block at once (:func:`~sectlab.sampler._stream_directions`).  A block
+        holds at most ``_BLOCK_DIRS`` directions, and at least one frame.
         """
         step = max(1, _BLOCK_DIRS // self.count)
         parts = []
         for start in range(0, len(self.bases), step):
             bases = self.bases[start:start + step]
-            theta = np.stack([
-                sphere_directions(self.rng.split(j).split(1).generator(), self.count,
-                                  bases.shape[-1])
-                for j in range(start, start + len(bases))])
+            handles = [self.rng.split(j).split(1) for j in range(start, start + len(bases))]
+            theta = _stream_directions(self._gen, handles, self.count, bases.shape[-1])
             parts.append(fn(theta, theta @ bases.transpose(0, 2, 1)))
         return np.concatenate(parts)
 

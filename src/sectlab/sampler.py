@@ -5,6 +5,14 @@ stream by (seed, stream_id), and every drawn variate is a pure function of
 (seed, stream_id, draw index).  Substreams derived with :meth:`StreamHandle.split`
 are statistically independent, so estimator drivers can assign one
 substream per frame / per batch and results never depend on scheduling.
+
+Philox is counter-based (Salmon et al., *Parallel random numbers: as easy
+as 1, 2, 3*, SC 2011): a stream is its key, and a bit generator re-keyed
+at counter 0 with an empty buffer is in the state a new one starts in.
+So the frame loops draw one substream after another from a single
+re-keyed bit generator (:func:`_stream_normals`, :func:`_stream_directions`)
+instead of building one per substream; the per-substream contract and
+every variate are unchanged.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ def _fold_columns(op, a: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a (count, dim) array, the bits of np.linalg.norm.
+    """Euclidean norms along the last axis of a (..., dim) array, the bits of np.linalg.norm.
 
     From eight columns on numpy sums pairwise, not in order, so only the
     shorter rows take the column fold.
@@ -103,6 +111,49 @@ def sphere_directions(gen: np.random.Generator, count: int, dim: int) -> np.ndar
         norms = _row_norms(g)
         bad = (norms == 0.0)
     return g / norms[:, None]
+
+
+def _rekeyable() -> np.random.Generator:
+    """A Philox generator for :func:`_stream_normals`; its own seed is never drawn from."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _stream_normals(gen: np.random.Generator, handles, shape: tuple) -> np.ndarray:
+    """Each handle's ``standard_normal(shape)``, stacked: shape (len(handles), *shape).
+
+    Equal bit for bit to ``h.generator().standard_normal(shape)`` per handle.
+    ``gen`` (from :func:`_rekeyable`) is re-keyed to each handle's stream at
+    counter 0 with an empty buffer and no spare 32-bit word, which is the
+    state a new ``Philox(key=...)`` starts in, whatever ``gen`` drew before.
+    """
+    bits = gen.bit_generator
+    zeros = (0, 0, 0, 0)
+    out = np.empty((len(handles), *shape))
+    for i, h in enumerate(handles):
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": zeros,
+                                "key": (h.seed & _MASK64, h.stream_id & _MASK64)},
+                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=out[i])
+    return out
+
+
+def _stream_directions(gen: np.random.Generator, handles, count: int,
+                       dim: int) -> np.ndarray:
+    """Each handle's ``sphere_directions(h.generator(), count, dim)``, stacked: (B, count, dim).
+
+    The normals of every stream are drawn by :func:`_stream_normals` and
+    normalised together, in place.  A stream with a zero row is drawn again
+    by :func:`sphere_directions`, which replays its normals and resamples.
+    """
+    g = _stream_normals(gen, handles, (count, dim))
+    norms = _row_norms(g)
+    bad = np.flatnonzero((norms == 0.0).any(axis=-1))
+    norms[bad] = 1.0
+    g /= norms[..., None]
+    for j in bad:
+        g[j] = sphere_directions(handles[j].generator(), count, dim)
+    return g
 
 
 def uniform_in_body(body, rng, size: int | None = None) -> np.ndarray:

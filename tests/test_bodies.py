@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -280,6 +281,53 @@ class TestHPolytopeValidation:
     def test_simplex_volume_formula(self):
         s = centered_simplex(4)
         assert s.exact_volume == pytest.approx(1 / 24)
+
+
+def _has_extreme_ray(normals: np.ndarray) -> bool:
+    """The exhaustive boundedness test: rank < n, or the null vector of some n - 1
+    unit normals has dots of one sign with every normal.  C(facets, n - 1) SVDs."""
+    norms = np.linalg.norm(normals, axis=1)
+    a = normals[norms > 0] / norms[norms > 0, None]
+    n = a.shape[1]
+    if np.linalg.matrix_rank(a) < n:
+        return True
+    for subset in itertools.combinations(range(len(a)), n - 1):
+        d = np.linalg.svd(np.vstack([a[list(subset)], np.zeros((1, n))]))[2][-1]
+        dots = a @ d
+        if (dots <= 1e-12).all() or (dots >= -1e-12).all():
+            return True
+    return False
+
+
+class TestBoundedness:
+    def test_agrees_with_extreme_ray_enumeration(self):
+        gen = np.random.default_rng(7)
+        outcomes = set()
+        for trial in range(600):
+            n = int(gen.integers(2, 5))
+            normals = gen.standard_normal((int(gen.integers(n + 1, n + 8)), n))
+            if trial % 3 == 0:        # every normal in a half-space: unbounded
+                normals[:, 0] = np.abs(normals[:, 0])
+            if trial % 7 == 0:        # integer normals: rays on facets, zero rows
+                normals = np.round(normals)
+            unbounded = _has_extreme_ray(normals)
+            outcomes.add(unbounded)
+            if unbounded:
+                with pytest.raises(UnboundedBodyError):
+                    HPolytope(normals, np.ones(len(normals)))
+            else:
+                HPolytope(normals, np.ones(len(normals)))
+        assert outcomes == {False, True}
+
+    # C(100, 3) and C(40, 7) subsets took 1.4 s and minutes by enumeration
+    @pytest.mark.parametrize("n,facets", [(4, 100), (8, 40)])
+    def test_many_facets(self, n, facets):
+        normals = np.random.default_rng(n).standard_normal((facets, n))
+        body = HPolytope(normals, np.ones(facets))
+        assert body.dim == n
+        normals[:, 0] = np.abs(normals[:, 0])
+        with pytest.raises(UnboundedBodyError, match="positively span"):
+            HPolytope(normals, np.ones(facets))
 
 
 class TestBodySpecs:

@@ -102,6 +102,35 @@ class TestLogPowerProduct:
     def test_zero_group_gives_neg_inf(self):
         assert log_power_product(np.zeros(10), 2) == -math.inf
 
+    @staticmethod
+    def _split_and_stack(values, power):
+        """The group means of np.array_split and np.stack, logged and summed in order."""
+        means = np.stack([group.mean(axis=-1)
+                          for group in np.array_split(values, power, axis=-1)])
+        total = np.zeros(values.shape[:-1])
+        for row in means:
+            total = total + np.array([-math.inf if v <= 0 else math.log(v)
+                                      for v in np.ravel(row).tolist()]).reshape(row.shape)
+        total = np.where((means <= 0).any(axis=0), -math.inf, total)
+        return float(total) if total.ndim == 0 else total
+
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_equals_split_and_stack_bit_for_bit(self, power):
+        gen = np.random.default_rng(power)
+        sizes = sorted({2 * power, 2 * power + 1, 2 * power + 3, 61, 600, 601, 1000, 1001})
+        for m in sizes:
+            values = gen.exponential(1.0, (9, m))
+            values[2] = 0.0                                   # every group mean 0
+            values[5, :m // power] = -1.0                     # a negative first group
+            values[7, -(m // power):] = -values[7, -(m // power):]   # a negative last group
+            got = log_power_product(values, power)
+            expected = self._split_and_stack(values, power)
+            assert got.tobytes() == expected.tobytes(), m
+            assert got[2] == -math.inf and got[5] == -math.inf and got[7] == -math.inf
+            one = log_power_product(values[0], power)
+            assert type(one) is float
+            assert one == self._split_and_stack(values[0], power)
+
 
 class TestEstimateAlgebra:
     def test_log_roundtrip(self):

@@ -69,3 +69,39 @@ def test_frame_design_is_the_only_frame_plumbing():
                 callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert callee != "log_mean_estimate" or id(node) in design, (
                     f"{name}:{node.lineno} calls log_mean_estimate outside _FrameDesign")
+
+
+def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
+    # frame draws go through one re-keyed generator per design, so the generators
+    # built and sphere_directions calls made by a check do not grow with its frames
+    from sectlab import sampler, verifier
+    from sectlab.bodies import LpBall, cube
+    from sectlab.sampler import StreamHandle
+
+    counts = {"generator": 0, "sphere_directions": 0}
+    generator, directions = StreamHandle.generator, sampler.sphere_directions
+
+    def counted_generator(self):
+        counts["generator"] += 1
+        return generator(self)
+
+    def counted_directions(*args):
+        counts["sphere_directions"] += 1
+        return directions(*args)
+
+    monkeypatch.setattr(StreamHandle, "generator", counted_generator)
+    for key, module in list(sys.modules.items()):
+        if key == "sectlab" or key.startswith("sectlab."):
+            for attr, value in list(vars(module).items()):
+                if value is directions:
+                    monkeypatch.setattr(module, attr, counted_directions)
+    assert sampler.sphere_directions is counted_directions
+
+    def run(frames):
+        counts.update(generator=0, sphere_directions=0)
+        verifier.check_grinberg(cube(3), 1, 2, frames, 100, StreamHandle(3))
+        verifier.check_bp_identity(LpBall(3, 1.0), 1, frames, 20, StreamHandle(4))
+        return dict(counts)
+
+    small = run(40)
+    assert small == run(160), small

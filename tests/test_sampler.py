@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from sectlab.bodies import LpBall, centered_simplex, cube
+from sectlab import sampler
 from sectlab.measures import GaussianDensity, IndicatorDensity, LebesgueDensity
 from sectlab.sampler import (DegenerateRejectionError, StreamHandle, as_generator,
                              covariance, sample_restricted, simplex_volume,
@@ -66,6 +67,65 @@ class TestSphereDirections:
         g = first.copy()
         g[2], g[7] = draws[11], draws[10]
         assert got.tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
+
+
+# 200 handles: split children (64-bit stream ids) of small and large seeds
+HANDLES = [StreamHandle(seed).split(j) for seed in (0, 11, 2 ** 64 - 3, -5) for j in range(50)]
+
+
+class TestStreamNormals:
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 3), (300, 1), (300, 2), (300, 3)])
+    def test_equal_per_handle_generators(self, shape):
+        got = sampler._stream_normals(sampler._rekeyable(), HANDLES, shape)
+        expected = np.stack([h.generator().standard_normal(shape) for h in HANDLES])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_rekeyed_after_an_odd_number_of_uint32s(self):
+        gen = sampler._rekeyable()
+        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        gen.random(5)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        got = sampler._stream_normals(gen, HANDLES[:3], (7, 2))
+        expected = np.stack([h.generator().standard_normal((7, 2)) for h in HANDLES[:3]])
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestStreamDirections:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_equal_stacked_sphere_directions(self, dim):
+        got = sampler._stream_directions(sampler._rekeyable(), HANDLES, 25, dim)
+        expected = np.stack([sphere_directions(h.generator(), 25, dim) for h in HANDLES])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_row_stream_is_redrawn_by_sphere_directions(self, monkeypatch, dim):
+        handles = HANDLES[:6]
+        draws = handles[2].generator().standard_normal((11, dim))
+        first = draws[:10].copy()
+        first[4] = 0.0
+        block_normals = sampler._stream_normals
+        original = StreamHandle.generator
+        asked = []
+
+        def zero_row_in_stream_2(gen, hs, shape):
+            out = block_normals(gen, hs, shape)
+            out[2] = first
+            return out
+
+        def generator(self):
+            # stream 2 as if its normals held the zero row; its redraw is draws[10]
+            asked.append(self)
+            return _ScriptedNormals(first, draws[10:]) if self == handles[2] else original(self)
+
+        monkeypatch.setattr(sampler, "_stream_normals", zero_row_in_stream_2)
+        monkeypatch.setattr(StreamHandle, "generator", generator)
+        got = sampler._stream_directions(sampler._rekeyable(), handles, 10, dim)
+        assert asked == [handles[2]]
+        expected = np.stack([sphere_directions(h.generator(), 10, dim) for h in handles])
+        assert got.tobytes() == expected.tobytes()
+        g = first.copy()
+        g[4] = draws[10]
+        assert got[2].tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
 
 
 class TestUniformInBody:
