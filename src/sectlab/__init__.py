@@ -16,11 +16,8 @@ from .grassmann import Frame, sample_haar
 from .measures import (DensityOracle, GaussianDensity, IndicatorDensity,
                        LebesgueDensity, RadialExpDensity, density_from_json,
                        density_from_spec, measure_of_body)
-from .sampler import (StreamHandle, covariance, sample_restricted, simplex_volume,
-                      uniform_in_body)
-from .functionals import (draw_frames, dual_affine_quermass, i_minus_k,
-                          isotropic_constant, simplex_moment, sylvester,
-                          volume_radius, w_tilde)
+from .sampler import StreamHandle, sample_restricted, simplex_volume, uniform_in_body
+from .functionals import dual_affine_quermass, i_minus_k, volume_radius, w_tilde
 from .verifier import CHECKS, SuiteConfig, SuiteResult, run_suite
 
 __version__ = "0.1.0"

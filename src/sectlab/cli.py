@@ -3,7 +3,7 @@
 Subcommands:
 
   constants  exact log-domain constants for one (n, k)
-  estimate   one functional of one body (optionally with a density)
+  estimate   one functional of one body
   verify     one named check; exit 0 pass / 1 fail / 2 error
   scan       (n, k) sweep of the constants to CSV
   suite      the default verification grid at its fixed budgets (it takes
@@ -32,8 +32,7 @@ from .bodies import body_from_json
 from .constants import (gamma_within_bounds, growth_ratio, log_ball_volume, log_bp_constant,
                         log_gamma_nk)
 from .estimates import CheckReport
-from .functionals import (dual_affine_quermass, i_minus_k, isotropic_constant,
-                          sylvester, volume_radius, w_tilde)
+from .functionals import dual_affine_quermass, i_minus_k, volume_radius, w_tilde
 from .measures import LebesgueDensity, density_from_json, measure_of_body
 from .sampler import StreamHandle
 from .verifier import CHECKS, SuiteConfig, run_suite
@@ -46,14 +45,10 @@ _NOT_CONFIG = ("func", "json", "csv", "pretty")
 # each; any other rejects the flag.  Defaults are filled in only where read,
 # so config records only budgets that ran.
 _ESTIMATE_READERS = {
-    "measure": ("sylvester", "L"),
     "k": ("phi", "w", "i_minus_k"),
-    "p": ("sylvester",),
-    "samples": ("L", "phi", "w", "i_minus_k", "vrad", "volume"),
     "frames": ("phi", "w"),
-    "trials": ("sylvester",),
 }
-_ESTIMATE_DEFAULTS = {"k": 1, "p": 1.0, "samples": 20_000, "frames": 500, "trials": 20_000}
+_ESTIMATE_DEFAULTS = {"k": 1, "frames": 500}
 _VERIFY_READERS = {
     "measure": ("slicing_chain", "dpp_bound", "logconcave_identity"),
     "points": ("bp_identity", "logconcave_identity"),
@@ -124,13 +119,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     name = args.functional
     _read_flags(args, name, _ESTIMATE_READERS, _ESTIMATE_DEFAULTS)
     body = body_from_json(args.body)
-    density = density_from_json(args.measure, body.dim) if args.measure else None
     rng = StreamHandle(args.seed)
-    if name == "sylvester":
-        est = sylvester(body, body.dim, args.p, args.trials, rng, density=density)
-    elif name == "L":
-        est = isotropic_constant(body, args.samples, rng, density=density)
-    elif name == "phi":
+    if name == "phi":
         est = dual_affine_quermass(body, args.k, args.frames, args.samples, rng)
     elif name == "w":
         est = w_tilde(body, args.k, args.frames, args.samples, rng)
@@ -238,17 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate one functional of a body")
     p.add_argument("--functional", required=True,
-                   choices=["sylvester", "L", "phi", "w", "i_minus_k", "vrad", "volume"])
+                   choices=["phi", "w", "i_minus_k", "vrad", "volume"])
     p.add_argument("--body", required=True, metavar="SPEC", help="JSON literal or path")
-    p.add_argument("--measure", metavar="SPEC",
-                   help="density JSON literal or path (sylvester and L only)")
     p.add_argument("--k", type=int, help="codimension (phi, w, i_minus_k; default 1)")
-    p.add_argument("--p", type=float, help="moment order (sylvester only; default 1)")
-    p.add_argument("--samples", type=int,
-                   help="samples or sphere directions (all but sylvester; default 20000)")
+    p.add_argument("--samples", type=int, default=20_000,
+                   help="sphere directions (per frame for phi and w; default 20000)")
     p.add_argument("--frames", type=int, help="sampled frames (phi and w only; default 500)")
-    p.add_argument("--trials", type=int,
-                   help="sampled simplices (sylvester only; default 20000)")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_estimate)

@@ -1,16 +1,15 @@
 """Scalar functionals of bodies and measures.
 
-Implements the simplex-moment (Sylvester) functionals, the isotropic
-constant, the dual affine quermassintegral and its companions
+Implements the dual affine quermassintegral and its companions
 (mean-section functional, negative moment), and the volume radius.
 Subspace averages are Monte Carlo over Haar frames; means of
 n-th powers of section volumes are heavy-tailed and therefore accumulated
 in log domain.
 
 Every subspace average, here and in the checks, runs on one
-:class:`_FrameDesign`.  Its frame argument is a count or an explicit
-sequence of frames; ``draw_frames(n, n - k, count, rng)`` gives the same
-bytes as ``count``, and is how paired comparisons share common random frames.
+:class:`_FrameDesign`, built from a frame count and a stream.  Designs
+that share (count, rng) share every frame and direction, which is how
+paired comparisons share common random frames.
 """
 
 from __future__ import annotations
@@ -23,18 +22,13 @@ from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
                         log_power_product, mean_estimate)
-from .grassmann import Frame, _haar_bases, _require_orthonormal, sample_haar
-from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
-                       _section_measure_values, measure_of_body, section_measure_values)
+from .grassmann import Frame, _haar_bases, sample_haar
+from .measures import (LebesgueDensity, _require_sphere_samples, _section_measure_values,
+                       measure_of_body, section_measure_values)
 from .sampler import (StreamHandle, _rekeyable, _stream_directions, _stream_normals,
-                      covariance, sample_restricted, simplex_volume, sphere_directions,
-                      uniform_in_body)
+                      sphere_directions)
 
 __all__ = [
-    "draw_frames",
-    "simplex_moment",
-    "sylvester",
-    "isotropic_constant",
     "dual_affine_quermass",
     "w_tilde",
     "i_minus_k",
@@ -42,7 +36,6 @@ __all__ = [
     "log_volume_estimate",
 ]
 
-_N_BATCHES = 20
 _VOLUME_SAMPLES = 20_000    # polar directions for |K| when the body does not know it
 _AUX = 1 << 40      # substream offset reserved for auxiliary draws
 # Directions per frame block: bounds the (B, count, n) arrays a block allocates.
@@ -57,10 +50,14 @@ _BLOCK_DIRS = 1 << 12
 
 def _haar_stack(n: int, s: int, count: int, rng: StreamHandle,
                 gen: np.random.Generator) -> np.ndarray:
-    """The bases of :func:`draw_frames` as one (count, n, s) stack, with no Frame built.
+    """Haar bases as one (count, n, s) stack: frame j depends only on (rng, j).
 
+    Equal to the bases of ``[sample_haar(n, s, rng.split(j)) for j in range(count)]``.
     Frame j's Gaussian draw comes from rng.split(j) through ``gen``, one
-    re-keyed generator (:func:`~sectlab.sampler._stream_normals`).
+    re-keyed generator (:func:`~sectlab.sampler._stream_normals`), and one
+    batched QR orthonormalises every draw; a numerically rank-deficient
+    draw goes to :func:`sample_haar`, which repeats it from the same
+    substream and retries.
     """
     handles = [rng.split(j) for j in range(count)]
     bases, deficient = _haar_bases(_stream_normals(gen, handles, (n, s)))
@@ -69,29 +66,15 @@ def _haar_stack(n: int, s: int, count: int, rng: StreamHandle,
     return bases
 
 
-def draw_frames(n: int, s: int, count: int, rng: StreamHandle) -> list[Frame]:
-    """Haar frames from per-index substreams: frame j depends only on (rng, j).
-
-    Equal to ``[sample_haar(n, s, rng.split(j)) for j in range(count)]``:
-    one batched QR orthonormalises every frame's first Gaussian draw, and a
-    numerically rank-deficient draw goes to :func:`sample_haar`, which
-    repeats it from the same substream and retries.
-    """
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"need 1 <= s <= n-1, got n={n}, s={s}")
-    return [Frame(basis) for basis in _haar_stack(n, s, count, rng, _rekeyable())]
-
-
 class _FrameDesign:
     """The frames of one average over the Grassmannian G_{n,n-k}, and their directions.
 
-    ``frames`` is a count, drawn as :func:`draw_frames` draws it, or a
-    sequence of frames of codimension k in R^n; either way the bases are
-    held as one (F, n, n - k) stack.  Frame j gets ``count`` sphere
-    directions, drawn from rng.split(j).split(1): a child of the substream
-    frame j may have been drawn from, so the two stay independent, while
-    designs that share (frames, rng) share every direction.  Every average
-    over frames goes through :meth:`map` and :meth:`log_mean`.
+    ``frames`` Haar frames are drawn by :func:`_haar_stack` and held as one
+    (F, n, n - k) stack.  Frame j gets ``count`` sphere directions, drawn
+    from rng.split(j).split(1): a child of the substream frame j is drawn
+    from, so the two stay independent, while designs that share (frames,
+    rng) share every frame and direction.  Every average over frames goes
+    through :meth:`map` and :meth:`log_mean`.
 
     A design builds one Philox generator and re-keys it to each frame's
     substream (:func:`~sectlab.sampler._stream_normals`), for the frame
@@ -100,25 +83,16 @@ class _FrameDesign:
     per substream.
     """
 
-    def __init__(self, frames, n: int, k: int, count: int, rng: StreamHandle):
+    def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle):
         if not 1 <= k <= n - 1:
             raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
         if count < 1:
             raise ValueError(f"need at least one sphere direction per frame, got {count}")
-        s = n - k
+        if frames < 1:
+            raise ValueError(f"need at least one frame, got {frames}")
         gen = _rekeyable()
-        if isinstance(frames, (int, np.integer)):
-            bases = _haar_stack(n, s, max(int(frames), 0), rng, gen)
-        else:
-            frames = list(frames)
-            for f in frames:
-                if f.n != n or f.s != s:
-                    raise ValueError(f"frame {f!r} does not match n={n}, s={s}")
-            bases = np.array([f.basis for f in frames]).reshape(-1, n, s)   # empty: (0, n, s)
-        if not len(bases):
-            raise ValueError("need at least one frame")
-        _require_orthonormal(bases)
-        self.bases, self.count, self.rng, self._gen = bases, count, rng, gen
+        self.bases = _haar_stack(n, n - k, frames, rng, gen)
+        self.count, self.rng, self._gen = count, rng, gen
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -164,77 +138,6 @@ def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
     return section_measure_values(LebesgueDensity(frame.n), body, frame, sphere_samples, rng)
 
 
-def simplex_moment(body: StarBody, m: int, p: float, trials: int, rng: StreamHandle,
-                   density: DensityOracle | None = None) -> Estimate:
-    """E |conv(0, x_1, ..., x_m)|^p with i.i.d. vertices from the body.
-
-    Vertices are uniform in the body, or drawn from ``density`` restricted
-    to it.  This is the raw moment; see :func:`sylvester` for the
-    normalized functional.
-    """
-    if m != body.dim:
-        raise ValueError(f"vertex count {m} must equal the body dimension {body.dim}")
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-    if density is None:
-        pts = uniform_in_body(body, rng, size=trials * m)
-    else:
-        pts = sample_restricted(density, body, rng, size=trials * m).points
-    vols = simplex_volume(pts.reshape(trials, m, m))
-    return mean_estimate(vols ** p)
-
-
-def sylvester(body: StarBody, m: int, p: float, trials: int, rng: StreamHandle,
-              density: DensityOracle | None = None) -> Estimate:
-    """Normalized p-th simplex-volume moment S_p.
-
-    For the uniform-on-body case the volume normalization makes S_p
-    invariant under invertible linear maps: S_p = (E|conv|^p)^(1/p) / |D|.
-    For a probability measure (density restricted to the body) it is
-    (E|conv|^p)^(1/p) with no volume factor.
-    """
-    moment = simplex_moment(body, m, p, trials, rng, density=density)
-    s_p = moment.powered(1.0 / p)
-    if density is None:
-        s_p = s_p.divided_by(log_volume_estimate(body, rng.split(_AUX)))
-    return s_p.to_linear()
-
-
-def _batched_cov_dets(points: np.ndarray) -> np.ndarray:
-    """det of per-batch sample covariances; batch means give an honest SE."""
-    n = len(points)
-    batch = n // _N_BATCHES
-    dets = np.empty(_N_BATCHES)
-    for i in range(_N_BATCHES):
-        cov, _ = covariance(points[i * batch:(i + 1) * batch])
-        dets[i] = np.linalg.det(cov)
-    return dets
-
-
-def isotropic_constant(body: StarBody, samples: int, rng: StreamHandle,
-                       density: DensityOracle | None = None) -> Estimate:
-    """L = (sup f / integral f)^(1/n) * det(Cov)^(1/2n).
-
-    For the uniform density on a body this is det(Cov)^(1/2n) / |K|^(1/n);
-    the covariance is computed about the empirical mean, so a non-centered
-    source is recentered by construction.
-    """
-    n = body.dim
-    if density is None:
-        pts = uniform_in_body(body, rng.split(1), size=samples)
-        log_mass = log_volume_estimate(body, rng.split(2))
-        log_sup = 0.0
-    else:
-        pts = sample_restricted(density, body, rng.split(1), size=samples).points
-        log_mass = measure_of_body(density, body, max(samples // 10, 2000),
-                                   rng.split(2)).to_log()
-        log_sup = math.log(density.sup_on(body))
-    det_est = mean_estimate(_batched_cov_dets(pts))
-    l_est = det_est.powered(1.0 / (2 * n)).times(
-        exact_log_estimate(log_sup / n)).divided_by(log_mass.powered(1.0 / n))
-    return l_est.to_linear()
-
-
 def _quermass_from_logs(body: StarBody, k: int, logs: np.ndarray,
                         design: _FrameDesign) -> Estimate:
     """(E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n estimates."""
@@ -245,7 +148,7 @@ def _quermass_from_logs(body: StarBody, k: int, logs: np.ndarray,
     return Estimate(mean_log.value / (k * n), se, len(logs), log_domain=True).to_linear()
 
 
-def dual_affine_quermass(body: StarBody, k: int, frames, sphere_samples: int,
+def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: int,
                          rng: StreamHandle) -> Estimate:
     """The normalized section-power mean (E_F |K1 cap F|^n)^(1/(kn)).
 
@@ -264,7 +167,7 @@ def dual_affine_quermass(body: StarBody, k: int, frames, sphere_samples: int,
     return _quermass_from_logs(body, k, logs, design)
 
 
-def w_tilde(body: StarBody, k: int, frames, sphere_samples: int,
+def w_tilde(body: StarBody, k: int, frames: int, sphere_samples: int,
             rng: StreamHandle) -> Estimate:
     """Mean section volume functional (E_F |K1 cap F|)^(1/k) for volume-one K1."""
     n = body.dim

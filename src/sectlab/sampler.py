@@ -32,7 +32,6 @@ __all__ = [
     "sample_restricted",
     "DegenerateRejectionError",
     "simplex_volume",
-    "covariance",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -207,11 +206,10 @@ def sample_restricted(density, body, rng, size: int | None = None) -> Restricted
 
     Proposes uniform points in the body and accepts with probability
     g(x) / sup_K g.  Rejection rather than importance weighting keeps the
-    output i.i.d. and unweighted for the functionals that need actual
-    points: ``functionals.simplex_moment`` (behind ``sylvester``) and
-    ``functionals.isotropic_constant``.  The bound is ``sup_on``, exact or
-    raising, and no bounding radius is estimated.  A density value above
-    it (a wrong ``sup_on`` override) would bias the draw, so it raises
+    output i.i.d. and unweighted.  No ``sectlab`` code calls it; it stays
+    only while ``perfbench``'s tracer binds it.  The bound is ``sup_on``,
+    exact or raising, and no bounding radius is estimated.  A density value
+    above it (a wrong ``sup_on`` override) would bias the draw, so it raises
     instead, and so does an acceptance rate below 1e-4 after 100 000 proposals.
     """
     gen = as_generator(rng)
@@ -275,17 +273,3 @@ def _small_det(pts: np.ndarray) -> np.ndarray:
         return pts[..., 0, 0] * pts[..., 1, 1] - pts[..., 0, 1] * pts[..., 1, 0]
     (a, b, c), (d, e, f), (g, h, i) = [[pts[..., r, col] for col in range(3)] for r in range(3)]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def covariance(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased sample covariance and sample mean of an (N, m) cloud."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected an (N, m) array, got shape {pts.shape}")
-    n, m = pts.shape
-    if n < m + 1:
-        raise ValueError(f"need at least m+1 = {m + 1} points, got {n}")
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = centered.T @ centered / (n - 1)
-    return cov, mean

@@ -75,7 +75,7 @@ def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: i
     return s * (math.log(s) + log_ball_volume(s)) + _log(moment)
 
 
-def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames,
+def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames: int,
                      points_per_frame: int, rng: StreamHandle, lhs: Estimate,
                      sphere_samples: int, seed: int) -> CheckReport:
     """Compare lhs with p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
@@ -92,7 +92,7 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
                                    "sphere_samples": sphere_samples})
 
 
-def check_bp_identity(body: StarBody, k: int, frames, points_per_frame: int,
+def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int,
                       rng: StreamHandle, sphere_samples: int = 2000,
                       seed: int = 0) -> CheckReport:
     """|K|^(n-k) against p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k ].
@@ -120,7 +120,7 @@ def _max_section_log(density: DensityOracle, body: StarBody,
     return est.to_log(), best
 
 
-def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames,
+def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: int,
                         sphere_samples: int, rng: StreamHandle, seed: int = 0) -> CheckReport:
     """Explicit-constant slicing bound for an arbitrary bounded density:
     mu(K)^(n-k) <= gamma^(-n) p(n, n-k) (max_F mu(K cap F))^(n-k) |K|^(k(n-k)/n).
@@ -144,7 +144,7 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames,
                                      "max_section_log": max_log.value})
 
 
-def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
+def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
               sphere_samples: int, rng: StreamHandle, seed: int = 0) -> CheckReport:
     """E_F[mu(K cap F)^n] <= gamma^(-n) (sup_K g)^k mu(K)^(n-k).
 
@@ -165,7 +165,7 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames,
                                      "sup_on_body": sup})
 
 
-def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames,
+def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames: int,
                               points_per_frame: int, rng: StreamHandle,
                               sphere_samples: int = 2000, seed: int = 0) -> CheckReport:
     """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ].
@@ -210,7 +210,7 @@ def _random_sl_matrix(n: int, rng: StreamHandle) -> np.ndarray:
     return _haar_rotation(n, gen) @ np.diag(d) @ _haar_rotation(n, gen)
 
 
-def check_grinberg(body: StarBody, k: int, transforms: int, frames,
+def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
                    sphere_samples: int, rng: StreamHandle,
                    seed: int = 0) -> list[CheckReport]:
     """Two-part check of the section-power functional.
@@ -249,7 +249,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames,
     return [worst, part_b]
 
 
-def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, frames,
+def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, frames: int,
                                 sphere_samples: int, rng: StreamHandle,
                                 seed: int = 0) -> CheckReport:
     """Section dominance implies the volume comparison with the functional ratio.
@@ -293,7 +293,7 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     return report
 
 
-def negative_control(body: StarBody, k: int, frames, sphere_samples: int,
+def negative_control(body: StarBody, k: int, frames: int, sphere_samples: int,
                      rng: StreamHandle, seed: int = 0) -> CheckReport:
     """Intentionally reversed maximality inequality; must fail.
 

@@ -87,7 +87,7 @@ class TestEstimateCommand:
         assert "need at least 100 sphere samples, got 1" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("flag, value", [
-        ("--frames", "7"), ("--trials", "3"), ("--p", "9"), ("--k", "2"),
+        ("--frames", "7"), ("--k", "2"),
     ])
     def test_flag_unused_by_functional_is_error(self, capsys, flag, value):
         code, out, err = run_cli(["estimate", "--functional", "volume",
@@ -96,23 +96,33 @@ class TestEstimateCommand:
         assert f"volume takes no {flag}" in json.loads(err)["error"]
 
     def test_defaults_recorded_only_where_read(self, capsys):
-        code, out, _ = run_cli(["estimate", "--functional", "sylvester",
-                                "--body", '{"kind":"cube","dim":2}',
-                                "--deterministic"], capsys)
+        code, out, _ = run_cli(["estimate", "--functional", "phi",
+                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                                "--samples", "300", "--deterministic"], capsys)
         assert code == 0
         payload = json.loads(out)
         config = payload["config"]
-        assert (config["p"], config["trials"]) == (1.0, 20_000)
-        assert not {"k", "samples", "frames"} & set(config)
-        # the exact volume of the square does not hide the trials that ran
-        assert payload["estimate"]["n_samples"] == 20_000
+        assert (config["k"], config["frames"], config["samples"]) == (1, 500, 300)
+        # the exact volume of the ball does not hide the frames that ran
+        assert payload["estimate"]["n_samples"] == 500
+        code, out, _ = run_cli(["estimate", "--functional", "volume",
+                                "--body", '{"kind":"cube","dim":2}',
+                                "--samples", "300", "--deterministic"], capsys)
+        assert code == 0
+        assert not {"k", "frames"} & set(json.loads(out)["config"])
 
-    def test_measure_unused_by_functional_is_error(self, capsys):
-        code, _, err = run_cli(["estimate", "--functional", "phi",
-                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
-                                "--measure", '{"kind":"gaussian"}'], capsys)
-        assert code == 2
-        assert "takes no --measure" in json.loads(err)["error"]
+    def test_measure_unused_by_functional_is_error(self):
+        # no functional reads a density, so estimate has no --measure
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--functional", "phi",
+                  "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                  "--measure", '{"kind":"gaussian"}'])
+        assert exc.value.code == 2
+
+    def test_sylvester_is_not_a_functional(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--functional", "sylvester", "--body", '{"kind":"cube","dim":2}'])
+        assert exc.value.code == 2
 
 
 class TestVerifyCommand:

@@ -83,14 +83,13 @@ class TestGrowthRatio:
 
 
 def test_ball_moment_consistency_with_simplex_functional():
-    """omega_n^(n-k) = p(n, n-k) omega_{n-k}^n S_k(ball section)^k, checked by
-    Monte Carlo for n=3, k=1 where the section functional is S_1 of the disc."""
-    from sectlab.bodies import LpBall
-    from sectlab.functionals import sylvester
-    from sectlab.sampler import StreamHandle
+    """omega_n^(n-k) = p(n, n-k) omega_{n-k}^n S_k(ball section)^k for n=3, k=1.
 
-    s1 = sylvester(LpBall(2, 2.0), 2, 1.0, 40_000, StreamHandle(11))
+    The section functional is S_1 of the unit disc, E|conv(0, x_1, x_2)| / |D|
+    with uniform vertices: E r = 2/3 and E|sin| = 2/pi give
+    E|conv| = (1/2) (2/3)^2 (2/pi) = 4/(9 pi), so S_1 = 4/(9 pi^2).
+    """
+    s1_disc = 4 / (9 * math.pi ** 2)
     lhs = math.exp(log_ball_volume(3)) ** 2
-    rhs = math.exp(log_bp_constant(3, 2)) * math.exp(log_ball_volume(2)) ** 3 * s1.value
-    rhs_se = math.exp(log_bp_constant(3, 2)) * math.exp(log_ball_volume(2)) ** 3 * s1.std_error
-    assert abs(lhs - rhs) <= 3 * rhs_se
+    rhs = math.exp(log_bp_constant(3, 2)) * math.exp(log_ball_volume(2)) ** 3 * s1_disc
+    assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -50,11 +50,15 @@ def test_import_and_default_suite_load_no_scipy():
 
 def test_frame_design_is_the_only_frame_plumbing():
     # every mean over frames goes through _FrameDesign.log_mean, and the per-check
-    # frame helpers it replaced stay gone, so a change to the design stays local
+    # frame helpers it replaced stay gone, so a change to the design stays local;
+    # so do the explicit frame list and the point-sampling functionals
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
-    gone = {"_resolve_frames", "_over_frames", "_embedded_directions"}
-    for name in ("verifier.py", "functionals.py"):
-        tree = ast.parse((src / name).read_text())
+    gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
+            "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
+            "covariance"}
+    for path in sorted(src.glob("*.py")):
+        name = path.name
+        tree = ast.parse(path.read_text())
         design = {id(node) for cls in ast.walk(tree)
                   if isinstance(cls, ast.ClassDef) and cls.name == "_FrameDesign"
                   for node in ast.walk(cls)}

@@ -7,90 +7,12 @@ from sectlab import functionals
 from sectlab.bodies import HPolytope, LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import log_ball_volume, log_gamma_nk
 from sectlab.estimates import Estimate, log_mean_estimate, log_power_product
-from sectlab.functionals import (draw_frames, dual_affine_quermass, i_minus_k,
-                                 isotropic_constant, log_volume_estimate,
-                                 section_volume_values, simplex_moment, sylvester,
-                                 volume_radius, w_tilde)
-from sectlab.grassmann import Frame, sample_haar
+from sectlab.functionals import (dual_affine_quermass, i_minus_k, log_volume_estimate,
+                                 section_volume_values, volume_radius, w_tilde)
+from sectlab.grassmann import sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
                               measure_of_body, section_measure_values)
-from sectlab.sampler import StreamHandle, sphere_directions
-
-DISC = LpBall(2, 2.0)
-
-# analytic values for the unit disc: E r = 2/3, E|sin| = 2/pi, E r^2 = 1/2,
-# E sin^2 = 1/2, so S_1 = 4/(9 pi^2) and S_2 = 1/(sqrt(32) pi)
-S1_DISC = 4 / (9 * math.pi ** 2)
-S2_DISC = 1 / (math.sqrt(32) * math.pi)
-
-
-class TestSylvester:
-    def test_disc_first_moment(self):
-        est = sylvester(DISC, 2, 1.0, 20_000, StreamHandle(1))
-        assert abs(est.value - S1_DISC) <= 3 * est.std_error
-
-    def test_disc_second_moment(self):
-        est = sylvester(DISC, 2, 2.0, 20_000, StreamHandle(2))
-        assert abs(est.value - S2_DISC) <= 3 * est.std_error
-
-    def test_segment_second_moment(self):
-        # m = 1, uniform on [-1/2, 1/2]: S_2 = sqrt(E x^2) = 1/sqrt(12)
-        seg = cube(1, 0.5)
-        est = sylvester(seg, 1, 2.0, 20_000, StreamHandle(3))
-        assert abs(est.value - 1 / math.sqrt(12)) <= 3 * est.std_error
-
-    @pytest.mark.parametrize("body", [DISC, cube(2), cube(3)])
-    def test_monotone_in_p(self, body):
-        handle = StreamHandle(4)
-        ests = [sylvester(body, body.dim, p, 20_000, handle.split(int(p)))
-                for p in (1.0, 2.0, 4.0)]
-        for lo, hi in zip(ests, ests[1:]):
-            assert lo.value <= hi.value + 3 * math.hypot(lo.std_error, hi.std_error)
-
-    @pytest.mark.parametrize("m,p", [(2, 2.0), (2, 4.0), (2, 8.0),
-                                     (3, 2.0), (3, 4.0), (3, 8.0)])
-    def test_reverse_holder_band(self, m, p):
-        # regression band S_p / S_1 <= (5p)^m on the volume-one cube
-        body = cube(m, 0.5)
-        handle = StreamHandle(5)
-        s1 = sylvester(body, m, 1.0, 20_000, handle.split(0))
-        sp = sylvester(body, m, p, 20_000, handle.split(int(p)))
-        assert sp.value / s1.value <= (5 * p) ** m
-
-    def test_linear_invariance(self):
-        # S_p(T D) = S_p(D) for invertible T
-        t = np.array([[1.5, 0.7], [0.0, 0.4]])
-        a = sylvester(DISC, 2, 2.0, 40_000, StreamHandle(6))
-        b = sylvester(linear_image(DISC, t), 2, 2.0, 40_000, StreamHandle(7))
-        assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
-
-    def test_restricted_source_skips_volume_normalization(self):
-        est = sylvester(DISC, 2, 2.0, 20_000, StreamHandle(8),
-                        density=GaussianDensity(2, sigma=100.0))
-        # nearly uniform density: close to the probability-measure value
-        assert est.value == pytest.approx(S2_DISC * math.pi, rel=0.05)
-
-
-class TestIsotropicConstant:
-    def test_volume_one_cube(self):
-        for n in (2, 3, 4):
-            est = isotropic_constant(cube(n, 0.5), 60_000, StreamHandle(12 + n))
-            assert abs(est.value - 1 / math.sqrt(12)) <= 3 * est.std_error
-
-    def test_volume_one_ball3(self):
-        # Cov of the unit ball is I/(n+2); scaled to volume one the constant
-        # becomes r0/sqrt(5) with r0 = (3/(4 pi))^(1/3) = 0.2774291735...
-        r0 = (3 / (4 * math.pi)) ** (1 / 3)
-        body = LpBall(3, 2.0, r0)
-        est = isotropic_constant(body, 60_000, StreamHandle(16))
-        assert abs(est.value - r0 / math.sqrt(5)) <= 3 * est.std_error
-        assert r0 / math.sqrt(5) == pytest.approx(0.2774291735052846, rel=1e-10)
-
-    def test_affine_invariance(self):
-        t = np.array([[2.0, 0.5], [0.0, 0.5]])   # det 1
-        a = isotropic_constant(cube(2, 0.5), 60_000, StreamHandle(17))
-        b = isotropic_constant(linear_image(cube(2, 0.5), t), 60_000, StreamHandle(18))
-        assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
+from sectlab.sampler import StreamHandle, _rekeyable, sphere_directions
 
 
 class TestSectionPowerFunctional:
@@ -112,20 +34,19 @@ class TestSectionPowerFunctional:
         assert est.value - 3 * est.std_error > 1.0
 
     def test_sl_invariance(self):
-        frames = draw_frames(3, 2, 700, StreamHandle(27))
+        # common random frames: one frame count and one handle
         handle = StreamHandle(28)
-        a = dual_affine_quermass(cube(3), 1, frames, 1500, handle)
+        a = dual_affine_quermass(cube(3), 1, 700, 1500, handle)
         b = dual_affine_quermass(linear_image(cube(3), np.diag([2.0, 0.5, 1.0])),
-                                 1, frames, 1500, handle)
+                                 1, 700, 1500, handle)
         assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
 
     def test_dominated_by_max_sampled_section(self):
         # the power mean never exceeds the largest sampled section volume^(1/k)
         body = cube(3)
-        frames = draw_frames(3, 2, 200, StreamHandle(29))
         handle = StreamHandle(29)
-        est = dual_affine_quermass(body, 1, frames, 600, handle)
-        vols = functionals._FrameDesign(frames, 3, 1, 600, handle).map(
+        est = dual_affine_quermass(body, 1, 200, 600, handle)
+        vols = functionals._FrameDesign(200, 3, 1, 600, handle).map(
             lambda theta, dirs: _section_measure_values(LebesgueDensity(3), body, dirs,
                                                         2).mean(axis=-1))
         max_normalized = max(vols) / body.exact_volume ** (2 / 3)
@@ -157,10 +78,9 @@ class TestPolarProductIdentity:
 
     def test_holder_orders_the_functionals(self):
         # the power mean dominates the plain mean: phi >= w on common frames
-        frames = draw_frames(3, 2, 300, StreamHandle(36))
         handle = StreamHandle(37)
-        phi = dual_affine_quermass(cube(3), 1, frames, 800, handle)
-        w = w_tilde(cube(3), 1, frames, 800, handle)
+        phi = dual_affine_quermass(cube(3), 1, 300, 800, handle)
+        w = w_tilde(cube(3), 1, 300, 800, handle)
         assert phi.value >= w.value * (1 - 3 * math.hypot(phi.std_error, w.std_error))
 
 
@@ -200,20 +120,14 @@ def test_log_volume_estimate_of_unknown_volume_uses_fixed_samples():
     assert abs(est.value - math.log(8.0)) <= 3 * est.std_error
 
 
-def test_simplex_moment_matches_disc_mean():
-    est = simplex_moment(DISC, 2, 1.0, 30_000, StreamHandle(41))
-    # E|conv(0, x1, x2)| = (1/2) (2/3)^2 (2/pi) = 4/(9 pi) on the unit disc
-    assert abs(est.value - 4 / (9 * math.pi)) <= 3 * est.std_error
-
-
-
 class TestFrameBlockReference:
     """The frame-block kernel against the per-frame loop it batches, bit for bit."""
 
     @pytest.mark.parametrize("n,s", [(3, 2), (3, 1), (4, 2)])
-    def test_draw_frames_equals_sample_haar(self, n, s):
+    def test_haar_stack_equals_sample_haar(self, n, s):
         rng = StreamHandle(50)
-        frames = [f.basis.tobytes() for f in draw_frames(n, s, 40, rng)]
+        frames = [basis.tobytes() for basis in functionals._haar_stack(n, s, 40, rng,
+                                                                         _rekeyable())]
         assert frames == [sample_haar(n, s, rng.split(j)).basis.tobytes() for j in range(40)]
         written_out = []
         for j in range(40):
@@ -237,9 +151,9 @@ class TestFrameBlockReference:
         monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3)
         monkeypatch.setattr(functionals, "sample_haar", recording_sample_haar)
         rng = StreamHandle(51)
-        frames = draw_frames(3, 2, 6, rng)
+        bases = functionals._haar_stack(3, 2, 6, rng, _rekeyable())
         assert redrawn == [rng.split(3)]
-        assert frames[3].basis.tobytes() == sample_haar(3, 2, rng.split(3)).basis.tobytes()
+        assert bases[3].tobytes() == sample_haar(3, 2, rng.split(3)).basis.tobytes()
 
     @pytest.mark.parametrize("body", [
         cube(3), LpBall(3, 1.0), centered_simplex(3),
@@ -250,7 +164,8 @@ class TestFrameBlockReference:
         rng = StreamHandle(52)
         omega = math.exp(log_ball_volume(n - k))
         logs = []
-        for j, frame in enumerate(draw_frames(n, n - k, frames, rng)):
+        for j in range(frames):
+            frame = sample_haar(n, n - k, rng.split(j))
             sub = rng.split(j).split(1)
             theta = sphere_directions(sub.generator(), samples, n - k)
             values = omega * body.radial(frame.embed(theta)) ** (n - k)
@@ -297,20 +212,17 @@ class TestFrameDesign:
             dirs.append(frame.embed(theta))
         return np.stack(thetas), np.stack(dirs)
 
-    def _blocks(self, frames, rng):
+    def _blocks(self, rng):
         blocks = []
-        out = functionals._FrameDesign(frames, self.N, self.K, self.COUNT, rng).map(
+        out = functionals._FrameDesign(self.FRAMES, self.N, self.K, self.COUNT, rng).map(
             lambda theta, dirs: blocks.append((theta, dirs)) or dirs.sum(axis=(1, 2)))
         return blocks, out
 
     @pytest.mark.parametrize("block_dirs", [1, 3 * COUNT, 1 << 40])
-    @pytest.mark.parametrize("explicit", [False, True], ids=["count", "draw_frames"])
-    def test_blocks_equal_per_frame_loop(self, monkeypatch, block_dirs, explicit):
+    def test_blocks_equal_per_frame_loop(self, monkeypatch, block_dirs):
         monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
         rng = StreamHandle(55)
-        frames = (draw_frames(self.N, self.N - self.K, self.FRAMES, rng) if explicit
-                  else self.FRAMES)
-        blocks, out = self._blocks(frames, rng)
+        blocks, out = self._blocks(rng)
         step = max(1, block_dirs // self.COUNT)
         assert [len(theta) for theta, _ in blocks] == [
             min(step, self.FRAMES - start) for start in range(0, self.FRAMES, step)]
@@ -335,14 +247,8 @@ class TestFrameDesign:
         monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3)
         monkeypatch.setattr(functionals, "sample_haar", recording_sample_haar)
         rng = StreamHandle(56)
-        blocks, _ = self._blocks(self.FRAMES, rng)
+        blocks, _ = self._blocks(rng)
         assert redrawn == [rng.split(3)]
         theta, dirs = self._per_frame(rng)
         assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
         assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
-
-    def test_non_orthonormal_frame_is_an_error(self):
-        frame = Frame(np.eye(4)[:, :2])
-        frame.basis = frame.basis * 2.0
-        with pytest.raises(ValueError, match="not orthonormal"):
-            functionals._FrameDesign([frame], self.N, self.K, self.COUNT, StreamHandle(57))

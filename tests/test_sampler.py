@@ -10,8 +10,8 @@ from sectlab.bodies import LpBall, centered_simplex, cube
 from sectlab import sampler
 from sectlab.measures import GaussianDensity, IndicatorDensity, LebesgueDensity
 from sectlab.sampler import (DegenerateRejectionError, StreamHandle, as_generator,
-                             covariance, sample_restricted, simplex_volume,
-                             sphere_directions, uniform_in_body)
+                             sample_restricted, simplex_volume, sphere_directions,
+                             uniform_in_body)
 
 
 class TestStreams:
@@ -247,27 +247,3 @@ class TestSimplexVolume:
         stack = np.random.default_rng(m).standard_normal((20, 30, m, m))
         expected = np.abs(np.linalg.det(stack)) / math.factorial(m)
         assert np.allclose(simplex_volume(stack), expected, rtol=1e-9, atol=1e-15)
-
-
-class TestCovariance:
-    def test_cube_covariance(self):
-        pts = uniform_in_body(cube(3), StreamHandle(10), size=60_000)
-        cov, mean = covariance(pts)
-        assert np.allclose(mean, 0, atol=0.02)
-        assert np.allclose(np.diag(cov), 1 / 3, atol=0.01)
-        off = cov[~np.eye(3, dtype=bool)]
-        assert np.all(np.abs(off) < 0.01)
-
-    def test_disc_covariance(self):
-        pts = uniform_in_body(LpBall(2, 2.0), StreamHandle(11), size=60_000)
-        cov, _ = covariance(pts)
-        assert np.allclose(np.diag(cov), 0.25, atol=0.01)
-
-    def test_constant_points(self):
-        cov, mean = covariance(np.ones((10, 2)))
-        assert np.allclose(cov, 0)
-        assert np.allclose(mean, 1)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            covariance(np.ones((3, 3)))
