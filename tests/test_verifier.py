@@ -115,6 +115,12 @@ class TestPolarLogMoment:
                                   moment.std_error / moment.value)
         assert abs(polar_mean - ref) <= 3 * math.hypot(polar_se, ref_se)
 
+    def test_same_seed_same_report_bytes(self):
+        a = check_bp_identity(CUBE3, 1, 40, 100, StreamHandle(4), sphere_samples=300)
+        b = check_bp_identity(CUBE3, 1, 40, 100, StreamHandle(4), sphere_samples=300)
+        assert (json.dumps(a.as_dict(), sort_keys=True)
+                == json.dumps(b.as_dict(), sort_keys=True))
+
 
 class TestChains:
     @pytest.mark.parametrize("density", [LebesgueDensity(3), GaussianDensity(3),
