@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .constants import log_ball_volume
-from .sampler import _fold_columns, sphere_directions
+from .sampler import _fold_columns, _quadratic_form, sphere_directions
 
 __all__ = [
     "StarBody",
@@ -141,12 +141,11 @@ class Ellipsoid(StarBody):
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_unit(dirs)
-        quad = np.einsum("...i,ij,...j->...", dirs, self._inv, dirs)
-        return 1.0 / np.sqrt(quad)
+        return 1.0 / np.sqrt(_quadratic_form(dirs, self._inv))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return np.einsum("...i,ij,...j->...", pts, self._inv, pts) <= 1.0
+        return _quadratic_form(pts, self._inv) <= 1.0
 
     def bounding_radius(self) -> float:
         return math.sqrt(self._max_eig)

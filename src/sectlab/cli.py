@@ -54,8 +54,10 @@ _VERIFY_READERS = {
     "points": ("bp_identity", "logconcave_identity"),
     "transforms": ("grinberg",),
     "body2": ("busemann_petty_volume",),
+    "samples": ("slicing_chain", "dpp_bound", "grinberg", "busemann_petty_volume",
+                "negative_control"),
 }
-_VERIFY_DEFAULTS = {"points": 500, "transforms": 5}
+_VERIFY_DEFAULTS = {"points": 500, "transforms": 5, "samples": 2000}
 
 
 def _emit(payload: dict, path: str | None, pretty: bool) -> None:
@@ -143,10 +145,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _read_flags(args, args.check, _VERIFY_READERS, _VERIFY_DEFAULTS)
     body = body_from_json(args.body)
     rng = StreamHandle(args.seed)
-    kwargs: dict = {"k": args.k, "frames": args.frames, "sphere_samples": args.samples,
-                    "rng": rng, "seed": args.seed}
-    if args.check in _VERIFY_READERS["points"]:
-        kwargs["points_per_frame"] = args.points
+    kwargs: dict = {"k": args.k, "frames": args.frames, "rng": rng}
+    for flag, param in (("samples", "sphere_samples"), ("points", "points_per_frame"),
+                        ("transforms", "transforms")):
+        if args.check in _VERIFY_READERS[flag]:
+            kwargs[param] = getattr(args, flag)
     if args.check == "busemann_petty_volume":
         if not args.body2:
             raise ValueError("busemann_petty_volume needs --body2")
@@ -158,8 +161,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not args.measure:
             raise ValueError(f"{args.check} needs --measure")
         kwargs["density"] = density_from_json(args.measure, body.dim)
-    if args.check in _VERIFY_READERS["transforms"]:
-        kwargs["transforms"] = args.transforms
     out = CHECKS[args.check](**kwargs)
     reports = out if isinstance(out, list) else [out]
     payload = {"schema": _REPORT_SCHEMA,
@@ -245,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", metavar="SPEC")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--frames", type=int, default=500)
-    p.add_argument("--samples", type=int, default=2000, help="sphere samples per frame")
+    p.add_argument("--samples", type=int, help="sphere samples per frame (slicing_chain, "
+                   "dpp_bound, grinberg, busemann_petty_volume, negative_control; default 2000)")
     p.add_argument("--points", type=int,
                    help="direction s-tuples per frame (bp_identity and "
                         "logconcave_identity only; default 500)")

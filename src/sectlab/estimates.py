@@ -266,7 +266,9 @@ def inequality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estim
     The rule lhs <= rhs*(1 + 3 relSE) never excuses a genuine violation
     beyond sampling noise; margin is the log slack in combined-SE units,
     with the SE floored at the rule's additive floor so that two exact
-    sides still give a finite margin.
+    sides still give a finite margin.  ``inputs["log_slack"]`` records the
+    slack itself, log rhs - log lhs, which stays comparable when that floor
+    sets the margin.
     """
     a, b = lhs.to_log(), rhs.to_log()
     sigma = _combined_log_se(lhs, rhs)
@@ -275,4 +277,4 @@ def inequality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estim
     margin = slack / max(sigma, EXACT_FLOOR)
     rule = (f"log lhs <= log rhs + {SE_MULTIPLIER}*combined log SE ({sigma:.3e}) + {EXACT_FLOOR}")
     return CheckReport(check_name, n, k, lhs, rhs, "<=", margin, bool(passed), rule,
-                       inputs or {}, seed, note)
+                       {**(inputs or {}), "log_slack": slack}, seed, note)

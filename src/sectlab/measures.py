@@ -36,7 +36,7 @@ from .bodies import StarBody
 from .constants import log_ball_volume
 from .estimates import Estimate, mean_estimate
 from .grassmann import Frame
-from .sampler import as_generator, sphere_directions
+from .sampler import _quadratic_form, as_generator, sphere_directions
 
 __all__ = [
     "DensityOracle",
@@ -229,13 +229,12 @@ class GaussianDensity(DensityOracle):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        quad = np.einsum("...i,ij,...j->...", x, self.precision, x)
-        return np.exp(-0.5 * quad)
+        return np.exp(-0.5 * _quadratic_form(x, self.precision))
 
     def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
         # t = q r^2 / 2 gives (1/2) (2/q)^(p/2) Gamma(p/2) P(p/2, q upper^2 / 2)
         dirs = np.asarray(dirs, dtype=float)
-        q = np.einsum("...i,ij,...j->...", dirs, self.precision, dirs)
+        q = _quadratic_form(dirs, self.precision)
         half = 0.5 * power
         return _gamma_ray_mass(half, math.log(0.5) + half * np.log(2.0 / q),
                                0.5 * q * np.asarray(upper, dtype=float) ** 2)

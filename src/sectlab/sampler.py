@@ -88,6 +88,11 @@ def _fold_columns(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _quadratic_form(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x^T m x over the last axis of x by the column fold, several times faster than einsum."""
+    return _fold_columns(np.add, (x @ m) * x)
+
+
 def _row_norms(g: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of a (..., dim) array, the bits of np.linalg.norm.
 

@@ -7,9 +7,9 @@ maxima over *sampled* frames; for right-hand-side maxima this makes the
 inequality checks conservative (the sampled max under-estimates the true
 one), which is recorded in the report note.
 
-Checks are pure functions of (inputs, seed): each builds one frame design
-(:class:`~sectlab.functionals._FrameDesign`), which draws frame j and its
-directions from substreams of (rng, j), and every other purpose has its own
+Checks are pure functions of (inputs, rng) and report ``rng.seed``: each builds
+one frame design (:class:`~sectlab.functionals._FrameDesign`), which draws frame j
+and its directions from substreams of (rng, j), and every other purpose has its own
 substream, so a rerun gives a bit-identical report regardless of scheduling.
 
 :func:`run_suite` runs the grid entries on a pool of forked worker
@@ -76,8 +76,7 @@ def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: i
 
 
 def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames: int,
-                     points_per_frame: int, rng: StreamHandle, lhs: Estimate,
-                     sphere_samples: int, seed: int) -> CheckReport:
+                     points_per_frame: int, rng: StreamHandle, lhs: Estimate) -> CheckReport:
     """Compare lhs with p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
     n = body.dim
     design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng)
@@ -86,15 +85,13 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
                                                theta, dirs)))
     rhs = Estimate(log_bp_constant(n, n - k) + mean_log.value,
                    mean_log.std_error, len(design), log_domain=True)
-    return equality_report(name, n, k, lhs, rhs, seed=seed,
+    return equality_report(name, n, k, lhs, rhs, seed=rng.seed,
                            inputs={"frames": len(design),
-                                   "points_per_frame": points_per_frame,
-                                   "sphere_samples": sphere_samples})
+                                   "points_per_frame": points_per_frame})
 
 
 def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int,
-                      rng: StreamHandle, sphere_samples: int = 2000,
-                      seed: int = 0) -> CheckReport:
+                      rng: StreamHandle, sphere_samples: int = 2000) -> CheckReport:
     """|K|^(n-k) against p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k ].
 
     The right side is Monte Carlo over frames.  Inside each section the
@@ -102,12 +99,12 @@ def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int
     prod_i rho(theta_i)^(s+k) / (s+k) ] with s = n - k, averaged over
     ``points_per_frame`` direction s-tuples; no point is sampled inside the
     section.  The left side's volume is exact when the body knows it, else
-    estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is not
-    read: it is only recorded in the report's inputs.
+    estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is
+    neither read nor recorded: only the benchmark's workloads still pass it.
     """
     lhs = log_volume_estimate(body, rng.split(_AUX)).powered(body.dim - k)
     return _identity_report("bp_identity", LebesgueDensity(body.dim), body, k, frames,
-                            points_per_frame, rng, lhs, sphere_samples, seed)
+                            points_per_frame, rng, lhs)
 
 
 def _max_section_log(density: DensityOracle, body: StarBody,
@@ -121,7 +118,7 @@ def _max_section_log(density: DensityOracle, body: StarBody,
 
 
 def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: int,
-                        sphere_samples: int, rng: StreamHandle, seed: int = 0) -> CheckReport:
+                        sphere_samples: int, rng: StreamHandle) -> CheckReport:
     """Explicit-constant slicing bound for an arbitrary bounded density:
     mu(K)^(n-k) <= gamma^(-n) p(n, n-k) (max_F mu(K cap F))^(n-k) |K|^(k(n-k)/n).
 
@@ -136,7 +133,7 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: 
     consts = exact_log_estimate(-n * log_gamma_nk(n, k) + log_bp_constant(n, n - k))
     rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
     lhs = mu_total.powered(n - k)
-    return inequality_report("slicing_chain", n, k, lhs, rhs, seed=seed,
+    return inequality_report("slicing_chain", n, k, lhs, rhs, seed=rng.seed,
                              note=_SAMPLED_MAX_NOTE,
                              inputs={"frames": len(design),
                                      "sphere_samples": sphere_samples,
@@ -145,7 +142,7 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: 
 
 
 def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
-              sphere_samples: int, rng: StreamHandle, seed: int = 0) -> CheckReport:
+              sphere_samples: int, rng: StreamHandle) -> CheckReport:
     """E_F[mu(K cap F)^n] <= gamma^(-n) (sup_K g)^k mu(K)^(n-k).
 
     Equality holds exactly for the uniform density on a Euclidean ball,
@@ -159,7 +156,7 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
     mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
     rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
         mu_total.powered(n - k))
-    return inequality_report("dpp_bound", n, k, lhs, rhs, seed=seed,
+    return inequality_report("dpp_bound", n, k, lhs, rhs, seed=rng.seed,
                              inputs={"frames": len(design),
                                      "sphere_samples": sphere_samples,
                                      "sup_on_body": sup})
@@ -167,7 +164,7 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
 
 def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames: int,
                               points_per_frame: int, rng: StreamHandle,
-                              sphere_samples: int = 2000, seed: int = 0) -> CheckReport:
+                              sphere_samples: int = 2000) -> CheckReport:
     """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ].
 
     The generalized Blaschke-Petkantschin formula: it holds for every
@@ -182,12 +179,12 @@ def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, fr
     s + k, averaged over ``points_per_frame`` direction s-tuples; no point
     is sampled and no density supremum is needed.  The left side's measure
     is estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is
-    not read: it is only recorded in the report's inputs.
+    neither read nor recorded: only the benchmark's workloads still pass it.
     """
     lhs = measure_of_body(density, body, _VOLUME_SAMPLES,
                           rng.split(_AUX + 1)).powered(body.dim - k)
     return _identity_report("logconcave_identity", density, body, k, frames,
-                            points_per_frame, rng, lhs, sphere_samples, seed)
+                            points_per_frame, rng, lhs)
 
 
 def _haar_rotation(n: int, gen: np.random.Generator) -> np.ndarray:
@@ -211,8 +208,7 @@ def _random_sl_matrix(n: int, rng: StreamHandle) -> np.ndarray:
 
 
 def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
-                   sphere_samples: int, rng: StreamHandle,
-                   seed: int = 0) -> list[CheckReport]:
+                   sphere_samples: int, rng: StreamHandle) -> list[CheckReport]:
     """Two-part check of the section-power functional.
 
     Part A (invariance): the functional agrees on the body and on seeded
@@ -234,24 +230,23 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
     phi, *images = [_quermass_from_logs(b, k, logs[:, i], design)
                     for i, b in enumerate(bodies)]
 
+    budgets = {"frames": len(design), "sphere_samples": sphere_samples}
     pair_reports = [
-        equality_report("grinberg_invariance", n, k, phi, phi_t, seed=seed,
-                        inputs={"transform_index": t, "frames": len(design)})
+        equality_report("grinberg_invariance", n, k, phi, phi_t, seed=rng.seed,
+                        inputs={"transform_index": t, **budgets})
         for t, phi_t in enumerate(images)]
     failed = [r for r in pair_reports if not r.passed]
     worst = failed[0] if failed else max(pair_reports, key=lambda r: r.margin)
     worst.inputs["all_values"] = [phi.value] + [phi_t.value for phi_t in images]
 
     ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
-    part_b = inequality_report("grinberg_maximality", n, k, phi, ball_value, seed=seed,
-                               inputs={"frames": len(design),
-                                       "ball_value": math.exp(ball_value.value)})
+    part_b = inequality_report("grinberg_maximality", n, k, phi, ball_value, seed=rng.seed,
+                               inputs={**budgets, "ball_value": math.exp(ball_value.value)})
     return [worst, part_b]
 
 
 def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, frames: int,
-                                sphere_samples: int, rng: StreamHandle,
-                                seed: int = 0) -> CheckReport:
+                                sphere_samples: int, rng: StreamHandle) -> CheckReport:
     """Section dominance implies the volume comparison with the functional ratio.
 
     Dominance |K cap F| <= |D cap F| is verified empirically on every
@@ -282,8 +277,9 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     lhs = log_volume_estimate(body_k, rng.split(_AUX)).powered((n - k) / n)
     rhs = phi_d.divided_by(phi_k).powered(k).times(
         log_volume_estimate(body_d, rng.split(_AUX + 1)).powered((n - k) / n))
-    report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=seed,
+    report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=rng.seed,
                                inputs={"frames": len(design),
+                                       "sphere_samples": sphere_samples,
                                        "phi_ratio": phi_d.value / phi_k.value,
                                        "dominance_violations": violations})
     if violations:
@@ -294,7 +290,7 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
 
 
 def negative_control(body: StarBody, k: int, frames: int, sphere_samples: int,
-                     rng: StreamHandle, seed: int = 0) -> CheckReport:
+                     rng: StreamHandle) -> CheckReport:
     """Intentionally reversed maximality inequality; must fail.
 
     Harness self-test: claims the ball value is at most 90% of the body's
@@ -306,8 +302,9 @@ def negative_control(body: StarBody, k: int, frames: int, sphere_samples: int,
     ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
     # phi is a mean over frames, so its sample count is the frame count
     report = inequality_report("negative_control", n, k, ball_value,
-                               phi.scaled(0.9), seed=seed,
-                               inputs={"frames": phi.n_samples})
+                               phi.scaled(0.9), seed=rng.seed,
+                               inputs={"frames": phi.n_samples,
+                                       "sphere_samples": sphere_samples})
     report.note = "self-test fixture: the reversed inequality is expected to fail"
     return report
 
@@ -432,7 +429,7 @@ def _run_entry(name: str, params: dict, label: str, index: int,
     """Run grid entry ``index`` on its own substream: its reports, or its error."""
     fn = CHECKS[name]
     try:
-        out = fn(rng=StreamHandle(seed).split(index), seed=seed, **params)
+        out = fn(rng=StreamHandle(seed).split(index), **params)
     except Exception as exc:           # a check error is distinct from a failure
         return [], f"{name}[{label}]: {type(exc).__name__}: {exc}"
     reports = out if isinstance(out, list) else [out]

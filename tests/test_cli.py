@@ -181,11 +181,39 @@ class TestVerifyCommand:
         assert code == 2
         assert f"takes no {flag}" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("check, extra", [
+        ("bp_identity", []),
+        ("logconcave_identity", ["--measure", '{"kind":"gaussian"}']),
+    ])
+    def test_identity_checks_take_no_samples(self, capsys, check, extra):
+        # they draw points_per_frame * (n - k) directions per frame, no sphere samples
+        code, out, err = run_cli(["verify", "--check", check,
+                                  "--body", '{"kind":"cube","dim":3}', *extra,
+                                  "--frames", "10", "--samples", "200"], capsys)
+        assert code == 2 and out == ""
+        assert f"{check} takes no --samples" in json.loads(err)["error"]
+
+    def test_samples_default_recorded_only_where_read(self, capsys):
+        code, out, _ = run_cli(["verify", "--check", "dpp_bound",
+                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                                "--measure", '{"kind":"gaussian"}', "--frames", "10",
+                                "--deterministic"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["samples"] == 2000
+        assert payload["reports"][0]["inputs"]["sphere_samples"] == 2000
+        code, out, _ = run_cli(["verify", "--check", "bp_identity",
+                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
+                                "--frames", "20", "--deterministic"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert "samples" not in payload["config"]
+        assert "sphere_samples" not in payload["reports"][0]["inputs"]
+
     def test_points_default_recorded_only_where_read(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "bp_identity",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
-                                "--frames", "20", "--samples", "200",
-                                "--deterministic"], capsys)
+                                "--frames", "20", "--deterministic"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["config"]["points"] == 500
@@ -196,7 +224,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--check", "logconcave_identity",
                                 "--body", '{"kind":"simplex","dim":3}',
                                 "--measure", '{"kind":"gaussian"}',
-                                "--frames", "40", "--samples", "200", "--points", "100",
+                                "--frames", "40", "--points", "100",
                                 "--deterministic"], capsys)
         assert code in (0, 1)
         assert json.loads(out)["reports"][0]["check_name"] == "logconcave_identity"
@@ -273,7 +301,7 @@ class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         args = ["verify", "--check", "bp_identity",
                 "--body", '{"kind":"cube","dim":2}', "--k", "1",
-                "--frames", "50", "--samples", "200", "--points", "100",
+                "--frames", "50", "--points", "100",
                 "--seed", "11", "--deterministic"]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

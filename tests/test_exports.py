@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -109,3 +110,25 @@ def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
 
     small = run(40)
     assert small == run(160), small
+
+
+def test_checks_take_their_seed_from_their_stream():
+    # a report's seed is rng.seed, so no check takes a seed that could disagree with it
+    from sectlab.verifier import CHECKS
+    assert [name for name, fn in CHECKS.items()
+            if "seed" in inspect.signature(fn).parameters] == []
+
+
+def test_no_einsum_quadratic_forms():
+    # x^T m x goes through sampler._quadratic_form, several times faster than
+    # np.einsum("...i,ij,...j->...") on the frame blocks
+    src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            callee = getattr(node, "func", None)
+            if (isinstance(node, ast.Call)
+                    and getattr(callee, "attr", getattr(callee, "id", None)) == "einsum"
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                ops = node.args[0].value.split("->")[0].replace(" ", "").split(",")
+                quadratic = len(ops) == 3 and ops[1] == ops[0][-1] + ops[2][-1]
+                assert not quadratic, f"{path.name}:{node.lineno} einsum {node.args[0].value!r}"

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from sectlab.bodies import LpBall, centered_simplex, cube
+from sectlab.bodies import Ellipsoid, LpBall, centered_simplex, cube
 from sectlab import sampler
 from sectlab.measures import GaussianDensity, IndicatorDensity, LebesgueDensity
-from sectlab.sampler import (DegenerateRejectionError, StreamHandle, as_generator,
-                             sample_restricted, simplex_volume, sphere_directions,
-                             uniform_in_body)
+from sectlab.sampler import (DegenerateRejectionError, StreamHandle, _quadratic_form,
+                             as_generator, sample_restricted, simplex_volume,
+                             sphere_directions, uniform_in_body)
 
 
 class TestStreams:
@@ -126,6 +126,30 @@ class TestStreamDirections:
         g = first.copy()
         g[4] = draws[10]
         assert got[2].tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
+
+
+class TestQuadraticForm:
+    @staticmethod
+    def _einsum(x, m):
+        # the reference the column fold replaced
+        return np.einsum("...i,ij,...j->...", x, m, x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(24_000,), (6, 4000)], ids=["rows", "blocks"])
+    def test_identity_matrix_gives_the_einsum_bits(self, n, shape):
+        # P = I is every default and workload Gaussian's precision
+        x = sphere_directions(StreamHandle(n).generator(), 24_000, n).reshape(*shape, n)
+        assert np.array_equal(_quadratic_form(x, np.eye(n)), self._einsum(x, np.eye(n)))
+
+    def test_workload_ellipsoid_within_rounding(self):
+        ellipsoid = Ellipsoid(np.array([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3],
+                                        [0.2, 0.3, 0.5]]))
+        x = sphere_directions(StreamHandle(5).generator(), 4000, 3).reshape(4, 1000, 3)
+        np.testing.assert_allclose(_quadratic_form(x, ellipsoid._inv),
+                                   self._einsum(x, ellipsoid._inv), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(ellipsoid.radial(x),
+                                   1.0 / np.sqrt(self._einsum(x, ellipsoid._inv)),
+                                   rtol=1e-15, atol=0)
 
 
 class TestUniformInBody:

@@ -140,6 +140,15 @@ class TestChains:
         assert rep.rhs.value == pytest.approx(rhs_expected, rel=1e-6)
         assert rep.rhs.n_samples == 300     # the exact factors keep the sampled count
 
+    def test_log_slack_is_finite_where_the_floor_sets_the_margin(self):
+        # the ball's sections are constant, so its margin in SE units is set by the
+        # 1e-9 floor; the log slack next to it stays comparable across checks
+        rep = check_slicing_chain(GaussianDensity(3), BALL3, 1, 160, 600, StreamHandle(8))
+        slack = rep.inputs["log_slack"]
+        assert math.isfinite(slack) and slack > 0
+        assert slack == rep.rhs.to_log().value - rep.lhs.to_log().value
+        assert rep.margin > 1e6
+
     def test_l1_ball_4d(self):
         rep = check_slicing_chain(LebesgueDensity(4), LpBall(4, 1.0), 2, 80, 300,
                                   StreamHandle(7))
@@ -405,16 +414,42 @@ def test_codimension_out_of_range_is_an_error(name, k):
                      **CHECK_ARGS[name])
 
 
+def _reports(name, sphere_samples, rng):
+    out = CHECKS[name](k=1, frames=12, sphere_samples=sphere_samples, rng=rng,
+                       **CHECK_ARGS[name])
+    return out if isinstance(out, list) else [out]
+
+
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_same_seed_same_report_bytes(name):
-    texts = set()
-    for _ in range(2):
-        out = CHECKS[name](k=1, frames=12, sphere_samples=100, rng=StreamHandle(51),
-                           **CHECK_ARGS[name])
-        reports = out if isinstance(out, list) else [out]
-        texts.add(json.dumps([r.as_dict() for r in reports], sort_keys=True,
-                             allow_nan=True))
+    texts = {json.dumps([r.as_dict() for r in _reports(name, 100, StreamHandle(51))],
+                        sort_keys=True, allow_nan=True) for _ in range(2)}
     assert len(texts) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_report_seed_is_the_stream_seed(name):
+    reports = _reports(name, 100, StreamHandle(7))
+    assert reports and all(r.seed == 7 for r in reports)
+
+
+# the checks that draw sphere directions; the identity checks take sphere_samples
+# but draw points_per_frame * (n - k) directions per frame instead
+READS_SPHERE_SAMPLES = {"slicing_chain", "dpp_bound", "grinberg", "busemann_petty_volume",
+                        "negative_control"}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_sphere_samples_recorded_exactly_where_read(name):
+    def payloads(sphere_samples):
+        reports = _reports(name, sphere_samples, StreamHandle(53))
+        recorded = {r.inputs.pop("sphere_samples", None) for r in reports}
+        return recorded, json.dumps([r.as_dict() for r in reports], sort_keys=True)
+
+    (recorded_a, text_a), (recorded_b, text_b) = payloads(137), payloads(211)
+    reads = name in READS_SPHERE_SAMPLES
+    assert (text_a != text_b) == reads
+    assert (recorded_a, recorded_b) == (({137}, {211}) if reads else ({None}, {None}))
 
 
 @pytest.mark.parametrize("check", [
@@ -447,11 +482,11 @@ class TestWorkerPool:
     @staticmethod
     def _stub(monkeypatch, fn):
         # forked workers inherit CHECKS, so a stub registered here runs in them
-        def check(rng, seed, delay=0.0):
+        def check(rng, delay=0.0):
             fn()
             time.sleep(delay)
             return equality_report("stub", 3, 1, exact_log_estimate(0.0),
-                                   exact_log_estimate(0.0), seed=seed,
+                                   exact_log_estimate(0.0), seed=rng.seed,
                                    inputs={"pid": os.getpid()})
         monkeypatch.setitem(CHECKS, "stub", check)
 
