@@ -21,6 +21,7 @@ reruns with one seed are byte-identical.  Output destinations (``--json``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -80,17 +81,21 @@ def _run_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _reports_to_csv(reports: list[CheckReport], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_csv(path: str | None, header: list, rows: list) -> None:
+    """The header and rows as CSV, to the file at ``path`` or else to stdout."""
+    with (open(path, "w", newline="", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["schema", "check_name", "fixture", "n", "k", "relation",
-                         "lhs_log", "rhs_log", "margin", "pass", "note"])
-        for r in reports:
-            writer.writerow([_REPORT_SCHEMA, r.check_name,
-                             r.inputs.get("fixture", ""), r.n, r.k, r.relation,
-                             f"{r.lhs.to_log().value:.12g}",
-                             f"{r.rhs.to_log().value:.12g}",
-                             f"{r.margin:.6g}", int(r.passed), r.note])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _reports_to_csv(reports: list[CheckReport], path: str) -> None:
+    _write_csv(path, ["schema", "check_name", "fixture", "n", "k", "relation",
+                      "lhs_log", "rhs_log", "margin", "pass", "note"],
+               [[_REPORT_SCHEMA, r.check_name, r.inputs.get("fixture", ""), r.n, r.k,
+                 r.relation, f"{r.lhs.to_log().value:.12g}", f"{r.rhs.to_log().value:.12g}",
+                 f"{r.margin:.6g}", int(r.passed), r.note] for r in reports])
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
@@ -182,17 +187,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                          int(gamma_within_bounds(n, k)),
                          f"{log_bp_constant(n, n - k):.12g}",
                          f"{growth_ratio(n, k):.12g}"])
-    header = ["schema", "n", "k", "omega_n_log", "gamma_nk", "gamma_bounds_ok",
-              "p_log", "growth_ratio"]
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(args.csv, ["schema", "n", "k", "omega_n_log", "gamma_nk", "gamma_bounds_ok",
+                          "p_log", "growth_ratio"], rows)
     return 0
 
 

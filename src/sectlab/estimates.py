@@ -227,8 +227,8 @@ class CheckReport:
     margin: float               # SE units for "<=", relative gap for "="
     passed: bool
     tolerance_rule: str
+    seed: int
     inputs: dict = field(default_factory=dict)
-    seed: int = 0
     note: str = ""
 
     def as_dict(self) -> dict:
@@ -244,7 +244,7 @@ def _combined_log_se(lhs: Estimate, rhs: Estimate) -> float:
 
 
 def equality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estimate,
-                    inputs: dict | None = None, seed: int = 0, note: str = "") -> CheckReport:
+                    inputs: dict | None = None, *, seed: int, note: str = "") -> CheckReport:
     """Two-sided comparison: within 3 combined SEs and 2% relative gap."""
     a, b = lhs.to_log(), rhs.to_log()
     gap = abs(a.value - b.value)          # |log ratio| ~ relative gap
@@ -255,12 +255,12 @@ def equality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estimat
     rule = (f"|log lhs - log rhs| <= {SE_MULTIPLIER}*combined log SE ({sigma:.3e}) "
             f"and relative gap <= {REL_GAP_TOL:.0%}")
     return CheckReport(check_name, n, k, lhs, rhs, "=", rel_gap,
-                       bool(within_se and within_gap), rule,
-                       inputs or {}, seed, note)
+                       bool(within_se and within_gap), rule, seed,
+                       inputs or {}, note)
 
 
 def inequality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estimate,
-                      inputs: dict | None = None, seed: int = 0, note: str = "") -> CheckReport:
+                      inputs: dict | None = None, *, seed: int, note: str = "") -> CheckReport:
     """One-sided comparison lhs <= rhs up to Monte Carlo noise.
 
     The rule lhs <= rhs*(1 + 3 relSE) never excuses a genuine violation
@@ -276,5 +276,5 @@ def inequality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estim
     passed = slack >= -(SE_MULTIPLIER * sigma + EXACT_FLOOR)
     margin = slack / max(sigma, EXACT_FLOOR)
     rule = (f"log lhs <= log rhs + {SE_MULTIPLIER}*combined log SE ({sigma:.3e}) + {EXACT_FLOOR}")
-    return CheckReport(check_name, n, k, lhs, rhs, "<=", margin, bool(passed), rule,
-                       {**(inputs or {}), "log_slack": slack}, seed, note)
+    return CheckReport(check_name, n, k, lhs, rhs, "<=", margin, bool(passed), rule, seed,
+                       {**(inputs or {}), "log_slack": slack}, note)

@@ -10,6 +10,10 @@ Every subspace average, here and in the checks, runs on one
 :class:`_FrameDesign`, built from a frame count and a stream.  Designs
 that share (count, rng) share every frame and direction, which is how
 paired comparisons share common random frames.
+
+A check entry's stream rng splits as: frame j and its directions, rng.split(j) and
+rng.split(j).split(1); |K|, rng.split(_AUX); mu(K) of a density other than
+Lebesgue, rng.split(_AUX + 1); Grinberg's t-th image, rng.split(_AUX + 2 + t).
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .constants import log_ball_volume
 from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
                         log_power_product, mean_estimate)
 from .grassmann import Frame, _haar_bases, sample_haar
-from .measures import (LebesgueDensity, _require_sphere_samples, _section_measure_values,
-                       measure_of_body, section_measure_values)
+from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
+                       _section_measure_values, measure_of_body, section_measure_values)
 from .sampler import (StreamHandle, _rekeyable, _stream_directions, _stream_normals,
                       sphere_directions)
 
@@ -34,6 +38,7 @@ __all__ = [
     "i_minus_k",
     "volume_radius",
     "log_volume_estimate",
+    "log_measure_estimate",
 ]
 
 _VOLUME_SAMPLES = 20_000    # polar directions for |K| when the body does not know it
@@ -122,10 +127,20 @@ class _FrameDesign:
 
 def log_volume_estimate(body: StarBody, rng: StreamHandle) -> Estimate:
     """log |K|: exact when the body knows its volume, else the polar Lebesgue measure
-    over ``_VOLUME_SAMPLES`` directions drawn from rng."""
+    over ``_VOLUME_SAMPLES`` directions drawn from rng.split(_AUX)."""
     if body.exact_volume is not None:
         return exact_log_estimate(math.log(body.exact_volume))
-    return measure_of_body(LebesgueDensity(body.dim), body, _VOLUME_SAMPLES, rng).to_log()
+    volume = LebesgueDensity(body.dim)
+    return measure_of_body(volume, body, _VOLUME_SAMPLES, rng.split(_AUX)).to_log()
+
+
+def log_measure_estimate(density: DensityOracle, body: StarBody, samples: int,
+                         rng: StreamHandle) -> Estimate:
+    """log mu(K): for Lebesgue measure of K's dimension |K| by :func:`log_volume_estimate`,
+    else :func:`measure_of_body` on ``samples`` directions of rng.split(_AUX + 1)."""
+    if isinstance(density, LebesgueDensity) and density.dim == body.dim:
+        return log_volume_estimate(body, rng)
+    return measure_of_body(density, body, samples, rng.split(_AUX + 1)).to_log()
 
 
 def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
@@ -138,11 +153,10 @@ def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
     return section_measure_values(LebesgueDensity(frame.n), body, frame, sphere_samples, rng)
 
 
-def _quermass_from_logs(body: StarBody, k: int, logs: np.ndarray,
-                        design: _FrameDesign) -> Estimate:
-    """(E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n estimates."""
-    n = body.dim
-    log_vol = log_volume_estimate(body, design.rng.split(_AUX))
+def _quermass_from_logs(k: int, logs: np.ndarray, design: _FrameDesign,
+                        log_vol: Estimate) -> Estimate:
+    """(E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n and log |K|."""
+    n = design.bases.shape[1]
     mean_log = design.log_mean(logs - (n - k) * log_vol.value)
     se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error) / (k * n)
     return Estimate(mean_log.value / (k * n), se, len(logs), log_domain=True).to_linear()
@@ -164,7 +178,7 @@ def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: in
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
     logs = design.map(lambda theta, dirs: log_power_product(
         _section_measure_values(LebesgueDensity(n), body, dirs, n - k), n))
-    return _quermass_from_logs(body, k, logs, design)
+    return _quermass_from_logs(k, logs, design, log_volume_estimate(body, rng))
 
 
 def w_tilde(body: StarBody, k: int, frames: int, sphere_samples: int,
@@ -172,7 +186,7 @@ def w_tilde(body: StarBody, k: int, frames: int, sphere_samples: int,
     """Mean section volume functional (E_F |K1 cap F|)^(1/k) for volume-one K1."""
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    log_vol = log_volume_estimate(body, rng.split(_AUX))
+    log_vol = log_volume_estimate(body, rng)
     means = design.map(lambda theta, dirs: _section_measure_values(
         LebesgueDensity(n), body, dirs, n - k).mean(axis=-1))
     mean_log = design.log_mean(_log(means) - (n - k) / n * log_vol.value)
@@ -193,7 +207,7 @@ def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estima
     _require_sphere_samples(samples)
     theta = sphere_directions(rng.split(0).generator(), samples, n)
     moment = mean_estimate(body.radial(theta) ** (n - k)).to_log()
-    log_vol = log_volume_estimate(body, rng.split(_AUX))
+    log_vol = log_volume_estimate(body, rng)
     log_factor = math.log(n) + log_ball_volume(n) - math.log(n - k)
     # K1 = |K|^(-1/n) K; substituting x = |K|^(-1/n) y gives
     # integral_K1 ||x||^(-k) dx = |K|^(-(n-k)/n) integral_K ||y||^(-k) dy

@@ -27,12 +27,11 @@ x in [0, 50], and this module imports no ``scipy``.
 from __future__ import annotations
 
 import functools
-import json
 import math
 
 import numpy as np
 
-from .bodies import StarBody
+from .bodies import StarBody, _read_spec
 from .constants import log_ball_volume
 from .estimates import Estimate, mean_estimate
 from .grassmann import Frame
@@ -193,9 +192,6 @@ class LebesgueDensity(DensityOracle):
     """g == 1; the measure is volume."""
 
     radially_nonincreasing = True
-
-    def __init__(self, dim: int):
-        super().__init__(dim)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -379,8 +375,4 @@ def density_from_spec(spec: dict, dim: int) -> DensityOracle:
 
 
 def density_from_json(text_or_path: str, dim: int) -> DensityOracle:
-    text = text_or_path.strip()
-    if not text.startswith("{"):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return density_from_spec(json.loads(text), dim)
+    return density_from_spec(_read_spec(text_or_path), dim)

@@ -32,10 +32,9 @@ from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
 from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_report,
                         exact_log_estimate, inequality_report, log_power_product)
 from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
-                          dual_affine_quermass, log_volume_estimate)
+                          dual_affine_quermass, log_measure_estimate, log_volume_estimate)
 from .grassmann import _haar_bases
-from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
-                       measure_of_body)
+from .measures import DensityOracle, LebesgueDensity, _section_measure_values
 from .sampler import StreamHandle, simplex_volume
 
 __all__ = [
@@ -76,9 +75,11 @@ def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: i
 
 
 def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames: int,
-                     points_per_frame: int, rng: StreamHandle, lhs: Estimate) -> CheckReport:
-    """Compare lhs with p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
+                     points_per_frame: int, rng: StreamHandle) -> CheckReport:
+    """Compare mu(K)^(n-k), by :func:`~sectlab.functionals.log_measure_estimate`, with
+    p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
     n = body.dim
+    lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(n - k)
     design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng)
     mean_log = design.log_mean(design.map(
         lambda theta, dirs: _polar_log_moments(density, body, k, points_per_frame,
@@ -94,17 +95,11 @@ def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int
                       rng: StreamHandle, sphere_samples: int = 2000) -> CheckReport:
     """|K|^(n-k) against p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k ].
 
-    The right side is Monte Carlo over frames.  Inside each section the
-    integral is taken in polar form, (s omega_s)^s E_theta[ (|det theta|/s!)^k
-    prod_i rho(theta_i)^(s+k) / (s+k) ] with s = n - k, averaged over
-    ``points_per_frame`` direction s-tuples; no point is sampled inside the
-    section.  The left side's volume is exact when the body knows it, else
-    estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is
-    neither read nor recorded: only the benchmark's workloads still pass it.
+    :func:`check_logconcave_identity` at Lebesgue measure, where the ray mass
+    is rho^(s+k) / (s+k); ``sphere_samples`` is likewise unread.
     """
-    lhs = log_volume_estimate(body, rng.split(_AUX)).powered(body.dim - k)
     return _identity_report("bp_identity", LebesgueDensity(body.dim), body, k, frames,
-                            points_per_frame, rng, lhs)
+                            points_per_frame, rng)
 
 
 def _max_section_log(density: DensityOracle, body: StarBody,
@@ -123,13 +118,14 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: 
     mu(K)^(n-k) <= gamma^(-n) p(n, n-k) (max_F mu(K cap F))^(n-k) |K|^(k(n-k)/n).
 
     The sampled max under-estimates the true max, so the check is
-    conservative (stricter than the proved inequality).
+    conservative (stricter than the proved inequality).  At Lebesgue
+    measure mu(K) and |K| are one number.
     """
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
+    mu_total = log_measure_estimate(density, body, sphere_samples, rng)
     max_log, argmax = _max_section_log(density, body, design)
-    log_vol = log_volume_estimate(body, rng.split(_AUX))
+    log_vol = log_volume_estimate(body, rng)
     consts = exact_log_estimate(-n * log_gamma_nk(n, k) + log_bp_constant(n, n - k))
     rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
     lhs = mu_total.powered(n - k)
@@ -146,14 +142,15 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
     """E_F[mu(K cap F)^n] <= gamma^(-n) (sup_K g)^k mu(K)^(n-k).
 
     Equality holds exactly for the uniform density on a Euclidean ball,
-    so that fixture sits at the tolerance boundary by design.
+    so that fixture sits at the tolerance boundary by design.  At Lebesgue
+    measure the right side is exact when the body knows its volume.
     """
     sup = density.sup_on(body)
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
     lhs = design.log_mean(design.map(lambda theta, dirs: log_power_product(
         _section_measure_values(density, body, dirs, n - k), n)))
-    mu_total = measure_of_body(density, body, sphere_samples, rng.split(_AUX + 1))
+    mu_total = log_measure_estimate(density, body, sphere_samples, rng)
     rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
         mu_total.powered(n - k))
     return inequality_report("dpp_bound", n, k, lhs, rhs, seed=rng.seed,
@@ -177,14 +174,11 @@ def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, fr
     (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
     s = n - k and m(theta) = ``density.ray_mass`` up to rho(theta) at power
     s + k, averaged over ``points_per_frame`` direction s-tuples; no point
-    is sampled and no density supremum is needed.  The left side's measure
-    is estimated on ``_VOLUME_SAMPLES`` directions.  ``sphere_samples`` is
+    is sampled and no density supremum is needed.  ``sphere_samples`` is
     neither read nor recorded: only the benchmark's workloads still pass it.
     """
-    lhs = measure_of_body(density, body, _VOLUME_SAMPLES,
-                          rng.split(_AUX + 1)).powered(body.dim - k)
     return _identity_report("logconcave_identity", density, body, k, frames,
-                            points_per_frame, rng, lhs)
+                            points_per_frame, rng)
 
 
 def _haar_rotation(n: int, gen: np.random.Generator) -> np.ndarray:
@@ -227,7 +221,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
     logs = design.map(lambda theta, dirs: np.stack(
         [log_power_product(_section_measure_values(volume, b, dirs, n - k), n)
          for b in bodies], axis=-1))
-    phi, *images = [_quermass_from_logs(b, k, logs[:, i], design)
+    phi, *images = [_quermass_from_logs(k, logs[:, i], design, log_volume_estimate(b, rng))
                     for i, b in enumerate(bodies)]
 
     budgets = {"frames": len(design), "sphere_samples": sphere_samples}
@@ -253,7 +247,8 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     common frame first (within 3 combined SEs); a violation is reported as
     "hypothesis fails" rather than raised.  Both bodies share every frame
     and every sphere direction, and the same section values serve the
-    dominance test and both functionals.
+    dominance test and both functionals.  One |K| and one |D| serve both sides,
+    so they cancel: the log slack is (log E_F|D cap F|^n - log E_F|K cap F|^n) / n.
     """
     if body_k.dim != body_d.dim:
         raise ValueError("bodies must share an ambient dimension")
@@ -272,11 +267,11 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     per_frame = design.map(stats)
     violations = sum(vk > vd + 3.0 * math.hypot(sk, sd) + 1e-12
                      for (vk, sk, _), (vd, sd, _) in per_frame.tolist())
-    phi_k = _quermass_from_logs(body_k, k, per_frame[:, 0, 2], design)
-    phi_d = _quermass_from_logs(body_d, k, per_frame[:, 1, 2], design)
-    lhs = log_volume_estimate(body_k, rng.split(_AUX)).powered((n - k) / n)
-    rhs = phi_d.divided_by(phi_k).powered(k).times(
-        log_volume_estimate(body_d, rng.split(_AUX + 1)).powered((n - k) / n))
+    vol_k, vol_d = log_volume_estimate(body_k, rng), log_volume_estimate(body_d, rng)
+    phi_k = _quermass_from_logs(k, per_frame[:, 0, 2], design, vol_k)
+    phi_d = _quermass_from_logs(k, per_frame[:, 1, 2], design, vol_d)
+    lhs = vol_k.powered((n - k) / n)
+    rhs = phi_d.divided_by(phi_k).powered(k).times(vol_d.powered((n - k) / n))
     report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=rng.seed,
                                inputs={"frames": len(design),
                                        "sphere_samples": sphere_samples,

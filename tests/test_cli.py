@@ -229,6 +229,25 @@ class TestVerifyCommand:
         assert code in (0, 1)
         assert json.loads(out)["reports"][0]["check_name"] == "logconcave_identity"
 
+    def test_busemann_petty_with_body2(self, capsys):
+        code, out, _ = run_cli(["verify", "--check", "busemann_petty_volume",
+                                "--body", '{"kind":"cube","dim":3}',
+                                "--body2", '{"kind":"lp_ball","dim":3,"p":2.0,'
+                                           '"radius":1.7320508075688772}',
+                                "--frames", "20", "--samples", "200",
+                                "--deterministic"], capsys)
+        assert code == 0
+        report = json.loads(out)["reports"][0]
+        assert report["check_name"] == "busemann_petty_volume"
+        assert report["inputs"]["dominance_violations"] == 0
+
+    def test_busemann_petty_without_body2_is_error(self, capsys):
+        code, out, err = run_cli(["verify", "--check", "busemann_petty_volume",
+                                  "--body", '{"kind":"cube","dim":3}',
+                                  "--frames", "20", "--samples", "200"], capsys)
+        assert code == 2 and out == ""
+        assert "needs --body2" in json.loads(err)["error"]
+
     def test_grinberg_emits_two_reports(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "grinberg",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
@@ -278,6 +297,13 @@ class TestScanCommand:
         code, out, _ = run_cli(["scan", "--n-max", "3"], capsys)
         assert code == 0
         assert out.splitlines()[0].startswith("schema,")
+
+    def test_stdout_and_file_get_the_same_rows(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        assert run_cli(["scan", "--n-max", "4", "--csv", str(path)], capsys)[0] == 0
+        _, out, _ = run_cli(["scan", "--n-max", "4"], capsys)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == list(csv.reader(out.splitlines()))
 
 
 class TestSuiteCommand:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from scipy import special
 
-from sectlab.estimates import (Estimate, _logsumexp, equality_report, exact_estimate,
-                               exact_log_estimate, inequality_report,
+from sectlab.estimates import (CheckReport, Estimate, _logsumexp, equality_report,
+                               exact_estimate, exact_log_estimate, inequality_report,
                                log_mean_estimate, log_power_product, mean_estimate)
 
 
@@ -174,42 +174,59 @@ class TestEstimateAlgebra:
 
 class TestReports:
     def test_equality_passes_on_agreement(self):
-        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.01, 100), Estimate(1.005, 0.01, 100))
+        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.01, 100), Estimate(1.005, 0.01, 100),
+                              seed=0)
         assert rep.passed and rep.relation == "="
         assert rep.margin == pytest.approx(0.005, rel=0.1)
 
     def test_equality_fails_beyond_se(self):
-        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.001, 100), Estimate(1.01, 0.001, 100))
+        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.001, 100), Estimate(1.01, 0.001, 100),
+                              seed=0)
         assert not rep.passed
 
     def test_equality_fails_beyond_two_percent_even_within_se(self):
-        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.05, 100), Estimate(1.04, 0.05, 100))
+        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.05, 100), Estimate(1.04, 0.05, 100),
+                              seed=0)
         assert not rep.passed     # 4% gap, though within 3 SE
 
     def test_inequality_tolerates_noise(self):
-        rep = inequality_report("demo", 3, 1, Estimate(1.002, 0.001, 100), exact_estimate(1.0))
+        rep = inequality_report("demo", 3, 1, Estimate(1.002, 0.001, 100), exact_estimate(1.0),
+                                seed=0)
         assert rep.passed          # 0.2% violation within 3 * 0.1%
 
     def test_inequality_rejects_genuine_violation(self):
-        rep = inequality_report("demo", 3, 1, Estimate(1.1, 0.001, 100), exact_estimate(1.0))
+        rep = inequality_report("demo", 3, 1, Estimate(1.1, 0.001, 100), exact_estimate(1.0),
+                                seed=0)
         assert not rep.passed
         assert rep.margin < -3
 
     def test_exact_equality_at_boundary(self):
-        rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(0.0))
+        rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(0.0),
+                                seed=0)
         assert rep.passed
 
     def test_exact_sides_give_finite_margin(self):
         # two exact sides: the slack is divided by the 1e-9 floor, not by 0
-        rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(-1e-10))
+        rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(-1e-10),
+                                seed=0)
         assert rep.passed and rep.margin == pytest.approx(-0.1)
-        strict = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(0.5))
+        strict = inequality_report("demo", 3, 1, exact_log_estimate(0.0), exact_log_estimate(0.5),
+                                   seed=0)
         assert math.isfinite(strict.margin) and strict.margin == pytest.approx(0.5e9)
 
     def test_margin_in_se_units_when_sigma_is_positive(self):
         rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0),
-                                Estimate(0.03, 0.01, 100, log_domain=True))
+                                Estimate(0.03, 0.01, 100, log_domain=True), seed=0)
         assert rep.margin == pytest.approx(3.0)
+
+    def test_seed_is_required(self):
+        # a report cannot default its seed, so a check that forgets rng.seed fails loudly
+        for report in (equality_report, inequality_report):
+            with pytest.raises(TypeError):
+                report("demo", 3, 1, exact_estimate(1.0), exact_estimate(1.0))
+        with pytest.raises(TypeError):
+            CheckReport("demo", 3, 1, exact_estimate(1.0), exact_estimate(1.0), "<=", 0.0,
+                        True, "rule")
 
     def test_as_dict_shape(self):
         rep = inequality_report("demo", 4, 2, exact_estimate(1.0), exact_estimate(2.0), seed=9)

@@ -119,6 +119,20 @@ def test_checks_take_their_seed_from_their_stream():
             if "seed" in inspect.signature(fn).parameters] == []
 
 
+def test_checks_measure_a_whole_body_through_one_rule():
+    # mu(K) and |K| come from functionals.log_measure_estimate and log_volume_estimate,
+    # which own the _AUX and _AUX + 1 substreams; the checks pass their own stream
+    path = Path(__file__).resolve().parents[1] / "src" / "sectlab" / "verifier.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+        assert callee != "measure_of_body", f"verifier.py:{node.lineno} calls measure_of_body"
+        if callee == "split" and node.args:
+            arg = ast.unparse(node.args[0]).replace(" ", "")
+            assert arg not in ("_AUX", "_AUX+1"), f"verifier.py:{node.lineno} splits {arg}"
+
+
 def test_no_einsum_quadratic_forms():
     # x^T m x goes through sampler._quadratic_form, several times faster than
     # np.einsum("...i,ij,...j->...") on the frame blocks

@@ -7,8 +7,9 @@ from sectlab import functionals
 from sectlab.bodies import HPolytope, LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import log_ball_volume, log_gamma_nk
 from sectlab.estimates import Estimate, log_mean_estimate, log_power_product
-from sectlab.functionals import (dual_affine_quermass, i_minus_k, log_volume_estimate,
-                                 section_volume_values, volume_radius, w_tilde)
+from sectlab.functionals import (_AUX, dual_affine_quermass, i_minus_k, log_measure_estimate,
+                                 log_volume_estimate, section_volume_values, volume_radius,
+                                 w_tilde)
 from sectlab.grassmann import sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
                               measure_of_body, section_measure_values)
@@ -118,6 +119,34 @@ def test_log_volume_estimate_of_unknown_volume_uses_fixed_samples():
     est = log_volume_estimate(body, StreamHandle(42))
     assert est.n_samples == 20_000
     assert abs(est.value - math.log(8.0)) <= 3 * est.std_error
+
+
+class TestMeasureRule:
+    """log mu(K) on a check entry's stream: |K| itself at Lebesgue, else its own substream."""
+
+    BOX = HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 1.6))
+
+    def test_volume_draws_from_its_substream(self):
+        rng = StreamHandle(43)
+        est = log_volume_estimate(self.BOX, rng)
+        ref = measure_of_body(LebesgueDensity(3), self.BOX, 20_000, rng.split(_AUX)).to_log()
+        assert (est.value, est.std_error) == (ref.value, ref.std_error)
+
+    @pytest.mark.parametrize("body", [BOX, cube(3)], ids=["sampled", "exact"])
+    def test_lebesgue_measure_is_the_volume(self, body):
+        rng = StreamHandle(44)
+        assert (log_measure_estimate(LebesgueDensity(3), body, 300, rng)
+                == log_volume_estimate(body, rng))
+
+    def test_dimension_mismatch_is_an_error(self):
+        with pytest.raises(ValueError, match="density dimension 4 != body dimension 3"):
+            log_measure_estimate(LebesgueDensity(4), cube(3), 300, StreamHandle(46))
+
+    def test_other_density_draws_from_its_own_substream(self):
+        rng = StreamHandle(45)
+        est = log_measure_estimate(GaussianDensity(3), self.BOX, 300, rng)
+        ref = measure_of_body(GaussianDensity(3), self.BOX, 300, rng.split(_AUX + 1)).to_log()
+        assert est == ref and est.n_samples == 300
 
 
 class TestFrameBlockReference:

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from sectlab import functionals
-from sectlab.bodies import Ellipsoid, LpBall, StarBody, centered_simplex, cube, translate
-from sectlab.estimates import equality_report, exact_log_estimate, mean_estimate
-from sectlab.functionals import _FrameDesign
+from sectlab.constants import log_gamma_nk
+from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, StarBody, centered_simplex, cube,
+                            translate)
+from sectlab.estimates import (equality_report, exact_log_estimate, log_power_product,
+                               mean_estimate)
+from sectlab.functionals import _FrameDesign, log_volume_estimate
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity,
                               RadialExpDensity, _section_measure_values)
@@ -25,6 +28,7 @@ from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _max_section_l
 
 BALL3 = LpBall(3, 2.0)
 CUBE3 = cube(3)
+BOX3 = HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 1.6))   # no exact volume
 
 
 class TestBpIdentity:
@@ -149,6 +153,12 @@ class TestChains:
         assert slack == rep.rhs.to_log().value - rep.lhs.to_log().value
         assert rep.margin > 1e6
 
+    def test_lebesgue_measure_is_the_volume(self):
+        # at Lebesgue measure mu(K) and |K| are one number, drawn once
+        rep = check_slicing_chain(LebesgueDensity(3), BOX3, 1, 20, 200, StreamHandle(9))
+        vol = log_volume_estimate(BOX3, StreamHandle(9))
+        assert (rep.lhs.value, rep.lhs.std_error) == (2 * vol.value, 2 * vol.std_error)
+
     def test_l1_ball_4d(self):
         rep = check_slicing_chain(LebesgueDensity(4), LpBall(4, 1.0), 2, 80, 300,
                                   StreamHandle(7))
@@ -192,6 +202,13 @@ class TestDpp:
         rep = check_dpp(LebesgueDensity(3), CUBE3, 1, 120, 400, StreamHandle(10))
         assert rep.passed and rep.margin > 0
 
+    def test_lebesgue_right_side_is_exact(self):
+        # mu(K) is the cube's exact volume, so the only noise is the frames'
+        rep = check_dpp(LebesgueDensity(3), CUBE3, 1, 40, 200, StreamHandle(10))
+        assert rep.rhs.std_error == 0.0
+        assert rep.rhs.value == pytest.approx(-3 * log_gamma_nk(3, 1) + 2 * math.log(8.0),
+                                              rel=1e-15)
+
     def test_sup_recorded(self):
         rep = check_dpp(GaussianDensity(3), CUBE3, 1, 50, 300, StreamHandle(11))
         assert rep.inputs["sup_on_body"] == pytest.approx(1.0)
@@ -219,6 +236,16 @@ class TestLogconcaveIdentity:
         rep = check_logconcave_identity(LebesgueDensity(3), BALL3, 1, 200, 300,
                                         StreamHandle(12), sphere_samples=300)
         assert rep.passed
+
+    @pytest.mark.parametrize("body", [CUBE3, BOX3], ids=["exact", "sampled"])
+    def test_at_lebesgue_is_bp_identity(self, body):
+        # the two identity checks share one left side and differ only in their density
+        a = check_logconcave_identity(LebesgueDensity(3), body, 1, 20, 50, StreamHandle(17))
+        b = check_bp_identity(body, 1, 20, 50, StreamHandle(17))
+        a, b = a.as_dict(), b.as_dict()
+        assert (a.pop("check_name"), b.pop("check_name")) == ("logconcave_identity",
+                                                              "bp_identity")
+        assert a == b
 
     def test_gaussian_ball(self):
         rep = check_logconcave_identity(GaussianDensity(3), BALL3, 1, 300, 300,
@@ -302,6 +329,20 @@ class TestBusemannPetty:
         assert not rep.passed
         assert "hypothesis fails" in rep.note
         assert rep.inputs["dominance_violations"] == 40
+
+    def test_volumes_cancel_in_the_log_slack(self):
+        # D has no exact volume; one |D| serves phi(D) and the right side, so the log
+        # slack is the section-power ratio alone, on the check's own frame design
+        assert BOX3.exact_volume is None
+        rep = check_busemann_petty_volume(CUBE3, BOX3, 1, 160, 600, StreamHandle(5))
+        design = _FrameDesign(160, 3, 1, 600, StreamHandle(5))
+
+        def log_mean_power(body):
+            return design.log_mean(design.map(lambda theta, dirs: log_power_product(
+                _section_measure_values(LebesgueDensity(3), body, dirs, 2), 3))).value
+
+        expected = (log_mean_power(BOX3) - log_mean_power(CUBE3)) / 3
+        assert rep.inputs["log_slack"] == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestSuite:
