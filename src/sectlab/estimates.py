@@ -177,6 +177,14 @@ def _log(values) -> np.ndarray:
     return np.reshape(flat, np.shape(values))
 
 
+def _group_sizes(m: int, groups: int) -> list[int]:
+    """Sizes of the groups of ``np.array_split`` of m values into ``groups``: the first
+    m % groups hold one value more.  The groups of :func:`log_power_product`, and of
+    the directions of a frame (:class:`~sectlab.functionals._FrameDesign`)."""
+    size, extra = divmod(m, groups)
+    return [size + (group < extra) for group in range(groups)]
+
+
 def log_power_product(values: np.ndarray, power: int) -> float | np.ndarray:
     """log of the product of ``power`` disjoint group means, one per row of (..., m) values.
 
@@ -190,13 +198,11 @@ def log_power_product(values: np.ndarray, power: int) -> float | np.ndarray:
         raise ValueError(f"power must be a positive integer, got {power}")
     if values.shape[-1] < 2 * power:
         raise ValueError(f"need at least {2 * power} values for {power} groups")
-    # the groups of np.array_split, whose first m % power hold one value more;
     # sum / size is the bits of each group's .mean()
-    size, extra = divmod(values.shape[-1], power)
     means, stop = [], 0
-    for group in range(power):
-        start, stop = stop, stop + size + (group < extra)
-        means.append(np.add.reduce(values[..., start:stop], axis=-1) / (stop - start))
+    for size in _group_sizes(values.shape[-1], power):
+        start, stop = stop, stop + size
+        means.append(np.add.reduce(values[..., start:stop], axis=-1) / size)
     means = np.array(means)
     logs = _log(means)
     total = np.zeros(values.shape[:-1])

@@ -2,18 +2,25 @@
 
 Implements the dual affine quermassintegral and its companions
 (mean-section functional, negative moment), and the volume radius.
-Subspace averages are Monte Carlo over Haar frames; means of
-n-th powers of section volumes are heavy-tailed and therefore accumulated
-in log domain.
+Subspace averages are Monte Carlo over Haar frames, and inside a frame
+over randomised point sets on the section's sphere; means of n-th powers
+of section volumes are heavy-tailed and therefore accumulated in log
+domain.
 
 Every subspace average, here and in the checks, runs on one
 :class:`_FrameDesign`, built from a frame count and a stream.  Designs
 that share (count, rng) share every frame and direction, which is how
 paired comparisons share common random frames.
 
-A check entry's stream rng splits as: frame j and its directions, rng.split(j) and
-rng.split(j).split(1); |K|, rng.split(_AUX); mu(K) of a density other than
-Lebesgue, rng.split(_AUX + 1); Grinberg's t-th image, rng.split(_AUX + 2 + t).
+A check entry's stream rng splits as:
+
+- frame j, rng.split(j): its Gaussian draw; at n = 2 the one offset of
+  the stratified lines comes from rng.split(0);
+- frame j's directions, rng.split(j).split(1): the normals of its n
+  group rotations, (n, d) with d = 1, 2, 4 for s = 1, 2, 3, or for the
+  identity checks and s >= 4 its iid directions;
+- |K|, rng.split(_AUX); mu(K) of a density other than Lebesgue,
+  rng.split(_AUX + 1); Grinberg's t-th image, rng.split(_AUX + 2 + t).
 """
 
 from __future__ import annotations
@@ -24,13 +31,13 @@ import numpy as np
 
 from .bodies import StarBody
 from .constants import log_ball_volume
-from .estimates import (Estimate, _log, exact_log_estimate, log_mean_estimate,
+from .estimates import (Estimate, _group_sizes, _log, exact_log_estimate, log_mean_estimate,
                         log_power_product, mean_estimate)
 from .grassmann import Frame, _haar_bases, sample_haar
 from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
                        _section_measure_values, measure_of_body, section_measure_values)
-from .sampler import (StreamHandle, _rekeyable, _stream_directions, _stream_normals,
-                      sphere_directions)
+from .sampler import (_ROTATION_NORMALS, StreamHandle, _rekeyable, _rotated_points,
+                      _rotations, _stream_directions, _stream_normals, sphere_directions)
 
 __all__ = [
     "dual_affine_quermass",
@@ -63,7 +70,17 @@ def _haar_stack(n: int, s: int, count: int, rng: StreamHandle,
     batched QR orthonormalises every draw; a numerically rank-deficient
     draw goes to :func:`sample_haar`, which repeats it from the same
     substream and retries.
+
+    Lines in the plane are stratified instead: frame j is the line at angle
+    pi (j + U) / count, with one uniform U drawn from rng.split(0).  Each
+    line is Haar, so a mean over them is unbiased, but they are not
+    independent, and the iid SE of a mean over frames over-reports: at
+    n = 2 every frame-level SE is conservative.
     """
+    if (n, s) == (2, 1):
+        offset = rng.split(0).generator().random()
+        angles = [math.pi * (j + offset) / count for j in range(count)]
+        return np.array([[[math.cos(a)], [math.sin(a)]] for a in angles])
     handles = [rng.split(j) for j in range(count)]
     bases, deficient = _haar_bases(_stream_normals(gen, handles, (n, s)))
     for j in np.flatnonzero(deficient):
@@ -74,21 +91,40 @@ def _haar_stack(n: int, s: int, count: int, rng: StreamHandle,
 class _FrameDesign:
     """The frames of one average over the Grassmannian G_{n,n-k}, and their directions.
 
-    ``frames`` Haar frames are drawn by :func:`_haar_stack` and held as one
-    (F, n, n - k) stack.  Frame j gets ``count`` sphere directions, drawn
+    ``frames`` frames are drawn by :func:`_haar_stack` and held as one
+    (F, n, n - k) stack: iid Haar frames, or stratified lines at n = 2.
+    Frame j gets ``count`` directions on the sphere of its subspace, drawn
     from rng.split(j).split(1): a child of the substream frame j is drawn
     from, so the two stay independent, while designs that share (frames,
     rng) share every frame and direction.  Every average over frames goes
     through :meth:`map` and :meth:`log_mean`.
 
+    The directions of a frame are the section kernel's rule: n consecutive
+    groups, sized as :func:`~sectlab.estimates.log_power_product` splits
+    them (:func:`~sectlab.estimates._group_sizes`), each a fixed point set
+    under its own random rotation (:func:`~sectlab.sampler._rotated_points`):
+    the pair +-u for s = 1, an m-gon for s = 2 and a spherical Fibonacci
+    set for s = 3.  Each group's mean is unbiased and the groups are
+    independent, so the product of the n group means stays an unbiased
+    n-th power (Owen, *Monte Carlo theory, methods and examples*, ch. 17),
+    and a frame takes n rotations' normals instead of count * s.  Frames
+    stay independent, so a frame-level SE is an iid SE; an SE taken over
+    one frame's directions by the iid formula over-reports, since the rule
+    beats independent directions, and is conservative.  For s >= 4, and
+    with ``_iid`` (the identity checks, whose consecutive s-tuples must
+    hold independent directions), the directions are iid uniform instead
+    (:func:`~sectlab.sampler._stream_directions`).
+
     A design builds one Philox generator and re-keys it to each frame's
     substream (:func:`~sectlab.sampler._stream_normals`), for the frame
-    draws and for every block's directions; building one per frame cost
-    more than drawing its normals.  The bits are those of a new generator
-    per substream.
+    draws, for every frame's rotations, which it draws at construction,
+    and for every block's iid directions; building one per frame cost more
+    than drawing its normals.  The bits are those of a new generator per
+    substream, so a frame's directions do not depend on its block.
     """
 
-    def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle):
+    def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle, *,
+                 _iid: bool = False):
         if not 1 <= k <= n - 1:
             raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
         if count < 1:
@@ -98,6 +134,11 @@ class _FrameDesign:
         gen = _rekeyable()
         self.bases = _haar_stack(n, n - k, frames, rng, gen)
         self.count, self.rng, self._gen = count, rng, gen
+        self._sizes = None if _iid or n - k > 3 else _group_sizes(count, n)
+        if self._sizes is not None:
+            handles = [rng.split(j).split(1) for j in range(frames)]
+            self._rotations = _rotations(
+                _stream_normals(gen, handles, (n, _ROTATION_NORMALS[n - k])))
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -107,16 +148,20 @@ class _FrameDesign:
 
         theta (B, count, s) holds each frame's directions in subspace
         coordinates and dirs (B, count, n) their embeddings in R^n, computed
-        for the whole block in one matmul; theta is normalised for the whole
-        block at once (:func:`~sectlab.sampler._stream_directions`).  A block
-        holds at most ``_BLOCK_DIRS`` directions, and at least one frame.
+        for the whole block in one matmul; theta is built for the whole
+        block at once.  A block holds at most ``_BLOCK_DIRS`` directions,
+        and at least one frame.
         """
         step = max(1, _BLOCK_DIRS // self.count)
+        s = self.bases.shape[-1]
         parts = []
         for start in range(0, len(self.bases), step):
             bases = self.bases[start:start + step]
-            handles = [self.rng.split(j).split(1) for j in range(start, start + len(bases))]
-            theta = _stream_directions(self._gen, handles, self.count, bases.shape[-1])
+            if self._sizes is None:
+                handles = [self.rng.split(j).split(1) for j in range(start, start + len(bases))]
+                theta = _stream_directions(self._gen, handles, self.count, s)
+            else:
+                theta = _rotated_points(self._rotations[start:start + step], self._sizes)
             parts.append(fn(theta, theta @ bases.transpose(0, 2, 1)))
         return np.concatenate(parts)
 

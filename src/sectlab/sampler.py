@@ -13,10 +13,17 @@ So the frame loops draw one substream after another from a single
 re-keyed bit generator (:func:`_stream_normals`, :func:`_stream_directions`)
 instead of building one per substream; the per-substream contract and
 every variate are unchanged.
+
+The section kernel's directions are randomised point sets instead: a
+fixed set on the sphere (:func:`_point_set`) under a random rotation
+(:func:`_rotations`, :func:`_rotated_points`), so a group of directions
+takes a few normals, not one per coordinate.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -158,6 +165,96 @@ def _stream_directions(gen: np.random.Generator, handles, count: int,
     for j in bad:
         g[j] = sphere_directions(handles[j].generator(), count, dim)
     return g
+
+
+# Gaussian coordinates that one random rotation of S^(s-1) takes, by s
+_ROTATION_NORMALS = {1: 1, 2: 2, 3: 4}
+
+
+@functools.lru_cache(maxsize=None)
+def _point_set(s: int, m: int) -> np.ndarray:
+    """The fixed m-point set P_s(m) on S^(s-1) that :func:`_rotated_points` rotates, (m, s).
+
+    s = 1: the alternating column +1, -1, ...; s = 2: the m-gon at angles
+    2 pi i / m; s = 3: the spherical Fibonacci set, height 1 - (2i + 1) / m
+    at longitude i times the golden angle (Marques et al., *Computer
+    Graphics Forum* 2013).  Built with ``math``'s cos, sin and sqrt, so its
+    bits do not depend on numpy's SIMD kernels.  Cached and read-only.
+    """
+    if s == 1:
+        rows = [[1.0 - 2.0 * (i % 2)] for i in range(m)]
+    elif s == 2:
+        rows = [[math.cos(2.0 * math.pi * i / m), math.sin(2.0 * math.pi * i / m)]
+                for i in range(m)]
+    else:
+        golden_angle = math.pi * (3.0 - math.sqrt(5.0))
+        rows = []
+        for i in range(m):
+            z = 1.0 - (2 * i + 1) / m
+            r = math.sqrt(1.0 - z * z)
+            rows.append([r * math.cos(golden_angle * i), r * math.sin(golden_angle * i), z])
+    points = np.array(rows, dtype=float).reshape(m, s)
+    points.flags.writeable = False
+    return points
+
+
+def _rotations(g: np.ndarray) -> np.ndarray:
+    """Random orthogonal s x s matrices (..., s, s) from Gaussian rows g (..., d).
+
+    u = g / |g| is uniform on S^(d-1).  d = 1 gives the sign u, Haar on O(1);
+    d = 2 the rotation [[c, -t], [t, c]] with (c, t) = u, Haar on SO(2); d = 4
+    the rotation of the unit quaternion u, Haar on SO(3).  Only +, -, *, /
+    and sqrt enter, so the bits do not depend on the CPU.
+    """
+    norms = _row_norms(g)
+    if not norms.all():
+        raise ValueError("zero Gaussian draw for a rotation")
+    u = g / norms[..., None]
+    d = g.shape[-1]
+    if d == 1:
+        return u[..., None]
+    if d == 2:
+        c, t = u[..., 0], u[..., 1]
+        rows = [[c, -t], [t, c]]
+    else:
+        w, x, y, z = (u[..., i] for i in range(4))
+        rows = [[1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+                [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
+                [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def _rotated_points(rotations: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Each row's directions on S^(s-1) from randomised point sets: (B, sum(sizes), s).
+
+    ``rotations`` (B, len(sizes), s, s) holds a row's orthogonal matrices
+    (:func:`_rotations`), and its directions fall into ``len(sizes)``
+    consecutive groups: group g is :func:`_point_set` (s, sizes[g]) under
+    rotations[:, g].  Each direction is uniform on the sphere, so a group's
+    mean of any function is unbiased, and groups with independent rotations
+    are independent.
+
+    Groups of one size are rotated together, one output column at a time:
+    coordinate i of R p is R[i, 0] p[0] + R[i, 1] p[1] + ..., summed in
+    column order, and every operation runs along the points.  Broadcasting
+    the (s, s) matrices against the points instead puts an axis of length s
+    innermost and ran several times slower.
+    """
+    frames, _, s, _ = rotations.shape
+    out = np.empty((frames, sum(sizes), s))
+    group = stop = 0
+    for size, run in itertools.groupby(sizes):
+        run = len(list(run))
+        start, stop = stop, stop + size * run
+        points = _point_set(s, size)
+        rot = rotations[:, group:group + run]
+        for i in range(s):
+            coord = rot[:, :, i, 0, None] * points[:, 0]
+            for j in range(1, s):
+                coord += rot[:, :, i, j, None] * points[:, j]
+            out[:, start:stop, i] = coord.reshape(frames, size * run)
+        group += run
+    return out
 
 
 def uniform_in_body(body, rng, size: int | None = None) -> np.ndarray:

@@ -10,7 +10,14 @@ one), which is recorded in the report note.
 Checks are pure functions of (inputs, rng) and report ``rng.seed``: each builds
 one frame design (:class:`~sectlab.functionals._FrameDesign`), which draws frame j
 and its directions from substreams of (rng, j), and every other purpose has its own
-substream, so a rerun gives a bit-identical report regardless of scheduling.
+substream, so a rerun gives a bit-identical report regardless of scheduling.  The
+section-kernel checks take each frame's directions from n randomised point sets,
+one rotation per group; the identity checks keep iid directions, because their
+consecutive s-tuples must be independent.  An SE taken over one frame's
+directions by the iid formula (the largest section in ``slicing_chain``, the
+dominance test of ``busemann_petty_volume``) therefore over-reports and is
+conservative; an SE over frames is an iid SE, except at n = 2, where the frames
+are stratified lines and it is conservative too.
 
 :func:`run_suite` runs the grid entries on a pool of forked worker
 processes, one per CPU this process may run on, or ``SECTLAB_WORKERS`` of
@@ -80,7 +87,7 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
     p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
     n = body.dim
     lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(n - k)
-    design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng)
+    design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng, _iid=True)
     mean_log = design.log_mean(design.map(
         lambda theta, dirs: _polar_log_moments(density, body, k, points_per_frame,
                                                theta, dirs)))
@@ -104,7 +111,10 @@ def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int
 
 def _max_section_log(density: DensityOracle, body: StarBody,
                      design: _FrameDesign) -> tuple[Estimate, int]:
-    """Largest section measure over the design's frames, in log domain, plus its frame index."""
+    """Largest section measure over the design's frames, in log domain, plus its frame index.
+
+    Its SE applies the iid formula to the frame's rule directions, which
+    over-reports: the SE is conservative."""
     stats = design.map(lambda theta, dirs: np.stack(
         _mean_and_se(_section_measure_values(density, body, dirs, theta.shape[-1])), axis=-1))
     best = int(np.argmax(stats[:, 0]))
@@ -118,8 +128,10 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: 
     mu(K)^(n-k) <= gamma^(-n) p(n, n-k) (max_F mu(K cap F))^(n-k) |K|^(k(n-k)/n).
 
     The sampled max under-estimates the true max, so the check is
-    conservative (stricter than the proved inequality).  At Lebesgue
-    measure mu(K) and |K| are one number.
+    conservative (stricter than the proved inequality).  The max section's
+    SE takes the iid formula over the frame's rule directions, which
+    over-reports, so it is conservative too.  At Lebesgue measure mu(K) and
+    |K| are one number.
     """
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
@@ -245,10 +257,13 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
 
     Dominance |K cap F| <= |D cap F| is verified empirically on every
     common frame first (within 3 combined SEs); a violation is reported as
-    "hypothesis fails" rather than raised.  Both bodies share every frame
-    and every sphere direction, and the same section values serve the
-    dominance test and both functionals.  One |K| and one |D| serve both sides,
-    so they cancel: the log slack is (log E_F|D cap F|^n - log E_F|K cap F|^n) / n.
+    "hypothesis fails" rather than raised.  The per-frame SEs take the iid
+    formula over the frame's rule directions, which over-reports them: they
+    are conservative, and a violation must clear the wider band.  Both
+    bodies share every frame and every sphere direction, and the same
+    section values serve the dominance test and both functionals.  One |K|
+    and one |D| serve both sides, so they cancel: the log slack is
+    (log E_F|D cap F|^n - log E_F|K cap F|^n) / n.
     """
     if body_k.dim != body_d.dim:
         raise ValueError("bodies must share an ambient dimension")

@@ -1,10 +1,12 @@
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
-from sectlab import functionals
-from sectlab.bodies import HPolytope, LpBall, centered_simplex, cube, linear_image
+from sectlab import functionals, sampler
+from sectlab.bodies import Ellipsoid, HPolytope, LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import log_ball_volume, log_gamma_nk
 from sectlab.estimates import Estimate, log_mean_estimate, log_power_product
 from sectlab.functionals import (_AUX, dual_affine_quermass, i_minus_k, log_measure_estimate,
@@ -14,6 +16,52 @@ from sectlab.grassmann import sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
                               measure_of_body, section_measure_values)
 from sectlab.sampler import StreamHandle, _rekeyable, sphere_directions
+
+# a non-diagonal ellipsoid {x : x^T A^{-1} x <= 1} in R^3 and one in R^4
+_ELLIPSOID3 = np.array([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 0.5]])
+_ELLIPSOID4 = np.array([[2.0, 0.6, 0.2, 0.1], [0.6, 1.0, 0.3, 0.0],
+                        [0.2, 0.3, 0.5, 0.1], [0.1, 0.0, 0.1, 0.8]])
+
+
+def _rule_point(s, m, i):
+    """Point i of the fixed set of m points on S^(s-1), in Python floats."""
+    if s == 1:
+        return [1.0 if i % 2 == 0 else -1.0]
+    if s == 2:
+        return [math.cos(2.0 * math.pi * i / m), math.sin(2.0 * math.pi * i / m)]
+    golden_angle = math.pi * (3.0 - math.sqrt(5.0))
+    z = 1.0 - (2 * i + 1) / m
+    r = math.sqrt(1.0 - z * z)
+    return [r * math.cos(golden_angle * i), r * math.sin(golden_angle * i), z]
+
+
+def _rule_rotation(g):
+    """The orthogonal matrix of one Gaussian row: a sign, an angle or a unit quaternion."""
+    norm = math.sqrt(reduce(add, [x * x for x in g]))
+    u = [x / norm for x in g]
+    if len(u) == 1:
+        return [u]
+    if len(u) == 2:
+        c, t = u
+        return [[c, -t], [t, c]]
+    w, x, y, z = u
+    return [[1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+            [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
+            [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
+
+
+def _rule_directions(handle, count, n, s):
+    """One frame's (count, s) directions, written out point by point: the n groups of
+    np.array_split, group g the fixed point set under the rotation of normal row g."""
+    normals = handle.generator().standard_normal((n, {1: 1, 2: 2, 3: 4}[s])).tolist()
+    sizes = [len(group) for group in np.array_split(np.arange(count), n)]
+    rows = []
+    for g, m in zip(normals, sizes):
+        rot = _rule_rotation(g)
+        for i in range(m):
+            p = _rule_point(s, m, i)
+            rows.append([reduce(add, [rot[r][c] * p[c] for c in range(s)]) for r in range(s)])
+    return np.array(rows).reshape(count, s)
 
 
 class TestSectionPowerFunctional:
@@ -196,10 +244,13 @@ class TestFrameBlockReference:
         for j in range(frames):
             frame = sample_haar(n, n - k, rng.split(j))
             sub = rng.split(j).split(1)
+            # the one-frame wrapper keeps iid directions on the same substream
             theta = sphere_directions(sub.generator(), samples, n - k)
-            values = omega * body.radial(frame.embed(theta)) ** (n - k)
             one_frame = section_volume_values(body, frame, samples, sub)
-            assert one_frame.tobytes() == values.tobytes()
+            assert one_frame.tobytes() == (omega * body.radial(frame.embed(theta))
+                                           ** (n - k)).tobytes()
+            theta = _rule_directions(sub, samples, n, n - k)
+            values = omega * body.radial(frame.embed(theta)) ** (n - k)
             logs.append(sum(math.log(g.mean()) for g in np.array_split(values, n)))
         mean_log = log_mean_estimate(np.array(logs) - (n - k) * math.log(body.exact_volume))
         expected = Estimate(mean_log.value / (k * n), mean_log.std_error / (k * n), frames,
@@ -231,19 +282,21 @@ class TestFrameDesign:
 
     N, K, FRAMES, COUNT = 4, 2, 10, 7
 
-    def _per_frame(self, rng):
-        n, s = self.N, self.N - self.K
+    def _per_frame(self, rng, n=N, k=K, iid=False):
+        s = n - k
         thetas, dirs = [], []
         for j in range(self.FRAMES):
             frame = sample_haar(n, s, rng.split(j))
-            theta = sphere_directions(rng.split(j).split(1).generator(), self.COUNT, s)
+            sub = rng.split(j).split(1)
+            theta = (sphere_directions(sub.generator(), self.COUNT, s) if iid
+                     else _rule_directions(sub, self.COUNT, n, s))
             thetas.append(theta)
             dirs.append(frame.embed(theta))
         return np.stack(thetas), np.stack(dirs)
 
-    def _blocks(self, rng):
+    def _blocks(self, rng, n=N, k=K, **iid):
         blocks = []
-        out = functionals._FrameDesign(self.FRAMES, self.N, self.K, self.COUNT, rng).map(
+        out = functionals._FrameDesign(self.FRAMES, n, k, self.COUNT, rng, **iid).map(
             lambda theta, dirs: blocks.append((theta, dirs)) or dirs.sum(axis=(1, 2)))
         return blocks, out
 
@@ -281,3 +334,69 @@ class TestFrameDesign:
         theta, dirs = self._per_frame(rng)
         assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
         assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+
+    @pytest.mark.parametrize("n,k,iid", [(4, 2, True), (5, 1, False)], ids=["identity", "s4"])
+    def test_iid_directions_equal_per_frame_loop(self, n, k, iid):
+        # the identity checks' designs, and s >= 4, keep iid directions
+        rng = StreamHandle(57)
+        blocks, _ = self._blocks(rng, n, k, **({"_iid": True} if iid else {}))
+        theta, dirs = self._per_frame(rng, n, k, iid=True)
+        assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
+        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+
+    def test_lines_in_the_plane_are_stratified(self):
+        # G(2,1): frame j is the line at angle pi (j + U) / F, U uniform from rng.split(0)
+        rng, frames = StreamHandle(58), 12
+        offset = rng.split(0).generator().random()
+        expected = [[[math.cos(math.pi * (j + offset) / frames)],
+                     [math.sin(math.pi * (j + offset) / frames)]] for j in range(frames)]
+        design = functionals._FrameDesign(frames, 2, 1, 6, rng)
+        assert design.bases.tobytes() == np.array(expected).tobytes()
+
+
+class TestDirectionRule:
+    """The section kernel's randomised point sets: exact where the rule is, unbiased always."""
+
+    @pytest.mark.parametrize("matrix,k,tol", [(_ELLIPSOID3, 2, 1e-12), (_ELLIPSOID3, 1, 1e-12),
+                                              (_ELLIPSOID4, 1, 2e-3)], ids=["s1", "s2", "s3"])
+    def test_frame_mean_is_the_section_volume(self, matrix, k, tol):
+        # the section of {x^T A^{-1} x <= 1} by span(B) has volume omega_s / sqrt(det(B^T A^{-1} B))
+        body, n = Ellipsoid(matrix), len(matrix)
+        s, inv = n - k, np.linalg.inv(matrix)
+        design = functionals._FrameDesign(5, n, k, 600, StreamHandle(59))
+        means = design.map(lambda theta, dirs: _section_measure_values(
+            LebesgueDensity(n), body, dirs, s).mean(axis=-1))
+        exact = [math.exp(log_ball_volume(s)) / math.sqrt(np.linalg.det(b.T @ inv @ b))
+                 for b in design.bases]
+        assert np.abs(means / exact - 1.0).max() <= tol
+
+    def test_line_mean_is_the_chord_of_a_body_that_is_not_symmetric(self):
+        # s = 1: a group of the rule takes u and -u in turn, so with groups of even size
+        # a line's mean value, omega_1 = 2 times the mean of rho(u) and rho(-u), is its
+        # chord rho(u) + rho(-u) whether or not the body is symmetric
+        body = centered_simplex(3)
+        design = functionals._FrameDesign(5, 3, 2, 600, StreamHandle(61))
+        means = design.map(lambda theta, dirs: _section_measure_values(
+            LebesgueDensity(3), body, dirs, 1).mean(axis=-1))
+        chords = [float(body.radial(b[:, 0]) + body.radial(-b[:, 0])) for b in design.bases]
+        assert np.abs(means / chords - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_rotated_point_is_uniform_in_mean_and_second_moment(self, s):
+        draws = 20_000
+        normals = StreamHandle(60).generator().standard_normal(
+            (draws, sampler._ROTATION_NORMALS[s]))
+        point = np.array(_rule_point(s, 7, 3))
+        x = sampler._fold_columns(np.add, sampler._rotations(normals) * point)
+        second = (x[:, :, None] * x[:, None, :]).reshape(draws, s * s)
+        for sample, target in ((x, np.zeros(s)), (second, np.eye(s).ravel() / s)):
+            mean = sample.mean(axis=0)
+            se = sample.std(axis=0, ddof=1) / math.sqrt(draws)
+            assert (np.abs(mean - target) <= 4.0 * se + 1e-12).all()
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_point_sets_are_cached_unit_rows(self, s):
+        points = sampler._point_set(s, 9)
+        assert points is sampler._point_set(s, 9) and not points.flags.writeable
+        assert points.shape == (9, s)
+        assert np.allclose(np.linalg.norm(points, axis=-1), 1.0, rtol=0, atol=1e-15)

@@ -44,6 +44,13 @@ class TestBpIdentity:
         assert rep.passed
         assert rep.lhs.to_linear().value == pytest.approx(64.0, rel=1e-9)
 
+    def test_square_passes_at_every_seed(self):
+        # G(2,1) takes stratified lines: with 50 iid Haar lines this check failed the 2%
+        # gap at 93 of seeds 0-199 on frame noise alone
+        for seed in range(50):
+            rep = check_bp_identity(cube(2), 1, 50, 100, StreamHandle(seed))
+            assert rep.passed, (seed, rep.margin)
+
     def test_segment_sections(self):
         # k = n-1: one-point simplices, conv(0, x) has length |x|
         rep = check_bp_identity(LpBall(2, 2.0), 1, 300, 500, StreamHandle(3),
