@@ -13,11 +13,10 @@ from .estimates import CheckReport, Estimate
 from .bodies import (Ellipsoid, HPolytope, LpBall, StarBody, body_from_json,
                      body_from_spec, centered_simplex, cube, linear_image, translate)
 from .grassmann import Frame, sample_haar
-from .measures import (DensityOracle, GaussianDensity, IndicatorDensity,
-                       LebesgueDensity, RadialExpDensity, density_from_json,
-                       density_from_spec, measure_of_body)
+from .measures import (DensityOracle, GaussianDensity, LebesgueDensity, RadialExpDensity,
+                       density_from_json, density_from_spec, measure_of_body)
 from .sampler import StreamHandle, sample_restricted, simplex_volume, uniform_in_body
-from .functionals import dual_affine_quermass, i_minus_k, volume_radius, w_tilde
+from .functionals import dual_affine_quermass
 from .verifier import CHECKS, SuiteConfig, SuiteResult, run_suite
 
 __version__ = "0.1.0"

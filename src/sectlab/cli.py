@@ -33,8 +33,8 @@ from .bodies import body_from_json
 from .constants import (gamma_within_bounds, growth_ratio, log_ball_volume, log_bp_constant,
                         log_gamma_nk)
 from .estimates import CheckReport
-from .functionals import dual_affine_quermass, i_minus_k, volume_radius, w_tilde
-from .measures import LebesgueDensity, density_from_json, measure_of_body
+from .functionals import dual_affine_quermass, log_volume_estimate
+from .measures import density_from_json
 from .sampler import StreamHandle
 from .verifier import CHECKS, SuiteConfig, run_suite
 
@@ -46,10 +46,11 @@ _NOT_CONFIG = ("func", "json", "csv", "pretty")
 # each; any other rejects the flag.  Defaults are filled in only where read,
 # so config records only budgets that ran.
 _ESTIMATE_READERS = {
-    "k": ("phi", "w", "i_minus_k"),
-    "frames": ("phi", "w"),
+    "k": ("phi",),
+    "frames": ("phi",),
+    "samples": ("phi",),
 }
-_ESTIMATE_DEFAULTS = {"k": 1, "frames": 500}
+_ESTIMATE_DEFAULTS = {"k": 1, "frames": 500, "samples": 20_000}
 _VERIFY_READERS = {
     "measure": ("slicing_chain", "dpp_bound", "logconcave_identity"),
     "points": ("bp_identity", "logconcave_identity"),
@@ -129,14 +130,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     rng = StreamHandle(args.seed)
     if name == "phi":
         est = dual_affine_quermass(body, args.k, args.frames, args.samples, rng)
-    elif name == "w":
-        est = w_tilde(body, args.k, args.frames, args.samples, rng)
-    elif name == "i_minus_k":
-        est = i_minus_k(body, args.k, args.samples, rng)
-    elif name == "vrad":
-        est = volume_radius(body, args.samples, rng)
     elif name == "volume":
-        est = measure_of_body(LebesgueDensity(body.dim), body, args.samples, rng)
+        est = log_volume_estimate(body, rng).to_linear()
     else:
         raise ValueError(f"unknown functional {name!r}")
     payload = {"functional": name, "estimate": est.as_dict(), "config": _run_config(args)}
@@ -225,12 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate one functional of a body")
     p.add_argument("--functional", required=True,
-                   choices=["phi", "w", "i_minus_k", "vrad", "volume"])
+                   choices=["phi", "volume"])
     p.add_argument("--body", required=True, metavar="SPEC", help="JSON literal or path")
-    p.add_argument("--k", type=int, help="codimension (phi, w, i_minus_k; default 1)")
-    p.add_argument("--samples", type=int, default=20_000,
-                   help="sphere directions (per frame for phi and w; default 20000)")
-    p.add_argument("--frames", type=int, help="sampled frames (phi and w only; default 500)")
+    p.add_argument("--k", type=int, help="codimension (phi only; default 1)")
+    p.add_argument("--samples", type=int,
+                   help="sphere directions per frame (phi only; default 20000)")
+    p.add_argument("--frames", type=int, help="sampled frames (phi only; default 500)")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_estimate)

@@ -1,7 +1,7 @@
 """Scalar functionals of bodies and measures.
 
-Implements the dual affine quermassintegral and its companions
-(mean-section functional, negative moment), and the volume radius.
+Implements the dual affine quermassintegral, the one functional the
+checks read, and the logs of |K| and mu(K) it and the checks share.
 Subspace averages are Monte Carlo over Haar frames, and inside a frame
 over randomised point sets on the section's sphere; means of n-th powers
 of section volumes are heavy-tailed and therefore accumulated in log
@@ -30,20 +30,17 @@ import math
 import numpy as np
 
 from .bodies import StarBody
-from .constants import log_ball_volume
-from .estimates import (Estimate, _group_sizes, _log, exact_log_estimate, log_mean_estimate,
-                        log_power_product, mean_estimate)
+from .estimates import (Estimate, _group_sizes, exact_log_estimate, log_mean_estimate,
+                        log_power_product)
 from .grassmann import Frame, _haar_bases, sample_haar
-from .measures import (DensityOracle, LebesgueDensity, _require_sphere_samples,
-                       _section_measure_values, measure_of_body, section_measure_values)
+from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
+                       measure_of_body, section_measure_values)
 from .sampler import (_ROTATION_NORMALS, StreamHandle, _rekeyable, _rotated_points,
-                      _rotations, _stream_directions, _stream_normals, sphere_directions)
+                      _rotations, _stream_directions, _stream_normals)
+from .sampler import sphere_directions  # noqa: F401 (perfbench)
 
 __all__ = [
     "dual_affine_quermass",
-    "w_tilde",
-    "i_minus_k",
-    "volume_radius",
     "log_volume_estimate",
     "log_measure_estimate",
 ]
@@ -224,46 +221,3 @@ def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: in
     logs = design.map(lambda theta, dirs: log_power_product(
         _section_measure_values(LebesgueDensity(n), body, dirs, n - k), n))
     return _quermass_from_logs(k, logs, design, log_volume_estimate(body, rng))
-
-
-def w_tilde(body: StarBody, k: int, frames: int, sphere_samples: int,
-            rng: StreamHandle) -> Estimate:
-    """Mean section volume functional (E_F |K1 cap F|)^(1/k) for volume-one K1."""
-    n = body.dim
-    design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    log_vol = log_volume_estimate(body, rng)
-    means = design.map(lambda theta, dirs: _section_measure_values(
-        LebesgueDensity(n), body, dirs, n - k).mean(axis=-1))
-    mean_log = design.log_mean(_log(means) - (n - k) / n * log_vol.value)
-    se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error / n) / k
-    return Estimate(mean_log.value / k, se, len(design), log_domain=True).to_linear()
-
-
-def i_minus_k(body: StarBody, k: int, samples: int, rng: StreamHandle) -> Estimate:
-    """Negative moment I_{-k} = (integral_K1 ||x||^(-k) dx)^(-1/k), volume-one K1.
-
-    Polar integration gives integral_K ||x||^(-k) dx
-    = n omega_n / (n - k) * E_theta[rho(theta)^(n-k)], which is finite for
-    k < n.
-    """
-    n = body.dim
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    _require_sphere_samples(samples)
-    theta = sphere_directions(rng.split(0).generator(), samples, n)
-    moment = mean_estimate(body.radial(theta) ** (n - k)).to_log()
-    log_vol = log_volume_estimate(body, rng)
-    log_factor = math.log(n) + log_ball_volume(n) - math.log(n - k)
-    # K1 = |K|^(-1/n) K; substituting x = |K|^(-1/n) y gives
-    # integral_K1 ||x||^(-k) dx = |K|^(-(n-k)/n) integral_K ||y||^(-k) dy
-    log_integral = log_factor + moment.value - (n - k) / n * log_vol.value
-    se = math.hypot(moment.std_error, (n - k) / n * log_vol.std_error)
-    return Estimate(-log_integral / k, se / k, samples, log_domain=True).to_linear()
-
-
-def volume_radius(body: StarBody, samples: int, rng) -> Estimate:
-    """(|K| / omega_n)^(1/n), with |K| from :func:`~sectlab.measures.measure_of_body`
-    under Lebesgue measure on ``samples`` directions (at least 100)."""
-    n = body.dim
-    volume = measure_of_body(LebesgueDensity(n), body, samples, rng)
-    return volume.scaled(math.exp(-log_ball_volume(n))).powered(1.0 / n).to_linear()

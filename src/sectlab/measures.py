@@ -8,10 +8,10 @@ takes the same form inside F at power s (:func:`_section_measure_values`,
 the one section kernel); volume is the case g == 1, :class:`LebesgueDensity`.
 The power is a positive integer: n for mu(K), s for a section, s + k in
 the identity checks.  The built-in kinds (Lebesgue, Gaussian, radial
-exponential, indicator) evaluate the ray mass in closed form; any other
-density falls back to adaptive Gauss-Legendre refinement to relative
-1e-9, which needs the integer power to keep the integrand smooth at
-r = 0.  Either way the spherical average, done by Monte Carlo with a
+exponential) evaluate the ray mass in closed form; any other density
+falls back to adaptive Gauss-Legendre refinement to relative 1e-9,
+which needs the integer power to keep the integrand smooth at r = 0.
+Either way the spherical average, done by Monte Carlo with a
 reported standard error, dominates the error.
 
 The Gaussian and radial exponential closed forms are Gamma(a) P(a, x) at
@@ -42,7 +42,6 @@ __all__ = [
     "LebesgueDensity",
     "GaussianDensity",
     "RadialExpDensity",
-    "IndicatorDensity",
     "measure_of_body",
     "section_measure_values",
     "density_from_spec",
@@ -54,11 +53,6 @@ _REL_TOL = 1e-9
 _MAX_PANELS = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MIN_SPHERE_SAMPLES = 100
-
-
-def _require_sphere_samples(count: int) -> None:
-    if count < _MIN_SPHERE_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SPHERE_SAMPLES} sphere samples, got {count}")
 
 
 class QuadratureError(RuntimeError):
@@ -257,30 +251,6 @@ class RadialExpDensity(DensityOracle):
         return _gamma_ray_mass(power, -power * np.log(c), c * np.asarray(upper, dtype=float))
 
 
-class IndicatorDensity(DensityOracle):
-    """g = 1_D for a star body D.
-
-    The jump makes generic quadrature unreliable, so ray integration is
-    cut off exactly at D's radial function instead: along dir the density
-    is 1 up to rho_D(dir / ||dir||) / ||dir|| and 0 beyond.
-    """
-
-    radially_nonincreasing = True
-
-    def __init__(self, body: StarBody):
-        super().__init__(body.dim)
-        self.body = body
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.body.contains(np.asarray(x, dtype=float)).astype(float)
-
-    def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
-        dirs = np.asarray(dirs, dtype=float)
-        norms = np.linalg.norm(dirs, axis=-1)
-        cut = self.body.radial(dirs / norms[..., None]) / norms
-        return np.minimum(np.asarray(upper, dtype=float), cut) ** power / power
-
-
 def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarray,
                       power: float) -> np.ndarray:
     """integral_0^upper r^(power-1) g(r * theta) dr per direction, vectorized.
@@ -323,7 +293,9 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
 def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
                     rng) -> Estimate:
     """mu(K) = n omega_n E_theta[ integral_0^rho r^(n-1) g(r theta) dr ]."""
-    _require_sphere_samples(sphere_samples)
+    if sphere_samples < _MIN_SPHERE_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SPHERE_SAMPLES} sphere samples, "
+                         f"got {sphere_samples}")
     if body.dim != density.dim:
         raise ValueError(f"density dimension {density.dim} != body dimension {body.dim}")
     gen = as_generator(rng)

@@ -5,7 +5,10 @@ import math
 import pytest
 
 from sectlab import cli
+from sectlab.bodies import body_from_spec
 from sectlab.cli import main
+from sectlab.functionals import log_volume_estimate
+from sectlab.sampler import StreamHandle
 
 
 def run_cli(args, capsys):
@@ -45,30 +48,39 @@ class TestConstantsCommand:
 
 
 class TestEstimateCommand:
-    def test_volume_radius_of_ball(self, capsys):
-        code, out, _ = run_cli(["estimate", "--functional", "vrad",
-                                "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
-                                "--samples", "500", "--deterministic"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["estimate"]["value"] == pytest.approx(1.0, rel=1e-9)
-
     def test_volume_of_ball_is_exact(self, capsys):
         code, out, _ = run_cli(["estimate", "--functional", "volume",
                                 "--body", '{"kind":"lp_ball","dim":3,"p":2.0}',
-                                "--samples", "500", "--deterministic"], capsys)
+                                "--deterministic"], capsys)
         assert code == 0
         est = json.loads(out)["estimate"]
         assert est["value"] == pytest.approx(4 * math.pi / 3, rel=1e-12)
         assert est["se"] < 1e-12
 
     def test_volume_of_cube(self, capsys):
+        # the cube knows its volume, so no direction is drawn; |K| is carried in
+        # log, so the value is exp(log 8), 8 up to its last bit
         code, out, _ = run_cli(["estimate", "--functional", "volume",
-                                "--body", '{"kind":"cube","dim":3}',
-                                "--samples", "20000", "--deterministic"], capsys)
+                                "--body", '{"kind":"cube","dim":3}', "--deterministic"], capsys)
         assert code == 0
         est = json.loads(out)["estimate"]
-        assert abs(est["value"] - 8.0) <= 3 * est["se"]
+        assert est["value"] == pytest.approx(8.0, rel=1e-15)
+        assert (est["se"], est["n_samples"]) == (0.0, 1)
+
+    def test_volume_is_the_one_volume_rule(self, capsys):
+        # a box given by its facets does not know its volume: the value is the
+        # checks' |K|, drawn on the run's own stream
+        spec = {"kind": "h_polytope", "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                                  [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                "offsets": [1.6] * 6}
+        code, out, _ = run_cli(["estimate", "--functional", "volume", "--body",
+                                json.dumps(spec), "--seed", "5", "--deterministic"], capsys)
+        assert code == 0
+        est = json.loads(out)["estimate"]
+        expected = log_volume_estimate(body_from_spec(spec), StreamHandle(5)).to_linear()
+        assert (est["value"], est["se"], est["n_samples"]) == (
+            expected.value, expected.std_error, expected.n_samples)
+        assert abs(est["value"] - 3.2 ** 3) <= 3 * est["se"]
 
     def test_phi_with_measure_flag_unused(self, capsys):
         code, out, _ = run_cli(["estimate", "--functional", "phi",
@@ -78,16 +90,8 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out)["estimate"]["value"] == pytest.approx(1.20899, rel=1e-4)
 
-    @pytest.mark.parametrize("functional", ["volume", "vrad", "i_minus_k"])
-    def test_too_few_samples_is_error(self, capsys, functional):
-        code, out, err = run_cli(["estimate", "--functional", functional,
-                                  "--body", '{"kind":"cube","dim":3}',
-                                  "--samples", "1"], capsys)
-        assert code == 2 and out == ""
-        assert "need at least 100 sphere samples, got 1" in json.loads(err)["error"]
-
     @pytest.mark.parametrize("flag, value", [
-        ("--frames", "7"), ("--k", "2"),
+        ("--frames", "7"), ("--k", "2"), ("--samples", "300"),
     ])
     def test_flag_unused_by_functional_is_error(self, capsys, flag, value):
         code, out, err = run_cli(["estimate", "--functional", "volume",
@@ -106,10 +110,9 @@ class TestEstimateCommand:
         # the exact volume of the ball does not hide the frames that ran
         assert payload["estimate"]["n_samples"] == 500
         code, out, _ = run_cli(["estimate", "--functional", "volume",
-                                "--body", '{"kind":"cube","dim":2}',
-                                "--samples", "300", "--deterministic"], capsys)
+                                "--body", '{"kind":"cube","dim":2}', "--deterministic"], capsys)
         assert code == 0
-        assert not {"k", "frames"} & set(json.loads(out)["config"])
+        assert not {"k", "frames", "samples"} & set(json.loads(out)["config"])
 
     def test_measure_unused_by_functional_is_error(self):
         # no functional reads a density, so estimate has no --measure

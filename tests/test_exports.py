@@ -52,11 +52,12 @@ def test_import_and_default_suite_load_no_scipy():
 def test_frame_design_is_the_only_frame_plumbing():
     # every mean over frames goes through _FrameDesign.log_mean, and the per-check
     # frame helpers it replaced stay gone, so a change to the design stays local;
-    # so do the explicit frame list and the point-sampling functionals
+    # so do the explicit frame list, the point-sampling functionals and the
+    # functionals and density that no check read
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
-            "covariance"}
+            "covariance", "w_tilde", "i_minus_k", "volume_radius", "IndicatorDensity"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())
@@ -121,16 +122,42 @@ def test_checks_take_their_seed_from_their_stream():
 
 def test_checks_measure_a_whole_body_through_one_rule():
     # mu(K) and |K| come from functionals.log_measure_estimate and log_volume_estimate,
-    # which own the _AUX and _AUX + 1 substreams; the checks pass their own stream
-    path = Path(__file__).resolve().parents[1] / "src" / "sectlab" / "verifier.py"
-    for node in ast.walk(ast.parse(path.read_text())):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-        assert callee != "measure_of_body", f"verifier.py:{node.lineno} calls measure_of_body"
-        if callee == "split" and node.args:
-            arg = ast.unparse(node.args[0]).replace(" ", "")
-            assert arg not in ("_AUX", "_AUX+1"), f"verifier.py:{node.lineno} splits {arg}"
+    # which own the _AUX and _AUX + 1 substreams; the checks and `estimate` pass
+    # their own stream
+    src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
+    for name in ("verifier.py", "cli.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert callee != "measure_of_body", f"{name}:{node.lineno} calls measure_of_body"
+            if callee == "split" and node.args:
+                arg = ast.unparse(node.args[0]).replace(" ", "")
+                assert arg not in ("_AUX", "_AUX+1"), f"{name}:{node.lineno} splits {arg}"
+
+
+@pytest.mark.parametrize("name", MODULES + ["cli"])
+def test_every_import_is_read_or_exported(name):
+    # no linter runs here, so this keeps a deletion from leaving stale imports;
+    # __init__ re-exports by import, and a line marked noqa is bound on purpose
+    path = Path(__file__).resolve().parents[1] / "src" / "sectlab" / f"{name}.py"
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                and not any("noqa" in line
+                            for line in lines[node.lineno - 1:node.end_lineno])):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set(getattr(importlib.import_module(f"sectlab.{name}"), "__all__", ()))
+    unused = sorted(f"{name}.py:{line} {ref}" for ref, line in imported.items()
+                    if ref not in read | exported)
+    assert unused == []
 
 
 def test_no_einsum_quadratic_forms():

@@ -9,9 +9,8 @@ from sectlab import functionals, sampler
 from sectlab.bodies import Ellipsoid, HPolytope, LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import log_ball_volume, log_gamma_nk
 from sectlab.estimates import Estimate, log_mean_estimate, log_power_product
-from sectlab.functionals import (_AUX, dual_affine_quermass, i_minus_k, log_measure_estimate,
-                                 log_volume_estimate, section_volume_values, volume_radius,
-                                 w_tilde)
+from sectlab.functionals import (_AUX, dual_affine_quermass, log_measure_estimate,
+                                 log_volume_estimate, section_volume_values)
 from sectlab.grassmann import sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
                               measure_of_body, section_measure_values)
@@ -102,63 +101,9 @@ class TestSectionPowerFunctional:
         assert est.value <= max_normalized * (1 + 3 * est.std_error / est.value + 1e-9)
 
 
-class TestPolarProductIdentity:
-    def test_ball3(self):
-        w = w_tilde(LpBall(3, 2.0), 1, 50, 400, StreamHandle(30))
-        i = i_minus_k(LpBall(3, 2.0), 1, 4000, StreamHandle(31))
-        assert w.value * i.value == pytest.approx(0.5, rel=1e-9)
-
-    def test_cube3(self):
-        w = w_tilde(cube(3), 1, 600, 1000, StreamHandle(32))
-        i = i_minus_k(cube(3), 1, 40_000, StreamHandle(33))
-        prod = w.value * i.value
-        se = math.hypot(w.std_error / w.value, i.std_error / i.value) * prod
-        assert abs(prod - 0.5) <= 3 * se
-
-    def test_ball4_k2(self):
-        # ((n-k) omega_{n-k} / (n omega_n))^(1/k) = (2 omega_2 / (4 omega_4))^(1/2)
-        # = 1/sqrt(pi) for n=4, k=2
-        expected = math.exp(0.5 * (math.log(2) + log_ball_volume(2)
-                                   - math.log(4) - log_ball_volume(4)))
-        assert expected == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
-        w = w_tilde(LpBall(4, 2.0), 2, 50, 400, StreamHandle(34))
-        i = i_minus_k(LpBall(4, 2.0), 2, 4000, StreamHandle(35))
-        assert w.value * i.value == pytest.approx(expected, rel=1e-9)
-
-    def test_holder_orders_the_functionals(self):
-        # the power mean dominates the plain mean: phi >= w on common frames
-        handle = StreamHandle(37)
-        phi = dual_affine_quermass(cube(3), 1, 300, 800, handle)
-        w = w_tilde(cube(3), 1, 300, 800, handle)
-        assert phi.value >= w.value * (1 - 3 * math.hypot(phi.std_error, w.std_error))
-
-
-class TestVolumeRadius:
-    def test_ball_is_one(self):
-        est = volume_radius(LpBall(4, 2.0), 500, StreamHandle(38))
-        assert est.value == pytest.approx(1.0, rel=1e-12)
-
-    def test_cube3(self):
-        expected = (8 / (4 * math.pi / 3)) ** (1 / 3)
-        assert expected == pytest.approx(1.2407, abs=2e-4)
-        est = volume_radius(cube(3), 40_000, StreamHandle(39))
-        assert abs(est.value - expected) <= 3 * est.std_error
-
-    def test_homogeneity(self):
-        est = volume_radius(LpBall(3, 2.0, 2.0), 500, StreamHandle(40))
-        assert est.value == pytest.approx(2.0, rel=1e-12)
-
-    def test_is_root_of_measure_of_body(self):
-        est = volume_radius(cube(3), 500, StreamHandle(39))
-        vol = measure_of_body(LebesgueDensity(3), cube(3), 500, StreamHandle(39))
-        omega_3 = math.exp(log_ball_volume(3))
-        assert est.value == pytest.approx((vol.value / omega_3) ** (1 / 3), rel=1e-15)
-        assert est.n_samples == vol.n_samples == 500
-
-
 def test_zero_sphere_samples_is_an_error():
     with pytest.raises(ValueError, match="sphere direction per frame, got 0$"):
-        w_tilde(cube(3), 1, 10, 0, StreamHandle(39))
+        dual_affine_quermass(cube(3), 1, 10, 0, StreamHandle(39))
 
 
 def test_log_volume_estimate_of_unknown_volume_uses_fixed_samples():

@@ -8,10 +8,10 @@ from scipy import special
 from sectlab.bodies import LpBall, cube
 from sectlab.estimates import mean_estimate
 from sectlab.grassmann import Frame, sample_haar
-from sectlab.measures import (DensityOracle, GaussianDensity, IndicatorDensity,
-                              LebesgueDensity, QuadratureError, RadialExpDensity,
-                              _gamma_ray_mass, _log_gammainc, _radial_integrals,
-                              _section_measure_values, density_from_spec, measure_of_body)
+from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity, QuadratureError,
+                              RadialExpDensity, _gamma_ray_mass, _log_gammainc,
+                              _radial_integrals, _section_measure_values, density_from_spec,
+                              measure_of_body)
 from sectlab.sampler import StreamHandle, sample_restricted, sphere_directions
 from sectlab.verifier import check_dpp, check_slicing_chain
 
@@ -66,6 +66,11 @@ class TestMeasureOfBody:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             measure_of_body(GaussianDensity(2), cube(3), 200, StreamHandle(0))
+
+    def test_too_few_sphere_samples(self):
+        assert measure_of_body(LebesgueDensity(3), cube(3), 100, StreamHandle(0)).n_samples == 100
+        with pytest.raises(ValueError, match="need at least 100 sphere samples, got 99$"):
+            measure_of_body(LebesgueDensity(3), cube(3), 99, StreamHandle(0))
 
 
 def _closed_form_kinds(n):
@@ -160,22 +165,6 @@ class TestRayMass:
         g = CauchyDensity(3)
         assert check_slicing_chain(g, cube(3), 1, 20, 200, StreamHandle(52)).passed
         assert check_dpp(g, cube(3), 1, 20, 200, StreamHandle(53)).passed
-
-    @pytest.mark.parametrize("power", [1.0, 2.5, 3.0])
-    def test_indicator_cuts_at_its_body(self, power):
-        gen = StreamHandle(48).generator()
-        dirs = sphere_directions(gen, 50, 3) * gen.uniform(0.5, 2.0, (50, 1))
-        upper = gen.uniform(0.0, 1.0, 50)
-        cut = 0.5 / np.linalg.norm(dirs, axis=1)
-        mass = IndicatorDensity(LpBall(3, 2.0, 0.5)).ray_mass(dirs, upper, power)
-        assert np.allclose(mass, np.minimum(upper, cut) ** power / power, rtol=1e-14)
-
-    def test_indicator_measure_is_exact_past_the_jump(self):
-        # the quadrature path raised QuadratureError on the jump at radius 0.5
-        est = measure_of_body(IndicatorDensity(LpBall(3, 2.0, 0.5)), cube(3), 200,
-                              StreamHandle(0))
-        assert est.value == pytest.approx(4 / 3 * math.pi * 0.5 ** 3, rel=1e-12)
-        assert est.std_error <= 1e-15 * est.value      # zero up to rounding of the mean
 
     @pytest.mark.parametrize("body", [cube(3), LpBall(3, 1.0)], ids=["cube3", "l1ball3"])
     def test_section_values_match_section_density_quadrature(self, body):

@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 from sectlab.bodies import Ellipsoid, LpBall, centered_simplex, cube
 from sectlab import sampler
-from sectlab.measures import GaussianDensity, IndicatorDensity, LebesgueDensity
+from sectlab.measures import DensityOracle, GaussianDensity, LebesgueDensity
 from sectlab.sampler import (DegenerateRejectionError, StreamHandle, _quadratic_form,
                              as_generator, sample_restricted, simplex_volume,
                              sphere_directions, uniform_in_body)
@@ -223,7 +223,15 @@ class TestSampleRestricted:
             sample_restricted(Understated(2), cube(2), StreamHandle(13), size=100)
 
     def test_degenerate_rejection_raises(self):
-        needle = IndicatorDensity(LpBall(3, 2.0, 0.01))
+        class Needle(DensityOracle):
+            """g = 1 on the ball of radius 0.01 and 0 outside; its supremum is g(0) = 1."""
+
+            radially_nonincreasing = True
+
+            def __call__(self, x):
+                return (np.linalg.norm(x, axis=-1) <= 0.01).astype(float)
+
+        needle = Needle(3)
         with pytest.raises(DegenerateRejectionError):
             sample_restricted(needle, cube(3), StreamHandle(9), size=50)
 
