@@ -295,7 +295,8 @@ class LinearImage(StarBody):
         dirs = self._require_unit(dirs)
         v = dirs @ self._inv.T
         norms = np.sqrt(_fold_columns(np.add, v * v))
-        v /= norms[..., None]                            # in place: v is fresh
+        for i in range(v.shape[-1]):                     # in place: v is fresh
+            np.divide(v[..., i], norms, out=v[..., i])
         return self.base.radial(v) / norms
 
     def contains(self, points: np.ndarray) -> np.ndarray:

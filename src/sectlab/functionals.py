@@ -14,11 +14,11 @@ paired comparisons share common random frames.
 
 A check entry's stream rng splits as:
 
-- frame j, rng.split(j): its Gaussian draw; at n = 2 the one offset of
-  the stratified lines comes from rng.split(0);
-- frame j's directions, rng.split(j).split(1): the normals of its n
-  group rotations, (n, d) with d = 1, 2, 4 for s = 1, 2, 3, or for the
-  identity checks and s >= 4 its iid directions;
+- rng.split(0): the Gaussian (F, n, s) stack of the frames, at n = 2 the
+  one offset of the stratified lines instead, then the (F, n, d) normals
+  of the frames' group rotations, d = 1, 2, 4 for s = 1, 2, 3;
+- rng.split(1): for the identity checks and s >= 4, the frames' iid
+  directions, (F, count, s), in frame order;
 - |K|, rng.split(_AUX); mu(K) of a density other than Lebesgue,
   rng.split(_AUX + 1); Grinberg's t-th image, rng.split(_AUX + 2 + t).
 """
@@ -32,11 +32,10 @@ import numpy as np
 from .bodies import StarBody
 from .estimates import (Estimate, _group_sizes, exact_log_estimate, log_mean_estimate,
                         log_power_product)
-from .grassmann import Frame, _haar_bases, sample_haar
+from .grassmann import Frame, _haar_bases
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
                        measure_of_body, section_measure_values)
-from .sampler import (_ROTATION_NORMALS, StreamHandle, _rekeyable, _rotated_points,
-                      _rotations, _stream_directions, _stream_normals)
+from .sampler import _ROTATION_NORMALS, StreamHandle, _rotated_points, _rotations, _unit_rows
 from .sampler import sphere_directions  # noqa: F401 (perfbench)
 
 __all__ = [
@@ -57,31 +56,27 @@ _AUX = 1 << 40      # substream offset reserved for auxiliary draws
 _BLOCK_DIRS = 1 << 12
 
 
-def _haar_stack(n: int, s: int, count: int, rng: StreamHandle,
-                gen: np.random.Generator) -> np.ndarray:
-    """Haar bases as one (count, n, s) stack: frame j depends only on (rng, j).
+def _haar_stack(n: int, s: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar bases as one (count, n, s) stack, drawn from ``gen``.
 
-    Equal to the bases of ``[sample_haar(n, s, rng.split(j)) for j in range(count)]``.
-    Frame j's Gaussian draw comes from rng.split(j) through ``gen``, one
-    re-keyed generator (:func:`~sectlab.sampler._stream_normals`), and one
-    batched QR orthonormalises every draw; a numerically rank-deficient
-    draw goes to :func:`sample_haar`, which repeats it from the same
-    substream and retries.
+    One ``standard_normal`` call gives the Gaussian (count, n, s) stack, and
+    one batched QR orthonormalises it; a numerically rank-deficient draw (an
+    event of probability ~0) is drawn again from ``gen``.
 
     Lines in the plane are stratified instead: frame j is the line at angle
-    pi (j + U) / count, with one uniform U drawn from rng.split(0).  Each
-    line is Haar, so a mean over them is unbiased, but they are not
-    independent, and the iid SE of a mean over frames over-reports: at
-    n = 2 every frame-level SE is conservative.
+    pi (j + U) / count, with one uniform U drawn from ``gen``.  Each line is
+    Haar, so a mean over them is unbiased, but they are not independent,
+    and the iid SE of a mean over frames over-reports: at n = 2 every
+    frame-level SE is conservative.
     """
     if (n, s) == (2, 1):
-        offset = rng.split(0).generator().random()
+        offset = gen.random()
         angles = [math.pi * (j + offset) / count for j in range(count)]
         return np.array([[[math.cos(a)], [math.sin(a)]] for a in angles])
-    handles = [rng.split(j) for j in range(count)]
-    bases, deficient = _haar_bases(_stream_normals(gen, handles, (n, s)))
-    for j in np.flatnonzero(deficient):
-        bases[j] = sample_haar(n, s, rng.split(int(j))).basis
+    bases, deficient = _haar_bases(gen.standard_normal((count, n, s)))
+    while deficient.any():
+        bad = np.flatnonzero(deficient)
+        bases[bad], deficient[bad] = _haar_bases(gen.standard_normal((len(bad), n, s)))
     return bases
 
 
@@ -90,11 +85,10 @@ class _FrameDesign:
 
     ``frames`` frames are drawn by :func:`_haar_stack` and held as one
     (F, n, n - k) stack: iid Haar frames, or stratified lines at n = 2.
-    Frame j gets ``count`` directions on the sphere of its subspace, drawn
-    from rng.split(j).split(1): a child of the substream frame j is drawn
-    from, so the two stay independent, while designs that share (frames,
-    rng) share every frame and direction.  Every average over frames goes
-    through :meth:`map` and :meth:`log_mean`.
+    Frame j gets ``count`` directions on the sphere of its subspace.  The
+    design draws from two substreams of rng (see the module docstring), so
+    designs that share (frames, rng) share every frame and direction.
+    Every average over frames goes through :meth:`map` and :meth:`log_mean`.
 
     The directions of a frame are the section kernel's rule: n consecutive
     groups, sized as :func:`~sectlab.estimates.log_power_product` splits
@@ -109,15 +103,8 @@ class _FrameDesign:
     one frame's directions by the iid formula over-reports, since the rule
     beats independent directions, and is conservative.  For s >= 4, and
     with ``_iid`` (the identity checks, whose consecutive s-tuples must
-    hold independent directions), the directions are iid uniform instead
-    (:func:`~sectlab.sampler._stream_directions`).
-
-    A design builds one Philox generator and re-keys it to each frame's
-    substream (:func:`~sectlab.sampler._stream_normals`), for the frame
-    draws, for every frame's rotations, which it draws at construction,
-    and for every block's iid directions; building one per frame cost more
-    than drawing its normals.  The bits are those of a new generator per
-    substream, so a frame's directions do not depend on its block.
+    hold independent directions), the directions are iid uniform instead,
+    drawn afresh from rng.split(1) by each :meth:`map`.
     """
 
     def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle, *,
@@ -128,14 +115,13 @@ class _FrameDesign:
             raise ValueError(f"need at least one sphere direction per frame, got {count}")
         if frames < 1:
             raise ValueError(f"need at least one frame, got {frames}")
-        gen = _rekeyable()
-        self.bases = _haar_stack(n, n - k, frames, rng, gen)
-        self.count, self.rng, self._gen = count, rng, gen
+        gen = rng.split(0).generator()
+        self.bases = _haar_stack(n, n - k, frames, gen)
+        self.count, self.rng = count, rng
         self._sizes = None if _iid or n - k > 3 else _group_sizes(count, n)
         if self._sizes is not None:
-            handles = [rng.split(j).split(1) for j in range(frames)]
             self._rotations = _rotations(
-                _stream_normals(gen, handles, (n, _ROTATION_NORMALS[n - k])))
+                gen.standard_normal((frames, n, _ROTATION_NORMALS[n - k])))
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -151,12 +137,12 @@ class _FrameDesign:
         """
         step = max(1, _BLOCK_DIRS // self.count)
         s = self.bases.shape[-1]
+        gen = self.rng.split(1).generator() if self._sizes is None else None
         parts = []
         for start in range(0, len(self.bases), step):
             bases = self.bases[start:start + step]
             if self._sizes is None:
-                handles = [self.rng.split(j).split(1) for j in range(start, start + len(bases))]
-                theta = _stream_directions(self._gen, handles, self.count, s)
+                theta = _unit_rows(gen.standard_normal((len(bases), self.count, s)))
             else:
                 theta = _rotated_points(self._rotations[start:start + step], self._sizes)
             parts.append(fn(theta, theta @ bases.transpose(0, 2, 1)))
@@ -212,9 +198,8 @@ def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: in
     is estimated without bias by a product of independent group means, the
     frame average is a log-sum-exp (the powers are heavy-tailed), and the
     1/(kn) root is applied on the log scale.  Invariant under
-    volume-preserving linear maps, maximized by the ball.  Frame j's sphere
-    directions depend only on (rng, j), so bodies estimated on common
-    frames with the same ``rng`` share their directions too.
+    volume-preserving linear maps, maximized by the ball.  Bodies estimated
+    with the same ``rng`` share their frames and directions.
     """
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)

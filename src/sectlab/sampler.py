@@ -3,16 +3,11 @@
 The RNG contract is counter-based: a :class:`StreamHandle` names a Philox
 stream by (seed, stream_id), and every drawn variate is a pure function of
 (seed, stream_id, draw index).  Substreams derived with :meth:`StreamHandle.split`
-are statistically independent, so estimator drivers can assign one
-substream per frame / per batch and results never depend on scheduling.
-
-Philox is counter-based (Salmon et al., *Parallel random numbers: as easy
-as 1, 2, 3*, SC 2011): a stream is its key, and a bit generator re-keyed
-at counter 0 with an empty buffer is in the state a new one starts in.
-So the frame loops draw one substream after another from a single
-re-keyed bit generator (:func:`_stream_normals`, :func:`_stream_directions`)
-instead of building one per substream; the per-substream contract and
-every variate are unchanged.
+are statistically independent, so each purpose gets its own substream and
+results never depend on scheduling.  A frame design takes two of them and
+draws whole stacks from each: one ``standard_normal`` call of shape (F, ...)
+gives the bits of F calls of the trailing shape in turn, so how a draw is
+chunked does not change it.
 
 The section kernel's directions are randomised point sets instead: a
 fixed set on the sphere (:func:`_point_set`) under a random rotation
@@ -124,47 +119,20 @@ def sphere_directions(gen: np.random.Generator, count: int, dim: int) -> np.ndar
     return g / norms[:, None]
 
 
-def _rekeyable() -> np.random.Generator:
-    """A Philox generator for :func:`_stream_normals`; its own seed is never drawn from."""
-    return np.random.Generator(np.random.Philox(0))
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """g / |g| along the last axis, one column at a time; a zero row raises ValueError.
 
-
-def _stream_normals(gen: np.random.Generator, handles, shape: tuple) -> np.ndarray:
-    """Each handle's ``standard_normal(shape)``, stacked: shape (len(handles), *shape).
-
-    Equal bit for bit to ``h.generator().standard_normal(shape)`` per handle.
-    ``gen`` (from :func:`_rekeyable`) is re-keyed to each handle's stream at
-    counter 0 with an empty buffer and no spare 32-bit word, which is the
-    state a new ``Philox(key=...)`` starts in, whatever ``gen`` drew before.
+    A Gaussian row is zero with probability 0, so no redraw is made.
+    Dividing column by column gives the bits of the broadcast division,
+    whose innermost loop would run over only s elements.
     """
-    bits = gen.bit_generator
-    zeros = (0, 0, 0, 0)
-    out = np.empty((len(handles), *shape))
-    for i, h in enumerate(handles):
-        bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": zeros,
-                                "key": (h.seed & _MASK64, h.stream_id & _MASK64)},
-                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        gen.standard_normal(out=out[i])
-    return out
-
-
-def _stream_directions(gen: np.random.Generator, handles, count: int,
-                       dim: int) -> np.ndarray:
-    """Each handle's ``sphere_directions(h.generator(), count, dim)``, stacked: (B, count, dim).
-
-    The normals of every stream are drawn by :func:`_stream_normals` and
-    normalised together, in place.  A stream with a zero row is drawn again
-    by :func:`sphere_directions`, which replays its normals and resamples.
-    """
-    g = _stream_normals(gen, handles, (count, dim))
     norms = _row_norms(g)
-    bad = np.flatnonzero((norms == 0.0).any(axis=-1))
-    norms[bad] = 1.0
-    g /= norms[..., None]
-    for j in bad:
-        g[j] = sphere_directions(handles[j].generator(), count, dim)
-    return g
+    if not norms.all():
+        raise ValueError("zero Gaussian row: it has no direction")
+    out = np.empty_like(g)
+    for i in range(g.shape[-1]):
+        np.divide(g[..., i], norms, out=out[..., i])
+    return out
 
 
 # Gaussian coordinates that one random rotation of S^(s-1) takes, by s
@@ -206,10 +174,7 @@ def _rotations(g: np.ndarray) -> np.ndarray:
     the rotation of the unit quaternion u, Haar on SO(3).  Only +, -, *, /
     and sqrt enter, so the bits do not depend on the CPU.
     """
-    norms = _row_norms(g)
-    if not norms.all():
-        raise ValueError("zero Gaussian draw for a rotation")
-    u = g / norms[..., None]
+    u = _unit_rows(g)
     d = g.shape[-1]
     if d == 1:
         return u[..., None]

@@ -8,9 +8,9 @@ inequality checks conservative (the sampled max under-estimates the true
 one), which is recorded in the report note.
 
 Checks are pure functions of (inputs, rng) and report ``rng.seed``: each builds
-one frame design (:class:`~sectlab.functionals._FrameDesign`), which draws frame j
-and its directions from substreams of (rng, j), and every other purpose has its own
-substream, so a rerun gives a bit-identical report regardless of scheduling.  The
+one frame design (:class:`~sectlab.functionals._FrameDesign`), which draws all its
+frames and directions from two substreams of rng, and every other purpose has its
+own substream, so a rerun gives a bit-identical report regardless of scheduling.  The
 section-kernel checks take each frame's directions from n randomised point sets,
 one rotation per group; the identity checks keep iid directions, because their
 consecutive s-tuples must be independent.  An SE taken over one frame's

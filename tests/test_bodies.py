@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +164,17 @@ class TestLinearImage:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
             linear_image(cube(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_radial_equals_the_broadcast_division(self, n):
+        # radial divides v = T^{-1} theta by |v| one column at a time, for the same bits
+        t = np.eye(n) + 0.3 * StreamHandle(10, n).generator().standard_normal((n, n))
+        img = linear_image(cube(n), t)
+        dirs = sphere_directions(StreamHandle(11, n).generator(), 4000, n).reshape(4, 1000, n)
+        v = dirs @ np.linalg.inv(t).T
+        norms = np.sqrt(reduce(add, [v[..., i] * v[..., i] for i in range(n)]))
+        expected = cube(n).radial(v / norms[..., None]) / norms
+        assert img.radial(dirs).tobytes() == expected.tobytes()
 
 
 class TestTranslate:

@@ -57,7 +57,8 @@ def test_frame_design_is_the_only_frame_plumbing():
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
-            "covariance", "w_tilde", "i_minus_k", "volume_radius", "IndicatorDensity"}
+            "covariance", "w_tilde", "i_minus_k", "volume_radius", "IndicatorDensity",
+            "_stream_normals", "_stream_directions", "_rekeyable"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())
@@ -78,14 +79,20 @@ def test_frame_design_is_the_only_frame_plumbing():
 
 
 def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
-    # frame draws go through one re-keyed generator per design, so the generators
-    # built and sphere_directions calls made by a check do not grow with its frames
+    # a frame design draws whole stacks from two substreams, so the substreams
+    # split, generators built and sphere_directions calls made by a check do not
+    # grow with its frames
     from sectlab import sampler, verifier
     from sectlab.bodies import LpBall, cube
     from sectlab.sampler import StreamHandle
 
-    counts = {"generator": 0, "sphere_directions": 0}
-    generator, directions = StreamHandle.generator, sampler.sphere_directions
+    counts = {"split": 0, "generator": 0, "sphere_directions": 0}
+    split, generator, directions = (StreamHandle.split, StreamHandle.generator,
+                                    sampler.sphere_directions)
+
+    def counted_split(self, index):
+        counts["split"] += 1
+        return split(self, index)
 
     def counted_generator(self):
         counts["generator"] += 1
@@ -95,6 +102,7 @@ def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
         counts["sphere_directions"] += 1
         return directions(*args)
 
+    monkeypatch.setattr(StreamHandle, "split", counted_split)
     monkeypatch.setattr(StreamHandle, "generator", counted_generator)
     for key, module in list(sys.modules.items()):
         if key == "sectlab" or key.startswith("sectlab."):
@@ -104,7 +112,7 @@ def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
     assert sampler.sphere_directions is counted_directions
 
     def run(frames):
-        counts.update(generator=0, sphere_directions=0)
+        counts.update(split=0, generator=0, sphere_directions=0)
         verifier.check_grinberg(cube(3), 1, 2, frames, 100, StreamHandle(3))
         verifier.check_bp_identity(LpBall(3, 1.0), 1, frames, 20, StreamHandle(4))
         return dict(counts)
@@ -173,3 +181,26 @@ def test_no_einsum_quadratic_forms():
                 ops = node.args[0].value.split("->")[0].replace(" ", "").split(",")
                 quadratic = len(ops) == 3 and ops[1] == ops[0][-1] + ops[2][-1]
                 assert not quadratic, f"{path.name}:{node.lineno} einsum {node.args[0].value!r}"
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a module-level private name that only tests read is dead code: tests do not count
+    src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defined = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       else [t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                             if isinstance(t, ast.Name)])
+            for target in targets:
+                if target.startswith("_") and not target.startswith("__"):
+                    defined[target] = f"{name}:{node.lineno}"
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(f"{where} {ref}" for ref, where in defined.items() if ref not in read) == []

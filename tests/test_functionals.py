@@ -14,7 +14,7 @@ from sectlab.functionals import (_AUX, dual_affine_quermass, log_measure_estimat
 from sectlab.grassmann import sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
                               measure_of_body, section_measure_values)
-from sectlab.sampler import StreamHandle, _rekeyable, sphere_directions
+from sectlab.sampler import StreamHandle, sphere_directions
 
 # a non-diagonal ellipsoid {x : x^T A^{-1} x <= 1} in R^3 and one in R^4
 _ELLIPSOID3 = np.array([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 0.5]])
@@ -49,10 +49,11 @@ def _rule_rotation(g):
             [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
 
 
-def _rule_directions(handle, count, n, s):
+def _rule_directions(gen, count, n, s):
     """One frame's (count, s) directions, written out point by point: the n groups of
-    np.array_split, group g the fixed point set under the rotation of normal row g."""
-    normals = handle.generator().standard_normal((n, {1: 1, 2: 2, 3: 4}[s])).tolist()
+    np.array_split, group g the fixed point set under the rotation of normal row g,
+    the frame's next (n, d) normals from gen."""
+    normals = gen.standard_normal((n, {1: 1, 2: 2, 3: 4}[s])).tolist()
     sizes = [len(group) for group in np.array_split(np.arange(count), n)]
     rows = []
     for g, m in zip(normals, sizes):
@@ -147,35 +148,37 @@ class TestFrameBlockReference:
 
     @pytest.mark.parametrize("n,s", [(3, 2), (3, 1), (4, 2)])
     def test_haar_stack_equals_sample_haar(self, n, s):
-        rng = StreamHandle(50)
-        frames = [basis.tobytes() for basis in functionals._haar_stack(n, s, 40, rng,
-                                                                         _rekeyable())]
-        assert frames == [sample_haar(n, s, rng.split(j)).basis.tobytes() for j in range(40)]
+        # one draw of the (count, n, s) stack gives the bits of count draws in turn
+        frames = [basis.tobytes() for basis in functionals._haar_stack(
+            n, s, 40, StreamHandle(50).generator())]
+        gen = StreamHandle(50).generator()
+        assert frames == [sample_haar(n, s, gen).basis.tobytes() for _ in range(40)]
+        gen = StreamHandle(50).generator()
         written_out = []
-        for j in range(40):
-            q, r = np.linalg.qr(rng.split(j).generator().standard_normal((n, s)))
+        for _ in range(40):
+            q, r = np.linalg.qr(gen.standard_normal((n, s)))
             written_out.append((q * np.sign(np.diagonal(r))).tobytes())
         assert frames == written_out
 
     def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
+        # the redraw is the next draw of the stack's own generator
         batched = functionals._haar_bases
-        redrawn = []
+        calls = []
 
-        def flag_frame_3(g):
+        def flag_frame_3_once(g):
             bases, deficient = batched(g)
-            deficient[3] = True
+            calls.append(len(g))
+            if len(calls) == 1:
+                deficient[3] = True
             return bases, deficient
 
-        def recording_sample_haar(n, s, rng):
-            redrawn.append(rng)
-            return sample_haar(n, s, rng)
-
-        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3)
-        monkeypatch.setattr(functionals, "sample_haar", recording_sample_haar)
-        rng = StreamHandle(51)
-        bases = functionals._haar_stack(3, 2, 6, rng, _rekeyable())
-        assert redrawn == [rng.split(3)]
-        assert bases[3].tobytes() == sample_haar(3, 2, rng.split(3)).basis.tobytes()
+        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3_once)
+        bases = functionals._haar_stack(3, 2, 6, StreamHandle(51).generator())
+        assert calls == [6, 1]
+        gen = StreamHandle(51).generator()
+        expected = [sample_haar(3, 2, gen).basis for _ in range(6)]
+        expected[3] = sample_haar(3, 2, gen).basis
+        assert bases.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("body", [
         cube(3), LpBall(3, 1.0), centered_simplex(3),
@@ -185,16 +188,17 @@ class TestFrameBlockReference:
         n, k, frames, samples = 3, 1, 30, 300
         rng = StreamHandle(52)
         omega = math.exp(log_ball_volume(n - k))
+        gen = rng.split(0).generator()
+        bases = [sample_haar(n, n - k, gen) for _ in range(frames)]
         logs = []
-        for j in range(frames):
-            frame = sample_haar(n, n - k, rng.split(j))
-            sub = rng.split(j).split(1)
-            # the one-frame wrapper keeps iid directions on the same substream
+        for j, frame in enumerate(bases):
+            # the one-frame wrapper keeps iid directions on the stream it is given
+            sub = rng.split(1).split(j)
             theta = sphere_directions(sub.generator(), samples, n - k)
             one_frame = section_volume_values(body, frame, samples, sub)
             assert one_frame.tobytes() == (omega * body.radial(frame.embed(theta))
                                            ** (n - k)).tobytes()
-            theta = _rule_directions(sub, samples, n, n - k)
+            theta = _rule_directions(gen, samples, n, n - k)
             values = omega * body.radial(frame.embed(theta)) ** (n - k)
             logs.append(sum(math.log(g.mean()) for g in np.array_split(values, n)))
         mean_log = log_mean_estimate(np.array(logs) - (n - k) * math.log(body.exact_volume))
@@ -223,18 +227,24 @@ class TestFrameBlockReference:
 
 
 class TestFrameDesign:
-    """The frame design's (theta, dirs) blocks against a plain per-frame loop, bit for bit."""
+    """The frame design's (theta, dirs) blocks against a plain per-frame loop, bit for bit.
+
+    rng.split(0) draws every frame and then every frame's rotation normals;
+    rng.split(1) draws the iid directions, frame after frame."""
 
     N, K, FRAMES, COUNT = 4, 2, 10, 7
 
-    def _per_frame(self, rng, n=N, k=K, iid=False):
+    def _per_frame(self, rng, n=N, k=K, iid=False, redraw=None):
         s = n - k
+        gen = rng.split(0).generator()
+        frames = [sample_haar(n, s, gen) for _ in range(self.FRAMES)]
+        if redraw is not None:
+            frames[redraw] = sample_haar(n, s, gen)
+        directions = rng.split(1).generator()
         thetas, dirs = [], []
-        for j in range(self.FRAMES):
-            frame = sample_haar(n, s, rng.split(j))
-            sub = rng.split(j).split(1)
-            theta = (sphere_directions(sub.generator(), self.COUNT, s) if iid
-                     else _rule_directions(sub, self.COUNT, n, s))
+        for frame in frames:
+            theta = (sphere_directions(directions, self.COUNT, s) if iid
+                     else _rule_directions(gen, self.COUNT, n, s))
             thetas.append(theta)
             dirs.append(frame.embed(theta))
         return np.stack(thetas), np.stack(dirs)
@@ -247,36 +257,37 @@ class TestFrameDesign:
 
     @pytest.mark.parametrize("block_dirs", [1, 3 * COUNT, 1 << 40])
     def test_blocks_equal_per_frame_loop(self, monkeypatch, block_dirs):
+        # the rule design, the identity checks' iid design and s = 4's iid directions
         monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
-        rng = StreamHandle(55)
-        blocks, out = self._blocks(rng)
         step = max(1, block_dirs // self.COUNT)
-        assert [len(theta) for theta, _ in blocks] == [
-            min(step, self.FRAMES - start) for start in range(0, self.FRAMES, step)]
-        theta, dirs = self._per_frame(rng)
-        assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
-        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
-        assert out.tobytes() == np.concatenate([d.sum(axis=(1, 2)) for _, d in blocks]).tobytes()
+        for n, k, iid in [(self.N, self.K, False), (4, 2, True), (5, 1, False)]:
+            rng = StreamHandle(55)
+            blocks, out = self._blocks(rng, n, k, **({"_iid": True} if iid else {}))
+            assert [len(theta) for theta, _ in blocks] == [
+                min(step, self.FRAMES - start) for start in range(0, self.FRAMES, step)]
+            theta, dirs = self._per_frame(rng, n, k, iid=iid or n - k > 3)
+            assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
+            assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+            assert out.tobytes() == np.concatenate(
+                [d.sum(axis=(1, 2)) for _, d in blocks]).tobytes()
 
     def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
+        # the redraw comes from the design's generator, before the rotation normals
         batched = functionals._haar_bases
-        redrawn = []
+        calls = []
 
-        def flag_frame_3(g):
+        def flag_frame_3_once(g):
             bases, deficient = batched(g)
-            deficient[3] = True
+            calls.append(len(g))
+            if len(calls) == 1:
+                deficient[3] = True
             return bases, deficient
 
-        def recording_sample_haar(n, s, rng):
-            redrawn.append(rng)
-            return sample_haar(n, s, rng)
-
-        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3)
-        monkeypatch.setattr(functionals, "sample_haar", recording_sample_haar)
+        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3_once)
         rng = StreamHandle(56)
         blocks, _ = self._blocks(rng)
-        assert redrawn == [rng.split(3)]
-        theta, dirs = self._per_frame(rng)
+        assert calls == [self.FRAMES, 1]
+        theta, dirs = self._per_frame(rng, redraw=3)
         assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
         assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
 
@@ -288,6 +299,12 @@ class TestFrameDesign:
         theta, dirs = self._per_frame(rng, n, k, iid=True)
         assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
         assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+
+    def test_every_map_draws_the_same_iid_directions(self):
+        design = functionals._FrameDesign(self.FRAMES, 4, 2, self.COUNT, StreamHandle(62),
+                                          _iid=True)
+        first, second = (design.map(lambda theta, dirs: theta) for _ in range(2))
+        assert first.tobytes() == second.tobytes()
 
     def test_lines_in_the_plane_are_stratified(self):
         # G(2,1): frame j is the line at angle pi (j + U) / F, U uniform from rng.split(0)

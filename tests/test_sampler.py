@@ -69,63 +69,20 @@ class TestSphereDirections:
         assert got.tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
 
 
-# 200 handles: split children (64-bit stream ids) of small and large seeds
-HANDLES = [StreamHandle(seed).split(j) for seed in (0, 11, 2 ** 64 - 3, -5) for j in range(50)]
+class TestUnitRows:
+    @pytest.mark.parametrize("shape", [(50, 1), (3, 40, 2), (3, 40, 3), (2, 30, 4), (9, 9)])
+    def test_same_bits_as_the_broadcast_division(self, shape):
+        g = StreamHandle(7).generator().standard_normal(shape)
+        expected = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        assert sampler._unit_rows(g).tobytes() == expected.tobytes()
 
-
-class TestStreamNormals:
-    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 3), (300, 1), (300, 2), (300, 3)])
-    def test_equal_per_handle_generators(self, shape):
-        got = sampler._stream_normals(sampler._rekeyable(), HANDLES, shape)
-        expected = np.stack([h.generator().standard_normal(shape) for h in HANDLES])
-        assert got.tobytes() == expected.tobytes()
-
-    def test_rekeyed_after_an_odd_number_of_uint32s(self):
-        gen = sampler._rekeyable()
-        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)
-        gen.random(5)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        got = sampler._stream_normals(gen, HANDLES[:3], (7, 2))
-        expected = np.stack([h.generator().standard_normal((7, 2)) for h in HANDLES[:3]])
-        assert got.tobytes() == expected.tobytes()
-
-
-class TestStreamDirections:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
-    def test_equal_stacked_sphere_directions(self, dim):
-        got = sampler._stream_directions(sampler._rekeyable(), HANDLES, 25, dim)
-        expected = np.stack([sphere_directions(h.generator(), 25, dim) for h in HANDLES])
-        assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_zero_row_stream_is_redrawn_by_sphere_directions(self, monkeypatch, dim):
-        handles = HANDLES[:6]
-        draws = handles[2].generator().standard_normal((11, dim))
-        first = draws[:10].copy()
-        first[4] = 0.0
-        block_normals = sampler._stream_normals
-        original = StreamHandle.generator
-        asked = []
-
-        def zero_row_in_stream_2(gen, hs, shape):
-            out = block_normals(gen, hs, shape)
-            out[2] = first
-            return out
-
-        def generator(self):
-            # stream 2 as if its normals held the zero row; its redraw is draws[10]
-            asked.append(self)
-            return _ScriptedNormals(first, draws[10:]) if self == handles[2] else original(self)
-
-        monkeypatch.setattr(sampler, "_stream_normals", zero_row_in_stream_2)
-        monkeypatch.setattr(StreamHandle, "generator", generator)
-        got = sampler._stream_directions(sampler._rekeyable(), handles, 10, dim)
-        assert asked == [handles[2]]
-        expected = np.stack([sphere_directions(h.generator(), 10, dim) for h in handles])
-        assert got.tobytes() == expected.tobytes()
-        g = first.copy()
-        g[4] = draws[10]
-        assert got[2].tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
+    def test_zero_row_raises(self):
+        g = StreamHandle(8).generator().standard_normal((2, 5, 3))
+        g[1, 3] = 0.0
+        with pytest.raises(ValueError, match="zero Gaussian row"):
+            sampler._unit_rows(g)
+        with pytest.raises(ValueError, match="zero Gaussian row"):
+            sampler._rotations(np.zeros((2, 4)))
 
 
 class TestQuadraticForm:
