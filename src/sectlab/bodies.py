@@ -2,7 +2,9 @@
 
 Every body is an immutable value object exposing
 
-  * ``radial(dirs)``   -- rho(theta) for unit directions, vectorized,
+  * ``radial(dirs)``   -- rho(v) = sup{t >= 0 : t v in K} for every nonzero
+    v, vectorized: positively homogeneous of degree -1, rho(t v) = rho(v) / t,
+    and on unit directions the radial function,
   * ``contains(pts)``  -- exact membership,
   * ``bounding_radius()`` -- an upper bound for max rho, never estimated
     (exact but for the adaptors), used by the rejection sampler,
@@ -70,7 +72,7 @@ class StarBody:
     def contains(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _require_unit(self, dirs: np.ndarray) -> np.ndarray:
+    def _require_dim(self, dirs: np.ndarray) -> np.ndarray:
         dirs = np.asarray(dirs, dtype=float)
         if dirs.shape[-1] != self.dim:
             raise ValueError(f"direction dimension {dirs.shape[-1]} != body dimension {self.dim}")
@@ -98,7 +100,7 @@ class LpBall(StarBody):
         return math.exp(log_v)
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_unit(dirs)
+        dirs = self._require_dim(dirs)
         mags = np.abs(dirs)
         if math.isinf(self.p):
             return self.radius / _fold_columns(np.maximum, mags)
@@ -140,7 +142,7 @@ class Ellipsoid(StarBody):
         self._max_eig = float(eigval.max())
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_unit(dirs)
+        dirs = self._require_dim(dirs)
         return 1.0 / np.sqrt(_quadratic_form(dirs, self._inv))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -207,7 +209,7 @@ class HPolytope(StarBody):
         return float(np.linalg.norm(inter.intersections, axis=1).max())
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_unit(dirs)
+        dirs = self._require_dim(dirs)
         dots = dirs @ self.normals.T                     # (..., facets)
         away = dots <= 0
         with np.errstate(divide="ignore"):
@@ -274,7 +276,7 @@ def centered_simplex(dim: int, scale: float = 1.0) -> HPolytope:
 
 
 class LinearImage(StarBody):
-    """T(K) for an invertible T: rho_{T(K)}(theta) = rho_K(v/|v|) / |v|, v = T^{-1} theta."""
+    """T(K) for an invertible T: rho_{T(K)}(theta) = rho_K(T^{-1} theta), rho_K homogeneous."""
 
     def __init__(self, body: StarBody, transform: np.ndarray):
         t = np.asarray(transform, dtype=float)
@@ -288,20 +290,16 @@ class LinearImage(StarBody):
         super().__init__(body.dim, exact_volume=vol)
         self.base = body
         self.transform = t
-        self._inv = np.linalg.inv(t)
+        # contiguous: a matmul with the transposed view of inv(t) ran 2.5 times slower
+        self._inv_t = np.ascontiguousarray(np.linalg.inv(t).T)
         self._op_norm = float(svals.max())
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_unit(dirs)
-        v = dirs @ self._inv.T
-        norms = np.sqrt(_fold_columns(np.add, v * v))
-        for i in range(v.shape[-1]):                     # in place: v is fresh
-            np.divide(v[..., i], norms, out=v[..., i])
-        return self.base.radial(v) / norms
+        return self.base.radial(self._require_dim(dirs) @ self._inv_t)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return self.base.contains(pts @ self._inv.T)
+        return self.base.contains(pts @ self._inv_t)
 
     def bounding_radius(self) -> float:
         return self._op_norm * self.base.bounding_radius()
@@ -329,9 +327,9 @@ class TranslatedBody(StarBody):
         self._radius = body.bounding_radius() + norm
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_unit(np.atleast_2d(dirs))
+        dirs = self._require_dim(np.atleast_2d(dirs))
         lo = np.zeros(dirs.shape[:-1])
-        hi = np.full(dirs.shape[:-1], self._radius)
+        hi = self._radius / np.linalg.norm(dirs, axis=-1)     # rho(v) <= R / |v|
         for _ in range(self._BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             inside = self.contains(mid[..., None] * dirs)

@@ -191,8 +191,16 @@ def log_power_product(values: np.ndarray, power: int) -> float | np.ndarray:
     E[prod of independent group means] = (E[value])^power exactly, unlike
     mean(values)^power whose upward bias grows with the power; per-frame
     n-th powers of section volumes use this estimator.  A row with a group
-    mean <= 0 gives -inf.  1-D values give a float.
+    mean <= 0 gives -inf.  1-D values give a float.  It is
+    :func:`_log_product` of :func:`_group_means`; the frame designs take the
+    two steps apart, so that one log pass serves all frames.
     """
+    total = _log_product(_group_means(values, power))
+    return float(total) if total.ndim == 0 else total
+
+
+def _group_means(values: np.ndarray, power: int) -> np.ndarray:
+    """The ``power`` group means of each row of (..., m) values, as (..., power)."""
     values = np.asarray(values, dtype=float)
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power}")
@@ -203,13 +211,20 @@ def log_power_product(values: np.ndarray, power: int) -> float | np.ndarray:
     for size in _group_sizes(values.shape[-1], power):
         start, stop = stop, stop + size
         means.append(np.add.reduce(values[..., start:stop], axis=-1) / size)
-    means = np.array(means)
+    return np.stack(means, axis=-1)
+
+
+def _log_product(means: np.ndarray) -> np.ndarray:
+    """Sum of the logs of the group means (..., groups), in group order; -inf where one is <= 0.
+
+    Each entry's log and the in-order sum do not depend on how the rows
+    are stacked, so a call over all frames gives the bits of per-block calls.
+    """
     logs = _log(means)
-    total = np.zeros(values.shape[:-1])
-    for row in logs:                      # group by group, in order
-        total = total + row
-    total = np.where((means <= 0).any(axis=0), -math.inf, total)
-    return float(total) if total.ndim == 0 else total
+    total = np.zeros(means.shape[:-1])
+    for group in range(means.shape[-1]):
+        total = total + logs[..., group]
+    return np.where((means <= 0).any(axis=-1), -math.inf, total)
 
 
 def exact_estimate(value: float) -> Estimate:

@@ -25,17 +25,18 @@ A check entry's stream rng splits as:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .bodies import StarBody
-from .estimates import (Estimate, _group_sizes, exact_log_estimate, log_mean_estimate,
-                        log_power_product)
+from .estimates import (Estimate, _group_means, _group_sizes, _log_product,
+                        exact_log_estimate, log_mean_estimate)
 from .grassmann import Frame, _haar_bases
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
                        measure_of_body, section_measure_values)
-from .sampler import _ROTATION_NORMALS, StreamHandle, _rotated_points, _rotations, _unit_rows
+from .sampler import _ROTATION_NORMALS, StreamHandle, _point_set, _rotations, _unit_rows
 from .sampler import sphere_directions  # noqa: F401 (perfbench)
 
 __all__ = [
@@ -50,7 +51,7 @@ _AUX = 1 << 40      # substream offset reserved for auxiliary draws
 # At 2**13 glibc handed each block's temporaries back to the OS and faulted
 # them in again: 231k minor faults in the pool's children on volume_sections
 # (seed 0), 72k on density_sections, 61k on identity_sampling.  At 2**12 the
-# allocator reuses them, and the children take 4.7k, 4.2k and 5.8k faults,
+# allocator reuses them, and the children take 5.3k, 4.5k and 5.4k faults,
 # about the 4.5k of forking the pool.  2**11 faults about as little but
 # adds per-block overhead; 2**12 ran fastest of the three.
 _BLOCK_DIRS = 1 << 12
@@ -92,17 +93,19 @@ class _FrameDesign:
 
     The directions of a frame are the section kernel's rule: n consecutive
     groups, sized as :func:`~sectlab.estimates.log_power_product` splits
-    them (:func:`~sectlab.estimates._group_sizes`), each a fixed point set
-    under its own random rotation (:func:`~sectlab.sampler._rotated_points`):
-    the pair +-u for s = 1, an m-gon for s = 2 and a spherical Fibonacci
-    set for s = 3.  Each group's mean is unbiased and the groups are
-    independent, so the product of the n group means stays an unbiased
-    n-th power (Owen, *Monte Carlo theory, methods and examples*, ch. 17),
-    and a frame takes n rotations' normals instead of count * s.  Frames
-    stay independent, so a frame-level SE is an iid SE; an SE taken over
-    one frame's directions by the iid formula over-reports, since the rule
-    beats independent directions, and is conservative.  For s >= 4, and
-    with ``_iid`` (the identity checks, whose consecutive s-tuples must
+    them (:func:`~sectlab.estimates._group_sizes`), each a fixed point set P
+    (:func:`~sectlab.sampler._point_set`) under its own random rotation R
+    (:func:`~sectlab.sampler._rotations`): the pair +-u for s = 1, an m-gon
+    for s = 2 and a spherical Fibonacci set for s = 3.  Each rotation is
+    folded into its frame's basis B once, so a group's embedded directions
+    are the one product P (B R)^T.  Each group's mean is unbiased and the
+    groups are independent, so the product of the n group means stays an
+    unbiased n-th power (Owen, *Monte Carlo theory, methods and examples*,
+    ch. 17), and a frame takes n rotations' normals instead of count * s.
+    Frames stay independent, so a frame-level SE is an iid SE; an SE taken
+    over one frame's directions by the iid formula over-reports, since the
+    rule beats independent directions, and is conservative.  For s >= 4,
+    and with ``_iid`` (the identity checks, whose consecutive s-tuples must
     hold independent directions), the directions are iid uniform instead,
     drawn afresh from rng.split(1) by each :meth:`map`.
     """
@@ -116,12 +119,22 @@ class _FrameDesign:
         if frames < 1:
             raise ValueError(f"need at least one frame, got {frames}")
         gen = rng.split(0).generator()
-        self.bases = _haar_stack(n, n - k, frames, gen)
+        s = n - k
+        self.bases = _haar_stack(n, s, frames, gen)
         self.count, self.rng = count, rng
-        self._sizes = None if _iid or n - k > 3 else _group_sizes(count, n)
-        if self._sizes is not None:
-            self._rotations = _rotations(
-                gen.standard_normal((frames, n, _ROTATION_NORMALS[n - k])))
+        self._runs = None
+        if not _iid and s <= 3:
+            rotations = _rotations(gen.standard_normal((frames, n, _ROTATION_NORMALS[s])))
+            # (F, n, s, n): group g of frame f embeds as its point set @ E[f, g]
+            self._embeddings = np.ascontiguousarray(
+                (self.bases[:, None] @ rotations).swapaxes(-1, -2))
+            # runs of equal group sizes, as (point set, slice of groups)
+            self._runs, first = [], 0
+            for size, run in itertools.groupby(_group_sizes(count, n)):
+                stop = first + len(list(run))
+                if size:
+                    self._runs.append((_point_set(s, size), slice(first, stop)))
+                first = stop
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -129,23 +142,28 @@ class _FrameDesign:
     def map(self, fn) -> np.ndarray:
         """fn(theta, dirs) on blocks of frames, concatenated along the frame axis.
 
-        theta (B, count, s) holds each frame's directions in subspace
-        coordinates and dirs (B, count, n) their embeddings in R^n, computed
-        for the whole block in one matmul; theta is built for the whole
-        block at once.  A block holds at most ``_BLOCK_DIRS`` directions,
-        and at least one frame.
+        dirs (B, count, n) holds each frame's directions embedded in R^n: for
+        the rule, one matmul per run of equal group sizes.  theta (B, count, s),
+        the same directions in subspace coordinates, is built only for iid
+        designs, whose only readers are the identity checks, and is None
+        otherwise.  A block holds at most ``_BLOCK_DIRS`` directions, and at
+        least one frame.
         """
         step = max(1, _BLOCK_DIRS // self.count)
-        s = self.bases.shape[-1]
-        gen = self.rng.split(1).generator() if self._sizes is None else None
+        frames, n, s = self.bases.shape
+        gen = self.rng.split(1).generator() if self._runs is None else None
         parts = []
-        for start in range(0, len(self.bases), step):
-            bases = self.bases[start:start + step]
-            if self._sizes is None:
+        for start in range(0, frames, step):
+            if self._runs is None:
+                bases = self.bases[start:start + step]
                 theta = _unit_rows(gen.standard_normal((len(bases), self.count, s)))
+                parts.append(fn(theta, theta @ bases.transpose(0, 2, 1)))
             else:
-                theta = _rotated_points(self._rotations[start:start + step], self._sizes)
-            parts.append(fn(theta, theta @ bases.transpose(0, 2, 1)))
+                embeddings = self._embeddings[start:start + step]
+                runs = [(points @ embeddings[:, groups]).reshape(len(embeddings), -1, n)
+                        for points, groups in self._runs]
+                dirs = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
+                parts.append(fn(None, dirs))
         return np.concatenate(parts)
 
     def log_mean(self, logs: np.ndarray) -> Estimate:
@@ -203,6 +221,6 @@ def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: in
     """
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    logs = design.map(lambda theta, dirs: log_power_product(
-        _section_measure_values(LebesgueDensity(n), body, dirs, n - k), n))
+    logs = _log_product(design.map(lambda theta, dirs: _group_means(
+        _section_measure_values(LebesgueDensity(n), body, dirs, n - k), n)))
     return _quermass_from_logs(k, logs, design, log_volume_estimate(body, rng))

@@ -11,14 +11,14 @@ chunked does not change it.
 
 The section kernel's directions are randomised point sets instead: a
 fixed set on the sphere (:func:`_point_set`) under a random rotation
-(:func:`_rotations`, :func:`_rotated_points`), so a group of directions
-takes a few normals, not one per coordinate.
+(:func:`_rotations`), so a group of directions takes a few normals, not one
+per coordinate.  The frame design folds each rotation into its frame's
+basis, so embedding a group of directions is one matmul.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -141,7 +141,7 @@ _ROTATION_NORMALS = {1: 1, 2: 2, 3: 4}
 
 @functools.lru_cache(maxsize=None)
 def _point_set(s: int, m: int) -> np.ndarray:
-    """The fixed m-point set P_s(m) on S^(s-1) that :func:`_rotated_points` rotates, (m, s).
+    """The fixed m-point set P_s(m) on S^(s-1) that :func:`_rotations` rotate, (m, s).
 
     s = 1: the alternating column +1, -1, ...; s = 2: the m-gon at angles
     2 pi i / m; s = 3: the spherical Fibonacci set, height 1 - (2i + 1) / m
@@ -187,39 +187,6 @@ def _rotations(g: np.ndarray) -> np.ndarray:
                 [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
                 [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-
-def _rotated_points(rotations: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Each row's directions on S^(s-1) from randomised point sets: (B, sum(sizes), s).
-
-    ``rotations`` (B, len(sizes), s, s) holds a row's orthogonal matrices
-    (:func:`_rotations`), and its directions fall into ``len(sizes)``
-    consecutive groups: group g is :func:`_point_set` (s, sizes[g]) under
-    rotations[:, g].  Each direction is uniform on the sphere, so a group's
-    mean of any function is unbiased, and groups with independent rotations
-    are independent.
-
-    Groups of one size are rotated together, one output column at a time:
-    coordinate i of R p is R[i, 0] p[0] + R[i, 1] p[1] + ..., summed in
-    column order, and every operation runs along the points.  Broadcasting
-    the (s, s) matrices against the points instead puts an axis of length s
-    innermost and ran several times slower.
-    """
-    frames, _, s, _ = rotations.shape
-    out = np.empty((frames, sum(sizes), s))
-    group = stop = 0
-    for size, run in itertools.groupby(sizes):
-        run = len(list(run))
-        start, stop = stop, stop + size * run
-        points = _point_set(s, size)
-        rot = rotations[:, group:group + run]
-        for i in range(s):
-            coord = rot[:, :, i, 0, None] * points[:, 0]
-            for j in range(1, s):
-                coord += rot[:, :, i, j, None] * points[:, j]
-            out[:, start:stop, i] = coord.reshape(frames, size * run)
-        group += run
-    return out
 
 
 def uniform_in_body(body, rng, size: int | None = None) -> np.ndarray:

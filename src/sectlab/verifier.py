@@ -11,8 +11,9 @@ Checks are pure functions of (inputs, rng) and report ``rng.seed``: each builds
 one frame design (:class:`~sectlab.functionals._FrameDesign`), which draws all its
 frames and directions from two substreams of rng, and every other purpose has its
 own substream, so a rerun gives a bit-identical report regardless of scheduling.  The
-section-kernel checks take each frame's directions from n randomised point sets,
-one rotation per group; the identity checks keep iid directions, because their
+section-kernel checks read only embedded directions, from n randomised point sets
+per frame, each group's rotation folded into the frame's basis; the identity checks
+keep iid directions and read them in subspace coordinates too, because their
 consecutive s-tuples must be independent.  An SE taken over one frame's
 directions by the iid formula (the largest section in ``slicing_chain``, the
 dominance test of ``busemann_petty_volume``) therefore over-reports and is
@@ -36,8 +37,8 @@ import numpy as np
 
 from .bodies import StarBody, linear_image
 from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
-from .estimates import (CheckReport, Estimate, _log, _mean_and_se, equality_report,
-                        exact_log_estimate, inequality_report, log_power_product)
+from .estimates import (CheckReport, Estimate, _group_means, _log, _log_product, _mean_and_se,
+                        equality_report, exact_log_estimate, inequality_report)
 from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
                           dual_affine_quermass, log_measure_estimate, log_volume_estimate)
 from .grassmann import _haar_bases
@@ -115,8 +116,8 @@ def _max_section_log(density: DensityOracle, body: StarBody,
 
     Its SE applies the iid formula to the frame's rule directions, which
     over-reports: the SE is conservative."""
-    stats = design.map(lambda theta, dirs: np.stack(
-        _mean_and_se(_section_measure_values(density, body, dirs, theta.shape[-1])), axis=-1))
+    stats = design.map(lambda theta, dirs: np.stack(_mean_and_se(_section_measure_values(
+        density, body, dirs, design.bases.shape[-1])), axis=-1))
     best = int(np.argmax(stats[:, 0]))
     est = Estimate(float(stats[best, 0]), float(stats[best, 1]), design.count)
     return est.to_log(), best
@@ -160,8 +161,8 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
     sup = density.sup_on(body)
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    lhs = design.log_mean(design.map(lambda theta, dirs: log_power_product(
-        _section_measure_values(density, body, dirs, n - k), n)))
+    lhs = design.log_mean(_log_product(design.map(lambda theta, dirs: _group_means(
+        _section_measure_values(density, body, dirs, n - k), n))))
     mu_total = log_measure_estimate(density, body, sphere_samples, rng)
     rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
         mu_total.powered(n - k))
@@ -230,9 +231,9 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
     bodies = [body] + [linear_image(body, _random_sl_matrix(n, rng.split(_AUX + 2 + t)))
                        for t in range(transforms)]
-    logs = design.map(lambda theta, dirs: np.stack(
-        [log_power_product(_section_measure_values(volume, b, dirs, n - k), n)
-         for b in bodies], axis=-1))
+    logs = _log_product(design.map(lambda theta, dirs: np.stack(
+        [_group_means(_section_measure_values(volume, b, dirs, n - k), n)
+         for b in bodies], axis=1)))
     phi, *images = [_quermass_from_logs(k, logs[:, i], design, log_volume_estimate(b, rng))
                     for i, b in enumerate(bodies)]
 
@@ -272,19 +273,20 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     volume = LebesgueDensity(n)
 
     def stats(theta, dirs):
-        # per frame, for K then D: mean and SE of the section volume, log of its n-th power
+        # per frame, for K then D: mean and SE of the section volume, its n group means
         rows = []
         for body in (body_k, body_d):
             vals = _section_measure_values(volume, body, dirs, n - k)
-            rows.append(np.stack([*_mean_and_se(vals), log_power_product(vals, n)], axis=-1))
+            rows.append(np.column_stack([*_mean_and_se(vals), _group_means(vals, n)]))
         return np.stack(rows, axis=1)
 
     per_frame = design.map(stats)
     violations = sum(vk > vd + 3.0 * math.hypot(sk, sd) + 1e-12
-                     for (vk, sk, _), (vd, sd, _) in per_frame.tolist())
+                     for (vk, sk), (vd, sd) in per_frame[:, :, :2].tolist())
     vol_k, vol_d = log_volume_estimate(body_k, rng), log_volume_estimate(body_d, rng)
-    phi_k = _quermass_from_logs(k, per_frame[:, 0, 2], design, vol_k)
-    phi_d = _quermass_from_logs(k, per_frame[:, 1, 2], design, vol_d)
+    logs = _log_product(per_frame[:, :, 2:])
+    phi_k = _quermass_from_logs(k, logs[:, 0], design, vol_k)
+    phi_d = _quermass_from_logs(k, logs[:, 1], design, vol_d)
     lhs = vol_k.powered((n - k) / n)
     rhs = phi_d.divided_by(phi_k).powered(k).times(vol_d.powered((n - k) / n))
     report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=rng.seed,

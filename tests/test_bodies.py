@@ -167,14 +167,16 @@ class TestLinearImage:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9])
     def test_radial_equals_the_broadcast_division(self, n):
-        # radial divides v = T^{-1} theta by |v| one column at a time, for the same bits
+        # radial is the base's homogeneous radial at v = T^{-1} theta, bit for bit, and
+        # the broadcast division rho(v / |v|) / |v| it replaced but for rounding
         t = np.eye(n) + 0.3 * StreamHandle(10, n).generator().standard_normal((n, n))
         img = linear_image(cube(n), t)
         dirs = sphere_directions(StreamHandle(11, n).generator(), 4000, n).reshape(4, 1000, n)
         v = dirs @ np.linalg.inv(t).T
+        assert img.radial(dirs).tobytes() == cube(n).radial(v).tobytes()
         norms = np.sqrt(reduce(add, [v[..., i] * v[..., i] for i in range(n)]))
-        expected = cube(n).radial(v / norms[..., None]) / norms
-        assert img.radial(dirs).tobytes() == expected.tobytes()
+        divided = cube(n).radial(v / norms[..., None]) / norms
+        np.testing.assert_allclose(img.radial(dirs), divided, rtol=1e-14, atol=0)
 
 
 class TestTranslate:
@@ -389,9 +391,7 @@ def _polytope_reference(body, dirs):
 
 
 def _image_reference(body, dirs):
-    v = dirs @ body._inv.T
-    norms = np.linalg.norm(v, axis=-1)
-    return _cube_reference(v / norms[..., None]) / norms
+    return _cube_reference(dirs @ body._inv_t)
 
 
 SIMPLEX3 = centered_simplex(3)
@@ -414,3 +414,32 @@ def test_radial_equals_axis_reductions(body, reference):
     dirs = sphere_directions(gen, 6000, body.dim).reshape(20, 300, body.dim)
     assert body.radial(dirs).tobytes() == reference(dirs).tobytes()
     assert body.radial(dirs[0, 0]).tobytes() == reference(dirs[0, 0]).tobytes()
+
+
+_MOVED3 = translate(LpBall(3, 2.0), np.array([0.25, -0.1, 0.2]))
+_SHEAR3 = np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 0.8]])
+HOMOGENEOUS_KINDS = {
+    "l1ball": LpBall(3, 1.0),
+    "ball": LpBall(3, 2.0),
+    "l3ball": LpBall(3, 3.0, 1.4),
+    "cube": cube(3),
+    "ellipsoid": Ellipsoid(np.array([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 0.5]])),
+    "hpolytope": HPolytope(np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]]),
+                           np.array([1.0] * 6 + [1.5])),
+    "simplex": centered_simplex(3),
+    "linear_image": linear_image(cube(3), _SHEAR3),
+    "image_of_image": linear_image(linear_image(LpBall(3, 1.0), _SHEAR3), _SHEAR3.T),
+    "translated": _MOVED3,
+    "image_of_translate": linear_image(_MOVED3, _SHEAR3),
+}
+
+
+@pytest.mark.parametrize("t", [0.3, 3.0])
+@pytest.mark.parametrize("body", HOMOGENEOUS_KINDS.values(), ids=HOMOGENEOUS_KINDS.keys())
+def test_radial_is_homogeneous_of_degree_minus_one(body, t):
+    # rho(t v) = rho(v) / t on vectors of any length, which lets a linear image skip
+    # normalising; a bisection bracket fixed for unit vectors would clip rho(0.3 v)
+    assert isinstance(_MOVED3, TranslatedBody)
+    gen = StreamHandle(19).generator()
+    v = sphere_directions(gen, 500, 3) * gen.uniform(0.2, 5.0, (500, 1))
+    np.testing.assert_allclose(body.radial(t * v), body.radial(v) / t, rtol=1e-12, atol=0)

@@ -58,7 +58,7 @@ def test_frame_design_is_the_only_frame_plumbing():
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
             "covariance", "w_tilde", "i_minus_k", "volume_radius", "IndicatorDensity",
-            "_stream_normals", "_stream_directions", "_rekeyable"}
+            "_stream_normals", "_stream_directions", "_rekeyable", "_rotated_points"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())

@@ -49,19 +49,18 @@ def _rule_rotation(g):
             [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
 
 
-def _rule_directions(gen, count, n, s):
-    """One frame's (count, s) directions, written out point by point: the n groups of
-    np.array_split, group g the fixed point set under the rotation of normal row g,
-    the frame's next (n, d) normals from gen."""
+def _rule_directions(gen, basis, count):
+    """One frame's (count, n) embedded directions, written out group by group: the n
+    groups of np.array_split, group g the fixed point set P under the rotation R of
+    normal row g, the frame's next (n, d) normals from gen, embedded as P (B R)^T."""
+    n, s = basis.shape
     normals = gen.standard_normal((n, {1: 1, 2: 2, 3: 4}[s])).tolist()
     sizes = [len(group) for group in np.array_split(np.arange(count), n)]
     rows = []
     for g, m in zip(normals, sizes):
-        rot = _rule_rotation(g)
-        for i in range(m):
-            p = _rule_point(s, m, i)
-            rows.append([reduce(add, [rot[r][c] * p[c] for c in range(s)]) for r in range(s)])
-    return np.array(rows).reshape(count, s)
+        points = np.array([_rule_point(s, m, i) for i in range(m)]).reshape(m, s)
+        rows.append(points @ (basis @ np.array(_rule_rotation(g))).T)
+    return np.concatenate(rows)
 
 
 class TestSectionPowerFunctional:
@@ -198,8 +197,7 @@ class TestFrameBlockReference:
             one_frame = section_volume_values(body, frame, samples, sub)
             assert one_frame.tobytes() == (omega * body.radial(frame.embed(theta))
                                            ** (n - k)).tobytes()
-            theta = _rule_directions(gen, samples, n, n - k)
-            values = omega * body.radial(frame.embed(theta)) ** (n - k)
+            values = omega * body.radial(_rule_directions(gen, frame.basis, samples)) ** (n - k)
             logs.append(sum(math.log(g.mean()) for g in np.array_split(values, n)))
         mean_log = log_mean_estimate(np.array(logs) - (n - k) * math.log(body.exact_volume))
         expected = Estimate(mean_log.value / (k * n), mean_log.std_error / (k * n), frames,
@@ -230,7 +228,8 @@ class TestFrameDesign:
     """The frame design's (theta, dirs) blocks against a plain per-frame loop, bit for bit.
 
     rng.split(0) draws every frame and then every frame's rotation normals;
-    rng.split(1) draws the iid directions, frame after frame."""
+    rng.split(1) draws the iid directions, frame after frame.  Only the iid
+    designs build theta; the rule's blocks pass None."""
 
     N, K, FRAMES, COUNT = 4, 2, 10, 7
 
@@ -240,14 +239,20 @@ class TestFrameDesign:
         frames = [sample_haar(n, s, gen) for _ in range(self.FRAMES)]
         if redraw is not None:
             frames[redraw] = sample_haar(n, s, gen)
+        if not iid:
+            return None, np.stack([_rule_directions(gen, f.basis, self.COUNT) for f in frames])
         directions = rng.split(1).generator()
-        thetas, dirs = [], []
-        for frame in frames:
-            theta = (sphere_directions(directions, self.COUNT, s) if iid
-                     else _rule_directions(gen, self.COUNT, n, s))
-            thetas.append(theta)
-            dirs.append(frame.embed(theta))
-        return np.stack(thetas), np.stack(dirs)
+        thetas = np.stack([sphere_directions(directions, self.COUNT, s) for _ in frames])
+        return thetas, np.stack([f.embed(theta) for f, theta in zip(frames, thetas)])
+
+    @staticmethod
+    def _assert_blocks_are(blocks, theta, dirs):
+        thetas = [t for t, _ in blocks]
+        if theta is None:
+            assert thetas == [None] * len(blocks)
+        else:
+            assert np.concatenate(thetas).tobytes() == theta.tobytes()
+        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
 
     def _blocks(self, rng, n=N, k=K, **iid):
         blocks = []
@@ -263,11 +268,9 @@ class TestFrameDesign:
         for n, k, iid in [(self.N, self.K, False), (4, 2, True), (5, 1, False)]:
             rng = StreamHandle(55)
             blocks, out = self._blocks(rng, n, k, **({"_iid": True} if iid else {}))
-            assert [len(theta) for theta, _ in blocks] == [
+            assert [len(d) for _, d in blocks] == [
                 min(step, self.FRAMES - start) for start in range(0, self.FRAMES, step)]
-            theta, dirs = self._per_frame(rng, n, k, iid=iid or n - k > 3)
-            assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
-            assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+            self._assert_blocks_are(blocks, *self._per_frame(rng, n, k, iid=iid or n - k > 3))
             assert out.tobytes() == np.concatenate(
                 [d.sum(axis=(1, 2)) for _, d in blocks]).tobytes()
 
@@ -287,18 +290,14 @@ class TestFrameDesign:
         rng = StreamHandle(56)
         blocks, _ = self._blocks(rng)
         assert calls == [self.FRAMES, 1]
-        theta, dirs = self._per_frame(rng, redraw=3)
-        assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
-        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+        self._assert_blocks_are(blocks, *self._per_frame(rng, redraw=3))
 
     @pytest.mark.parametrize("n,k,iid", [(4, 2, True), (5, 1, False)], ids=["identity", "s4"])
     def test_iid_directions_equal_per_frame_loop(self, n, k, iid):
         # the identity checks' designs, and s >= 4, keep iid directions
         rng = StreamHandle(57)
         blocks, _ = self._blocks(rng, n, k, **({"_iid": True} if iid else {}))
-        theta, dirs = self._per_frame(rng, n, k, iid=True)
-        assert np.concatenate([t for t, _ in blocks]).tobytes() == theta.tobytes()
-        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
+        self._assert_blocks_are(blocks, *self._per_frame(rng, n, k, iid=True))
 
     def test_every_map_draws_the_same_iid_directions(self):
         design = functionals._FrameDesign(self.FRAMES, 4, 2, self.COUNT, StreamHandle(62),
@@ -314,6 +313,28 @@ class TestFrameDesign:
                      [math.sin(math.pi * (j + offset) / frames)]] for j in range(frames)]
         design = functionals._FrameDesign(frames, 2, 1, 6, rng)
         assert design.bases.tobytes() == np.array(expected).tobytes()
+
+
+def test_folded_kernel_is_the_old_kernel_up_to_rounding():
+    # the rotations folded into the frame bases, P (B R)^T, against rotating the points
+    # and then embedding them, (P R^T) B^T; and a linear image's radial at T^{-1} theta
+    # against normalising it first: the section values agree but for rounding
+    for n, k in [(3, 2), (3, 1), (4, 1)]:
+        s, rng, frames, count = n - k, StreamHandle(63), 20, 301
+        body = linear_image(LpBall(n, 1.0), np.eye(n) + 0.2 * np.ones((n, n)))
+        design = functionals._FrameDesign(frames, n, k, count, rng)
+        gen = rng.split(0).generator()
+        functionals._haar_stack(n, s, frames, gen)
+        rotations = sampler._rotations(
+            gen.standard_normal((frames, n, sampler._ROTATION_NORMALS[s])))
+        sizes = [len(group) for group in np.array_split(np.arange(count), n)]
+        theta = np.concatenate([sampler._point_set(s, m) @ rotations[:, g].swapaxes(-1, -2)
+                                for g, m in enumerate(sizes)], axis=1)
+        v = (theta @ design.bases.swapaxes(-1, -2)) @ body._inv_t
+        norms = np.linalg.norm(v, axis=-1)
+        old = body.base.radial(v / norms[..., None]) / norms
+        new = design.map(lambda theta, dirs: body.radial(dirs))
+        np.testing.assert_allclose(new, old, rtol=1e-14, atol=0)
 
 
 class TestDirectionRule:
@@ -344,12 +365,14 @@ class TestDirectionRule:
         assert np.abs(means / chords - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_rotated_point_is_uniform_in_mean_and_second_moment(self, s):
-        draws = 20_000
-        normals = StreamHandle(60).generator().standard_normal(
-            (draws, sampler._ROTATION_NORMALS[s]))
-        point = np.array(_rule_point(s, 7, 3))
-        x = sampler._fold_columns(np.add, sampler._rotations(normals) * point)
+    def test_embedded_point_is_uniform_in_mean_and_second_moment(self, s):
+        # point 3 of each group of 7, embedded by the design and read back in its
+        # frame's coordinates, is R p: uniform on S^(s-1) whatever the frame
+        n = s + 1
+        design = functionals._FrameDesign(20_000 // n, n, 1, 7 * n, StreamHandle(60))
+        embedded = design.map(lambda theta, dirs: dirs[:, 3::7])
+        x = (embedded @ design.bases).reshape(-1, s)
+        draws = len(x)
         second = (x[:, :, None] * x[:, None, :]).reshape(draws, s * s)
         for sample, target in ((x, np.zeros(s)), (second, np.eye(s).ravel() / s)):
             mean = sample.mean(axis=0)
