@@ -13,9 +13,12 @@ Subcommands:
              this process.  The count does not change the output.
 
 Every report embeds the full configuration, so a run can be reproduced
-from the report file alone.  ``--deterministic`` drops the timestamp so
-reruns with one seed are byte-identical.  Output destinations (``--json``,
-``--csv``, ``--pretty``) are not part of the configuration.
+from the report file alone.  A ``sectlab.report.v2`` side holds ``log``,
+the natural log of the estimate, ``value`` = exp(log) with its std error
+``se``, both null at |log| >= 700, and ``n_samples``.  ``--deterministic``
+drops the timestamp so reruns with one seed are byte-identical.  Output
+destinations (``--json``, ``--csv``, ``--pretty``) are not part of the
+configuration.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .measures import density_from_json
 from .sampler import StreamHandle
 from .verifier import CHECKS, SuiteConfig, run_suite
 
-_REPORT_SCHEMA = "sectlab.report.v1"
+_REPORT_SCHEMA = "sectlab.report.v2"
 _SCAN_SCHEMA = "sectlab.scan.v1"
 # where and how the output is written, not what is computed
 _NOT_CONFIG = ("func", "json", "csv", "pretty")
@@ -95,7 +98,7 @@ def _reports_to_csv(reports: list[CheckReport], path: str) -> None:
     _write_csv(path, ["schema", "check_name", "fixture", "n", "k", "relation",
                       "lhs_log", "rhs_log", "margin", "pass", "note"],
                [[_REPORT_SCHEMA, r.check_name, r.inputs.get("fixture", ""), r.n, r.k,
-                 r.relation, f"{r.lhs.to_log().value:.12g}", f"{r.rhs.to_log().value:.12g}",
+                 r.relation, f"{r.lhs.value:.12g}", f"{r.rhs.value:.12g}",
                  f"{r.margin:.6g}", int(r.passed), r.note] for r in reports])
 
 
@@ -131,7 +134,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if name == "phi":
         est = dual_affine_quermass(body, args.k, args.frames, args.samples, rng)
     elif name == "volume":
-        est = log_volume_estimate(body, rng).to_linear()
+        est = log_volume_estimate(body, rng)
     else:
         raise ValueError(f"unknown functional {name!r}")
     payload = {"functional": name, "estimate": est.as_dict(), "config": _run_config(args)}

@@ -1,19 +1,24 @@
 """Monte Carlo estimates with standard errors, and structured check reports.
 
-An :class:`Estimate` is a value with a standard error and a sample count.
-When ``log_domain`` is set, ``value`` and ``std_error`` live on the log
-scale (the std error of a log is the relative std error of the linear
-quantity).  Heavy-tailed means of n-th powers are always accumulated via
-log-sum-exp and kept in log domain.  The log-sum-exp is :func:`_logsumexp`,
-a numpy port of ``scipy.special.logsumexp`` that reproduces its bits, so
-importing this package loads no ``scipy`` module.
+An :class:`Estimate` is the natural log of a positive quantity, the
+standard error of that log (the relative standard error of the quantity)
+and a sample count.  Every side of every check is a positive product of
+powers, so estimates combine only by :meth:`Estimate.powered`,
+:meth:`Estimate.times` and :meth:`Estimate.divided_by`; with the reports'
+combined SE below, these are the only places where log-SEs combine.  A
+linear sample mean becomes an estimate through
+:meth:`Estimate.of_mean`; heavy-tailed means of n-th powers are
+accumulated via log-sum-exp (:func:`log_mean_estimate`) and never leave
+the log scale.  The log-sum-exp is :func:`_logsumexp`, a numpy port of
+``scipy.special.logsumexp`` that reproduces its bits, so importing this
+package loads no ``scipy`` module.
 
 A :class:`CheckReport` records the outcome of comparing two sides of an
 identity ("=") or inequality ("<=") under the fixed tolerance policy:
 
-  "=" : pass iff |lhs - rhs| <= 3 * combined std error AND the relative
-        gap is at most 2%.
-  "<=": pass iff lhs <= rhs * (1 + 3 * combined relative std error + 1e-9);
+  "=" : pass iff |log lhs - log rhs| <= 3 * combined log SE AND the
+        relative gap is at most 2%.
+  "<=": pass iff log lhs <= log rhs + 3 * combined log SE + 1e-9;
         the tiny additive floor absorbs quadrature/rounding error when
         both sides are exact and sit at equality.
 """
@@ -28,9 +33,7 @@ import numpy as np
 __all__ = [
     "Estimate",
     "CheckReport",
-    "mean_estimate",
     "log_mean_estimate",
-    "exact_estimate",
     "exact_log_estimate",
     "equality_report",
     "inequality_report",
@@ -43,67 +46,59 @@ EXACT_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class Estimate:
-    """A scalar estimate with standard error and sample count.
+    """log of a positive quantity, the SE of that log, and the sample count.
 
-    ``std_error`` follows the plain sample-mean rule for direct means and
-    the delta method for powers and ratios. ``log_domain=True`` means
     ``value`` is the natural log of the estimated quantity and
-    ``std_error`` is the std error of that log.  ``n_samples`` is 1 for an
-    exact value and at least 2 for a sampled one.
+    ``std_error`` the std error of that log, which is the relative std
+    error of the quantity: the plain sample-mean rule through
+    :meth:`of_mean` or :func:`log_mean_estimate`, then the delta method
+    for powers, products and ratios.  ``n_samples`` is 1 for an exact
+    value and at least 2 for a sampled one.
     """
 
     value: float
     std_error: float
     n_samples: int
-    log_domain: bool = False
+
+    @classmethod
+    def of_mean(cls, mean: float, se: float, n: int) -> "Estimate":
+        """The log of a linear sample mean with std error ``se`` over ``n`` samples."""
+        if mean <= 0:
+            raise ValueError(f"cannot take the log of non-positive estimate {mean!r}")
+        return cls(math.log(mean), se / mean, n)
 
     def to_log(self) -> "Estimate":
-        if self.log_domain:
-            return self
-        if self.value <= 0:
-            raise ValueError(f"cannot move non-positive estimate {self.value!r} to log domain")
-        return Estimate(math.log(self.value), self.std_error / self.value,
-                        self.n_samples, log_domain=True)
-
-    def to_linear(self) -> "Estimate":
-        if not self.log_domain:
-            return self
-        v = math.exp(self.value)
-        return Estimate(v, self.std_error * v, self.n_samples, log_domain=False)
+        # every estimate is a log; perfbench/worker.py reads report sides through this
+        return self
 
     def powered(self, exponent: float) -> "Estimate":
-        """Delta-method power: carried out in log domain."""
-        e = self.to_log()
-        return Estimate(exponent * e.value, abs(exponent) * e.std_error,
-                        e.n_samples, log_domain=True)
+        """Delta-method power."""
+        return Estimate(exponent * self.value, abs(exponent) * self.std_error, self.n_samples)
 
     def times(self, other: "Estimate") -> "Estimate":
         """Product of independent estimates (errors add in quadrature on logs);
         an exact factor (one sample) keeps the other factor's count."""
-        a, b = self.to_log(), other.to_log()
-        counts = (a.n_samples, b.n_samples)
-        return Estimate(a.value + b.value, math.hypot(a.std_error, b.std_error),
-                        max(counts) if 1 in counts else min(counts), log_domain=True)
+        counts = (self.n_samples, other.n_samples)
+        return Estimate(self.value + other.value, math.hypot(self.std_error, other.std_error),
+                        max(counts) if 1 in counts else min(counts))
 
     def divided_by(self, other: "Estimate") -> "Estimate":
         return self.times(other.powered(-1.0))
 
     def scaled(self, factor: float) -> "Estimate":
-        if self.log_domain:
-            if factor <= 0:
-                raise ValueError("log-domain estimates only scale by positive factors")
-            return Estimate(self.value + math.log(factor), self.std_error,
-                            self.n_samples, log_domain=True)
-        return Estimate(self.value * factor, self.std_error * abs(factor),
-                        self.n_samples, log_domain=False)
+        if factor <= 0:
+            raise ValueError("estimates only scale by positive factors")
+        return Estimate(self.value + math.log(factor), self.std_error, self.n_samples)
 
     def as_dict(self) -> dict:
-        lin = self.to_linear() if self.log_domain and abs(self.value) < 700 else None
+        """``value`` and ``se`` on the linear scale, ``log`` and ``n_samples``; at
+        |log| >= 700 the linear fields are null rather than overflowing."""
+        linear = abs(self.value) < 700          # exp overflows at 709.8
+        value = math.exp(self.value) if linear else None
         return {
-            "value": lin.value if lin is not None else self.value,
-            "log": self.to_log().value if (self.log_domain or self.value > 0) else None,
-            "se": lin.std_error if lin is not None else self.std_error,
-            "log_domain": self.log_domain,
+            "value": value,
+            "log": self.value,
+            "se": self.std_error * value if linear else None,
             "n_samples": self.n_samples,
         }
 
@@ -112,16 +107,6 @@ def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and its std error along the last axis, one pair per row."""
     n = values.shape[-1]
     return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n)
-
-
-def mean_estimate(values: np.ndarray, factor: float = 1.0) -> Estimate:
-    """Plain Monte Carlo mean with std error, optionally scaled."""
-    values = np.asarray(values, dtype=float).ravel()
-    n = values.size
-    if n < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    m, se = _mean_and_se(values)
-    return Estimate(factor * float(m), abs(factor) * float(se), n)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -148,22 +133,16 @@ def _logsumexp(a: np.ndarray) -> float:
 def log_mean_estimate(log_values: np.ndarray) -> Estimate:
     """Log-domain mean of exp(log_values), with relative std error.
 
-    Uses the max-shifted log-sum-exp reduction; never leaves log scale.
-    The std error of the returned log equals the relative std error of
-    the linear mean:  sqrt((N e^D - 1)/(N - 1)) / sqrt(N) * sqrt(N)
-    with D = lse(2 v) - 2 lse(v).
+    The log is the max-shifted log-sum-exp reduction.  Its std error is the
+    relative std error of the linear mean, taken in two passes over the
+    shifted values exp(v - max v), so equal values give an SE of exactly 0.
     """
-    lv = np.asarray(log_values, dtype=float)
+    lv = np.ravel(np.asarray(log_values, dtype=float))
     n = lv.size
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    lse1 = _logsumexp(lv)
-    lse2 = _logsumexp(2.0 * lv)
-    log_mean = lse1 - math.log(n)
-    # relative variance of the sample: s^2/m^2 = N (N e^D - 1)/(N-1)
-    d = lse2 - 2.0 * lse1
-    rel_var_mean = max(n * math.exp(d) - 1.0, 0.0) / (n - 1)
-    return Estimate(log_mean, math.sqrt(rel_var_mean), n, log_domain=True)
+    mean, se = _mean_and_se(np.exp(lv - lv.max()))
+    return Estimate(_logsumexp(lv) - math.log(n), float(se / mean), n)
 
 
 def _log(values) -> np.ndarray:
@@ -227,12 +206,8 @@ def _log_product(means: np.ndarray) -> np.ndarray:
     return np.where((means <= 0).any(axis=-1), -math.inf, total)
 
 
-def exact_estimate(value: float) -> Estimate:
-    return Estimate(float(value), 0.0, 1)
-
-
 def exact_log_estimate(log_value: float) -> Estimate:
-    return Estimate(float(log_value), 0.0, 1, log_domain=True)
+    return Estimate(float(log_value), 0.0, 1)
 
 
 @dataclass
@@ -260,17 +235,12 @@ class CheckReport:
         return d
 
 
-def _combined_log_se(lhs: Estimate, rhs: Estimate) -> float:
-    return math.hypot(lhs.to_log().std_error, rhs.to_log().std_error)
-
-
 def equality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estimate,
                     inputs: dict | None = None, *, seed: int, note: str = "") -> CheckReport:
     """Two-sided comparison: within 3 combined SEs and 2% relative gap."""
-    a, b = lhs.to_log(), rhs.to_log()
-    gap = abs(a.value - b.value)          # |log ratio| ~ relative gap
-    rel_gap = abs(math.expm1(a.value - b.value))
-    sigma = _combined_log_se(lhs, rhs)
+    gap = abs(lhs.value - rhs.value)      # |log ratio| ~ relative gap
+    rel_gap = abs(math.expm1(lhs.value - rhs.value))
+    sigma = math.hypot(lhs.std_error, rhs.std_error)
     within_se = gap <= SE_MULTIPLIER * sigma + EXACT_FLOOR
     within_gap = rel_gap <= REL_GAP_TOL
     rule = (f"|log lhs - log rhs| <= {SE_MULTIPLIER}*combined log SE ({sigma:.3e}) "
@@ -291,9 +261,8 @@ def inequality_report(check_name: str, n: int, k: int, lhs: Estimate, rhs: Estim
     slack itself, log rhs - log lhs, which stays comparable when that floor
     sets the margin.
     """
-    a, b = lhs.to_log(), rhs.to_log()
-    sigma = _combined_log_se(lhs, rhs)
-    slack = b.value - a.value             # positive = strictly below
+    sigma = math.hypot(lhs.std_error, rhs.std_error)
+    slack = rhs.value - lhs.value         # positive = strictly below
     passed = slack >= -(SE_MULTIPLIER * sigma + EXACT_FLOOR)
     margin = slack / max(sigma, EXACT_FLOOR)
     rule = (f"log lhs <= log rhs + {SE_MULTIPLIER}*combined log SE ({sigma:.3e}) + {EXACT_FLOOR}")

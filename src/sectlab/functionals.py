@@ -177,7 +177,7 @@ def log_volume_estimate(body: StarBody, rng: StreamHandle) -> Estimate:
     if body.exact_volume is not None:
         return exact_log_estimate(math.log(body.exact_volume))
     volume = LebesgueDensity(body.dim)
-    return measure_of_body(volume, body, _VOLUME_SAMPLES, rng.split(_AUX)).to_log()
+    return measure_of_body(volume, body, _VOLUME_SAMPLES, rng.split(_AUX))
 
 
 def log_measure_estimate(density: DensityOracle, body: StarBody, samples: int,
@@ -186,7 +186,7 @@ def log_measure_estimate(density: DensityOracle, body: StarBody, samples: int,
     else :func:`measure_of_body` on ``samples`` directions of rng.split(_AUX + 1)."""
     if isinstance(density, LebesgueDensity) and density.dim == body.dim:
         return log_volume_estimate(body, rng)
-    return measure_of_body(density, body, samples, rng.split(_AUX + 1)).to_log()
+    return measure_of_body(density, body, samples, rng.split(_AUX + 1))
 
 
 def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
@@ -201,16 +201,14 @@ def section_volume_values(body: StarBody, frame: Frame, sphere_samples: int,
 
 def _quermass_from_logs(k: int, logs: np.ndarray, design: _FrameDesign,
                         log_vol: Estimate) -> Estimate:
-    """(E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n and log |K|."""
+    """log (E_F |K1 cap F|^n)^(1/(kn)) from per-frame logs of unbiased |K cap F|^n and log |K|."""
     n = design.bases.shape[1]
-    mean_log = design.log_mean(logs - (n - k) * log_vol.value)
-    se = math.hypot(mean_log.std_error, (n - k) * log_vol.std_error) / (k * n)
-    return Estimate(mean_log.value / (k * n), se, len(logs), log_domain=True).to_linear()
+    return design.log_mean(logs).divided_by(log_vol.powered(n - k)).powered(1 / (k * n))
 
 
 def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: int,
                          rng: StreamHandle) -> Estimate:
-    """The normalized section-power mean (E_F |K1 cap F|^n)^(1/(kn)).
+    """log of the normalized section-power mean (E_F |K1 cap F|^n)^(1/(kn)).
 
     K1 is the volume-one rescaling of the body.  Each frame's n-th power
     is estimated without bias by a product of independent group means, the

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bodies import StarBody, _read_spec
 from .constants import log_ball_volume
-from .estimates import Estimate, mean_estimate
+from .estimates import Estimate, _mean_and_se
 from .grassmann import Frame
 from .sampler import _quadratic_form, as_generator, sphere_directions
 
@@ -292,7 +292,7 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
 
 def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
                     rng) -> Estimate:
-    """mu(K) = n omega_n E_theta[ integral_0^rho r^(n-1) g(r theta) dr ]."""
+    """log mu(K), mu(K) = n omega_n E_theta[ integral_0^rho r^(n-1) g(r theta) dr ]."""
     if sphere_samples < _MIN_SPHERE_SAMPLES:
         raise ValueError(f"need at least {_MIN_SPHERE_SAMPLES} sphere samples, "
                          f"got {sphere_samples}")
@@ -302,7 +302,8 @@ def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
     theta = sphere_directions(gen, sphere_samples, body.dim)
     inner = density.ray_mass(theta, body.radial(theta), float(body.dim))
     factor = body.dim * math.exp(log_ball_volume(body.dim))
-    return mean_estimate(inner, factor=factor)
+    mean, se = _mean_and_se(inner)
+    return Estimate.of_mean(factor * float(mean), factor * float(se), sphere_samples)
 
 
 def _section_measure_values(density: DensityOracle, body: StarBody, dirs: np.ndarray,

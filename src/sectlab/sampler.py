@@ -107,16 +107,9 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
 
 
 def sphere_directions(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Uniform unit vectors on S^(dim-1), shape (count, dim)."""
-    g = gen.standard_normal((count, dim))
-    norms = _row_norms(g)
-    # a zero normal vector has probability 0; resample defensively anyway
-    bad = (norms == 0.0)
-    while bad.any():
-        g[bad] = gen.standard_normal((int(bad.sum()), dim))
-        norms = _row_norms(g)
-        bad = (norms == 0.0)
-    return g / norms[:, None]
+    """Uniform unit vectors on S^(dim-1), shape (count, dim): :func:`_unit_rows` of a
+    Gaussian draw, so a zero row raises ValueError."""
+    return _unit_rows(gen.standard_normal((count, dim)))
 
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:

@@ -92,8 +92,7 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
     mean_log = design.log_mean(design.map(
         lambda theta, dirs: _polar_log_moments(density, body, k, points_per_frame,
                                                theta, dirs)))
-    rhs = Estimate(log_bp_constant(n, n - k) + mean_log.value,
-                   mean_log.std_error, len(design), log_domain=True)
+    rhs = exact_log_estimate(log_bp_constant(n, n - k)).times(mean_log)
     return equality_report(name, n, k, lhs, rhs, seed=rng.seed,
                            inputs={"frames": len(design),
                                    "points_per_frame": points_per_frame})
@@ -119,8 +118,7 @@ def _max_section_log(density: DensityOracle, body: StarBody,
     stats = design.map(lambda theta, dirs: np.stack(_mean_and_se(_section_measure_values(
         density, body, dirs, design.bases.shape[-1])), axis=-1))
     best = int(np.argmax(stats[:, 0]))
-    est = Estimate(float(stats[best, 0]), float(stats[best, 1]), design.count)
-    return est.to_log(), best
+    return Estimate.of_mean(float(stats[best, 0]), float(stats[best, 1]), design.count), best
 
 
 def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: int,
@@ -244,7 +242,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
         for t, phi_t in enumerate(images)]
     failed = [r for r in pair_reports if not r.passed]
     worst = failed[0] if failed else max(pair_reports, key=lambda r: r.margin)
-    worst.inputs["all_values"] = [phi.value] + [phi_t.value for phi_t in images]
+    worst.inputs["all_values"] = [math.exp(phi_t.value) for phi_t in [phi, *images]]
 
     ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
     part_b = inequality_report("grinberg_maximality", n, k, phi, ball_value, seed=rng.seed,
@@ -292,7 +290,7 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=rng.seed,
                                inputs={"frames": len(design),
                                        "sphere_samples": sphere_samples,
-                                       "phi_ratio": phi_d.value / phi_k.value,
+                                       "phi_ratio": math.exp(phi_d.value - phi_k.value),
                                        "dominance_violations": violations})
     if violations:
         report.passed = False
@@ -312,11 +310,9 @@ def negative_control(body: StarBody, k: int, frames: int, sphere_samples: int,
     n = body.dim
     phi = dual_affine_quermass(body, k, frames, sphere_samples, rng)
     ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
-    # phi is a mean over frames, so its sample count is the frame count
     report = inequality_report("negative_control", n, k, ball_value,
                                phi.scaled(0.9), seed=rng.seed,
-                               inputs={"frames": phi.n_samples,
-                                       "sphere_samples": sphere_samples})
+                               inputs={"frames": frames, "sphere_samples": sphere_samples})
     report.note = "self-test fixture: the reversed inequality is expected to fail"
     return report
 

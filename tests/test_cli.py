@@ -77,9 +77,8 @@ class TestEstimateCommand:
                                 json.dumps(spec), "--seed", "5", "--deterministic"], capsys)
         assert code == 0
         est = json.loads(out)["estimate"]
-        expected = log_volume_estimate(body_from_spec(spec), StreamHandle(5)).to_linear()
-        assert (est["value"], est["se"], est["n_samples"]) == (
-            expected.value, expected.std_error, expected.n_samples)
+        expected = log_volume_estimate(body_from_spec(spec), StreamHandle(5)).as_dict()
+        assert est == expected
         assert abs(est["value"] - 3.2 ** 3) <= 3 * est["se"]
 
     def test_phi_with_measure_flag_unused(self, capsys):
@@ -145,7 +144,7 @@ class TestVerifyCommand:
         with open(csv_path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "schema"
-        assert rows[1][0] == "sectlab.report.v1"
+        assert rows[1][0] == "sectlab.report.v2"
 
     def test_failing_check_gives_exit_one(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "negative_control",

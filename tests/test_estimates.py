@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,29 +9,51 @@ from hypothesis import strategies as st
 from scipy import special
 
 from sectlab.estimates import (CheckReport, Estimate, _logsumexp, equality_report,
-                               exact_estimate, exact_log_estimate, inequality_report,
-                               log_mean_estimate, log_power_product, mean_estimate)
+                               exact_log_estimate, inequality_report, log_mean_estimate,
+                               log_power_product)
+
+
+def _linear(value, se, n=100):
+    """The estimate of a linear mean ``value`` with std error ``se``."""
+    return Estimate.of_mean(value, se, n)
+
+
+def _exact(value):
+    return exact_log_estimate(math.log(value))
 
 
 class TestMeanEstimates:
     def test_plain_mean(self):
-        est = mean_estimate(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert est.value == pytest.approx(2.5)
-        assert est.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2)
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        est = Estimate.of_mean(x.mean(), x.std(ddof=1) / 2, x.size)
+        assert est.value == pytest.approx(math.log(2.5))
+        assert est.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2 / 2.5)
         assert est.n_samples == 4
 
     def test_log_mean_matches_linear(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(0.5, 2.0, 500)
-        lin = mean_estimate(x)
+        mean, se = x.mean(), x.std(ddof=1) / math.sqrt(x.size)
         logd = log_mean_estimate(np.log(x))
-        assert logd.value == pytest.approx(math.log(lin.value), abs=1e-12)
-        assert logd.std_error == pytest.approx(lin.std_error / lin.value, rel=1e-9)
+        assert logd.value == pytest.approx(math.log(mean), abs=1e-12)
+        assert logd.std_error == pytest.approx(se / mean, rel=1e-9)
 
     def test_log_mean_constant_input_has_zero_error(self):
         est = log_mean_estimate(np.full(50, 1.7))
         assert est.value == pytest.approx(1.7)
-        assert est.std_error < 1e-7    # exact zero up to log-sum-exp rounding
+        # the relative variance is taken in two passes, so nothing cancels
+        for n in (2, 50, 160, 800, 2500):
+            for log in (-40.0, 0.0, 1.7, math.log(4.1887902047863905), 300.0):
+                assert log_mean_estimate(np.full(n, log)).std_error <= 1e-15, (n, log)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    def test_log_mean_error_agrees_with_the_one_pass_formula(self, scale):
+        # sqrt((N e^D - 1) / (N - 1)), D = lse(2 v) - 2 lse(v), wherever it does not cancel
+        lv = np.random.default_rng(int(scale * 1000)).standard_normal(2000) * scale + 5.0
+        n = lv.size
+        d = special.logsumexp(2.0 * lv) - 2.0 * special.logsumexp(lv)
+        one_pass = math.sqrt((n * math.exp(d) - 1.0) / (n - 1))
+        assert log_mean_estimate(lv).std_error == pytest.approx(one_pass, rel=1e-12, abs=0)
 
     def test_log_mean_handles_huge_logs(self):
         est = log_mean_estimate(np.array([5000.0, 5001.0, 4999.0]))
@@ -134,68 +157,80 @@ class TestLogPowerProduct:
 
 class TestEstimateAlgebra:
     def test_log_roundtrip(self):
-        est = Estimate(2.0, 0.1, 100)
-        back = est.to_log().to_linear()
-        assert back.value == pytest.approx(2.0)
-        assert back.std_error == pytest.approx(0.1, rel=1e-9)
+        # a linear mean goes in through of_mean and comes back out through as_dict
+        est = Estimate.of_mean(2.0, 0.1, 100)
+        assert est.to_log() is est
+        back = est.as_dict()
+        assert back["value"] == pytest.approx(2.0)
+        assert back["se"] == pytest.approx(0.1, rel=1e-9)
 
     @given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=-3.0, max_value=3.0))
     def test_power_on_value(self, value, exponent):
-        est = Estimate(value, 0.01 * value, 50)
-        powered = est.powered(exponent).to_linear()
-        assert powered.value == pytest.approx(value ** exponent, rel=1e-9)
+        est = Estimate.of_mean(value, 0.01 * value, 50)
+        powered = est.powered(exponent)
+        assert math.exp(powered.value) == pytest.approx(value ** exponent, rel=1e-9)
 
     def test_product_and_ratio(self):
-        a = Estimate(2.0, 0.02, 10)
-        b = Estimate(3.0, 0.03, 10)
-        prod = a.times(b).to_linear()
-        assert prod.value == pytest.approx(6.0)
+        a = Estimate.of_mean(2.0, 0.02, 10)
+        b = Estimate.of_mean(3.0, 0.03, 10)
+        prod = a.times(b)
+        assert math.exp(prod.value) == pytest.approx(6.0)
         # relative errors 1% each -> sqrt(2)% combined
-        assert prod.std_error / prod.value == pytest.approx(math.sqrt(2) * 0.01, rel=1e-6)
-        ratio = a.divided_by(b).to_linear()
-        assert ratio.value == pytest.approx(2 / 3)
+        assert prod.std_error == pytest.approx(math.sqrt(2) * 0.01, rel=1e-6)
+        ratio = a.divided_by(b)
+        assert math.exp(ratio.value) == pytest.approx(2 / 3)
 
     def test_exact_factor_keeps_the_sampled_count(self):
-        sampled, exact = Estimate(2.0, 0.02, 500), exact_estimate(3.0)
+        sampled, exact = Estimate.of_mean(2.0, 0.02, 500), _exact(3.0)
         assert sampled.times(exact).n_samples == 500
         assert exact.times(sampled).n_samples == 500
         assert sampled.divided_by(exact).n_samples == 500
         assert exact.divided_by(exact).n_samples == 1
-        assert sampled.times(Estimate(3.0, 0.03, 40)).n_samples == 40
+        assert sampled.times(Estimate.of_mean(3.0, 0.03, 40)).n_samples == 40
 
     def test_scaled(self):
         est = Estimate(2.0, 0.5, 10).scaled(3.0)
-        assert (est.value, est.std_error) == (6.0, 1.5)
+        assert (est.value, est.std_error) == (2.0 + math.log(3.0), 0.5)
+        with pytest.raises(ValueError):
+            est.scaled(-3.0)
 
     def test_to_log_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Estimate(-1.0, 0.1, 10).to_log()
+        # a linear mean takes its log in of_mean, the one place that can reject it
+        for mean in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                Estimate.of_mean(mean, 0.1, 10)
+
+    @pytest.mark.parametrize("log", [800.0, -800.0])
+    def test_as_dict_has_no_linear_fields_beyond_exp_range(self, log):
+        d = Estimate(log, 0.1, 10).as_dict()
+        assert d == {"value": None, "log": log, "se": None, "n_samples": 10}
+        json.dumps(d, allow_nan=False)
 
 
 class TestReports:
     def test_equality_passes_on_agreement(self):
-        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.01, 100), Estimate(1.005, 0.01, 100),
+        rep = equality_report("demo", 3, 1, _linear(1.0, 0.01), _linear(1.005, 0.01),
                               seed=0)
         assert rep.passed and rep.relation == "="
         assert rep.margin == pytest.approx(0.005, rel=0.1)
 
     def test_equality_fails_beyond_se(self):
-        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.001, 100), Estimate(1.01, 0.001, 100),
+        rep = equality_report("demo", 3, 1, _linear(1.0, 0.001), _linear(1.01, 0.001),
                               seed=0)
         assert not rep.passed
 
     def test_equality_fails_beyond_two_percent_even_within_se(self):
-        rep = equality_report("demo", 3, 1, Estimate(1.0, 0.05, 100), Estimate(1.04, 0.05, 100),
+        rep = equality_report("demo", 3, 1, _linear(1.0, 0.05), _linear(1.04, 0.05),
                               seed=0)
         assert not rep.passed     # 4% gap, though within 3 SE
 
     def test_inequality_tolerates_noise(self):
-        rep = inequality_report("demo", 3, 1, Estimate(1.002, 0.001, 100), exact_estimate(1.0),
+        rep = inequality_report("demo", 3, 1, _linear(1.002, 0.001), _exact(1.0),
                                 seed=0)
         assert rep.passed          # 0.2% violation within 3 * 0.1%
 
     def test_inequality_rejects_genuine_violation(self):
-        rep = inequality_report("demo", 3, 1, Estimate(1.1, 0.001, 100), exact_estimate(1.0),
+        rep = inequality_report("demo", 3, 1, _linear(1.1, 0.001), _exact(1.0),
                                 seed=0)
         assert not rep.passed
         assert rep.margin < -3
@@ -216,20 +251,20 @@ class TestReports:
 
     def test_margin_in_se_units_when_sigma_is_positive(self):
         rep = inequality_report("demo", 3, 1, exact_log_estimate(0.0),
-                                Estimate(0.03, 0.01, 100, log_domain=True), seed=0)
+                                Estimate(0.03, 0.01, 100), seed=0)
         assert rep.margin == pytest.approx(3.0)
 
     def test_seed_is_required(self):
         # a report cannot default its seed, so a check that forgets rng.seed fails loudly
         for report in (equality_report, inequality_report):
             with pytest.raises(TypeError):
-                report("demo", 3, 1, exact_estimate(1.0), exact_estimate(1.0))
+                report("demo", 3, 1, _exact(1.0), _exact(1.0))
         with pytest.raises(TypeError):
-            CheckReport("demo", 3, 1, exact_estimate(1.0), exact_estimate(1.0), "<=", 0.0,
+            CheckReport("demo", 3, 1, _exact(1.0), _exact(1.0), "<=", 0.0,
                         True, "rule")
 
     def test_as_dict_shape(self):
-        rep = inequality_report("demo", 4, 2, exact_estimate(1.0), exact_estimate(2.0), seed=9)
+        rep = inequality_report("demo", 4, 2, _exact(1.0), _exact(2.0), seed=9)
         d = rep.as_dict()
         assert d["check_name"] == "demo" and d["pass"] is True and d["seed"] == 9
-        assert set(d["lhs"]) == {"value", "log", "se", "log_domain", "n_samples"}
+        assert set(d["lhs"]) == {"value", "log", "se", "n_samples"}

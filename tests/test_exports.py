@@ -53,12 +53,13 @@ def test_frame_design_is_the_only_frame_plumbing():
     # every mean over frames goes through _FrameDesign.log_mean, and the per-check
     # frame helpers it replaced stay gone, so a change to the design stays local;
     # so do the explicit frame list, the point-sampling functionals and the
-    # functionals and density that no check read
+    # functionals and density that no check read, and the linear mode of Estimate
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
             "covariance", "w_tilde", "i_minus_k", "volume_radius", "IndicatorDensity",
-            "_stream_normals", "_stream_directions", "_rekeyable", "_rotated_points"}
+            "_stream_normals", "_stream_directions", "_rekeyable", "_rotated_points",
+            "log_domain", "to_linear", "exact_estimate", "mean_estimate", "_combined_log_se"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())
@@ -69,6 +70,7 @@ def test_frame_design_is_the_only_frame_plumbing():
             ref = (node.id if isinstance(node, ast.Name)
                    else node.attr if isinstance(node, ast.Attribute)
                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                   else node.arg if isinstance(node, ast.keyword)
                    else None)
             assert ref not in gone, f"{name}:{node.lineno} refers to {ref}"
             if isinstance(node, ast.Call):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,18 +36,6 @@ class TestStreams:
             as_generator("nope")
 
 
-class _ScriptedNormals:
-    """Stands in for a Generator whose standard_normal returns the given arrays in turn."""
-
-    def __init__(self, *outputs):
-        self.outputs = list(outputs)
-
-    def standard_normal(self, shape):
-        out = self.outputs.pop(0)
-        assert out.shape == shape
-        return out.copy()
-
-
 class TestSphereDirections:
     # 9 columns take the pairwise np.linalg.norm path; the rest the column fold
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
@@ -55,18 +44,6 @@ class TestSphereDirections:
         expected = g / np.linalg.norm(g, axis=-1, keepdims=True)
         got = sphere_directions(StreamHandle(5, dim).generator(), 5000, dim)
         assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_zero_rows_are_redrawn(self, dim):
-        draws = StreamHandle(6, dim).generator().standard_normal((12, dim))
-        first = draws[:10].copy()
-        first[[2, 7]] = 0.0
-        # the first redraw of rows 2 and 7 gives row 2 a zero again
-        second = np.vstack([np.zeros(dim), draws[10]])
-        got = sphere_directions(_ScriptedNormals(first, second, draws[11:]), 10, dim)
-        g = first.copy()
-        g[2], g[7] = draws[11], draws[10]
-        assert got.tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
 
 
 class TestUnitRows:
@@ -83,6 +60,10 @@ class TestUnitRows:
             sampler._unit_rows(g)
         with pytest.raises(ValueError, match="zero Gaussian row"):
             sampler._rotations(np.zeros((2, 4)))
+        # sphere_directions takes the same policy: no redraw
+        gen = SimpleNamespace(standard_normal=lambda shape: g[1].copy())
+        with pytest.raises(ValueError, match="zero Gaussian row"):
+            sphere_directions(gen, 5, 3)
 
 
 class TestQuadraticForm:
