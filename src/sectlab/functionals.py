@@ -14,11 +14,9 @@ paired comparisons share common random frames.
 
 A check entry's stream rng splits as:
 
-- rng.split(0): the Gaussian (F, n, s) stack of the frames, at n = 2 the
-  one offset of the stratified lines instead, then the (F, n, d) normals
-  of the frames' group rotations, d = 1, 2, 4 for s = 1, 2, 3;
-- rng.split(1): for the identity checks and s >= 4, the frames' iid
-  directions, (F, count, s), in frame order;
+- rng.split(0): the frames (:func:`_haar_stack`), then the (F, groups, d)
+  normals of the groups' rotations, d = 1, 2, 4 for s = 1, 2, 3, or for
+  s >= 4 their Gaussian (F * groups, s, s) stack;
 - |K|, rng.split(_AUX); mu(K) of a density other than Lebesgue,
   rng.split(_AUX + 1); Grinberg's t-th image, rng.split(_AUX + 2 + t).
 """
@@ -36,7 +34,7 @@ from .estimates import (Estimate, _group_means, _group_sizes, _log_product,
 from .grassmann import Frame, _haar_bases
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
                        measure_of_body, section_measure_values)
-from .sampler import _ROTATION_NORMALS, StreamHandle, _point_set, _rotations, _unit_rows
+from .sampler import _ROTATION_NORMALS, StreamHandle, _fold_columns, _point_set, _rotations
 from .sampler import sphere_directions  # noqa: F401 (perfbench)
 
 __all__ = [
@@ -58,22 +56,30 @@ _BLOCK_DIRS = 1 << 12
 
 
 def _haar_stack(n: int, s: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar bases as one (count, n, s) stack, drawn from ``gen``.
+    """Bases of count subspaces, each Haar, as one (count, n, s) stack drawn from ``gen``.
 
-    One ``standard_normal`` call gives the Gaussian (count, n, s) stack, and
-    one batched QR orthonormalises it; a numerically rank-deficient draw (an
-    event of probability ~0) is drawn again from ``gen``.
-
-    Lines in the plane are stratified instead: frame j is the line at angle
-    pi (j + U) / count, with one uniform U drawn from ``gen``.  Each line is
-    Haar, so a mean over them is unbiased, but they are not independent,
-    and the iid SE of a mean over frames over-reports: at n = 2 every
-    frame-level SE is conservative.
+    Lines in the plane are stratified: frame j is the line at angle
+    pi (j + U) / count, with one uniform U drawn from ``gen``.  For n = 3, 4
+    and s = 1 or n - 1 (the outer rule) the lines, or the normals u, are
+    :func:`~sectlab.sampler._point_set` (n, count) under one Haar rotation; a
+    normal's basis is the first n - 1 columns of the Householder reflection
+    I - 2 v v^T / v^T v, v = u + sign(u_n) e_n.  Otherwise one batched QR
+    orthonormalises a Gaussian (count, n, s) stack, and a numerically
+    rank-deficient draw (an event of probability ~0) is drawn again from
+    ``gen``.  Stratified lines and rule frames are not independent, so the
+    iid SE of a mean over them over-reports: it is conservative.
     """
     if (n, s) == (2, 1):
         offset = gen.random()
         angles = [math.pi * (j + offset) / count for j in range(count)]
         return np.array([[[math.cos(a)], [math.sin(a)]] for a in angles])
+    if n <= 4 and s in (1, n - 1):
+        u = _point_set(n, count) @ _haar_stack(n, n, 1, gen)[0].T
+        if s == 1:
+            return u[:, :, None]
+        v = u + np.copysign(np.eye(n)[-1], u[:, -1:])
+        scale = 2.0 / _fold_columns(np.add, v * v)
+        return np.eye(n)[:, :-1] - v[:, :, None] * (v[:, None, :-1] * scale[:, None, None])
     bases, deficient = _haar_bases(gen.standard_normal((count, n, s)))
     while deficient.any():
         bad = np.flatnonzero(deficient)
@@ -85,33 +91,32 @@ class _FrameDesign:
     """The frames of one average over the Grassmannian G_{n,n-k}, and their directions.
 
     ``frames`` frames are drawn by :func:`_haar_stack` and held as one
-    (F, n, n - k) stack: iid Haar frames, or stratified lines at n = 2.
-    Frame j gets ``count`` directions on the sphere of its subspace.  The
-    design draws from two substreams of rng (see the module docstring), so
-    designs that share (frames, rng) share every frame and direction.
-    Every average over frames goes through :meth:`map` and :meth:`log_mean`.
+    (F, n, n - k) stack: the outer rule for n = 3, 4 and s = 1 or n - 1,
+    stratified lines at n = 2, iid Haar frames otherwise.  Frame j gets
+    ``count`` directions on the sphere of its subspace.  The design draws
+    from rng.split(0) alone (see the module docstring), so designs built
+    with the same arguments share every frame and direction.  Every average
+    over frames goes through :meth:`map` and :meth:`log_mean`.
 
-    The directions of a frame are the section kernel's rule: n consecutive
-    groups, sized as :func:`~sectlab.estimates.log_power_product` splits
-    them (:func:`~sectlab.estimates._group_sizes`), each a fixed point set P
-    (:func:`~sectlab.sampler._point_set`) under its own random rotation R
-    (:func:`~sectlab.sampler._rotations`): the pair +-u for s = 1, an m-gon
-    for s = 2 and a spherical Fibonacci set for s = 3.  Each rotation is
-    folded into its frame's basis B once, so a group's embedded directions
-    are the one product P (B R)^T.  Each group's mean is unbiased and the
-    groups are independent, so the product of the n group means stays an
-    unbiased n-th power (Owen, *Monte Carlo theory, methods and examples*,
-    ch. 17), and a frame takes n rotations' normals instead of count * s.
-    Frames stay independent, so a frame-level SE is an iid SE; an SE taken
-    over one frame's directions by the iid formula over-reports, since the
-    rule beats independent directions, and is conservative.  For s >= 4,
-    and with ``_iid`` (the identity checks, whose consecutive s-tuples must
-    hold independent directions), the directions are iid uniform instead,
-    drawn afresh from rng.split(1) by each :meth:`map`.
+    The directions of a frame are ``groups`` (default n) consecutive groups,
+    sized as :func:`~sectlab.estimates.log_power_product` splits them
+    (:func:`~sectlab.estimates._group_sizes`), each a fixed point set P
+    (:func:`~sectlab.sampler._point_set`) under its own random rotation R:
+    :func:`~sectlab.sampler._rotations` for s <= 3, a Haar stack for s >= 4.
+    Each rotation is folded into its frame's basis B once, so a group's
+    embedded directions are the one product P (B R)^T.  Each group's mean is
+    unbiased and the groups are independent, so the product of the n group
+    means stays an unbiased n-th power (Owen, *Monte Carlo theory, methods
+    and examples*, ch. 17), and a frame takes one rotation per group instead
+    of count * s normals.  The identity checks take s groups, one per slot of their
+    s-tuples.  The rules beat independent draws, so an SE taken by the iid
+    formula over one frame's directions, or over rule frames or stratified
+    lines, over-reports: it is conservative.  Over iid Haar frames it is an
+    iid SE.
     """
 
     def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle, *,
-                 _iid: bool = False):
+                 groups: int | None = None):
         if not 1 <= k <= n - 1:
             raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
         if count < 1:
@@ -119,51 +124,42 @@ class _FrameDesign:
         if frames < 1:
             raise ValueError(f"need at least one frame, got {frames}")
         gen = rng.split(0).generator()
-        s = n - k
+        s, groups = n - k, n if groups is None else groups
         self.bases = _haar_stack(n, s, frames, gen)
-        self.count, self.rng = count, rng
-        self._runs = None
-        if not _iid and s <= 3:
-            rotations = _rotations(gen.standard_normal((frames, n, _ROTATION_NORMALS[s])))
-            # (F, n, s, n): group g of frame f embeds as its point set @ E[f, g]
-            self._embeddings = np.ascontiguousarray(
-                (self.bases[:, None] @ rotations).swapaxes(-1, -2))
-            # runs of equal group sizes, as (point set, slice of groups)
-            self._runs, first = [], 0
-            for size, run in itertools.groupby(_group_sizes(count, n)):
-                stop = first + len(list(run))
-                if size:
-                    self._runs.append((_point_set(s, size), slice(first, stop)))
-                first = stop
+        self.count = count
+        if s <= 3:
+            rotations = _rotations(gen.standard_normal((frames, groups, _ROTATION_NORMALS[s])))
+        else:
+            rotations = _haar_stack(s, s, frames * groups, gen).reshape(frames, groups, s, s)
+        # (F, groups, s, n): group g of frame f embeds as its point set @ E[f, g]
+        self._embeddings = np.ascontiguousarray(
+            (self.bases[:, None] @ rotations).swapaxes(-1, -2))
+        # runs of equal group sizes, as (point set, slice of groups)
+        self._runs, first = [], 0
+        for size, run in itertools.groupby(_group_sizes(count, groups)):
+            stop = first + len(list(run))
+            if size:
+                self._runs.append((_point_set(s, size), slice(first, stop)))
+            first = stop
 
     def __len__(self) -> int:
         return len(self.bases)
 
     def map(self, fn) -> np.ndarray:
-        """fn(theta, dirs) on blocks of frames, concatenated along the frame axis.
+        """fn(dirs) on blocks of frames, concatenated along the frame axis.
 
-        dirs (B, count, n) holds each frame's directions embedded in R^n: for
-        the rule, one matmul per run of equal group sizes.  theta (B, count, s),
-        the same directions in subspace coordinates, is built only for iid
-        designs, whose only readers are the identity checks, and is None
-        otherwise.  A block holds at most ``_BLOCK_DIRS`` directions, and at
-        least one frame.
+        dirs (B, count, n) holds each frame's directions embedded in R^n, group
+        after group: one matmul per run of equal group sizes.  A block holds
+        at most ``_BLOCK_DIRS`` directions, and at least one frame.
         """
         step = max(1, _BLOCK_DIRS // self.count)
-        frames, n, s = self.bases.shape
-        gen = self.rng.split(1).generator() if self._runs is None else None
+        frames, n, _ = self.bases.shape
         parts = []
         for start in range(0, frames, step):
-            if self._runs is None:
-                bases = self.bases[start:start + step]
-                theta = _unit_rows(gen.standard_normal((len(bases), self.count, s)))
-                parts.append(fn(theta, theta @ bases.transpose(0, 2, 1)))
-            else:
-                embeddings = self._embeddings[start:start + step]
-                runs = [(points @ embeddings[:, groups]).reshape(len(embeddings), -1, n)
-                        for points, groups in self._runs]
-                dirs = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
-                parts.append(fn(None, dirs))
+            embeddings = self._embeddings[start:start + step]
+            runs = [(points @ embeddings[:, groups]).reshape(len(embeddings), -1, n)
+                    for points, groups in self._runs]
+            parts.append(fn(runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)))
         return np.concatenate(parts)
 
     def log_mean(self, logs: np.ndarray) -> Estimate:
@@ -219,6 +215,6 @@ def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: in
     """
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    logs = _log_product(design.map(lambda theta, dirs: _group_means(
+    logs = _log_product(design.map(lambda dirs: _group_means(
         _section_measure_values(LebesgueDensity(n), body, dirs, n - k), n)))
     return _quermass_from_logs(k, logs, design, log_volume_estimate(body, rng))

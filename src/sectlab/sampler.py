@@ -4,8 +4,8 @@ The RNG contract is counter-based: a :class:`StreamHandle` names a Philox
 stream by (seed, stream_id), and every drawn variate is a pure function of
 (seed, stream_id, draw index).  Substreams derived with :meth:`StreamHandle.split`
 are statistically independent, so each purpose gets its own substream and
-results never depend on scheduling.  A frame design takes two of them and
-draws whole stacks from each: one ``standard_normal`` call of shape (F, ...)
+results never depend on scheduling.  A frame design takes one of them and
+draws whole stacks from it: one ``standard_normal`` call of shape (F, ...)
 gives the bits of F calls of the trailing shape in turn, so how a draw is
 chunked does not change it.
 
@@ -134,29 +134,62 @@ _ROTATION_NORMALS = {1: 1, 2: 2, 3: 4}
 
 @functools.lru_cache(maxsize=None)
 def _point_set(s: int, m: int) -> np.ndarray:
-    """The fixed m-point set P_s(m) on S^(s-1) that :func:`_rotations` rotate, (m, s).
+    """The fixed m-point set P_s(m) on S^(s-1) that a random rotation turns, (m, s).
 
-    s = 1: the alternating column +1, -1, ...; s = 2: the m-gon at angles
-    2 pi i / m; s = 3: the spherical Fibonacci set, height 1 - (2i + 1) / m
-    at longitude i times the golden angle (Marques et al., *Computer
-    Graphics Forum* 2013).  Built with ``math``'s cos, sin and sqrt, so its
-    bits do not depend on numpy's SIMD kernels.  Cached and read-only.
+    s = 2: the m-gon at angles 2 pi i / m; s = 3: the spherical Fibonacci
+    set, height 1 - (2i + 1) / m at longitude i times the golden angle
+    (Marques et al., *Computer Graphics Forum* 2013); s = 4: the
+    super-Fibonacci set (Alexa, *CVPR* 2022); else +e_0, -e_0, +e_1, ... in
+    turn.  Built with ``math``'s cos, sin and sqrt, so its bits do not depend
+    on numpy's SIMD kernels.  Cached and read-only.
     """
-    if s == 1:
-        rows = [[1.0 - 2.0 * (i % 2)] for i in range(m)]
-    elif s == 2:
+    if s == 2:
         rows = [[math.cos(2.0 * math.pi * i / m), math.sin(2.0 * math.pi * i / m)]
                 for i in range(m)]
-    else:
+    elif s == 3:
         golden_angle = math.pi * (3.0 - math.sqrt(5.0))
         rows = []
         for i in range(m):
             z = 1.0 - (2 * i + 1) / m
             r = math.sqrt(1.0 - z * z)
             rows.append([r * math.cos(golden_angle * i), r * math.sin(golden_angle * i), z])
+    elif s == 4:
+        psi = 1.533751168755204     # the real root of x^4 = x + 4
+        rows = []
+        for i in range(m):
+            r, big_r = math.sqrt((i + 0.5) / m), math.sqrt(1.0 - (i + 0.5) / m)
+            angle = 2.0 * math.pi * (i + 0.5)
+            alpha, beta = angle / math.sqrt(2.0), angle / psi
+            rows.append([r * math.sin(alpha), r * math.cos(alpha),
+                         big_r * math.sin(beta), big_r * math.cos(beta)])
+    else:
+        rows = [[0.0] * s for _ in range(m)]
+        for i, row in enumerate(rows):
+            row[i // 2 % s] = 1.0 - 2.0 * (i % 2)
     points = np.array(rows, dtype=float).reshape(m, s)
     points.flags.writeable = False
     return points
+
+
+@functools.lru_cache(maxsize=None)
+def _tuple_rows(s: int, m: int) -> np.ndarray:
+    """The rows that a frame's m s-tuples take from its s slots of m directions, (s, m).
+
+    Tuple j takes row i m + a_i j mod m of slot i, a_0 = 1 and a_i the integer
+    nearest m / phi^i raised until coprime to m: a randomly shifted rank-1
+    lattice (Sloan & Joe, 1994) under the slots' rotations.  Pairing index by
+    index would give two rotated m-gons one angle per frame.  Cached, read-only.
+    """
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    rows = []
+    for i in range(s):
+        a = round(m / golden ** i) if i else 1
+        while math.gcd(a, m) != 1:
+            a += 1
+        rows.append([i * m + a * j % m for j in range(m)])
+    rows = np.array(rows)
+    rows.flags.writeable = False
+    return rows
 
 
 def _rotations(g: np.ndarray) -> np.ndarray:

@@ -9,16 +9,15 @@ one), which is recorded in the report note.
 
 Checks are pure functions of (inputs, rng) and report ``rng.seed``: each builds
 one frame design (:class:`~sectlab.functionals._FrameDesign`), which draws all its
-frames and directions from two substreams of rng, and every other purpose has its
-own substream, so a rerun gives a bit-identical report regardless of scheduling.  The
-section-kernel checks read only embedded directions, from n randomised point sets
-per frame, each group's rotation folded into the frame's basis; the identity checks
-keep iid directions and read them in subspace coordinates too, because their
-consecutive s-tuples must be independent.  An SE taken over one frame's
-directions by the iid formula (the largest section in ``slicing_chain``, the
+frames and directions from one substream of rng, and every other purpose has its
+own substream, so a rerun gives a bit-identical report regardless of scheduling.  Every
+check reads embedded directions, from randomised point sets per frame, each group's
+rotation folded into the frame's basis; the identity checks take one group per slot
+of their s-tuples, so a tuple's directions are independent.  An SE taken over one
+frame's directions by the iid formula (the largest section in ``slicing_chain``, the
 dominance test of ``busemann_petty_volume``) therefore over-reports and is
-conservative; an SE over frames is an iid SE, except at n = 2, where the frames
-are stratified lines and it is conservative too.
+conservative.  So is an SE over frames wherever the frames follow the outer rule
+or are stratified lines (n <= 4, except G(4, 2)); for iid Haar frames it is an iid SE.
 
 :func:`run_suite` runs the grid entries on a pool of forked worker
 processes, one per CPU this process may run on, or ``SECTLAB_WORKERS`` of
@@ -39,11 +38,10 @@ from .bodies import StarBody, linear_image
 from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
 from .estimates import (CheckReport, Estimate, _group_means, _log, _log_product, _mean_and_se,
                         equality_report, exact_log_estimate, inequality_report)
-from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
+from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _haar_stack, _quermass_from_logs,
                           dual_affine_quermass, log_measure_estimate, log_volume_estimate)
-from .grassmann import _haar_bases
 from .measures import DensityOracle, LebesgueDensity, _section_measure_values
-from .sampler import StreamHandle, simplex_volume
+from .sampler import StreamHandle, _fold_columns, _tuple_rows, simplex_volume
 
 __all__ = [
     "check_bp_identity",
@@ -63,20 +61,27 @@ _SAMPLED_MAX_NOTE = "max is sampled (lower bound of the true Grassmannian max)"
 
 
 def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: int,
-                       theta: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+                       dirs: np.ndarray) -> np.ndarray:
     """log of the integral over (K cap F)^s of |conv(0, x_1..x_s)|^k prod_i g(x_i) dx,
     one per frame of a block.
 
     Writing x_i = r_i theta_i inside F and integrating the radii gives
     (s omega_s)^s E_theta[ (|det theta| / s!)^k prod_i m(theta_i) ], with
-    theta_1..theta_s uniform on S^(s-1) and m(theta) the ray mass of g up to
-    rho(theta) at power s + k.  Each frame's ``points`` direction s-tuples
-    are its rows of theta (B, points * s, s), embedded as dirs.
+    theta_1..theta_s independent and uniform on S^(s-1) and m(theta) the ray
+    mass of g up to rho(theta) at power s + k.  dirs (B, points * s, n) holds each
+    frame's s slots of ``points`` embedded directions, paired into tuples by
+    :func:`~sectlab.sampler._tuple_rows`; |det theta| is the root of their Gram det.
     """
-    frames, _, s = theta.shape
+    s = dirs.shape[1] // points
     mass = density.ray_mass(dirs, body.radial(dirs), float(s + k))
-    vols = simplex_volume(theta.reshape(frames, points, s, s))
-    moment = (vols ** k * mass.reshape(frames, points, s).prod(axis=-1)).mean(axis=-1)
+    rows = _tuple_rows(s, points)
+    slots = [np.take(dirs, slot, axis=1) for slot in rows]
+    gram = np.ones(slots[0].shape[:-1] + (s, s))
+    for i in range(s):
+        for j in range(i):
+            gram[..., i, j] = gram[..., j, i] = _fold_columns(np.add, slots[i] * slots[j])
+    vols = np.sqrt(simplex_volume(gram) / math.factorial(s))
+    moment = (vols ** k * np.take(mass, rows, axis=1).prod(axis=1)).mean(axis=-1)
     if np.any(moment <= 0):
         raise ValueError("simplex moment vanished; degenerate section directions")
     return s * (math.log(s) + log_ball_volume(s)) + _log(moment)
@@ -88,10 +93,9 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
     p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
     n = body.dim
     lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(n - k)
-    design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng, _iid=True)
+    design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng, groups=n - k)
     mean_log = design.log_mean(design.map(
-        lambda theta, dirs: _polar_log_moments(density, body, k, points_per_frame,
-                                               theta, dirs)))
+        lambda dirs: _polar_log_moments(density, body, k, points_per_frame, dirs)))
     rhs = exact_log_estimate(log_bp_constant(n, n - k)).times(mean_log)
     return equality_report(name, n, k, lhs, rhs, seed=rng.seed,
                            inputs={"frames": len(design),
@@ -115,7 +119,7 @@ def _max_section_log(density: DensityOracle, body: StarBody,
 
     Its SE applies the iid formula to the frame's rule directions, which
     over-reports: the SE is conservative."""
-    stats = design.map(lambda theta, dirs: np.stack(_mean_and_se(_section_measure_values(
+    stats = design.map(lambda dirs: np.stack(_mean_and_se(_section_measure_values(
         density, body, dirs, design.bases.shape[-1])), axis=-1))
     best = int(np.argmax(stats[:, 0]))
     return Estimate.of_mean(float(stats[best, 0]), float(stats[best, 1]), design.count), best
@@ -159,7 +163,7 @@ def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
     sup = density.sup_on(body)
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    lhs = design.log_mean(_log_product(design.map(lambda theta, dirs: _group_means(
+    lhs = design.log_mean(_log_product(design.map(lambda dirs: _group_means(
         _section_measure_values(density, body, dirs, n - k), n))))
     mu_total = log_measure_estimate(density, body, sphere_samples, rng)
     rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
@@ -192,24 +196,18 @@ def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, fr
                             points_per_frame, rng)
 
 
-def _haar_rotation(n: int, gen: np.random.Generator) -> np.ndarray:
-    q, _ = _haar_bases(gen.standard_normal((n, n)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def _random_sl_matrix(n: int, rng: StreamHandle) -> np.ndarray:
     """Seeded volume-preserving transform of moderate eccentricity.
 
-    Rotation * diagonal * rotation with singular values log-uniform in
-    [1/2, 2] and product one; wilder transforms make the section-power
+    Haar on O(n) * diagonal * Haar on O(n), with singular values log-uniform
+    in [1/2, 2] and product one; wilder transforms make the section-power
     integrand too heavy-tailed to average at desk-scale frame budgets.
     """
     gen = rng.generator()
     d = np.exp(gen.uniform(-math.log(2.0), math.log(2.0), n))
     d /= d.prod() ** (1.0 / n)
-    return _haar_rotation(n, gen) @ np.diag(d) @ _haar_rotation(n, gen)
+    first, second = _haar_stack(n, n, 2, gen)
+    return first @ np.diag(d) @ second
 
 
 def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
@@ -229,7 +227,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
     bodies = [body] + [linear_image(body, _random_sl_matrix(n, rng.split(_AUX + 2 + t)))
                        for t in range(transforms)]
-    logs = _log_product(design.map(lambda theta, dirs: np.stack(
+    logs = _log_product(design.map(lambda dirs: np.stack(
         [_group_means(_section_measure_values(volume, b, dirs, n - k), n)
          for b in bodies], axis=1)))
     phi, *images = [_quermass_from_logs(k, logs[:, i], design, log_volume_estimate(b, rng))
@@ -270,7 +268,7 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
     volume = LebesgueDensity(n)
 
-    def stats(theta, dirs):
+    def stats(dirs):
         # per frame, for K then D: mean and SE of the section volume, its n group means
         rows = []
         for body in (body_k, body_d):

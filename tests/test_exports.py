@@ -53,13 +53,15 @@ def test_frame_design_is_the_only_frame_plumbing():
     # every mean over frames goes through _FrameDesign.log_mean, and the per-check
     # frame helpers it replaced stay gone, so a change to the design stays local;
     # so do the explicit frame list, the point-sampling functionals and the
-    # functionals and density that no check read, and the linear mode of Estimate
+    # functionals and density that no check read, the linear mode of Estimate, the
+    # identity checks' iid directions and the verifier's second Haar routine
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
             "covariance", "w_tilde", "i_minus_k", "volume_radius", "IndicatorDensity",
             "_stream_normals", "_stream_directions", "_rekeyable", "_rotated_points",
-            "log_domain", "to_linear", "exact_estimate", "mean_estimate", "_combined_log_se"}
+            "log_domain", "to_linear", "exact_estimate", "mean_estimate", "_combined_log_se",
+            "_iid", "_haar_rotation"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())
@@ -70,7 +72,7 @@ def test_frame_design_is_the_only_frame_plumbing():
             ref = (node.id if isinstance(node, ast.Name)
                    else node.attr if isinstance(node, ast.Attribute)
                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
-                   else node.arg if isinstance(node, ast.keyword)
+                   else node.arg if isinstance(node, (ast.keyword, ast.arg))
                    else None)
             assert ref not in gone, f"{name}:{node.lineno} refers to {ref}"
             if isinstance(node, ast.Call):
@@ -81,10 +83,10 @@ def test_frame_design_is_the_only_frame_plumbing():
 
 
 def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
-    # a frame design draws whole stacks from two substreams, so the substreams
-    # split, generators built and sphere_directions calls made by a check do not
-    # grow with its frames
-    from sectlab import sampler, verifier
+    # a frame design draws whole stacks from one substream, split once when it is
+    # built and never by map, so the substreams split, generators built and
+    # sphere_directions calls made by a check do not grow with its frames
+    from sectlab import functionals, sampler, verifier
     from sectlab.bodies import LpBall, cube
     from sectlab.sampler import StreamHandle
 
@@ -121,6 +123,11 @@ def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
 
     small = run(40)
     assert small == run(160), small
+    counts.update(split=0)
+    design = functionals._FrameDesign(40, 3, 1, 20, StreamHandle(5))
+    for _ in range(2):
+        design.map(lambda dirs: dirs[:, 0, 0])
+    assert counts["split"] == 1
 
 
 def test_checks_take_their_seed_from_their_stream():

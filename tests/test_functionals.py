@@ -11,7 +11,7 @@ from sectlab.constants import log_ball_volume, log_gamma_nk
 from sectlab.estimates import log_mean_estimate, log_power_product
 from sectlab.functionals import (_AUX, dual_affine_quermass, log_measure_estimate,
                                  log_volume_estimate, section_volume_values)
-from sectlab.grassmann import sample_haar
+from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
                               measure_of_body, section_measure_values)
 from sectlab.sampler import StreamHandle, sphere_directions
@@ -24,14 +24,47 @@ _ELLIPSOID4 = np.array([[2.0, 0.6, 0.2, 0.1], [0.6, 1.0, 0.3, 0.0],
 
 def _rule_point(s, m, i):
     """Point i of the fixed set of m points on S^(s-1), in Python floats."""
-    if s == 1:
-        return [1.0 if i % 2 == 0 else -1.0]
     if s == 2:
         return [math.cos(2.0 * math.pi * i / m), math.sin(2.0 * math.pi * i / m)]
-    golden_angle = math.pi * (3.0 - math.sqrt(5.0))
-    z = 1.0 - (2 * i + 1) / m
-    r = math.sqrt(1.0 - z * z)
-    return [r * math.cos(golden_angle * i), r * math.sin(golden_angle * i), z]
+    if s == 3:
+        golden_angle = math.pi * (3.0 - math.sqrt(5.0))
+        z = 1.0 - (2 * i + 1) / m
+        r = math.sqrt(1.0 - z * z)
+        return [r * math.cos(golden_angle * i), r * math.sin(golden_angle * i), z]
+    if s == 4:
+        # super-Fibonacci: radii sqrt(t), sqrt(1 - t), angles 2 pi (i + 1/2) / sqrt(2), / psi
+        angle, t = 2.0 * math.pi * (i + 0.5), (i + 0.5) / m
+        alpha, beta = angle / math.sqrt(2.0), angle / 1.533751168755204
+        return [math.sqrt(t) * math.sin(alpha), math.sqrt(t) * math.cos(alpha),
+                math.sqrt(1.0 - t) * math.sin(beta), math.sqrt(1.0 - t) * math.cos(beta)]
+    # s = 1 and s >= 5: +e_0, -e_0, +e_1, ...
+    return [(1.0 if i % 2 == 0 else -1.0) if c == i // 2 % s else 0.0 for c in range(s)]
+
+
+def _haar_rotation(gen, n):
+    """Haar on O(n), written out: QR of one Gaussian (n, n) draw, R's diagonal made positive."""
+    q, r = np.linalg.qr(gen.standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+def _reference_frames(gen, n, s, count):
+    """count frames of G(n, s) from gen, written out: sample_haar one at a time, or for
+    n = 3, 4 and s = 1 or n - 1 the outer rule, point i of P_n(count) under the Haar
+    rotation of one Gaussian (n, n) draw, a line or a normal u completed to a basis by
+    the first n - 1 columns of I - 2 v v^T / v^T v, v = u + sign(u_n) e_n."""
+    if n > 4 or s not in (1, n - 1):
+        return [sample_haar(n, s, gen).basis for _ in range(count)]
+    rule = np.array([_rule_point(n, count, i) for i in range(count)])
+    frames = []
+    for u in (rule @ _haar_rotation(gen, n).T).tolist():
+        if s == 1:
+            frames.append(np.array(u)[:, None])
+            continue
+        v = u[:-1] + [u[-1] + math.copysign(1.0, u[-1])]
+        scale = 2.0 / reduce(add, [x * x for x in v])
+        frames.append(np.array([[float(i == j) - v[i] * (v[j] * scale) for j in range(n - 1)]
+                                for i in range(n)]))
+    return frames
 
 
 def _rule_rotation(g):
@@ -49,17 +82,25 @@ def _rule_rotation(g):
             [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
 
 
-def _rule_directions(gen, basis, count):
-    """One frame's (count, n) embedded directions, written out group by group: the n
-    groups of np.array_split, group g the fixed point set P under the rotation R of
-    normal row g, the frame's next (n, d) normals from gen, embedded as P (B R)^T."""
+def _rule_directions(gen, basis, count, groups=None):
+    """One frame's (count, n) embedded directions, written out group by group: the
+    ``groups`` (default n) groups of np.array_split, group g the fixed point set P under
+    its rotation R, embedded as P (B R)^T.  R is the rotation of the frame's next normal
+    row from gen for s <= 3, else the next Haar rotation of O(s).  (B R)^T is made
+    contiguous, as the design holds it: numpy's product of one point with a transposed
+    view sums in another order."""
     n, s = basis.shape
-    normals = gen.standard_normal((n, {1: 1, 2: 2, 3: 4}[s])).tolist()
-    sizes = [len(group) for group in np.array_split(np.arange(count), n)]
+    groups = n if groups is None else groups
+    if s <= 3:
+        rotations = [np.array(_rule_rotation(g)) for g in
+                     gen.standard_normal((groups, {1: 1, 2: 2, 3: 4}[s])).tolist()]
+    else:
+        rotations = [_haar_rotation(gen, s) for _ in range(groups)]
+    sizes = [len(group) for group in np.array_split(np.arange(count), groups)]
     rows = []
-    for g, m in zip(normals, sizes):
+    for rotation, m in zip(rotations, sizes):
         points = np.array([_rule_point(s, m, i) for i in range(m)]).reshape(m, s)
-        rows.append(points @ (basis @ np.array(_rule_rotation(g))).T)
+        rows.append(points @ np.ascontiguousarray((basis @ rotation).T))
     return np.concatenate(rows)
 
 
@@ -95,8 +136,8 @@ class TestSectionPowerFunctional:
         handle = StreamHandle(29)
         est = dual_affine_quermass(body, 1, 200, 600, handle).as_dict()
         vols = functionals._FrameDesign(200, 3, 1, 600, handle).map(
-            lambda theta, dirs: _section_measure_values(LebesgueDensity(3), body, dirs,
-                                                        2).mean(axis=-1))
+            lambda dirs: _section_measure_values(LebesgueDensity(3), body, dirs,
+                                                 2).mean(axis=-1))
         max_normalized = max(vols) / body.exact_volume ** (2 / 3)
         assert est["value"] <= max_normalized * (1 + 3 * est["se"] / est["value"] + 1e-9)
 
@@ -147,17 +188,19 @@ class TestFrameBlockReference:
 
     @pytest.mark.parametrize("n,s", [(3, 2), (3, 1), (4, 2)])
     def test_haar_stack_equals_sample_haar(self, n, s):
-        # one draw of the (count, n, s) stack gives the bits of count draws in turn
+        # one draw of the (count, n, s) stack gives the bits of count draws in turn:
+        # sample_haar's, or the outer rule's for G(3, 2) and G(3, 1)
         frames = [basis.tobytes() for basis in functionals._haar_stack(
             n, s, 40, StreamHandle(50).generator())]
         gen = StreamHandle(50).generator()
-        assert frames == [sample_haar(n, s, gen).basis.tobytes() for _ in range(40)]
-        gen = StreamHandle(50).generator()
-        written_out = []
-        for _ in range(40):
-            q, r = np.linalg.qr(gen.standard_normal((n, s)))
-            written_out.append((q * np.sign(np.diagonal(r))).tobytes())
-        assert frames == written_out
+        assert frames == [f.tobytes() for f in _reference_frames(gen, n, s, 40)]
+        if (n, s) == (4, 2):
+            gen = StreamHandle(50).generator()
+            written_out = []
+            for _ in range(40):
+                q, r = np.linalg.qr(gen.standard_normal((n, s)))
+                written_out.append((q * np.sign(np.diagonal(r))).tobytes())
+            assert frames == written_out
 
     def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
         # the redraw is the next draw of the stack's own generator
@@ -172,11 +215,11 @@ class TestFrameBlockReference:
             return bases, deficient
 
         monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3_once)
-        bases = functionals._haar_stack(3, 2, 6, StreamHandle(51).generator())
+        bases = functionals._haar_stack(4, 2, 6, StreamHandle(51).generator())
         assert calls == [6, 1]
         gen = StreamHandle(51).generator()
-        expected = [sample_haar(3, 2, gen).basis for _ in range(6)]
-        expected[3] = sample_haar(3, 2, gen).basis
+        expected = [sample_haar(4, 2, gen).basis for _ in range(6)]
+        expected[3] = sample_haar(4, 2, gen).basis
         assert bases.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("body", [
@@ -188,7 +231,7 @@ class TestFrameBlockReference:
         rng = StreamHandle(52)
         omega = math.exp(log_ball_volume(n - k))
         gen = rng.split(0).generator()
-        bases = [sample_haar(n, n - k, gen) for _ in range(frames)]
+        bases = [Frame(basis) for basis in _reference_frames(gen, n, n - k, frames)]
         logs = []
         for j, frame in enumerate(bases):
             # the one-frame wrapper keeps iid directions on the stream it is given
@@ -227,54 +270,41 @@ class TestFrameBlockReference:
 
 
 class TestFrameDesign:
-    """The frame design's (theta, dirs) blocks against a plain per-frame loop, bit for bit.
+    """The frame design's blocks of directions against a plain per-frame loop, bit for bit.
 
-    rng.split(0) draws every frame and then every frame's rotation normals;
-    rng.split(1) draws the iid directions, frame after frame.  Only the iid
-    designs build theta; the rule's blocks pass None."""
+    rng.split(0) draws every frame and then every frame's group rotations."""
 
     N, K, FRAMES, COUNT = 4, 2, 10, 7
 
-    def _per_frame(self, rng, n=N, k=K, iid=False, redraw=None):
+    def _per_frame(self, rng, n=N, k=K, groups=None, redraw=None):
         s = n - k
         gen = rng.split(0).generator()
-        frames = [sample_haar(n, s, gen) for _ in range(self.FRAMES)]
+        frames = _reference_frames(gen, n, s, self.FRAMES)
         if redraw is not None:
-            frames[redraw] = sample_haar(n, s, gen)
-        if not iid:
-            return None, np.stack([_rule_directions(gen, f.basis, self.COUNT) for f in frames])
-        directions = rng.split(1).generator()
-        thetas = np.stack([sphere_directions(directions, self.COUNT, s) for _ in frames])
-        return thetas, np.stack([f.embed(theta) for f, theta in zip(frames, thetas)])
+            frames[redraw] = sample_haar(n, s, gen).basis
+        return np.stack([_rule_directions(gen, f, self.COUNT, groups) for f in frames])
 
-    @staticmethod
-    def _assert_blocks_are(blocks, theta, dirs):
-        thetas = [t for t, _ in blocks]
-        if theta is None:
-            assert thetas == [None] * len(blocks)
-        else:
-            assert np.concatenate(thetas).tobytes() == theta.tobytes()
-        assert np.concatenate([d for _, d in blocks]).tobytes() == dirs.tobytes()
-
-    def _blocks(self, rng, n=N, k=K, **iid):
+    def _blocks(self, rng, n=N, k=K, groups=None):
         blocks = []
-        out = functionals._FrameDesign(self.FRAMES, n, k, self.COUNT, rng, **iid).map(
-            lambda theta, dirs: blocks.append((theta, dirs)) or dirs.sum(axis=(1, 2)))
+        out = functionals._FrameDesign(self.FRAMES, n, k, self.COUNT, rng, groups=groups).map(
+            lambda dirs: blocks.append(dirs) or dirs.sum(axis=(1, 2)))
         return blocks, out
 
     @pytest.mark.parametrize("block_dirs", [1, 3 * COUNT, 1 << 40])
     def test_blocks_equal_per_frame_loop(self, monkeypatch, block_dirs):
-        # the rule design, the identity checks' iid design and s = 4's iid directions
+        # the section kernel's designs, on Haar and on rule frames, an identity check's
+        # design of s groups, and s = 4's super-Fibonacci groups under Haar rotations
         monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
         step = max(1, block_dirs // self.COUNT)
-        for n, k, iid in [(self.N, self.K, False), (4, 2, True), (5, 1, False)]:
+        for n, k, groups in [(self.N, self.K, None), (3, 1, None), (4, 2, 2), (5, 1, None)]:
             rng = StreamHandle(55)
-            blocks, out = self._blocks(rng, n, k, **({"_iid": True} if iid else {}))
-            assert [len(d) for _, d in blocks] == [
+            blocks, out = self._blocks(rng, n, k, groups)
+            assert [len(d) for d in blocks] == [
                 min(step, self.FRAMES - start) for start in range(0, self.FRAMES, step)]
-            self._assert_blocks_are(blocks, *self._per_frame(rng, n, k, iid=iid or n - k > 3))
+            expected = self._per_frame(rng, n, k, groups)
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
             assert out.tobytes() == np.concatenate(
-                [d.sum(axis=(1, 2)) for _, d in blocks]).tobytes()
+                [d.sum(axis=(1, 2)) for d in blocks]).tobytes()
 
     def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
         # the redraw comes from the design's generator, before the rotation normals
@@ -292,20 +322,7 @@ class TestFrameDesign:
         rng = StreamHandle(56)
         blocks, _ = self._blocks(rng)
         assert calls == [self.FRAMES, 1]
-        self._assert_blocks_are(blocks, *self._per_frame(rng, redraw=3))
-
-    @pytest.mark.parametrize("n,k,iid", [(4, 2, True), (5, 1, False)], ids=["identity", "s4"])
-    def test_iid_directions_equal_per_frame_loop(self, n, k, iid):
-        # the identity checks' designs, and s >= 4, keep iid directions
-        rng = StreamHandle(57)
-        blocks, _ = self._blocks(rng, n, k, **({"_iid": True} if iid else {}))
-        self._assert_blocks_are(blocks, *self._per_frame(rng, n, k, iid=True))
-
-    def test_every_map_draws_the_same_iid_directions(self):
-        design = functionals._FrameDesign(self.FRAMES, 4, 2, self.COUNT, StreamHandle(62),
-                                          _iid=True)
-        first, second = (design.map(lambda theta, dirs: theta) for _ in range(2))
-        assert first.tobytes() == second.tobytes()
+        assert np.concatenate(blocks).tobytes() == self._per_frame(rng, redraw=3).tobytes()
 
     def test_lines_in_the_plane_are_stratified(self):
         # G(2,1): frame j is the line at angle pi (j + U) / F, U uniform from rng.split(0)
@@ -335,7 +352,7 @@ def test_folded_kernel_is_the_old_kernel_up_to_rounding():
         v = (theta @ design.bases.swapaxes(-1, -2)) @ body._inv_t
         norms = np.linalg.norm(v, axis=-1)
         old = body.base.radial(v / norms[..., None]) / norms
-        new = design.map(lambda theta, dirs: body.radial(dirs))
+        new = design.map(lambda dirs: body.radial(dirs))
         np.testing.assert_allclose(new, old, rtol=1e-14, atol=0)
 
 
@@ -349,7 +366,7 @@ class TestDirectionRule:
         body, n = Ellipsoid(matrix), len(matrix)
         s, inv = n - k, np.linalg.inv(matrix)
         design = functionals._FrameDesign(5, n, k, 600, StreamHandle(59))
-        means = design.map(lambda theta, dirs: _section_measure_values(
+        means = design.map(lambda dirs: _section_measure_values(
             LebesgueDensity(n), body, dirs, s).mean(axis=-1))
         exact = [math.exp(log_ball_volume(s)) / math.sqrt(np.linalg.det(b.T @ inv @ b))
                  for b in design.bases]
@@ -361,7 +378,7 @@ class TestDirectionRule:
         # chord rho(u) + rho(-u) whether or not the body is symmetric
         body = centered_simplex(3)
         design = functionals._FrameDesign(5, 3, 2, 600, StreamHandle(61))
-        means = design.map(lambda theta, dirs: _section_measure_values(
+        means = design.map(lambda dirs: _section_measure_values(
             LebesgueDensity(3), body, dirs, 1).mean(axis=-1))
         chords = [float(body.radial(b[:, 0]) + body.radial(-b[:, 0])) for b in design.bases]
         assert np.abs(means / chords - 1.0).max() <= 1e-12
@@ -372,7 +389,7 @@ class TestDirectionRule:
         # frame's coordinates, is R p: uniform on S^(s-1) whatever the frame
         n = s + 1
         design = functionals._FrameDesign(20_000 // n, n, 1, 7 * n, StreamHandle(60))
-        embedded = design.map(lambda theta, dirs: dirs[:, 3::7])
+        embedded = design.map(lambda dirs: dirs[:, 3::7])
         x = (embedded @ design.bases).reshape(-1, s)
         draws = len(x)
         second = (x[:, :, None] * x[:, None, :]).reshape(draws, s * s)
@@ -381,7 +398,26 @@ class TestDirectionRule:
             se = sample.std(axis=0, ddof=1) / math.sqrt(draws)
             assert (np.abs(mean - target) <= 4.0 * se + 1e-12).all()
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("n,s", [(3, 1), (3, 2), (4, 1), (4, 3)])
+    def test_rule_frames_are_orthonormal_and_uniform(self, n, s):
+        # frame 3 of 7 under the outer rule, over 2000 designs: its projector B B^T has
+        # the Haar mean (s / n) I, which is the second moment of a line's direction or
+        # of a hyperplane's normal, and a line's direction has mean 0
+        gen = StreamHandle(64).generator()
+        bases = np.stack([functionals._haar_stack(n, s, 7, gen) for _ in range(2000)])
+        assert np.abs(bases.swapaxes(-1, -2) @ bases - np.eye(s)).max() <= 1e-14
+        frame = bases[:, 3]
+        draws = len(frame)
+        samples = [((frame @ frame.swapaxes(-1, -2)).reshape(draws, n * n),
+                    np.eye(n).ravel() * s / n)]
+        if s == 1:
+            samples.append((frame[:, :, 0], np.zeros(n)))
+        for sample, target in samples:
+            mean = sample.mean(axis=0)
+            se = sample.std(axis=0, ddof=1) / math.sqrt(draws)
+            assert (np.abs(mean - target) <= 4.0 * se + 1e-12).all()
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_point_sets_are_cached_unit_rows(self, s):
         points = sampler._point_set(s, 9)
         assert points is sampler._point_set(s, 9) and not points.flags.writeable

@@ -17,7 +17,7 @@ from sectlab.functionals import _FrameDesign, log_volume_estimate
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity,
                               RadialExpDensity, _section_measure_values)
-from sectlab.sampler import (StreamHandle, sample_restricted, simplex_volume,
+from sectlab.sampler import (StreamHandle, _tuple_rows, sample_restricted, simplex_volume,
                              sphere_directions)
 from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _max_section_log,
                               _polar_log_moments, _worker_count, check_bp_identity,
@@ -49,6 +49,14 @@ class TestBpIdentity:
         for seed in range(50):
             rep = check_bp_identity(cube(2), 1, 50, 100, StreamHandle(seed))
             assert rep.passed, (seed, rep.margin)
+
+    @pytest.mark.parametrize("dim,log_se", [(3, 1e-4), (4, math.inf)], ids=["ball3", "ball4"])
+    def test_ball_gap_within_three_se(self, dim, log_se):
+        # s = 2 and s = 3 tuples of rotated point sets: every section of a ball is the same
+        # ball, so all noise is the tuples', which the lattice pairing keeps small for s = 2
+        rep = check_bp_identity(LpBall(dim, 2.0), 1, 200, 300, StreamHandle(6))
+        assert abs(rep.lhs.value - rep.rhs.value) <= 3 * rep.rhs.std_error
+        assert rep.rhs.std_error <= log_se
 
     def test_segment_sections(self):
         # k = n-1: one-point simplices, conv(0, x) has length |x|
@@ -87,10 +95,10 @@ class SectionDensity(DensityOracle):
 
 
 def _polar_log_moment(density, body, frame, k, points, rng):
-    """The polar log moment of one frame, its directions drawn from ``rng``."""
+    """The polar log moment of one frame, its directions drawn iid from ``rng``, so
+    its tuples are iid whichever rows the kernel pairs."""
     theta = sphere_directions(rng.generator(), points * frame.s, frame.s)
-    return float(_polar_log_moments(density, body, k, points, theta[None],
-                                    frame.embed(theta)[None])[0])
+    return float(_polar_log_moments(density, body, k, points, frame.embed(theta)[None])[0])
 
 
 class TestPolarLogMoment:
@@ -124,6 +132,14 @@ class TestPolarLogMoment:
         ref_se = ref * math.hypot(2 * mu.std(ddof=1) / math.sqrt(mu.size) / mu.mean(),
                                   moment.std(ddof=1) / math.sqrt(moment.size) / moment.mean())
         assert abs(polar_mean - ref) <= 3 * math.hypot(polar_se, ref_se)
+
+    @pytest.mark.parametrize("s,m", [(1, 7), (2, 300), (3, 300), (3, 64), (4, 2)])
+    def test_each_slot_rows_are_a_permutation(self, s, m):
+        rows = _tuple_rows(s, m)
+        assert rows is _tuple_rows(s, m) and not rows.flags.writeable
+        assert rows.shape == (s, m) and rows[0].tolist() == list(range(m))
+        for i, slot in enumerate(rows):
+            assert sorted(slot.tolist()) == list(range(i * m, (i + 1) * m))
 
     def test_same_seed_same_report_bytes(self):
         a = check_bp_identity(CUBE3, 1, 40, 100, StreamHandle(4), sphere_samples=300)
@@ -344,7 +360,7 @@ class TestBusemannPetty:
         design = _FrameDesign(160, 3, 1, 600, StreamHandle(5))
 
         def log_mean_power(body):
-            return design.log_mean(design.map(lambda theta, dirs: log_power_product(
+            return design.log_mean(design.map(lambda dirs: log_power_product(
                 _section_measure_values(LebesgueDensity(3), body, dirs, 2), 3))).value
 
         expected = (log_mean_power(BOX3) - log_mean_power(CUBE3)) / 3
