@@ -66,8 +66,8 @@ def _haar_stack(n: int, s: int, count: int, gen: np.random.Generator) -> np.ndar
     I - 2 v v^T / v^T v, v = u + sign(u_n) e_n.  Otherwise one batched QR
     orthonormalises a Gaussian (count, n, s) stack, and a numerically
     rank-deficient draw (an event of probability ~0) is drawn again from
-    ``gen``.  Stratified lines and rule frames are not independent, so the
-    iid SE of a mean over them over-reports: it is conservative.
+    ``gen``.  Stratified lines and rule frames are not independent, and the
+    iid SE of a mean over them over-reports.
     """
     if (n, s) == (2, 1):
         offset = gen.random()
@@ -91,28 +91,26 @@ class _FrameDesign:
     """The frames of one average over the Grassmannian G_{n,n-k}, and their directions.
 
     ``frames`` frames are drawn by :func:`_haar_stack` and held as one
-    (F, n, n - k) stack: the outer rule for n = 3, 4 and s = 1 or n - 1,
-    stratified lines at n = 2, iid Haar frames otherwise.  Frame j gets
-    ``count`` directions on the sphere of its subspace.  The design draws
-    from rng.split(0) alone (see the module docstring), so designs built
-    with the same arguments share every frame and direction.  Every average
-    over frames goes through :meth:`map` and :meth:`log_mean`.
+    (F, n, n - k) stack.  Frame j gets ``count`` directions on the sphere of
+    its subspace, drawn from rng.split(0) alone (see the module docstring),
+    so designs built with the same arguments share every frame and
+    direction.  Every average over frames goes through :meth:`map` and
+    :meth:`log_mean`.
 
-    The directions of a frame are ``groups`` (default n) consecutive groups,
-    sized as :func:`~sectlab.estimates.log_power_product` splits them
-    (:func:`~sectlab.estimates._group_sizes`), each a fixed point set P
+    A frame's directions are ``groups`` (default n) consecutive groups, sized
+    by :func:`~sectlab.estimates._group_sizes`, each a fixed point set P
     (:func:`~sectlab.sampler._point_set`) under its own random rotation R:
     :func:`~sectlab.sampler._rotations` for s <= 3, a Haar stack for s >= 4.
-    Each rotation is folded into its frame's basis B once, so a group's
-    embedded directions are the one product P (B R)^T.  Each group's mean is
-    unbiased and the groups are independent, so the product of the n group
-    means stays an unbiased n-th power (Owen, *Monte Carlo theory, methods
-    and examples*, ch. 17), and a frame takes one rotation per group instead
-    of count * s normals.  The identity checks take s groups, one per slot of their
-    s-tuples.  The rules beat independent draws, so an SE taken by the iid
-    formula over one frame's directions, or over rule frames or stratified
-    lines, over-reports: it is conservative.  Over iid Haar frames it is an
-    iid SE.
+    R is folded into the frame's basis B, so a group embeds as P (B R)^T.
+    The groups are independent and each group's mean is unbiased, so the
+    product of n group means is an unbiased n-th power (Owen, *Monte Carlo
+    theory, methods and examples*, ch. 17).  The identity checks take s
+    groups, one per slot of their s-tuples.  The iid formula over one
+    frame's directions over-reports the SE for s <= 3, where the point sets
+    beat independent draws by far; for s >= 4 it is about right, a group
+    mean's spread over rotations being 0.3 to 1.0 times it.  Over frames it
+    is an iid SE for iid Haar frames and over-reports for rule frames and
+    stratified lines.
     """
 
     def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle, *,

@@ -136,14 +136,18 @@ _ROTATION_NORMALS = {1: 1, 2: 2, 3: 4}
 def _point_set(s: int, m: int) -> np.ndarray:
     """The fixed m-point set P_s(m) on S^(s-1) that a random rotation turns, (m, s).
 
-    s = 2: the m-gon at angles 2 pi i / m; s = 3: the spherical Fibonacci
-    set, height 1 - (2i + 1) / m at longitude i times the golden angle
-    (Marques et al., *Computer Graphics Forum* 2013); s = 4: the
-    super-Fibonacci set (Alexa, *CVPR* 2022); else +e_0, -e_0, +e_1, ... in
-    turn.  Built with ``math``'s cos, sin and sqrt, so its bits do not depend
-    on numpy's SIMD kernels.  Cached and read-only.
+    s = 1: +1, -1 in turn; s = 2: the m-gon at angles 2 pi i / m; s = 3: the
+    spherical Fibonacci set, height 1 - (2i + 1) / m at longitude i times the
+    golden angle (Marques et al., *Computer Graphics Forum* 2013); s = 4: the
+    super-Fibonacci set (Alexa, *CVPR* 2022); s >= 5: m distinct points, the
+    normalised normal quantiles of ((i + 1/2) / m, frac((i + 1/2) / phi^c) for
+    c = 1 .. s - 1), phi > 1 the root of x^s = x + 1 (Roberts' generalised
+    golden ratio).  Built with ``math`` and ``statistics``, so its bits do not
+    depend on numpy's SIMD kernels.  Cached and read-only.
     """
-    if s == 2:
+    if s == 1:
+        rows = [[1.0 - 2.0 * (i % 2)] for i in range(m)]
+    elif s == 2:
         rows = [[math.cos(2.0 * math.pi * i / m), math.sin(2.0 * math.pi * i / m)]
                 for i in range(m)]
     elif s == 3:
@@ -163,9 +167,15 @@ def _point_set(s: int, m: int) -> np.ndarray:
             rows.append([r * math.sin(alpha), r * math.cos(alpha),
                          big_r * math.sin(beta), big_r * math.cos(beta)])
     else:
-        rows = [[0.0] * s for _ in range(m)]
-        for i, row in enumerate(rows):
-            row[i // 2 % s] = 1.0 - 2.0 * (i % 2)
+        # imported here: no design of a section of dimension <= 4 needs statistics
+        from statistics import NormalDist
+        phi = 2.0
+        for _ in range(100):
+            phi = (1.0 + phi) ** (1.0 / s)
+        quantile = NormalDist().inv_cdf
+        rows = [[quantile((i + 0.5) / m)] + [quantile((i + 0.5) / phi ** c % 1.0)
+                                             for c in range(1, s)] for i in range(m)]
+        rows = [[x / math.sqrt(math.fsum(y * y for y in row)) for x in row] for row in rows]
     points = np.array(rows, dtype=float).reshape(m, s)
     points.flags.writeable = False
     return points

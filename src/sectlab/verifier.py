@@ -13,11 +13,10 @@ frames and directions from one substream of rng, and every other purpose has its
 own substream, so a rerun gives a bit-identical report regardless of scheduling.  Every
 check reads embedded directions, from randomised point sets per frame, each group's
 rotation folded into the frame's basis; the identity checks take one group per slot
-of their s-tuples, so a tuple's directions are independent.  An SE taken over one
-frame's directions by the iid formula (the largest section in ``slicing_chain``, the
-dominance test of ``busemann_petty_volume``) therefore over-reports and is
-conservative.  So is an SE over frames wherever the frames follow the outer rule
-or are stratified lines (n <= 4, except G(4, 2)); for iid Haar frames it is an iid SE.
+of their s-tuples, so a tuple's directions are independent.  How an SE by the iid
+formula over one frame's directions (the largest section in ``slicing_chain``, the
+dominance test of ``busemann_petty_volume``), or over frames, compares with the true
+one is said at :class:`~sectlab.functionals._FrameDesign`.
 
 :func:`run_suite` runs the grid entries on a pool of forked worker
 processes, one per CPU this process may run on, or ``SECTLAB_WORKERS`` of
@@ -117,8 +116,7 @@ def _max_section_log(density: DensityOracle, body: StarBody,
                      design: _FrameDesign) -> tuple[Estimate, int]:
     """Largest section measure over the design's frames, in log domain, plus its frame index.
 
-    Its SE applies the iid formula to the frame's rule directions, which
-    over-reports: the SE is conservative."""
+    Its SE is the iid formula's over the frame's directions."""
     stats = design.map(lambda dirs: np.stack(_mean_and_se(_section_measure_values(
         density, body, dirs, design.bases.shape[-1])), axis=-1))
     best = int(np.argmax(stats[:, 0]))
@@ -132,9 +130,8 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: 
 
     The sampled max under-estimates the true max, so the check is
     conservative (stricter than the proved inequality).  The max section's
-    SE takes the iid formula over the frame's rule directions, which
-    over-reports, so it is conservative too.  At Lebesgue measure mu(K) and
-    |K| are one number.
+    SE is the one of :func:`_max_section_log`.  At Lebesgue measure mu(K)
+    and |K| are one number.
     """
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
@@ -255,9 +252,8 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     Dominance |K cap F| <= |D cap F| is verified empirically on every
     common frame first (within 3 combined SEs); a violation is reported as
     "hypothesis fails" rather than raised.  The per-frame SEs take the iid
-    formula over the frame's rule directions, which over-reports them: they
-    are conservative, and a violation must clear the wider band.  Both
-    bodies share every frame and every sphere direction, and the same
+    formula over the frame's directions, as :func:`_max_section_log` does.
+    Both bodies share every frame and every sphere direction, and the same
     section values serve the dominance test and both functionals.  One |K|
     and one |D| serve both sides, so they cancel: the log slack is
     (log E_F|D cap F|^n - log E_F|K cap F|^n) / n.

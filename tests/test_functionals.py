@@ -1,4 +1,5 @@
 import math
+import statistics
 from functools import reduce
 from operator import add
 
@@ -37,8 +38,18 @@ def _rule_point(s, m, i):
         alpha, beta = angle / math.sqrt(2.0), angle / 1.533751168755204
         return [math.sqrt(t) * math.sin(alpha), math.sqrt(t) * math.cos(alpha),
                 math.sqrt(1.0 - t) * math.sin(beta), math.sqrt(1.0 - t) * math.cos(beta)]
-    # s = 1 and s >= 5: +e_0, -e_0, +e_1, ...
-    return [(1.0 if i % 2 == 0 else -1.0) if c == i // 2 % s else 0.0 for c in range(s)]
+    if s == 1:
+        return [1.0 if i % 2 == 0 else -1.0]
+    # s >= 5: normal quantiles of ((i + 1/2) / m, frac((i + 1/2) / phi^c)), phi^s = phi + 1
+    phi = 2.0
+    for _ in range(100):
+        phi = (1.0 + phi) ** (1.0 / s)
+    assert abs(phi ** s - phi - 1.0) <= 1e-14
+    quantile = statistics.NormalDist().inv_cdf
+    g = [quantile((i + 0.5) / m)] + [quantile(math.modf((i + 0.5) / phi ** c)[0])
+                                     for c in range(1, s)]
+    norm = math.sqrt(math.fsum(x * x for x in g))
+    return [x / norm for x in g]
 
 
 def _haar_rotation(gen, n):
@@ -189,18 +200,11 @@ class TestFrameBlockReference:
     @pytest.mark.parametrize("n,s", [(3, 2), (3, 1), (4, 2)])
     def test_haar_stack_equals_sample_haar(self, n, s):
         # one draw of the (count, n, s) stack gives the bits of count draws in turn:
-        # sample_haar's, or the outer rule's for G(3, 2) and G(3, 1)
+        # sample_haar's for G(4, 2), the outer rule's for G(3, 2) and G(3, 1)
         frames = [basis.tobytes() for basis in functionals._haar_stack(
             n, s, 40, StreamHandle(50).generator())]
         gen = StreamHandle(50).generator()
         assert frames == [f.tobytes() for f in _reference_frames(gen, n, s, 40)]
-        if (n, s) == (4, 2):
-            gen = StreamHandle(50).generator()
-            written_out = []
-            for _ in range(40):
-                q, r = np.linalg.qr(gen.standard_normal((n, s)))
-                written_out.append((q * np.sign(np.diagonal(r))).tobytes())
-            assert frames == written_out
 
     def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
         # the redraw is the next draw of the stack's own generator
@@ -293,10 +297,11 @@ class TestFrameDesign:
     @pytest.mark.parametrize("block_dirs", [1, 3 * COUNT, 1 << 40])
     def test_blocks_equal_per_frame_loop(self, monkeypatch, block_dirs):
         # the section kernel's designs, on Haar and on rule frames, an identity check's
-        # design of s groups, and s = 4's super-Fibonacci groups under Haar rotations
+        # design of s groups, and the groups of s = 4 and s = 5 under Haar rotations
         monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
         step = max(1, block_dirs // self.COUNT)
-        for n, k, groups in [(self.N, self.K, None), (3, 1, None), (4, 2, 2), (5, 1, None)]:
+        for n, k, groups in [(self.N, self.K, None), (3, 1, None), (4, 2, 2), (5, 1, None),
+                             (6, 1, None)]:
             rng = StreamHandle(55)
             blocks, out = self._blocks(rng, n, k, groups)
             assert [len(d) for d in blocks] == [
@@ -417,9 +422,25 @@ class TestDirectionRule:
             se = sample.std(axis=0, ddof=1) / math.sqrt(draws)
             assert (np.abs(mean - target) <= 4.0 * se + 1e-12).all()
 
-    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
     def test_point_sets_are_cached_unit_rows(self, s):
         points = sampler._point_set(s, 9)
         assert points is sampler._point_set(s, 9) and not points.flags.writeable
         assert points.shape == (9, s)
         assert np.allclose(np.linalg.norm(points, axis=-1), 1.0, rtol=0, atol=1e-15)
+        # s = 1 has only +1 and -1; every other set has m distinct points
+        assert len(np.unique(points, axis=0)) == (2 if s == 1 else 9)
+        # a one-point set is a unit row too, although at s >= 5 its first quantile is 0
+        assert np.isclose(np.linalg.norm(sampler._point_set(s, 1)), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("s", [4, 5, 6])
+    def test_group_se_does_not_understate_the_spread_over_rotations(self, s):
+        # the iid formula over one group of 120 rotated points, as _max_section_log and
+        # the dominance test take it, against the spread of the group's mean over 2000
+        # Haar rotations: about iid or better (a set of the 2s points +-e_i, each taken
+        # m / 2s times, spreads about 10 times its SE)
+        rotations = functionals._haar_stack(s, s, 2000, StreamHandle(65).generator())
+        for body in (LpBall(s, 1.0), centered_simplex(s)):
+            values = body.radial(sampler._point_set(s, 120) @ rotations.swapaxes(-1, -2)) ** s
+            se = values.std(axis=-1, ddof=1) / math.sqrt(120)
+            assert values.mean(axis=-1).std(ddof=1) <= 1.1 * math.sqrt(np.mean(se ** 2))

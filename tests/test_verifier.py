@@ -50,10 +50,11 @@ class TestBpIdentity:
             rep = check_bp_identity(cube(2), 1, 50, 100, StreamHandle(seed))
             assert rep.passed, (seed, rep.margin)
 
-    @pytest.mark.parametrize("dim,log_se", [(3, 1e-4), (4, math.inf)], ids=["ball3", "ball4"])
+    @pytest.mark.parametrize("dim,log_se", [(3, 1e-4), (4, 4e-3)], ids=["ball3", "ball4"])
     def test_ball_gap_within_three_se(self, dim, log_se):
         # s = 2 and s = 3 tuples of rotated point sets: every section of a ball is the same
-        # ball, so all noise is the tuples', which the lattice pairing keeps small for s = 2
+        # ball, so all noise is the tuples', which the lattice pairing keeps small for s = 2;
+        # for s = 3 the log-SE was 2.6e-3 to 3.1e-3 over seeds 0-29, about the iid tuples'
         rep = check_bp_identity(LpBall(dim, 2.0), 1, 200, 300, StreamHandle(6))
         assert abs(rep.lhs.value - rep.rhs.value) <= 3 * rep.rhs.std_error
         assert rep.rhs.std_error <= log_se
