@@ -4,7 +4,8 @@ Subcommands:
 
   constants  exact log-domain constants for one (n, k)
   estimate   one functional of one body
-  verify     one named check; exit 0 pass / 1 fail / 2 error
+  verify     one named check; exit 0 pass / 1 fail / 2 error.  section_bounds
+             gives the slicing_chain and dpp_bound reports of one section pass.
   scan       (n, k) sweep of the constants to CSV
   suite      the default verification grid at its fixed budgets (it takes
              no budget flags); byte-identical JSON per seed.  Its entries
@@ -55,12 +56,12 @@ _ESTIMATE_READERS = {
 }
 _ESTIMATE_DEFAULTS = {"k": 1, "frames": 500, "samples": 20_000}
 _VERIFY_READERS = {
-    "measure": ("slicing_chain", "dpp_bound", "logconcave_identity"),
+    "measure": ("slicing_chain", "dpp_bound", "section_bounds", "logconcave_identity"),
     "points": ("bp_identity", "logconcave_identity"),
     "transforms": ("grinberg",),
     "body2": ("busemann_petty_volume",),
-    "samples": ("slicing_chain", "dpp_bound", "grinberg", "busemann_petty_volume",
-                "negative_control"),
+    "samples": ("slicing_chain", "dpp_bound", "section_bounds", "grinberg",
+                "busemann_petty_volume", "negative_control"),
 }
 _VERIFY_DEFAULTS = {"points": 500, "transforms": 5, "samples": 2000}
 
@@ -241,7 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--frames", type=int, default=500)
     p.add_argument("--samples", type=int, help="sphere samples per frame (slicing_chain, "
-                   "dpp_bound, grinberg, busemann_petty_volume, negative_control; default 2000)")
+                   "dpp_bound, section_bounds, grinberg, busemann_petty_volume, "
+                   "negative_control; default 2000)")
     p.add_argument("--points", type=int,
                    help="direction s-tuples per frame (bp_identity and "
                         "logconcave_identity only; default 500)")

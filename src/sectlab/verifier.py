@@ -36,7 +36,8 @@ import numpy as np
 from .bodies import StarBody, linear_image
 from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
 from .estimates import (CheckReport, Estimate, _group_means, _log, _log_product, _mean_and_se,
-                        equality_report, exact_log_estimate, inequality_report)
+                        equality_report, exact_log_estimate, inequality_report,
+                        log_mean_estimate)
 from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _haar_stack, _quermass_from_logs,
                           dual_affine_quermass, log_measure_estimate, log_volume_estimate)
 from .measures import DensityOracle, LebesgueDensity, _section_measure_values
@@ -46,6 +47,7 @@ __all__ = [
     "check_bp_identity",
     "check_slicing_chain",
     "check_dpp",
+    "check_section_bounds",
     "check_logconcave_identity",
     "check_grinberg",
     "check_busemann_petty_volume",
@@ -93,7 +95,7 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
     n = body.dim
     lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(n - k)
     design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng, groups=n - k)
-    mean_log = design.log_mean(design.map(
+    mean_log = log_mean_estimate(design.map(
         lambda dirs: _polar_log_moments(density, body, k, points_per_frame, dirs)))
     rhs = exact_log_estimate(log_bp_constant(n, n - k)).times(mean_log)
     return equality_report(name, n, k, lhs, rhs, seed=rng.seed,
@@ -112,15 +114,44 @@ def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int
                             points_per_frame, rng)
 
 
-def _max_section_log(density: DensityOracle, body: StarBody,
-                     design: _FrameDesign) -> tuple[Estimate, int]:
-    """Largest section measure over the design's frames, in log domain, plus its frame index.
+def _section_stats(values: np.ndarray, n: int, spread: bool, powers: bool) -> np.ndarray:
+    """Per frame of a block of section values (B, count): the mean and its SE by the iid
+    formula over the frame's directions (``spread``), then the n group means (``powers``)."""
+    columns = list(_mean_and_se(values)) if spread else []
+    return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
 
-    Its SE is the iid formula's over the frame's directions."""
-    stats = design.map(lambda dirs: np.stack(_mean_and_se(_section_measure_values(
-        density, body, dirs, design.bases.shape[-1])), axis=-1))
-    best = int(np.argmax(stats[:, 0]))
-    return Estimate.of_mean(float(stats[best, 0]), float(stats[best, 1]), design.count), best
+
+def _section_bounds(density: DensityOracle, body: StarBody, k: int, frames: int,
+                    sphere_samples: int, rng: StreamHandle,
+                    names: tuple = ("slicing_chain", "dpp_bound")) -> list[CheckReport]:
+    """The reports named in ``names``, slicing_chain's first, of one pass: one frame design,
+    one map over the section values, each block reduced to what they read, and one mu(K)."""
+    n = body.dim
+    slicing, dpp = "slicing_chain" in names, "dpp_bound" in names
+    design = _FrameDesign(frames, n, k, sphere_samples, rng)
+    stats = design.map(lambda dirs: _section_stats(
+        _section_measure_values(density, body, dirs, n - k), n, slicing, dpp))
+    mu_total = log_measure_estimate(density, body, sphere_samples, rng)
+    budgets = {"frames": len(design), "sphere_samples": sphere_samples}
+    reports = []
+    if slicing:
+        best = int(np.argmax(stats[:, 0]))
+        max_log = Estimate.of_mean(float(stats[best, 0]), float(stats[best, 1]), design.count)
+        log_vol = log_volume_estimate(body, rng)
+        consts = exact_log_estimate(-n * log_gamma_nk(n, k) + log_bp_constant(n, n - k))
+        rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
+        reports.append(inequality_report(
+            "slicing_chain", n, k, mu_total.powered(n - k), rhs, seed=rng.seed,
+            note=_SAMPLED_MAX_NOTE,
+            inputs={**budgets, "argmax_frame": best, "max_section_log": max_log.value}))
+    if dpp:
+        sup = density.sup_on(body)
+        lhs = log_mean_estimate(_log_product(stats[:, -n:]))
+        rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
+            mu_total.powered(n - k))
+        reports.append(inequality_report("dpp_bound", n, k, lhs, rhs, seed=rng.seed,
+                                         inputs={**budgets, "sup_on_body": sup}))
+    return reports
 
 
 def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: int,
@@ -130,45 +161,28 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: 
 
     The sampled max under-estimates the true max, so the check is
     conservative (stricter than the proved inequality).  The max section's
-    SE is the one of :func:`_max_section_log`.  At Lebesgue measure mu(K)
-    and |K| are one number.
+    SE is the iid formula's over its frame's directions.  At Lebesgue
+    measure mu(K) and |K| are one number.  A view of :func:`_section_bounds`.
     """
-    n = body.dim
-    design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    mu_total = log_measure_estimate(density, body, sphere_samples, rng)
-    max_log, argmax = _max_section_log(density, body, design)
-    log_vol = log_volume_estimate(body, rng)
-    consts = exact_log_estimate(-n * log_gamma_nk(n, k) + log_bp_constant(n, n - k))
-    rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
-    lhs = mu_total.powered(n - k)
-    return inequality_report("slicing_chain", n, k, lhs, rhs, seed=rng.seed,
-                             note=_SAMPLED_MAX_NOTE,
-                             inputs={"frames": len(design),
-                                     "sphere_samples": sphere_samples,
-                                     "argmax_frame": argmax,
-                                     "max_section_log": max_log.value})
+    return _section_bounds(density, body, k, frames, sphere_samples, rng, ("slicing_chain",))[0]
 
 
 def check_dpp(density: DensityOracle, body: StarBody, k: int, frames: int,
               sphere_samples: int, rng: StreamHandle) -> CheckReport:
     """E_F[mu(K cap F)^n] <= gamma^(-n) (sup_K g)^k mu(K)^(n-k).
 
-    Equality holds exactly for the uniform density on a Euclidean ball,
-    so that fixture sits at the tolerance boundary by design.  At Lebesgue
-    measure the right side is exact when the body knows its volume.
+    Equality holds exactly for the uniform density on a Euclidean ball, so
+    that fixture sits at the tolerance boundary by design.  At Lebesgue
+    measure the right side is exact when the body knows its volume.  A
+    view of :func:`_section_bounds`.
     """
-    sup = density.sup_on(body)
-    n = body.dim
-    design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    lhs = design.log_mean(_log_product(design.map(lambda dirs: _group_means(
-        _section_measure_values(density, body, dirs, n - k), n))))
-    mu_total = log_measure_estimate(density, body, sphere_samples, rng)
-    rhs = exact_log_estimate(-n * log_gamma_nk(n, k) + k * math.log(sup)).times(
-        mu_total.powered(n - k))
-    return inequality_report("dpp_bound", n, k, lhs, rhs, seed=rng.seed,
-                             inputs={"frames": len(design),
-                                     "sphere_samples": sphere_samples,
-                                     "sup_on_body": sup})
+    return _section_bounds(density, body, k, frames, sphere_samples, rng, ("dpp_bound",))[0]
+
+
+def check_section_bounds(density: DensityOracle, body: StarBody, k: int, frames: int,
+                         sphere_samples: int, rng: StreamHandle) -> list[CheckReport]:
+    """The ``slicing_chain`` and ``dpp_bound`` reports of one section pass, on one stream."""
+    return _section_bounds(density, body, k, frames, sphere_samples, rng)
 
 
 def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames: int,
@@ -227,7 +241,7 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
     logs = _log_product(design.map(lambda dirs: np.stack(
         [_group_means(_section_measure_values(volume, b, dirs, n - k), n)
          for b in bodies], axis=1)))
-    phi, *images = [_quermass_from_logs(k, logs[:, i], design, log_volume_estimate(b, rng))
+    phi, *images = [_quermass_from_logs(k, logs[:, i], n, log_volume_estimate(b, rng))
                     for i, b in enumerate(bodies)]
 
     budgets = {"frames": len(design), "sphere_samples": sphere_samples}
@@ -252,7 +266,7 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     Dominance |K cap F| <= |D cap F| is verified empirically on every
     common frame first (within 3 combined SEs); a violation is reported as
     "hypothesis fails" rather than raised.  The per-frame SEs take the iid
-    formula over the frame's directions, as :func:`_max_section_log` does.
+    formula over the frame's directions, as ``slicing_chain``'s largest section does.
     Both bodies share every frame and every sphere direction, and the same
     section values serve the dominance test and both functionals.  One |K|
     and one |D| serve both sides, so they cancel: the log slack is
@@ -263,22 +277,16 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
     n = body_k.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
     volume = LebesgueDensity(n)
-
-    def stats(dirs):
-        # per frame, for K then D: mean and SE of the section volume, its n group means
-        rows = []
-        for body in (body_k, body_d):
-            vals = _section_measure_values(volume, body, dirs, n - k)
-            rows.append(np.column_stack([*_mean_and_se(vals), _group_means(vals, n)]))
-        return np.stack(rows, axis=1)
-
-    per_frame = design.map(stats)
+    # per frame, for K then D: mean and SE of the section volume, then its n group means
+    per_frame = design.map(lambda dirs: np.stack(
+        [_section_stats(_section_measure_values(volume, body, dirs, n - k), n, True, True)
+         for body in (body_k, body_d)], axis=1))
     violations = sum(vk > vd + 3.0 * math.hypot(sk, sd) + 1e-12
                      for (vk, sk), (vd, sd) in per_frame[:, :, :2].tolist())
     vol_k, vol_d = log_volume_estimate(body_k, rng), log_volume_estimate(body_d, rng)
     logs = _log_product(per_frame[:, :, 2:])
-    phi_k = _quermass_from_logs(k, logs[:, 0], design, vol_k)
-    phi_d = _quermass_from_logs(k, logs[:, 1], design, vol_d)
+    phi_k = _quermass_from_logs(k, logs[:, 0], n, vol_k)
+    phi_d = _quermass_from_logs(k, logs[:, 1], n, vol_d)
     lhs = vol_k.powered((n - k) / n)
     rhs = phi_d.divided_by(phi_k).powered(k).times(vol_d.powered((n - k) / n))
     report = inequality_report("busemann_petty_volume", n, k, lhs, rhs, seed=rng.seed,
@@ -318,6 +326,7 @@ CHECKS = {
     "bp_identity": check_bp_identity,
     "slicing_chain": check_slicing_chain,
     "dpp_bound": check_dpp,
+    "section_bounds": check_section_bounds,
     "logconcave_identity": check_logconcave_identity,
     "grinberg": check_grinberg,
     "busemann_petty_volume": check_busemann_petty_volume,
@@ -389,10 +398,8 @@ def _default_grid() -> list:
         for k in (1, 2):
             for dname, dcls in densities.items():
                 density = dcls(body.dim)
-                grid.append(("slicing_chain", {"density": density, "body": body,
-                                               "k": k, **light}, f"{bname}/{dname}"))
-                grid.append(("dpp_bound", {"density": density, "body": body,
-                                           "k": k, **light}, f"{bname}/{dname}"))
+                grid.append(("section_bounds", {"density": density, "body": body,
+                                                "k": k, **light}, f"{bname}/{dname}"))
         grid.append(("grinberg", {"body": body, "k": 1, "transforms": 2,
                                   "frames": 800, "sphere_samples": 1000}, bname))
     for bname in ("ball3", "cube3"):

@@ -231,6 +231,19 @@ class TestVerifyCommand:
         assert code in (0, 1)
         assert json.loads(out)["reports"][0]["check_name"] == "logconcave_identity"
 
+    def test_section_bounds_gives_both_reports(self, capsys):
+        args = ["verify", "--check", "section_bounds", "--body", '{"kind":"cube","dim":3}',
+                "--measure", '{"kind":"gaussian"}', "--frames", "20", "--samples", "200",
+                "--deterministic"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["check_name"] for r in reports] == ["slicing_chain", "dpp_bound"]
+        assert all(r["pass"] for r in reports)
+        code, out, err = run_cli(args + ["--points", "50"], capsys)
+        assert code == 2 and out == ""
+        assert "section_bounds takes no --points" in json.loads(err)["error"]
+
     def test_busemann_petty_with_body2(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "busemann_petty_volume",
                                 "--body", '{"kind":"cube","dim":3}',

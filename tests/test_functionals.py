@@ -435,10 +435,10 @@ class TestDirectionRule:
 
     @pytest.mark.parametrize("s", [4, 5, 6])
     def test_group_se_does_not_understate_the_spread_over_rotations(self, s):
-        # the iid formula over one group of 120 rotated points, as _max_section_log and
-        # the dominance test take it, against the spread of the group's mean over 2000
-        # Haar rotations: about iid or better (a set of the 2s points +-e_i, each taken
-        # m / 2s times, spreads about 10 times its SE)
+        # the iid formula over one group of 120 rotated points, as slicing_chain's
+        # largest section and the dominance test take it, against the spread of the
+        # group's mean over 2000 Haar rotations: about iid or better (a set of the 2s
+        # points +-e_i, each taken m / 2s times, spreads about 10 times its SE)
         rotations = functionals._haar_stack(s, s, 2000, StreamHandle(65).generator())
         for body in (LpBall(s, 1.0), centered_simplex(s)):
             values = body.radial(sampler._point_set(s, 120) @ rotations.swapaxes(-1, -2)) ** s

@@ -8,22 +8,23 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from sectlab import functionals
+from sectlab import functionals, verifier
 from sectlab.constants import log_gamma_nk
 from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, StarBody, centered_simplex, cube,
                             translate)
-from sectlab.estimates import equality_report, exact_log_estimate, log_power_product
+from sectlab.estimates import (equality_report, exact_log_estimate, log_mean_estimate,
+                               log_power_product)
 from sectlab.functionals import _FrameDesign, log_volume_estimate
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity,
                               RadialExpDensity, _section_measure_values)
 from sectlab.sampler import (StreamHandle, _tuple_rows, sample_restricted, simplex_volume,
                              sphere_directions)
-from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _max_section_log,
-                              _polar_log_moments, _worker_count, check_bp_identity,
-                              check_busemann_petty_volume, check_dpp, check_grinberg,
-                              check_logconcave_identity, check_slicing_chain,
-                              negative_control, run_suite)
+from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _polar_log_moments,
+                              _worker_count, check_bp_identity, check_busemann_petty_volume,
+                              check_dpp, check_grinberg, check_logconcave_identity,
+                              check_section_bounds, check_slicing_chain, negative_control,
+                              run_suite)
 
 BALL3 = LpBall(3, 2.0)
 CUBE3 = cube(3)
@@ -195,17 +196,52 @@ class TestChains:
 
 
 class TestMaxSection:
+    # the largest section over slicing_chain's frames, as its report records it
     def test_ball_sections_constant(self):
-        est, argmax = _max_section_log(LebesgueDensity(3), BALL3,
-                                       _FrameDesign(50, 3, 1, 200, StreamHandle(12)))
-        assert math.exp(est.value) == pytest.approx(math.pi, rel=1e-9)
-        assert 0 <= argmax < 50
+        rep = check_slicing_chain(LebesgueDensity(3), BALL3, 1, 50, 200, StreamHandle(12))
+        assert math.exp(rep.inputs["max_section_log"]) == pytest.approx(math.pi, rel=1e-9)
+        assert 0 <= rep.inputs["argmax_frame"] < 50
 
     def test_square_max_chord_approaches_diagonal(self):
-        est, _ = _max_section_log(LebesgueDensity(2), cube(2),
-                                  _FrameDesign(1000, 2, 1, 100, StreamHandle(13)))
-        assert math.exp(est.value) >= 2.75
-        assert math.exp(est.value) <= 2 * math.sqrt(2) + 1e-9
+        rep = check_slicing_chain(LebesgueDensity(2), cube(2), 1, 1000, 100, StreamHandle(13))
+        assert math.exp(rep.inputs["max_section_log"]) >= 2.75
+        assert math.exp(rep.inputs["max_section_log"]) <= 2 * math.sqrt(2) + 1e-9
+
+
+class TestSectionBounds:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("density", [LebesgueDensity(3), GaussianDensity(3),
+                                         RadialExpDensity(3)],
+                             ids=["lebesgue", "gaussian", "radial_exp"])
+    @pytest.mark.parametrize("body", [CUBE3, BOX3], ids=["cube3", "box3"])
+    def test_section_bounds_equals_the_two_checks(self, body, density, k):
+        # one pass gives the bytes of the two checks on its stream; BOX3 has no exact
+        # volume, so |K| and, at Lebesgue measure, mu(K) take the polar path
+        def texts(reports):
+            return [json.dumps(r.as_dict(), sort_keys=True) for r in reports]
+
+        merged = check_section_bounds(density, body, k, 20, 100, StreamHandle(54))
+        views = [check(density, body, k, 20, 100, StreamHandle(54))
+                 for check in (check_slicing_chain, check_dpp)]
+        assert [r.check_name for r in merged] == ["slicing_chain", "dpp_bound"]
+        assert texts(merged) == texts(views)
+
+    def test_one_design_one_map_one_measure(self, monkeypatch):
+        # the merged entry evaluates its section values and mu(K) once for both reports
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_FrameDesign, "__init__", counted("design", _FrameDesign.__init__))
+        monkeypatch.setattr(_FrameDesign, "map", counted("map", _FrameDesign.map))
+        monkeypatch.setattr(verifier, "log_measure_estimate",
+                            counted("measure", verifier.log_measure_estimate))
+        check_section_bounds(GaussianDensity(3), CUBE3, 1, 20, 100, StreamHandle(56))
+        assert counts == {"design": 1, "map": 1, "measure": 1}
 
 
 class TestDpp:
@@ -361,7 +397,7 @@ class TestBusemannPetty:
         design = _FrameDesign(160, 3, 1, 600, StreamHandle(5))
 
         def log_mean_power(body):
-            return design.log_mean(design.map(lambda dirs: log_power_product(
+            return log_mean_estimate(design.map(lambda dirs: log_power_product(
                 _section_measure_values(LebesgueDensity(3), body, dirs, 2), 3))).value
 
         expected = (log_mean_power(BOX3) - log_mean_power(CUBE3)) / 3
@@ -370,18 +406,30 @@ class TestBusemannPetty:
 
 class TestSuite:
     def test_registry(self):
-        assert set(CHECKS) == {"bp_identity", "slicing_chain", "dpp_bound",
+        assert set(CHECKS) == {"bp_identity", "slicing_chain", "dpp_bound", "section_bounds",
                                "logconcave_identity", "grinberg",
                                "busemann_petty_volume", "negative_control"}
 
-    def test_default_grid_composition(self):
+    def test_default_grid_composition(self, monkeypatch):
         grid = _default_grid()
         counts = Counter(name for name, _, _ in grid)
-        assert counts == {"bp_identity": 4, "slicing_chain": 24, "dpp_bound": 24,
-                          "grinberg": 4, "logconcave_identity": 2,
-                          "busemann_petty_volume": 2}
-        assert len(grid) == 60
+        assert counts == {"bp_identity": 4, "section_bounds": 24, "grinberg": 4,
+                          "logconcave_identity": 2, "busemann_petty_volume": 2}
+        assert len(grid) == 36
         assert all(name in CHECKS for name, _, _ in grid)
+        # the section_bounds entries, at tiny budgets, report the (check, fixture, k)
+        # triples of the 48 slicing_chain and dpp_bound entries they replaced
+        monkeypatch.setenv("SECTLAB_WORKERS", "1")
+        tiny = [(name, {**params, "frames": 2, "sphere_samples": 100}, label)
+                for name, params, label in grid if name == "section_bounds"]
+        res = run_suite(SuiteConfig(seed=0, grid=tiny))
+        assert not res.errors
+        expected = Counter((check, f"{body}/{density}", k)
+                           for body in ("ball3", "cube3", "l1ball3", "l1ball4")
+                           for k in (1, 2)
+                           for density in ("lebesgue", "gaussian", "radial_exp")
+                           for check in ("slicing_chain", "dpp_bound"))
+        assert Counter((r.check_name, r.inputs["fixture"], r.k) for r in res.reports) == expected
 
     def test_empty_grid_passes(self):
         res = run_suite(SuiteConfig(seed=0, grid=[]))
@@ -437,6 +485,8 @@ BLOCKED_CHECKS = {
                                                           100, StreamHandle(45)),
     "slicing_chain/radial_exp": lambda: check_slicing_chain(
         RadialExpDensity(3), centered_simplex(3), 2, 10, 100, StreamHandle(46)),
+    "section_bounds": lambda: check_section_bounds(GaussianDensity(3), BOX3, 1, 10, 100,
+                                                   StreamHandle(55)),
     "bp_identity": lambda: check_bp_identity(CUBE3, 1, 10, 50, StreamHandle(47),
                                              sphere_samples=300),
     "logconcave_identity": lambda: check_logconcave_identity(
@@ -462,6 +512,7 @@ CHECK_ARGS = {
     "bp_identity": {"body": CUBE3, "points_per_frame": 50},
     "slicing_chain": {"density": GaussianDensity(3), "body": CUBE3},
     "dpp_bound": {"density": GaussianDensity(3), "body": CUBE3},
+    "section_bounds": {"density": GaussianDensity(3), "body": CUBE3},
     "logconcave_identity": {"density": GaussianDensity(3), "body": CUBE3,
                             "points_per_frame": 50},
     "grinberg": {"body": CUBE3, "transforms": 1},
@@ -499,8 +550,8 @@ def test_report_seed_is_the_stream_seed(name):
 
 # the checks that draw sphere directions; the identity checks take sphere_samples
 # but draw points_per_frame * (n - k) directions per frame instead
-READS_SPHERE_SAMPLES = {"slicing_chain", "dpp_bound", "grinberg", "busemann_petty_volume",
-                        "negative_control"}
+READS_SPHERE_SAMPLES = {"slicing_chain", "dpp_bound", "section_bounds", "grinberg",
+                        "busemann_petty_volume", "negative_control"}
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
