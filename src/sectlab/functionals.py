@@ -14,9 +14,8 @@ paired comparisons share common random frames.
 
 A check entry's stream rng splits as:
 
-- rng.split(0): the frames (:func:`_haar_stack`), then the (F, groups, d)
-  normals of the groups' rotations, d = 1, 2, 4 for s = 1, 2, 3, or for
-  s >= 4 their Gaussian (F * groups, s, s) stack;
+- rng.split(0): the frames (:func:`_haar_stack`), then the Gaussian
+  (F, groups, s, s) stack of the groups' rotations;
 - |K|, rng.split(_AUX); mu(K) of a density other than Lebesgue,
   rng.split(_AUX + 1); Grinberg's t-th image, rng.split(_AUX + 2 + t).
 """
@@ -31,10 +30,10 @@ import numpy as np
 from .bodies import StarBody
 from .estimates import (Estimate, _group_means, _group_sizes, _log_product,
                         exact_log_estimate, log_mean_estimate)
-from .grassmann import Frame, _haar_bases
+from .grassmann import Frame
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
                        measure_of_body, section_measure_values)
-from .sampler import _ROTATION_NORMALS, StreamHandle, _fold_columns, _point_set, _rotations
+from .sampler import StreamHandle, _fold_columns, _haar_columns, _point_set
 from .sampler import sphere_directions  # noqa: F401 (perfbench)
 
 __all__ = [
@@ -63,28 +62,23 @@ def _haar_stack(n: int, s: int, count: int, gen: np.random.Generator) -> np.ndar
     and s = 1 or n - 1 (the outer rule) the lines, or the normals u, are
     :func:`~sectlab.sampler._point_set` (n, count) under one Haar rotation; a
     normal's basis is the first n - 1 columns of the Householder reflection
-    I - 2 v v^T / v^T v, v = u + sign(u_n) e_n.  Otherwise one batched QR
-    orthonormalises a Gaussian (count, n, s) stack, and a numerically
-    rank-deficient draw (an event of probability ~0) is drawn again from
-    ``gen``.  Stratified lines and rule frames are not independent, and the
-    iid SE of a mean over them over-reports.
+    I - 2 v v^T / v^T v, v = u + sign(u_n) e_n.  Otherwise the frames are
+    :func:`~sectlab.sampler._haar_columns` of a Gaussian (count, n, s) stack.
+    Stratified lines and rule frames are not independent, and the iid SE of
+    a mean over them over-reports.
     """
     if (n, s) == (2, 1):
         offset = gen.random()
         angles = [math.pi * (j + offset) / count for j in range(count)]
         return np.array([[[math.cos(a)], [math.sin(a)]] for a in angles])
     if n <= 4 and s in (1, n - 1):
-        u = _point_set(n, count) @ _haar_stack(n, n, 1, gen)[0].T
+        u = _point_set(n, count) @ _haar_columns(gen.standard_normal((n, n))).T
         if s == 1:
             return u[:, :, None]
         v = u + np.copysign(np.eye(n)[-1], u[:, -1:])
         scale = 2.0 / _fold_columns(np.add, v * v)
         return np.eye(n)[:, :-1] - v[:, :, None] * (v[:, None, :-1] * scale[:, None, None])
-    bases, deficient = _haar_bases(gen.standard_normal((count, n, s)))
-    while deficient.any():
-        bad = np.flatnonzero(deficient)
-        bases[bad], deficient[bad] = _haar_bases(gen.standard_normal((len(bad), n, s)))
-    return bases
+    return _haar_columns(gen.standard_normal((count, n, s)))
 
 
 class _FrameDesign:
@@ -99,8 +93,8 @@ class _FrameDesign:
 
     A frame's directions are ``groups`` (default n) consecutive groups, sized
     by :func:`~sectlab.estimates._group_sizes`, each a fixed point set P
-    (:func:`~sectlab.sampler._point_set`) under its own random rotation R:
-    :func:`~sectlab.sampler._rotations` for s <= 3, a Haar stack for s >= 4.
+    (:func:`~sectlab.sampler._point_set`) under its own Haar rotation R of
+    O(s), :func:`~sectlab.sampler._haar_columns` of an s x s Gaussian block.
     R is folded into the frame's basis B, so a group embeds as P (B R)^T.
     The groups are independent and each group's mean is unbiased, so the
     product of n group means is an unbiased n-th power (Owen, *Monte Carlo
@@ -126,10 +120,7 @@ class _FrameDesign:
         s, groups = n - k, n if groups is None else groups
         self.bases = _haar_stack(n, s, frames, gen)
         self.count = count
-        if s <= 3:
-            rotations = _rotations(gen.standard_normal((frames, groups, _ROTATION_NORMALS[s])))
-        else:
-            rotations = _haar_stack(s, s, frames * groups, gen).reshape(frames, groups, s, s)
+        rotations = _haar_columns(gen.standard_normal((frames, groups, s, s)))
         # (F, groups, s, n): group g of frame f embeds as its point set @ E[f, g]
         self._embeddings = np.ascontiguousarray(
             (self.bases[:, None] @ rotations).swapaxes(-1, -2))

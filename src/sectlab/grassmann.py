@@ -1,9 +1,8 @@
 """Haar-distributed subspaces, represented by orthonormal frames.
 
 A frame is an n x s matrix with orthonormal columns spanning a subspace
-F of R^n.  Haar sampling is Gaussian + QR with the R-diagonal sign fix
-(plain QR of common linear-algebra routines is not Haar on the frame,
-although the column span alone would be).  Subspace-valued integrals
+F of R^n.  A Haar frame is the Gram-Schmidt of an n x s Gaussian matrix
+(:func:`~sectlab.sampler._haar_columns`).  Subspace-valued integrals
 elsewhere in the package are Monte Carlo averages over these draws.
 """
 
@@ -11,11 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler import as_generator
+from .sampler import _haar_columns, as_generator
 
 __all__ = ["Frame", "sample_haar"]
-
-_ORTHO_TOL = 1e-12
 
 
 def _require_orthonormal(bases: np.ndarray) -> None:
@@ -57,32 +54,15 @@ class Frame:
         return f"Frame(n={self.n}, s={self.s})"
 
 
-def _haar_bases(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of a stack (..., n, s) of Gaussian matrices, by one QR.
-
-    Column signs make the R diagonal positive.  The second result flags the
-    numerically rank-deficient matrices, whose bases are not to be used.
-    """
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    deficient = np.abs(diag).min(axis=-1) <= _ORTHO_TOL * max(g.shape[-2:])
-    return q * np.sign(diag)[..., None, :], deficient
-
-
 def sample_haar(n: int, s: int, rng) -> Frame:
     """Draw a Haar-distributed frame on the Grassmannian of s-planes in R^n.
 
-    QR of an n x s standard Gaussian matrix, with column signs fixed so
-    the R diagonal is positive; the resulting frame distribution is
-    invariant under rotations.  A numerically rank-deficient draw (an
-    event of probability ~0) is retried at most 3 times.
+    Gram-Schmidt of an n x s standard Gaussian matrix
+    (:func:`~sectlab.sampler._haar_columns`), the Q of its QR with a positive
+    R diagonal, so the frame distribution is invariant under rotations.  A
+    numerically dependent draw (an event of probability ~0) raises
+    ValueError.
     """
     if not 1 <= s <= n - 1:
         raise ValueError(f"need 1 <= s <= n-1, got n={n}, s={s}")
-    gen = as_generator(rng)
-    for _ in range(4):
-        basis, deficient = _haar_bases(gen.standard_normal((n, s)))
-        if not deficient:
-            return Frame(basis)
-    raise RuntimeError(f"rank-deficient Gaussian draws for a {n} x {s} frame, 4 attempts")
-
+    return Frame(_haar_columns(as_generator(rng).standard_normal((n, s))))

@@ -9,11 +9,12 @@ draws whole stacks from it: one ``standard_normal`` call of shape (F, ...)
 gives the bits of F calls of the trailing shape in turn, so how a draw is
 chunked does not change it.
 
-The section kernel's directions are randomised point sets instead: a
-fixed set on the sphere (:func:`_point_set`) under a random rotation
-(:func:`_rotations`), so a group of directions takes a few normals, not one
-per coordinate.  The frame design folds each rotation into its frame's
-basis, so embedding a group of directions is one matmul.
+Every Haar frame and rotation is :func:`_haar_columns` of a Gaussian
+stack.  The section kernel's directions are randomised point sets: a
+fixed set on the sphere (:func:`_point_set`) under a Haar rotation of
+O(s), so a group of m directions takes s^2 normals, not m s.  The frame
+design folds each rotation into its frame's basis, so embedding a group
+of directions is one matmul.
 """
 
 from __future__ import annotations
@@ -128,8 +129,29 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
     return out
 
 
-# Gaussian coordinates that one random rotation of S^(s-1) takes, by s
-_ROTATION_NORMALS = {1: 1, 2: 2, 3: 4}
+def _haar_columns(g: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of each block of a Gaussian stack (..., n, s), by Gram-Schmidt.
+
+    Column j is projected twice off the columns before it and normalised by
+    :func:`_unit_rows`.  This is the Q of QR with a positive R diagonal, so a
+    block is a Haar frame, and a square block a Haar element of O(n)
+    (Mezzadri, *Notices AMS* 2007).  Only +, -, *, / and sqrt enter, each sum
+    in a fixed order, so no LAPACK kernel sets the bits and a stack gives the
+    bits of its blocks one at a time.  A residual column of norm at
+    most 1e-12 times its Gaussian column's (an event of probability about
+    1e-12 per matrix) raises ValueError; no redraw is made.
+    """
+    out = np.empty(g.shape)
+    for j in range(g.shape[-1]):
+        v = g[..., j]
+        for _ in range(2):
+            for i in range(j):
+                q = out[..., i]
+                v = v - _fold_columns(np.add, q * v)[..., None] * q
+        if (_row_norms(v) <= 1e-12 * _row_norms(g[..., j])).any():
+            raise ValueError("dependent Gaussian column: it has no Haar direction")
+        out[..., j] = _unit_rows(v)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,29 +222,6 @@ def _tuple_rows(s: int, m: int) -> np.ndarray:
     rows = np.array(rows)
     rows.flags.writeable = False
     return rows
-
-
-def _rotations(g: np.ndarray) -> np.ndarray:
-    """Random orthogonal s x s matrices (..., s, s) from Gaussian rows g (..., d).
-
-    u = g / |g| is uniform on S^(d-1).  d = 1 gives the sign u, Haar on O(1);
-    d = 2 the rotation [[c, -t], [t, c]] with (c, t) = u, Haar on SO(2); d = 4
-    the rotation of the unit quaternion u, Haar on SO(3).  Only +, -, *, /
-    and sqrt enter, so the bits do not depend on the CPU.
-    """
-    u = _unit_rows(g)
-    d = g.shape[-1]
-    if d == 1:
-        return u[..., None]
-    if d == 2:
-        c, t = u[..., 0], u[..., 1]
-        rows = [[c, -t], [t, c]]
-    else:
-        w, x, y, z = (u[..., i] for i in range(4))
-        rows = [[1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
-                [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
-                [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def uniform_in_body(body, rng, size: int | None = None) -> np.ndarray:

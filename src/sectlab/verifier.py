@@ -38,10 +38,10 @@ from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
 from .estimates import (CheckReport, Estimate, _group_means, _log, _log_product, _mean_and_se,
                         equality_report, exact_log_estimate, inequality_report,
                         log_mean_estimate)
-from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _haar_stack, _quermass_from_logs,
+from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
                           dual_affine_quermass, log_measure_estimate, log_volume_estimate)
 from .measures import DensityOracle, LebesgueDensity, _section_measure_values
-from .sampler import StreamHandle, _fold_columns, _tuple_rows, simplex_volume
+from .sampler import StreamHandle, _fold_columns, _haar_columns, _tuple_rows, simplex_volume
 
 __all__ = [
     "check_bp_identity",
@@ -137,7 +137,9 @@ def _section_bounds(density: DensityOracle, body: StarBody, k: int, frames: int,
     if slicing:
         best = int(np.argmax(stats[:, 0]))
         max_log = Estimate.of_mean(float(stats[best, 0]), float(stats[best, 1]), design.count)
-        log_vol = log_volume_estimate(body, rng)
+        # at Lebesgue measure log_measure_estimate has already returned |K|
+        log_vol = mu_total if isinstance(density, LebesgueDensity) else log_volume_estimate(
+            body, rng)
         consts = exact_log_estimate(-n * log_gamma_nk(n, k) + log_bp_constant(n, n - k))
         rhs = consts.times(max_log.powered(n - k)).times(log_vol.powered(k * (n - k) / n))
         reports.append(inequality_report(
@@ -212,12 +214,14 @@ def _random_sl_matrix(n: int, rng: StreamHandle) -> np.ndarray:
 
     Haar on O(n) * diagonal * Haar on O(n), with singular values log-uniform
     in [1/2, 2] and product one; wilder transforms make the section-power
-    integrand too heavy-tailed to average at desk-scale frame budgets.
+    integrand too heavy-tailed to average at desk-scale frame budgets.  The
+    two rotations are :func:`~sectlab.sampler._haar_columns` of one Gaussian
+    (2, n, n) stack.
     """
     gen = rng.generator()
     d = np.exp(gen.uniform(-math.log(2.0), math.log(2.0), n))
     d /= d.prod() ** (1.0 / n)
-    first, second = _haar_stack(n, n, 2, gen)
+    first, second = _haar_columns(gen.standard_normal((2, n, n)))
     return first @ np.diag(d) @ second
 
 
@@ -393,8 +397,7 @@ def _default_grid() -> list:
     grid: list = []
     for bname, body in bodies.items():
         grid.append(("bp_identity", {"body": body, "k": 1, "frames": eq_frames[bname],
-                                     "points_per_frame": 300, "sphere_samples": 600},
-                     bname))
+                                     "points_per_frame": 300}, bname))
         for k in (1, 2):
             for dname, dcls in densities.items():
                 density = dcls(body.dim)
@@ -406,7 +409,7 @@ def _default_grid() -> list:
         grid.append(("logconcave_identity",
                      {"density": GaussianDensity(3), "body": bodies[bname], "k": 1,
                       "frames": 400 if bname == "ball3" else 1500,
-                      "points_per_frame": 300, "sphere_samples": 500},
+                      "points_per_frame": 300},
                      f"{bname}/gaussian"))
     grid.append(("busemann_petty_volume",
                  {"body_k": bodies["cube3"],

@@ -55,15 +55,17 @@ def test_frame_design_is_the_only_frame_plumbing():
     # design stays local; so do the explicit frame list, the point-sampling
     # functionals and the functionals and density that no check read, the linear
     # mode of Estimate, the identity checks' iid directions, the verifier's second
-    # Haar routine, the design's log_mean wrapper and the max-section helper that
-    # the section pass absorbed
+    # Haar routine, the design's log_mean wrapper, the max-section helper that
+    # the section pass absorbed, and the QR frames and closed-form rotations that
+    # Gram-Schmidt replaced
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
             "covariance", "w_tilde", "i_minus_k", "volume_radius", "IndicatorDensity",
             "_stream_normals", "_stream_directions", "_rekeyable", "_rotated_points",
             "log_domain", "to_linear", "exact_estimate", "mean_estimate", "_combined_log_se",
-            "_iid", "_haar_rotation", "log_mean", "_max_section_log"}
+            "_iid", "_haar_rotation", "log_mean", "_max_section_log", "_haar_bases",
+            "_ORTHO_TOL", "_rotations", "_ROTATION_NORMALS"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())
@@ -79,6 +81,17 @@ def test_frame_design_is_the_only_frame_plumbing():
                 callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert callee not in ("_logsumexp", "logsumexp") or name == "estimates.py", (
                     f"{name}:{node.lineno} calls _logsumexp outside log_mean_estimate")
+
+
+def test_no_qr_in_the_package():
+    # every Haar frame and rotation is Gram-Schmidt of a Gaussian stack
+    # (sampler._haar_columns): LAPACK's QR would make report bytes depend on the CPU
+    src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func).split(".")[-2:]
+                assert callee != ["linalg", "qr"], f"{path.name}:{node.lineno} calls linalg.qr"
 
 
 def test_frame_streams_have_no_per_frame_set_up(monkeypatch):

@@ -52,22 +52,33 @@ def _rule_point(s, m, i):
     return [x / norm for x in g]
 
 
-def _haar_rotation(gen, n):
-    """Haar on O(n), written out: QR of one Gaussian (n, n) draw, R's diagonal made positive."""
-    q, r = np.linalg.qr(gen.standard_normal((n, n)))
-    return q * np.sign(np.diagonal(r))
+def _haar_draw(gen, n, s):
+    """The Haar matrix of gen's next Gaussian (n, s) draw, written out by Gram-Schmidt:
+    column j, projected twice off each column before it in turn, then divided by its
+    norm, sums taken in order."""
+    g = gen.standard_normal((n, s)).tolist()
+    columns = []
+    for j in range(s):
+        v = [row[j] for row in g]
+        for _ in range(2):
+            for q in columns:
+                dot = reduce(add, [a * b for a, b in zip(q, v)])
+                v = [b - dot * a for a, b in zip(q, v)]
+        norm = math.sqrt(reduce(add, [x * x for x in v]))
+        columns.append([x / norm for x in v])
+    return np.array([list(row) for row in zip(*columns)])
 
 
 def _reference_frames(gen, n, s, count):
-    """count frames of G(n, s) from gen, written out: sample_haar one at a time, or for
+    """count frames of G(n, s) from gen, written out: Haar draws one at a time, or for
     n = 3, 4 and s = 1 or n - 1 the outer rule, point i of P_n(count) under the Haar
     rotation of one Gaussian (n, n) draw, a line or a normal u completed to a basis by
     the first n - 1 columns of I - 2 v v^T / v^T v, v = u + sign(u_n) e_n."""
     if n > 4 or s not in (1, n - 1):
-        return [sample_haar(n, s, gen).basis for _ in range(count)]
+        return [_haar_draw(gen, n, s) for _ in range(count)]
     rule = np.array([_rule_point(n, count, i) for i in range(count)])
     frames = []
-    for u in (rule @ _haar_rotation(gen, n).T).tolist():
+    for u in (rule @ _haar_draw(gen, n, n).T).tolist():
         if s == 1:
             frames.append(np.array(u)[:, None])
             continue
@@ -78,35 +89,15 @@ def _reference_frames(gen, n, s, count):
     return frames
 
 
-def _rule_rotation(g):
-    """The orthogonal matrix of one Gaussian row: a sign, an angle or a unit quaternion."""
-    norm = math.sqrt(reduce(add, [x * x for x in g]))
-    u = [x / norm for x in g]
-    if len(u) == 1:
-        return [u]
-    if len(u) == 2:
-        c, t = u
-        return [[c, -t], [t, c]]
-    w, x, y, z = u
-    return [[1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
-            [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
-            [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]]
-
-
 def _rule_directions(gen, basis, count, groups=None):
     """One frame's (count, n) embedded directions, written out group by group: the
     ``groups`` (default n) groups of np.array_split, group g the fixed point set P under
-    its rotation R, embedded as P (B R)^T.  R is the rotation of the frame's next normal
-    row from gen for s <= 3, else the next Haar rotation of O(s).  (B R)^T is made
-    contiguous, as the design holds it: numpy's product of one point with a transposed
-    view sums in another order."""
+    its rotation R, embedded as P (B R)^T.  R is the frame's next Haar draw of O(s).
+    (B R)^T is made contiguous, as the design holds it: numpy's product of one point with
+    a transposed view sums in another order."""
     n, s = basis.shape
     groups = n if groups is None else groups
-    if s <= 3:
-        rotations = [np.array(_rule_rotation(g)) for g in
-                     gen.standard_normal((groups, {1: 1, 2: 2, 3: 4}[s])).tolist()]
-    else:
-        rotations = [_haar_rotation(gen, s) for _ in range(groups)]
+    rotations = [_haar_draw(gen, s, s) for _ in range(groups)]
     sizes = [len(group) for group in np.array_split(np.arange(count), groups)]
     rows = []
     for rotation, m in zip(rotations, sizes):
@@ -200,31 +191,15 @@ class TestFrameBlockReference:
     @pytest.mark.parametrize("n,s", [(3, 2), (3, 1), (4, 2)])
     def test_haar_stack_equals_sample_haar(self, n, s):
         # one draw of the (count, n, s) stack gives the bits of count draws in turn:
-        # sample_haar's for G(4, 2), the outer rule's for G(3, 2) and G(3, 1)
+        # Gram-Schmidt's, and sample_haar's, for G(4, 2), the outer rule's for G(3, 2)
+        # and G(3, 1)
         frames = [basis.tobytes() for basis in functionals._haar_stack(
             n, s, 40, StreamHandle(50).generator())]
         gen = StreamHandle(50).generator()
         assert frames == [f.tobytes() for f in _reference_frames(gen, n, s, 40)]
-
-    def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
-        # the redraw is the next draw of the stack's own generator
-        batched = functionals._haar_bases
-        calls = []
-
-        def flag_frame_3_once(g):
-            bases, deficient = batched(g)
-            calls.append(len(g))
-            if len(calls) == 1:
-                deficient[3] = True
-            return bases, deficient
-
-        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3_once)
-        bases = functionals._haar_stack(4, 2, 6, StreamHandle(51).generator())
-        assert calls == [6, 1]
-        gen = StreamHandle(51).generator()
-        expected = [sample_haar(4, 2, gen).basis for _ in range(6)]
-        expected[3] = sample_haar(4, 2, gen).basis
-        assert bases.tobytes() == np.stack(expected).tobytes()
+        if (n, s) == (4, 2):
+            gen = StreamHandle(50).generator()
+            assert frames == [sample_haar(n, s, gen).basis.tobytes() for _ in range(40)]
 
     @pytest.mark.parametrize("body", [
         cube(3), LpBall(3, 1.0), centered_simplex(3),
@@ -280,12 +255,9 @@ class TestFrameDesign:
 
     N, K, FRAMES, COUNT = 4, 2, 10, 7
 
-    def _per_frame(self, rng, n=N, k=K, groups=None, redraw=None):
-        s = n - k
+    def _per_frame(self, rng, n=N, k=K, groups=None):
         gen = rng.split(0).generator()
-        frames = _reference_frames(gen, n, s, self.FRAMES)
-        if redraw is not None:
-            frames[redraw] = sample_haar(n, s, gen).basis
+        frames = _reference_frames(gen, n, n - k, self.FRAMES)
         return np.stack([_rule_directions(gen, f, self.COUNT, groups) for f in frames])
 
     def _blocks(self, rng, n=N, k=K, groups=None):
@@ -311,24 +283,6 @@ class TestFrameDesign:
             assert out.tobytes() == np.concatenate(
                 [d.sum(axis=(1, 2)) for d in blocks]).tobytes()
 
-    def test_rank_deficient_draw_goes_to_sample_haar(self, monkeypatch):
-        # the redraw comes from the design's generator, before the rotation normals
-        batched = functionals._haar_bases
-        calls = []
-
-        def flag_frame_3_once(g):
-            bases, deficient = batched(g)
-            calls.append(len(g))
-            if len(calls) == 1:
-                deficient[3] = True
-            return bases, deficient
-
-        monkeypatch.setattr(functionals, "_haar_bases", flag_frame_3_once)
-        rng = StreamHandle(56)
-        blocks, _ = self._blocks(rng)
-        assert calls == [self.FRAMES, 1]
-        assert np.concatenate(blocks).tobytes() == self._per_frame(rng, redraw=3).tobytes()
-
     def test_lines_in_the_plane_are_stratified(self):
         # G(2,1): frame j is the line at angle pi (j + U) / F, U uniform from rng.split(0)
         rng, frames = StreamHandle(58), 12
@@ -349,8 +303,7 @@ def test_folded_kernel_is_the_old_kernel_up_to_rounding():
         design = functionals._FrameDesign(frames, n, k, count, rng)
         gen = rng.split(0).generator()
         functionals._haar_stack(n, s, frames, gen)
-        rotations = sampler._rotations(
-            gen.standard_normal((frames, n, sampler._ROTATION_NORMALS[s])))
+        rotations = sampler._haar_columns(gen.standard_normal((frames, n, s, s)))
         sizes = [len(group) for group in np.array_split(np.arange(count), n)]
         theta = np.concatenate([sampler._point_set(s, m) @ rotations[:, g].swapaxes(-1, -2)
                                 for g, m in enumerate(sizes)], axis=1)
@@ -403,19 +356,25 @@ class TestDirectionRule:
             se = sample.std(axis=0, ddof=1) / math.sqrt(draws)
             assert (np.abs(mean - target) <= 4.0 * se + 1e-12).all()
 
-    @pytest.mark.parametrize("n,s", [(3, 1), (3, 2), (4, 1), (4, 3)])
+    @pytest.mark.parametrize("n,s", [(3, 1), (3, 2), (4, 1), (4, 3), (4, 2), (5, 2), (3, 3),
+                                     (4, 4)])
     def test_rule_frames_are_orthonormal_and_uniform(self, n, s):
-        # frame 3 of 7 under the outer rule, over 2000 designs: its projector B B^T has
-        # the Haar mean (s / n) I, which is the second moment of a line's direction or
-        # of a hyperplane's normal, and a line's direction has mean 0
+        # frame 3 of 7, over 2000 designs of the outer rule or of Gram-Schmidt frames
+        # (G(4, 2), G(5, 2)), or the first column of rotation 3 of 7 over 2000 stacks of
+        # Haar rotations (s = n): its projector B B^T has the Haar mean (width / n) I,
+        # which is the second moment of a line's direction or of a hyperplane's normal,
+        # and a line's direction has mean 0
         gen = StreamHandle(64).generator()
-        bases = np.stack([functionals._haar_stack(n, s, 7, gen) for _ in range(2000)])
+        if s < n:
+            bases = np.stack([functionals._haar_stack(n, s, 7, gen) for _ in range(2000)])
+        else:
+            bases = sampler._haar_columns(gen.standard_normal((2000, 7, n, n)))
         assert np.abs(bases.swapaxes(-1, -2) @ bases - np.eye(s)).max() <= 1e-14
-        frame = bases[:, 3]
-        draws = len(frame)
+        frame = bases[:, 3] if s < n else bases[:, 3, :, :1]
+        draws, _, width = frame.shape
         samples = [((frame @ frame.swapaxes(-1, -2)).reshape(draws, n * n),
-                    np.eye(n).ravel() * s / n)]
-        if s == 1:
+                    np.eye(n).ravel() * width / n)]
+        if width == 1:
             samples.append((frame[:, :, 0], np.zeros(n)))
         for sample, target in samples:
             mean = sample.mean(axis=0)
@@ -439,7 +398,8 @@ class TestDirectionRule:
         # largest section and the dominance test take it, against the spread of the
         # group's mean over 2000 Haar rotations: about iid or better (a set of the 2s
         # points +-e_i, each taken m / 2s times, spreads about 10 times its SE)
-        rotations = functionals._haar_stack(s, s, 2000, StreamHandle(65).generator())
+        rotations = sampler._haar_columns(StreamHandle(65).generator().standard_normal(
+            (2000, s, s)))
         for body in (LpBall(s, 1.0), centered_simplex(s)):
             values = body.radial(sampler._point_set(s, 120) @ rotations.swapaxes(-1, -2)) ** s
             se = values.std(axis=-1, ddof=1) / math.sqrt(120)

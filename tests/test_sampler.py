@@ -58,12 +58,27 @@ class TestUnitRows:
         g[1, 3] = 0.0
         with pytest.raises(ValueError, match="zero Gaussian row"):
             sampler._unit_rows(g)
-        with pytest.raises(ValueError, match="zero Gaussian row"):
-            sampler._rotations(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="dependent Gaussian column"):
+            sampler._haar_columns(np.zeros((2, 3, 3)))
         # sphere_directions takes the same policy: no redraw
         gen = SimpleNamespace(standard_normal=lambda shape: g[1].copy())
         with pytest.raises(ValueError, match="zero Gaussian row"):
             sphere_directions(gen, 5, 3)
+
+
+def test_dependent_gaussian_column_raises():
+    # a residual column of norm at most 1e-12 times its Gaussian column's raises, with no
+    # redraw; a column 1e-9 off the span of the ones before it still gives a Haar matrix
+    g = StreamHandle(9).generator().standard_normal((3, 4, 3))
+    e = StreamHandle(10).generator().standard_normal(4)
+    for eps in (0.0, 1e-14, 1e-9):
+        g[1, :, 2] = g[1, :, 0] - 2.0 * g[1, :, 1] + eps * e
+        if eps < 1e-12:
+            with pytest.raises(ValueError, match="dependent Gaussian column"):
+                sampler._haar_columns(g)
+        else:
+            q = sampler._haar_columns(g)
+            assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(3)).max() <= 1e-14
 
 
 class TestQuadraticForm:

@@ -243,6 +243,21 @@ class TestSectionBounds:
         check_section_bounds(GaussianDensity(3), CUBE3, 1, 20, 100, StreamHandle(56))
         assert counts == {"design": 1, "map": 1, "measure": 1}
 
+    @pytest.mark.parametrize("check", [check_slicing_chain, check_section_bounds])
+    def test_lebesgue_pass_takes_one_polar_volume(self, monkeypatch, check):
+        # at Lebesgue measure mu(K) is |K|, so a body without an exact volume takes one
+        # polar |K| per pass, which slicing_chain's right side reuses
+        calls = []
+        measure = functionals.measure_of_body
+
+        def counted(density, body, samples, rng):
+            calls.append(samples)
+            return measure(density, body, samples, rng)
+
+        monkeypatch.setattr(functionals, "measure_of_body", counted)
+        check(LebesgueDensity(3), BOX3, 1, 20, 100, StreamHandle(57))
+        assert calls == [20_000]
+
 
 class TestDpp:
     def test_uniform_ball_sits_at_equality(self):
