@@ -9,9 +9,13 @@ Subcommands:
   scan       (n, k) sweep of the constants to CSV
   suite      the default verification grid at its fixed budgets (it takes
              no budget flags); byte-identical JSON per seed.  Its entries
-             run on SECTLAB_WORKERS forked processes, by default one per
-             CPU this process may use; SECTLAB_WORKERS=1 runs them all in
-             this process.  The count does not change the output.
+             run on SECTLAB_WORKERS processes forked for the run (plain
+             os.fork, entries handed out one at a time over a pipe), by
+             default one per CPU this process may use; SECTLAB_WORKERS=1
+             runs them all in this process.  The count does not change the
+             output.
+
+``python -m sectlab`` runs the same interface.
 
 Every report embeds the full configuration, so a run can be reproduced
 from the report file alone.  A ``sectlab.report.v2`` side holds ``log``,
@@ -260,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("suite", help="run the default verification grid on "
-                                     "SECTLAB_WORKERS processes (default: one per CPU)")
+                                     "SECTLAB_WORKERS forked processes (default: one "
+                                     "per CPU; 1 runs it in this process)")
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--negative-control", action="store_true",
                    help="append the reversed-inequality self-test fixture")

@@ -45,12 +45,13 @@ __all__ = [
 _VOLUME_SAMPLES = 20_000    # polar directions for |K| when the body does not know it
 _AUX = 1 << 40      # substream offset reserved for auxiliary draws
 # Directions per frame block: bounds the (B, count, n) arrays a block allocates.
-# At 2**13 glibc handed each block's temporaries back to the OS and faulted
-# them in again: 231k minor faults in the pool's children on volume_sections
-# (seed 0), 72k on density_sections, 61k on identity_sampling.  At 2**12 the
-# allocator reuses them, and the children take 5.3k, 4.5k and 5.4k faults,
-# about the 4.5k of forking the pool.  2**11 faults about as little but
-# adds per-block overhead; 2**12 ran fastest of the three.
+# At 2**13 glibc hands each block's temporaries back to the OS and faults
+# them in again: 88k minor faults in the suite's two forked workers on
+# volume_sections (seed 0), 11k on density_sections, 6.4k on identity_sampling.
+# At 2**12 the allocator reuses them, and the workers take 4.6k, 4.5k and
+# 6.1k faults, of which forking two workers that run nothing takes 0.7k.
+# 2**11 faults about as little but adds per-block overhead; 2**12 ran
+# fastest of the three.
 _BLOCK_DIRS = 1 << 12
 
 

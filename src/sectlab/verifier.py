@@ -18,18 +18,23 @@ formula over one frame's directions (the largest section in ``slicing_chain``, t
 dominance test of ``busemann_petty_volume``), or over frames, compares with the true
 one is said at :class:`~sectlab.functionals._FrameDesign`.
 
-:func:`run_suite` runs the grid entries on a pool of forked worker
-processes, one per CPU this process may run on, or ``SECTLAB_WORKERS`` of
-them; the reports come back in grid order, so the result is byte-identical
-to a serial run.  ``SECTLAB_WORKERS=1`` runs every entry in this process,
-which is the way to debug or profile a check.
+:func:`run_suite` runs the grid entries on forked worker processes, one per
+CPU this process may run on, or ``SECTLAB_WORKERS`` of them.  The runner is
+plain ``os.fork`` and pipes: the workers, forked once per suite, take entry
+indices one at a time from one shared pipe and send each pickled result back
+on a pipe of their own.  The reports come back in grid order, so the result
+is byte-identical to a serial run.  ``SECTLAB_WORKERS=1`` runs every entry in
+this process, which is the way to debug or profile a check.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import struct
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -450,35 +455,136 @@ def _run_entry(name: str, params: dict, label: str, index: int,
     return reports, None
 
 
+_INDEX = struct.Struct("=I")     # an entry index on the shared task pipe
+_LENGTH = struct.Struct("=Q")    # the length of a pickled result on a worker's pipe
+
+
+def _serve(entries: list[tuple], tasks: int, out: int, inherited: set[int]) -> NoReturn:
+    """A forked worker: close the ``inherited`` pipe ends, run the entries whose
+    indices it reads from ``tasks``, one at a time until EOF, and write each
+    ``(index, result)`` to ``out`` as a pickle after its length.
+
+    It leaves only through ``os._exit``, so it never returns into its caller's stack
+    or flushes the stdio buffers it inherited; an error ends it with status 1 and
+    its traceback on fd 2.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while data := os.read(tasks, _INDEX.size):
+            (index,) = _INDEX.unpack(data)
+            record = pickle.dumps((index, _run_entry(*entries[index])), pickle.HIGHEST_PROTOCOL)
+            view = memoryview(_LENGTH.pack(len(record)) + record)
+            while view:
+                view = view[os.write(out, view):]
+        status = 0
+    except BaseException:
+        import traceback
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
 def _run_entries(entries: list[tuple], workers: int) -> list[tuple]:
     """``_run_entry`` over the entries, in their order, on ``workers`` processes.
 
-    The workers are forked, so they start without importing anything and see
-    ``CHECKS`` as it is now.  A worker that dies raises ``BrokenProcessPool``.
+    The workers are forked once, so they start without importing anything and
+    see ``CHECKS`` as it is now.  They take entry indices one at a time from one
+    shared pipe, which this process fills from its poll loop in writes of at most
+    ``PIPE_BUF`` bytes, so an idle worker takes the next entry and no grid size
+    can fill the pipe.  Each worker writes its results to a pipe of its own, which
+    this process drains.  A worker that dies by a signal or a non-zero status
+    raises ``RuntimeError`` with its pid and status, and so do entries whose
+    results never came; on any error every worker is killed, and every worker is
+    reaped before this returns or raises.
     """
-    if workers > 1:
-        # imported here so that importing sectlab does not load multiprocessing
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(workers,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(_run_entry, *entry) for entry in entries]
-                return [f.result() for f in futures]
-    return [_run_entry(*entry) for entry in entries]
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_run_entry(*entry) for entry in entries]
+    # imported here, so that importing sectlab and a serial run do not load them
+    import select
+    import signal
+    results: dict[int, tuple] = {}
+    todo = memoryview(np.arange(len(entries), dtype=np.uint32).tobytes())
+    task_r, task_w = os.pipe()
+    fds = {task_r, task_w}            # this process's open pipe ends
+    children: dict[int, tuple] = {}   # result pipe's read end -> (pid, unread bytes)
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            fds |= {out_r, out_w}
+            pid = os.fork()
+            if pid == 0:
+                _serve(entries, task_r, out_w, fds - {task_r, out_w})
+            children[out_r] = pid, bytearray()
+            os.close(out_w)
+            fds.remove(out_w)
+        os.close(task_r)
+        fds.remove(task_r)
+        os.set_blocking(task_w, False)
+        poller = select.poll()
+        poller.register(task_w, select.POLLOUT)
+        for out_r in children:
+            poller.register(out_r, select.POLLIN)
+        while children:
+            for fd, _ in poller.poll():
+                if fd == task_w:
+                    try:
+                        todo = todo[os.write(task_w, todo[:select.PIPE_BUF]):]
+                    except BlockingIOError:     # polled writable, yet under PIPE_BUF free
+                        continue
+                    except BrokenPipeError:     # every worker is gone; EOF says which
+                        todo = todo[:0]
+                    if not todo:
+                        poller.unregister(task_w)
+                        os.close(task_w)
+                        fds.remove(task_w)
+                    continue
+                pid, buf = children[fd]
+                data = os.read(fd, 1 << 16)
+                if data:
+                    buf += data
+                    while len(buf) >= _LENGTH.size:
+                        end = _LENGTH.size + _LENGTH.unpack_from(buf)[0]
+                        if len(buf) < end:
+                            break
+                        index, result = pickle.loads(buf[_LENGTH.size:end])
+                        results[index] = result
+                        del buf[:end]
+                    continue
+                poller.unregister(fd)
+                os.close(fd)
+                fds.remove(fd)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[fd]
+                if status:
+                    how = f"signal {-status}" if status < 0 else f"status {status}"
+                    raise RuntimeError(f"worker process {pid} died with {how}")
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid, _ in children.values():  # none is left after a clean run
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if len(results) < len(entries):
+        lost = sorted(set(range(len(entries))) - results.keys())
+        raise RuntimeError(f"worker processes exited without results for entries {lost}")
+    return [results[index] for index in range(len(entries))]
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
     """Run a configured grid of checks; deterministic given the seed.
 
-    Entry ``i`` runs on the substream ``StreamHandle(seed).split(i)``, on a
-    pool of forked processes: ``SECTLAB_WORKERS`` of them, by default one
-    per CPU this process may run on (``os.sched_getaffinity``), and at most
-    one per entry.  Reports and errors are gathered in grid order, so the
-    result does not depend on the worker count.  ``SECTLAB_WORKERS=1``, an
-    empty grid, or a platform without fork runs every entry in this process,
-    where a debugger or profiler sees it.  A value that is not a positive
-    integer raises ``ValueError``.
+    Entry ``i`` runs on the substream ``StreamHandle(seed).split(i)``, in one
+    of the worker processes that :func:`_run_entries` forks for this call:
+    ``SECTLAB_WORKERS`` of them, by default one per CPU this process may run
+    on (``os.sched_getaffinity``), and at most one per entry.  An idle worker
+    takes the next entry.  Reports and errors are gathered in grid order, so
+    the result does not depend on the worker count, and no worker outlives
+    the call.  ``SECTLAB_WORKERS=1``, an empty grid, or a platform without
+    fork runs every entry in this process, where a debugger or profiler sees
+    it.  A value that is not a positive integer raises ``ValueError``; a
+    worker that dies raises ``RuntimeError``.
     """
     grid = _default_grid() if config.grid is None else list(config.grid)
     if config.include_negative_control:

@@ -49,6 +49,23 @@ def test_import_and_default_suite_load_no_scipy():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_pooled_suite_loads_no_multiprocessing():
+    # the fork runner needs only os, select, signal, struct and pickle
+    code = ("import sys\n"
+            "from sectlab.bodies import cube\n"
+            "from sectlab.verifier import SuiteConfig, run_suite\n"
+            "grid = [('bp_identity', {'body': cube(3), 'k': 1, 'frames': 10,\n"
+            "                         'points_per_frame': 100}, 'cube3')]\n"
+            "res = run_suite(SuiteConfig(grid=grid, include_negative_control=True))\n"
+            "assert len(res.reports) == 2 and not res.errors, res.errors\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')]\n"
+            "assert not loaded, loaded\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src, "SECTLAB_WORKERS": "2"})
+
+
 def test_frame_design_is_the_only_frame_plumbing():
     # every log-domain mean goes through estimates.log_mean_estimate, and the
     # per-check frame helpers _FrameDesign replaced stay gone, so a change to the

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,13 +615,19 @@ class TestWorkerPool:
     @staticmethod
     def _stub(monkeypatch, fn):
         # forked workers inherit CHECKS, so a stub registered here runs in them
-        def check(rng, delay=0.0):
+        def check(rng, delay=0.0, blob=0):
             fn()
             time.sleep(delay)
             return equality_report("stub", 3, 1, exact_log_estimate(0.0),
                                    exact_log_estimate(0.0), seed=rng.seed,
-                                   inputs={"pid": os.getpid()})
+                                   inputs={"pid": os.getpid(),
+                                           "blob": rng.generator().bytes(blob)})
         monkeypatch.setitem(CHECKS, "stub", check)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_bytes_do_not_depend_on_worker_count(self, monkeypatch):
         texts = []
@@ -647,18 +656,85 @@ class TestWorkerPool:
         else:
             assert pids == {os.getpid()}
 
-    def test_dead_worker_raises(self, monkeypatch):
+    def test_large_results_come_back_intact(self, monkeypatch):
+        # each result is longer than a pipe holds, so it crosses in many reads
+        self._stub(monkeypatch, lambda: None)
+        grid = [("stub", {"blob": (1 << 20) + 7 * i}, f"entry{i}") for i in range(5)]
+        blobs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SECTLAB_WORKERS", workers)
+            res = run_suite(SuiteConfig(seed=3, grid=grid))
+            blobs[workers] = [r.inputs["blob"] for r in res.reports]
+        assert [len(b) for b in blobs["2"]] == [(1 << 20) + 7 * i for i in range(5)]
+        assert blobs["2"] == blobs["1"] and len(set(blobs["2"])) == 5
+        self._assert_no_child_left()
+
+    def test_large_grid_does_not_deadlock(self):
+        # 20 000 indices are more than the task pipe holds at once; a deadlock
+        # fails this test through the timeout instead of hanging the run
+        code = ("import os\n"
+                "from sectlab.estimates import equality_report, exact_log_estimate\n"
+                "from sectlab.verifier import CHECKS, SuiteConfig, run_suite\n"
+                "def stub(rng):\n"
+                "    return equality_report('stub', 3, 1, exact_log_estimate(0.0),\n"
+                "                           exact_log_estimate(0.0), seed=rng.seed,\n"
+                "                           inputs={'pid': os.getpid()})\n"
+                "CHECKS['stub'] = stub\n"
+                "res = run_suite(SuiteConfig(grid=[('stub', {}, str(i)) for i in range(20000)]))\n"
+                "assert [r.inputs['fixture'] for r in res.reports] == [str(i) for i in range(20000)]\n"
+                "assert os.getpid() not in {r.inputs['pid'] for r in res.reports}\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src, "SECTLAB_WORKERS": "2"})
+
+    def _die_in_first_child(self, monkeypatch, tmp_path, die):
+        """Run two entries on 2 workers, where the first child to start one calls
+        ``die``: the RuntimeError's message, and that child's pid."""
+        parent, claim = os.getpid(), tmp_path / "died"
+
+        def die_in_first_child():
+            # a runner gone serial must fail this test, not end the test run;
+            # the other child sleeps, and must be killed, not waited for
+            if os.getpid() != parent:
+                try:
+                    fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    return
+                os.write(fd, str(os.getpid()).encode())
+                os.close(fd)
+                die()
+
+        self._stub(monkeypatch, die_in_first_child)
+        monkeypatch.setenv("SECTLAB_WORKERS", "2")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError) as info:
+            run_suite(SuiteConfig(seed=0, grid=[("stub", {"delay": 30.0}, "a"),
+                                                ("stub", {"delay": 30.0}, "b")]))
+        assert time.perf_counter() - start < 15.0
+        self._assert_no_child_left()
+        return str(info.value), claim.read_text()
+
+    def test_dead_worker_raises(self, monkeypatch, tmp_path):
+        message, pid = self._die_in_first_child(monkeypatch, tmp_path, lambda: os._exit(1))
+        assert message == f"worker process {pid} died with status 1"
+
+    def test_killed_worker_raises(self, monkeypatch, tmp_path):
+        message, pid = self._die_in_first_child(
+            monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert message == f"worker process {pid} died with signal {int(signal.SIGKILL)}"
+
+    def test_lost_result_raises(self, monkeypatch):
         parent = os.getpid()
 
-        def die_in_child():
-            # a pool gone serial must fail this test, not end the test run
+        def vanish_in_child():
             if os.getpid() != parent:
-                os._exit(1)
+                os._exit(0)
 
-        self._stub(monkeypatch, die_in_child)
+        self._stub(monkeypatch, vanish_in_child)
         monkeypatch.setenv("SECTLAB_WORKERS", "2")
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(RuntimeError, match=r"without results for entries \[0, 1\]$"):
             run_suite(SuiteConfig(seed=0, grid=[("stub", {}, "a"), ("stub", {}, "b")]))
+        self._assert_no_child_left()
 
     @pytest.mark.parametrize("value", ["0", "-1", "two", ""])
     def test_bad_worker_count_raises(self, monkeypatch, value):
