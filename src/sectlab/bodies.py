@@ -4,7 +4,8 @@ Every body is an immutable value object exposing
 
   * ``radial(dirs)``   -- rho(v) = sup{t >= 0 : t v in K} for every nonzero
     v, vectorized: positively homogeneous of degree -1, rho(t v) = rho(v) / t,
-    and on unit directions the radial function,
+    and on unit directions the radial function; a polytope's is
+    1 / max_j (a_j.v / b_j), and ``UnboundedBodyError`` where no facet is reached,
   * ``contains(pts)``  -- exact membership,
   * ``bounding_radius()`` -- an upper bound for max rho, never estimated
     (exact but for the adaptors), used by the rejection sampler,
@@ -101,7 +102,12 @@ class LpBall(StarBody):
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_dim(dirs)
+        # p = 1 and 2 skip pow: it is slower, and its SIMD kernel picks bits by CPU (ROADMAP P11)
+        if self.p == 2.0:
+            return self.radius / np.sqrt(_fold_columns(np.add, dirs * dirs))
         mags = np.abs(dirs)
+        if self.p == 1.0:
+            return self.radius / _fold_columns(np.add, mags)
         if math.isinf(self.p):
             return self.radius / _fold_columns(np.maximum, mags)
         mags **= self.p                      # in place: a block's temporaries are large
@@ -156,8 +162,11 @@ class Ellipsoid(StarBody):
 class HPolytope(StarBody):
     """{x : A x <= b} with strictly positive offsets (origin interior).
 
-    Boundedness is tested exactly at construction (:meth:`_check_bounded`),
-    which raises ``UnboundedBodyError`` for an unbounded polytope.
+    ``radial`` is rho(v) = 1 / max_j (a_j.v / b_j) over the rows a_j / b_j scaled
+    at construction; a v that reaches no facet (a_j.v <= 0 for every j, as the
+    zero vector) or has a NaN raises ``UnboundedBodyError``.  Boundedness is
+    tested exactly at construction (:meth:`_check_bounded`), which raises
+    ``UnboundedBodyError`` for an unbounded polytope.
     ``bounding_radius()`` is the exact vertex radius from qhull, computed on
     first use and cached; a qhull failure raises ``ValueError``.
     """
@@ -173,6 +182,7 @@ class HPolytope(StarBody):
         super().__init__(a.shape[1], exact_volume=exact_volume)
         self.normals = a
         self.offsets = b
+        self._scaled = np.ascontiguousarray((a / b[:, None]).T)     # (n, facets)
         self._radius: float | None = None
         self._check_bounded()
 
@@ -210,15 +220,10 @@ class HPolytope(StarBody):
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_dim(dirs)
-        dots = dirs @ self.normals.T                     # (..., facets)
-        away = dots <= 0
-        with np.errstate(divide="ignore"):
-            t = np.divide(self.offsets, dots, out=dots)   # in place: a block's dots are large
-        t[away] = np.inf
-        rho = _fold_columns(np.minimum, t)
-        if np.any(~np.isfinite(rho)):
+        reach = _fold_columns(np.maximum, dirs @ self._scaled)
+        if not np.all(reach > 0):                        # no facet reached, or a NaN
             raise UnboundedBodyError("unbounded body")
-        return rho
+        return 1.0 / reach
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -405,12 +405,18 @@ IMAGE3 = linear_image(cube(3), np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2], [0.1,
     (LpBall(4, 1.0), lambda d: _lp_reference(d, 1.0)),
     (LpBall(3, 3.0, 1.4), lambda d: _lp_reference(d, 3.0, 1.4)),
     (LpBall(3, 2.0), lambda d: _lp_reference(d, 2.0)),
+    (LpBall(4, 2.0), lambda d: _lp_reference(d, 2.0)),
+    (LpBall(3, 1.0, 1.7), lambda d: _lp_reference(d, 1.0, 1.7)),
+    (LpBall(3, 2.0, 0.6), lambda d: _lp_reference(d, 2.0, 0.6)),
     (SIMPLEX3, lambda d: _polytope_reference(SIMPLEX3, d)),
     (IMAGE3, lambda d: _image_reference(IMAGE3, d)),
-], ids=["cube3", "l1ball3", "l1ball4", "l3ball3", "ball3", "simplex3", "linear_image"])
+], ids=["cube3", "l1ball3", "l1ball4", "l3ball3", "ball3", "ball4", "l1ball3_r1.7",
+        "ball3_r0.6", "simplex3", "linear_image"])
 def test_radial_equals_axis_reductions(body, reference):
-    # the radial functions fold their short trailing axes column by column;
-    # that must give the bits of the reduction along the axis
+    # the radial functions fold their short trailing axes column by column,
+    # and the l1 and l2 balls take no pow; that must give the bits of the
+    # pow and reduction along the axis.  The simplex's offsets are powers of
+    # two, so its pre-scaled facets give the bits of b / (a.theta) too
     gen = np.random.Generator(np.random.Philox(key=77))
     dirs = sphere_directions(gen, 6000, body.dim).reshape(20, 300, body.dim)
     assert body.radial(dirs).tobytes() == reference(dirs).tobytes()
@@ -433,6 +439,33 @@ HOMOGENEOUS_KINDS = {
     "translated": _MOVED3,
     "image_of_translate": linear_image(_MOVED3, _SHEAR3),
 }
+
+
+@pytest.mark.parametrize("body", [
+    HOMOGENEOUS_KINDS["hpolytope"],
+    translate(cube(3), (0.3, -0.2, 0.1)),
+    centered_simplex(3, 0.7),
+], ids=["offset1.5", "translated_cube", "simplex_scale0.7"])
+def test_polytope_radial_matches_offsets_over_dots(body):
+    # 1 / max_j (a_j.theta / b_j) is min_j b_j / a_j.theta over the facets with
+    # a_j.theta > 0, up to the rounding of a_j / b_j at offsets that are not powers of two
+    assert isinstance(body, HPolytope)
+    gen = np.random.Generator(np.random.Philox(key=78))
+    dirs = sphere_directions(gen, 6000, 3).reshape(20, 300, 3)
+    np.testing.assert_allclose(body.radial(dirs), _polytope_reference(body, dirs),
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.array([0.2, np.nan, 0.1])],
+                         ids=["zero", "nan"])
+@pytest.mark.parametrize("body", [SIMPLEX3, HOMOGENEOUS_KINDS["hpolytope"]],
+                         ids=["simplex3", "offset1.5"])
+def test_polytope_radial_raises_where_no_facet_is_reached(body, bad):
+    dirs = np.vstack([np.eye(3), bad])
+    with pytest.raises(UnboundedBodyError, match="unbounded body"):
+        body.radial(dirs)
+    with pytest.raises(UnboundedBodyError, match="unbounded body"):
+        body.radial(bad)
 
 
 @pytest.mark.parametrize("t", [0.3, 3.0])

@@ -647,7 +647,9 @@ class TestWorkerPool:
     def test_entries_run_in_worker_processes(self, monkeypatch, workers, children):
         self._stub(monkeypatch, lambda: None)
         monkeypatch.setenv("SECTLAB_WORKERS", workers)
-        grid = [("stub", {"delay": 0.1}, f"entry{i}") for i in range(6)]
+        # the sleep keeps one of two children from taking every entry; one worker needs none
+        delay = 0.1 if children else 0.0
+        grid = [("stub", {"delay": delay}, f"entry{i}") for i in range(6)]
         res = run_suite(SuiteConfig(seed=0, grid=grid))
         pids = {r.inputs["pid"] for r in res.reports}
         assert len(res.reports) == 6
