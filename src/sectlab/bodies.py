@@ -12,7 +12,8 @@ Every body is an immutable value object exposing
 
 plus ``dim`` and ``exact_volume``.  The adaptors (linear_image, and
 translate of a curved body) wrap a body without copying it; a translated
-polytope or cube is again an :class:`HPolytope`.  A central section needs no
+polytope or cube is again an :class:`HPolytope`, and an :class:`Ellipsoid`
+is a linear image of the unit ball.  A central section needs no
 body of its own: :mod:`sectlab.measures` evaluates the radial function at
 directions embedded from the subspace.  All bodies keep the origin
 strictly interior; that is a standing assumption, not an option.
@@ -25,8 +26,7 @@ import math
 
 import numpy as np
 
-from .constants import log_ball_volume
-from .sampler import _fold_columns, _quadratic_form, sphere_directions  # noqa: F401 (perfbench)
+from .sampler import _fold_columns, sphere_directions  # noqa: F401 (perfbench)
 
 __all__ = [
     "StarBody",
@@ -126,37 +126,6 @@ class LpBall(StarBody):
             exponent = 0.5 - (0.0 if math.isinf(self.p) else 1.0 / self.p)
             return self.radius * self.dim ** exponent
         return self.radius
-
-
-class Ellipsoid(StarBody):
-    """{x : x^T A^{-1} x <= 1} for a symmetric positive definite matrix A."""
-
-    def __init__(self, matrix: np.ndarray):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-            raise ValueError("ellipsoid matrix must be symmetric")
-        eigval, eigvec = np.linalg.eigh(a)
-        if eigval.min() <= 0:
-            raise ValueError("ellipsoid matrix must be positive definite")
-        n = a.shape[0]
-        vol = math.exp(log_ball_volume(n) + 0.5 * float(np.sum(np.log(eigval))))
-        super().__init__(n, exact_volume=vol)
-        self.matrix = a
-        self._inv = eigvec @ np.diag(1.0 / eigval) @ eigvec.T
-        self._max_eig = float(eigval.max())
-
-    def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_dim(dirs)
-        return 1.0 / np.sqrt(_quadratic_form(dirs, self._inv))
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return _quadratic_form(pts, self._inv) <= 1.0
-
-    def bounding_radius(self) -> float:
-        return math.sqrt(self._max_eig)
 
 
 class HPolytope(StarBody):
@@ -310,6 +279,24 @@ class LinearImage(StarBody):
         return self._op_norm * self.base.bounding_radius()
 
 
+class Ellipsoid(LinearImage):
+    """{x : x^T A^{-1} x <= 1} for a symmetric positive definite A = L L^T: the unit
+    ball's image under its Cholesky factor L, since x^T A^{-1} x = |L^{-1} x|^2."""
+
+    def __init__(self, matrix: np.ndarray):
+        a = np.asarray(matrix, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
+            raise ValueError("ellipsoid matrix must be symmetric")
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise ValueError("ellipsoid matrix must be positive definite") from None
+        super().__init__(LpBall(a.shape[0], 2.0), chol)
+        self.matrix = a
+
+
 class TranslatedBody(StarBody):
     """K + shift.  Membership stays exact; the radial function falls back to
     bisection on the membership oracle (the shifted body is star-shaped about
@@ -332,7 +319,7 @@ class TranslatedBody(StarBody):
         self._radius = body.bounding_radius() + norm
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = self._require_dim(np.atleast_2d(dirs))
+        dirs = self._require_dim(dirs)
         lo = np.zeros(dirs.shape[:-1])
         hi = self._radius / np.linalg.norm(dirs, axis=-1)     # rho(v) <= R / |v|
         for _ in range(self._BISECT_STEPS):

@@ -18,12 +18,17 @@ Subcommands:
 ``python -m sectlab`` runs the same interface.
 
 Every report embeds the full configuration, so a run can be reproduced
-from the report file alone.  A ``sectlab.report.v2`` side holds ``log``,
-the natural log of the estimate, ``value`` = exp(log) with its std error
-``se``, both null at |log| >= 700, and ``n_samples``.  ``--deterministic``
-drops the timestamp so reruns with one seed are byte-identical.  Output
-destinations (``--json``, ``--csv``, ``--pretty``) are not part of the
-configuration.
+from the report file alone: byte for byte on the same CPU path (BLAS
+kernel and numpy SIMD level), and to rounding elsewhere.  On an AVX-512
+x86 CPU, 1 of the 64 seed-0 suite reports changes bytes under
+OPENBLAS_CORETYPE=Haswell, 12 with numpy's AVX-512 kernels off
+(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and 13 with
+both; no log moves by more than 9e-16 and no verdict changes.  A
+``sectlab.report.v2`` side holds ``log``, the natural log of the estimate,
+``value`` = exp(log) with its std error ``se``, both null at |log| >= 700,
+and ``n_samples``.  ``--deterministic`` drops the timestamp so reruns with
+one seed are byte-identical.  Output destinations (``--json``, ``--csv``,
+``--pretty``) are not part of the configuration.
 """
 
 from __future__ import annotations

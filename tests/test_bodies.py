@@ -13,7 +13,7 @@ import pytest
 
 import sectlab
 
-from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, TranslatedBody,
+from sectlab.bodies import (Ellipsoid, HPolytope, LinearImage, LpBall, TranslatedBody,
                             UnboundedBodyError, body_from_json, body_from_spec,
                             centered_simplex, cube, linear_image, translate)
 from sectlab.grassmann import Frame, sample_haar
@@ -477,3 +477,38 @@ def test_radial_is_homogeneous_of_degree_minus_one(body, t):
     gen = StreamHandle(19).generator()
     v = sphere_directions(gen, 500, 3) * gen.uniform(0.2, 5.0, (500, 1))
     np.testing.assert_allclose(body.radial(t * v), body.radial(v) / t, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("body", HOMOGENEOUS_KINDS.values(), ids=HOMOGENEOUS_KINDS.keys())
+def test_radial_of_one_direction_is_a_scalar(body):
+    # a tolerance, not bytes: pow on a scalar (l3ball) rounds apart from its SIMD kernel
+    v = sphere_directions(StreamHandle(20).generator(), 1, 3)[0]
+    rho = body.radial(v)
+    assert np.shape(rho) == ()
+    np.testing.assert_allclose(rho, body.radial(v[None])[0], rtol=1e-15, atol=0)
+
+
+class TestEllipsoid:
+    def test_is_the_unit_balls_image_under_the_cholesky_factor(self):
+        # one radial kernel, membership and bounding radius for the ellipsoid family
+        assert issubclass(Ellipsoid, LinearImage)
+        assert not {"radial", "contains", "bounding_radius"} & set(vars(Ellipsoid))
+        body = HOMOGENEOUS_KINDS["ellipsoid"]
+        a = body.matrix
+        assert body.base.p == 2.0 and np.array_equal(body.transform, np.linalg.cholesky(a))
+        assert body.bounding_radius() == pytest.approx(math.sqrt(np.linalg.eigvalsh(a).max()),
+                                                       rel=1e-15)
+        assert body.exact_volume == pytest.approx(4 / 3 * math.pi * math.sqrt(np.linalg.det(a)),
+                                                  rel=1e-14)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 3)), "square"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+        (np.diag([1.0, -1.0]), "positive definite"),
+        (np.diag([1.0, 0.0]), "positive definite"),
+        (np.diag([1.0, 1e-21]), "singular transform"),
+    ], ids=["not_square", "asymmetric", "indefinite", "singular", "ill_conditioned"])
+    def test_rejects_bad_matrices(self, matrix, message):
+        # cond A >= 1e20 passes Cholesky, but its factor is a singular transform
+        with pytest.raises(ValueError, match=message):
+            Ellipsoid(matrix)

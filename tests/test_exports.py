@@ -30,10 +30,12 @@ def test_tracer_binds_every_traced_name(monkeypatch):
 
 
 def test_import_and_default_suite_load_no_scipy():
-    # start-up stays numpy-only; only the rejection samplers' qhull loads scipy
+    # start-up, the CLI's included, stays numpy-only; only the rejection samplers'
+    # qhull loads scipy
     code = ("import sys\n"
             "import numpy as np\n"
             "import sectlab\n"
+            "import sectlab.cli\n"
             "from sectlab.estimates import log_mean_estimate\n"
             "from sectlab.measures import GaussianDensity, RadialExpDensity\n"
             "from sectlab.verifier import SuiteConfig, _default_grid\n"

@@ -11,7 +11,7 @@ from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity, Q
                               RadialExpDensity, _gamma_ray_mass, _log_gammainc,
                               _radial_integrals, _section_measure_values, density_from_spec,
                               measure_of_body)
-from sectlab.sampler import StreamHandle, sample_restricted, sphere_directions
+from sectlab.sampler import StreamHandle, _point_set, sample_restricted, sphere_directions
 from sectlab.verifier import check_dpp, check_slicing_chain
 
 # closed-form oracles: (2 pi)^(3/2) P[chi^2_3 <= 1] and 2 pi (1 - e^(-1/2))
@@ -202,6 +202,18 @@ class TestMeasureOfSection:
         f = Frame(np.eye(3)[:, :2])
         mean, se = measure_of_section(LebesgueDensity(3), cube(3), f, 3000, StreamHandle(9))
         assert abs(mean - 4.0) <= 3 * se + 1e-9
+
+    @pytest.mark.parametrize("basis, area", [
+        (np.eye(3)[:, :2], 4.0),
+        (np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / [math.sqrt(2.0), math.sqrt(6.0)],
+         3.0 * math.sqrt(3.0)),
+    ], ids=["square", "hexagon"])
+    def test_exact_cube_sections_through_the_section_kernel(self, basis, area):
+        # the regular 16384-gon's directions integrate pi rho^2 over the plane: the square
+        # e1, e2 and the regular hexagon perpendicular to (1, 1, 1), of side sqrt 2
+        dirs = Frame(basis).embed(_point_set(2, 16384))
+        values = _section_measure_values(LebesgueDensity(3), cube(3), dirs, 2)
+        assert values.mean() == pytest.approx(area, rel=1e-6, abs=0)
 
     def test_codim_one_segment(self):
         # s = 1 sections of the disc are diameters of length 2

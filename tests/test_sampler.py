@@ -97,11 +97,12 @@ class TestQuadraticForm:
     def test_workload_ellipsoid_within_rounding(self):
         ellipsoid = Ellipsoid(np.array([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3],
                                         [0.2, 0.3, 0.5]]))
+        inv = np.linalg.inv(ellipsoid.matrix)
         x = sphere_directions(StreamHandle(5).generator(), 4000, 3).reshape(4, 1000, 3)
-        np.testing.assert_allclose(_quadratic_form(x, ellipsoid._inv),
-                                   self._einsum(x, ellipsoid._inv), rtol=1e-15, atol=0)
-        np.testing.assert_allclose(ellipsoid.radial(x),
-                                   1.0 / np.sqrt(self._einsum(x, ellipsoid._inv)),
+        np.testing.assert_allclose(_quadratic_form(x, inv), self._einsum(x, inv),
+                                   rtol=1e-15, atol=0)
+        # the ellipsoid's radial function is the unit ball's at L^{-1} x, A = L L^T
+        np.testing.assert_allclose(ellipsoid.radial(x), 1.0 / np.sqrt(self._einsum(x, inv)),
                                    rtol=1e-15, atol=0)
 
 
