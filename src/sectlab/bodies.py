@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .sampler import _fold_columns, sphere_directions  # noqa: F401 (perfbench)
+from .sampler import _fold_columns, _row_norms, sphere_directions  # noqa: F401 (perfbench)
 
 __all__ = [
     "StarBody",
@@ -298,9 +298,10 @@ class Ellipsoid(LinearImage):
 
 
 class TranslatedBody(StarBody):
-    """K + shift.  Membership stays exact; the radial function falls back to
-    bisection on the membership oracle (the shifted body is star-shaped about
-    the origin whenever it still contains it, which is validated here)."""
+    """K + shift for a convex K.  Membership stays exact; the radial function bisects on
+    it, as a convex body is star-shaped about the origin when it holds it in its interior,
+    which is validated here.  A base that is, through ``base`` links, an L^p ball with
+    p < 1 is not convex and raises ``ValueError``."""
 
     _BISECT_STEPS = 64
 
@@ -308,6 +309,11 @@ class TranslatedBody(StarBody):
         shift = np.asarray(shift, dtype=float)
         if shift.shape != (body.dim,):
             raise ValueError(f"shift shape {shift.shape} does not match dimension {body.dim}")
+        root = body
+        while hasattr(root, "base"):
+            root = root.base
+        if isinstance(root, LpBall) and root.p < 1:
+            raise ValueError(f"non-convex L^{root.p:g} ball: its translate need not be star-shaped")
         norm = float(np.linalg.norm(shift))
         if norm > 0:
             inward = -shift / norm
@@ -321,7 +327,7 @@ class TranslatedBody(StarBody):
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = self._require_dim(dirs)
         lo = np.zeros(dirs.shape[:-1])
-        hi = self._radius / np.linalg.norm(dirs, axis=-1)     # rho(v) <= R / |v|
+        hi = self._radius / _row_norms(dirs)                  # rho(v) <= R / |v|
         for _ in range(self._BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             inside = self.contains(mid[..., None] * dirs)

@@ -23,7 +23,7 @@ kernel and numpy SIMD level), and to rounding elsewhere.  On an AVX-512
 x86 CPU, 1 of the 64 seed-0 suite reports changes bytes under
 OPENBLAS_CORETYPE=Haswell, 12 with numpy's AVX-512 kernels off
 (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and 13 with
-both; no log moves by more than 9e-16 and no verdict changes.  A
+both; no log moves by more than 2.3e-16 and no verdict changes.  A
 ``sectlab.report.v2`` side holds ``log``, the natural log of the estimate,
 ``value`` = exp(log) with its std error ``se``, both null at |log| >= 700,
 and ``n_samples``.  ``--deterministic`` drops the timestamp so reruns with

@@ -8,10 +8,9 @@ powers, so estimates combine only by :meth:`Estimate.powered`,
 combined SE below, these are the only places where log-SEs combine.  A
 linear sample mean becomes an estimate through
 :meth:`Estimate.of_mean`; heavy-tailed means of n-th powers are
-accumulated via log-sum-exp (:func:`log_mean_estimate`) and never leave
-the log scale.  The log-sum-exp is :func:`_logsumexp`, a numpy port of
-``scipy.special.logsumexp`` that reproduces its bits, so importing this
-package loads no ``scipy`` module.
+accumulated in log domain (:func:`log_mean_estimate`) and never leave
+the log scale; its exponentials, like :func:`_log`'s logs, are ``math``
+calls, so their bits do not depend on numpy's SIMD level.
 
 A :class:`CheckReport` records the outcome of comparing two sides of an
 identity ("=") or inequality ("<=") under the fixed tolerance policy:
@@ -85,11 +84,6 @@ class Estimate:
     def divided_by(self, other: "Estimate") -> "Estimate":
         return self.times(other.powered(-1.0))
 
-    def scaled(self, factor: float) -> "Estimate":
-        if factor <= 0:
-            raise ValueError("estimates only scale by positive factors")
-        return Estimate(self.value + math.log(factor), self.std_error, self.n_samples)
-
     def as_dict(self) -> dict:
         """``value`` and ``se`` on the linear scale, ``log`` and ``n_samples``; at
         |log| >= 700 the linear fields are null rather than overflowing."""
@@ -109,40 +103,20 @@ def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) over every entry: ``scipy.special.logsumexp(a)``, bit for bit.
-
-    The same steps as scipy's: the m entries equal to the maximum leave the
-    shifted sum s, which gives log1p(s / m) + log(m) + max, and a result
-    that is not finite falls back to log(sum(exp(a))).
-    """
-    a = np.ravel(np.asarray(a, dtype=float))
-    a_max = a.max()
-    ties = a == a_max
-    m = float(np.count_nonzero(ties))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max))
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
-
-
 def log_mean_estimate(log_values: np.ndarray) -> Estimate:
     """Log-domain mean of exp(log_values), with relative std error.
 
-    The log is the max-shifted log-sum-exp reduction.  Its std error is the
-    relative std error of the linear mean, taken in two passes over the
-    shifted values exp(v - max v), so equal values give an SE of exactly 0.
+    One mean of the shifted values math.exp(v - top), top = max v, gives the log,
+    top + log(mean), and the std error, that mean's relative std error taken in two
+    passes, so equal values give an SE of exactly 0.
     """
     lv = np.ravel(np.asarray(log_values, dtype=float))
     n = lv.size
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    mean, se = _mean_and_se(np.exp(lv - lv.max()))
-    return Estimate(_logsumexp(lv) - math.log(n), float(se / mean), n)
+    top = float(lv.max())
+    mean, se = _mean_and_se(np.array([math.exp(v - top) for v in lv.tolist()]))
+    return Estimate(top + math.log(mean), float(se / mean), n)
 
 
 def _log(values) -> np.ndarray:
@@ -154,14 +128,6 @@ def _log(values) -> np.ndarray:
     """
     flat = [-math.inf if v <= 0 else math.log(v) for v in np.ravel(values).tolist()]
     return np.reshape(flat, np.shape(values))
-
-
-def _group_sizes(m: int, groups: int) -> list[int]:
-    """Sizes of the groups of ``np.array_split`` of m values into ``groups``: the first
-    m % groups hold one value more.  The groups of :func:`log_power_product`, and of
-    the directions of a frame (:class:`~sectlab.functionals._FrameDesign`)."""
-    size, extra = divmod(m, groups)
-    return [size + (group < extra) for group in range(groups)]
 
 
 def log_power_product(values: np.ndarray, power: int) -> float | np.ndarray:
@@ -185,11 +151,12 @@ def _group_means(values: np.ndarray, power: int) -> np.ndarray:
         raise ValueError(f"power must be a positive integer, got {power}")
     if values.shape[-1] < 2 * power:
         raise ValueError(f"need at least {2 * power} values for {power} groups")
-    # sum / size is the bits of each group's .mean()
+    # np.array_split's groups, the first m % power one longer; sum / size is .mean()'s bits
+    size, extra = divmod(values.shape[-1], power)
     means, stop = [], 0
-    for size in _group_sizes(values.shape[-1], power):
-        start, stop = stop, stop + size
-        means.append(np.add.reduce(values[..., start:stop], axis=-1) / size)
+    for group in range(power):
+        start, stop = stop, stop + size + (group < extra)
+        means.append(np.add.reduce(values[..., start:stop], axis=-1) / (stop - start))
     return np.stack(means, axis=-1)
 
 

@@ -10,7 +10,8 @@ domain.
 Every subspace average, here and in the checks, runs on one
 :class:`_FrameDesign`, built from a frame count and a stream.  Designs
 that share (count, rng) share every frame and direction, which is how
-paired comparisons share common random frames.
+paired comparisons share common random frames.  Its :meth:`~_FrameDesign.sections`
+is the one pass over section values.
 
 A check entry's stream rng splits as:
 
@@ -22,13 +23,12 @@ A check entry's stream rng splits as:
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .bodies import StarBody
-from .estimates import (Estimate, _group_means, _group_sizes, _log_product,
+from .estimates import (Estimate, _group_means, _log_product, _mean_and_se,
                         exact_log_estimate, log_mean_estimate)
 from .grassmann import Frame
 from .measures import (DensityOracle, LebesgueDensity, _section_measure_values,
@@ -89,11 +89,12 @@ class _FrameDesign:
     (F, n, n - k) stack.  Frame j gets ``count`` directions on the sphere of
     its subspace, drawn from rng.split(0) alone (see the module docstring),
     so designs built with the same arguments share every frame and
-    direction.  Every average over frames goes through :meth:`map`, and its
-    per-frame logs through :func:`~sectlab.estimates.log_mean_estimate`.
+    direction.  Every average over frames goes through :meth:`map`, section
+    values through :meth:`sections`, and its per-frame logs through
+    :func:`~sectlab.estimates.log_mean_estimate`.
 
     A frame's directions are ``groups`` (default n) consecutive groups, sized
-    by :func:`~sectlab.estimates._group_sizes`, each a fixed point set P
+    as ``np.array_split`` sizes them, each a fixed point set P
     (:func:`~sectlab.sampler._point_set`) under its own Haar rotation R of
     O(s), :func:`~sectlab.sampler._haar_columns` of an s x s Gaussian block.
     R is folded into the frame's basis B, so a group embeds as P (B R)^T.
@@ -125,13 +126,11 @@ class _FrameDesign:
         # (F, groups, s, n): group g of frame f embeds as its point set @ E[f, g]
         self._embeddings = np.ascontiguousarray(
             (self.bases[:, None] @ rotations).swapaxes(-1, -2))
-        # runs of equal group sizes, as (point set, slice of groups)
-        self._runs, first = [], 0
-        for size, run in itertools.groupby(_group_sizes(count, groups)):
-            stop = first + len(list(run))
-            if size:
-                self._runs.append((_point_set(s, size), slice(first, stop)))
-            first = stop
+        # runs of equal group sizes (the first count % groups one longer), as (point set, slice)
+        size, extra = divmod(count, groups)
+        self._runs = [(_point_set(s, m), slice(start, stop))
+                      for m, start, stop in ((size + 1, 0, extra), (size, extra, groups))
+                      if m and start < stop]
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -152,6 +151,20 @@ class _FrameDesign:
                     for points, groups in self._runs]
             parts.append(fn(runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)))
         return np.concatenate(parts)
+
+    def sections(self, density: DensityOracle, bodies: list, spread: bool = False,
+                 powers: bool = True) -> np.ndarray:
+        """The one section pass, as (F, len(bodies), columns): per frame and body, the mean
+        of :func:`~sectlab.measures._section_measure_values` over the frame's directions
+        and its iid SE (``spread``), then the n group means (``powers``)."""
+        n, s = self.bases.shape[1:]
+
+        def reduce(values):
+            columns = list(_mean_and_se(values)) if spread else []
+            return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
+
+        return self.map(lambda dirs: np.stack(
+            [reduce(_section_measure_values(density, body, dirs, s)) for body in bodies], axis=1))
 
 
 def log_volume_estimate(body: StarBody, rng: StreamHandle) -> Estimate:
@@ -193,13 +206,12 @@ def dual_affine_quermass(body: StarBody, k: int, frames: int, sphere_samples: in
 
     K1 is the volume-one rescaling of the body.  Each frame's n-th power
     is estimated without bias by a product of independent group means, the
-    frame average is a log-sum-exp (the powers are heavy-tailed), and the
+    frame average is a max-shifted log-mean (the powers are heavy-tailed), and the
     1/(kn) root is applied on the log scale.  Invariant under
     volume-preserving linear maps, maximized by the ball.  Bodies estimated
     with the same ``rng`` share their frames and directions.
     """
     n = body.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    logs = _log_product(design.map(lambda dirs: _group_means(
-        _section_measure_values(LebesgueDensity(n), body, dirs, n - k), n)))
+    logs = _log_product(design.sections(LebesgueDensity(n), [body])[:, 0])
     return _quermass_from_logs(k, logs, n, log_volume_estimate(body, rng))

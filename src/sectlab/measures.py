@@ -35,7 +35,7 @@ from .bodies import StarBody, _read_spec
 from .constants import log_ball_volume
 from .estimates import Estimate, _mean_and_se
 from .grassmann import Frame
-from .sampler import _quadratic_form, as_generator, sphere_directions
+from .sampler import _quadratic_form, _row_norms, as_generator, sphere_directions
 
 __all__ = [
     "DensityOracle",
@@ -243,11 +243,11 @@ class RadialExpDensity(DensityOracle):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.exp(-self.rate * np.linalg.norm(x, axis=-1))
+        return np.exp(-self.rate * _row_norms(x))
 
     def ray_mass(self, dirs: np.ndarray, upper: np.ndarray, power: float) -> np.ndarray:
         # t = c r with c = rate ||dir||: c^(-p) Gamma(p) P(p, c upper)
-        c = self.rate * np.linalg.norm(np.asarray(dirs, dtype=float), axis=-1)
+        c = self.rate * _row_norms(np.asarray(dirs, dtype=float))
         return _gamma_ray_mass(power, -power * np.log(c), c * np.asarray(upper, dtype=float))
 
 

@@ -40,12 +40,11 @@ import numpy as np
 
 from .bodies import StarBody, linear_image
 from .constants import log_ball_volume, log_bp_constant, log_gamma_nk
-from .estimates import (CheckReport, Estimate, _group_means, _log, _log_product, _mean_and_se,
-                        equality_report, exact_log_estimate, inequality_report,
-                        log_mean_estimate)
+from .estimates import (CheckReport, Estimate, _log, _log_product, equality_report,
+                        exact_log_estimate, inequality_report, log_mean_estimate)
 from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
                           dual_affine_quermass, log_measure_estimate, log_volume_estimate)
-from .measures import DensityOracle, LebesgueDensity, _section_measure_values
+from .measures import DensityOracle, LebesgueDensity
 from .sampler import StreamHandle, _fold_columns, _haar_columns, _tuple_rows, simplex_volume
 
 __all__ = [
@@ -119,23 +118,15 @@ def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int
                             points_per_frame, rng)
 
 
-def _section_stats(values: np.ndarray, n: int, spread: bool, powers: bool) -> np.ndarray:
-    """Per frame of a block of section values (B, count): the mean and its SE by the iid
-    formula over the frame's directions (``spread``), then the n group means (``powers``)."""
-    columns = list(_mean_and_se(values)) if spread else []
-    return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
-
-
 def _section_bounds(density: DensityOracle, body: StarBody, k: int, frames: int,
                     sphere_samples: int, rng: StreamHandle,
                     names: tuple = ("slicing_chain", "dpp_bound")) -> list[CheckReport]:
     """The reports named in ``names``, slicing_chain's first, of one pass: one frame design,
-    one map over the section values, each block reduced to what they read, and one mu(K)."""
+    one section pass reduced to what they read, and one mu(K)."""
     n = body.dim
     slicing, dpp = "slicing_chain" in names, "dpp_bound" in names
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    stats = design.map(lambda dirs: _section_stats(
-        _section_measure_values(density, body, dirs, n - k), n, slicing, dpp))
+    stats = design.sections(density, [body], spread=slicing, powers=dpp)[:, 0]
     mu_total = log_measure_estimate(density, body, sphere_samples, rng)
     budgets = {"frames": len(design), "sphere_samples": sphere_samples}
     reports = []
@@ -243,13 +234,10 @@ def check_grinberg(body: StarBody, k: int, transforms: int, frames: int,
     n = body.dim
     if transforms < 1:
         raise ValueError(f"need at least one transform, got {transforms}")
-    volume = LebesgueDensity(n)
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
     bodies = [body] + [linear_image(body, _random_sl_matrix(n, rng.split(_AUX + 2 + t)))
                        for t in range(transforms)]
-    logs = _log_product(design.map(lambda dirs: np.stack(
-        [_group_means(_section_measure_values(volume, b, dirs, n - k), n)
-         for b in bodies], axis=1)))
+    logs = _log_product(design.sections(LebesgueDensity(n), bodies))
     phi, *images = [_quermass_from_logs(k, logs[:, i], n, log_volume_estimate(b, rng))
                     for i, b in enumerate(bodies)]
 
@@ -285,11 +273,8 @@ def check_busemann_petty_volume(body_k: StarBody, body_d: StarBody, k: int, fram
         raise ValueError("bodies must share an ambient dimension")
     n = body_k.dim
     design = _FrameDesign(frames, n, k, sphere_samples, rng)
-    volume = LebesgueDensity(n)
     # per frame, for K then D: mean and SE of the section volume, then its n group means
-    per_frame = design.map(lambda dirs: np.stack(
-        [_section_stats(_section_measure_values(volume, body, dirs, n - k), n, True, True)
-         for body in (body_k, body_d)], axis=1))
+    per_frame = design.sections(LebesgueDensity(n), [body_k, body_d], spread=True)
     violations = sum(vk > vd + 3.0 * math.hypot(sk, sd) + 1e-12
                      for (vk, sk), (vd, sd) in per_frame[:, :, :2].tolist())
     vol_k, vol_d = log_volume_estimate(body_k, rng), log_volume_estimate(body_d, rng)
@@ -322,7 +307,7 @@ def negative_control(body: StarBody, k: int, frames: int, sphere_samples: int,
     phi = dual_affine_quermass(body, k, frames, sphere_samples, rng)
     ball_value = exact_log_estimate(-log_gamma_nk(n, k) / k)
     report = inequality_report("negative_control", n, k, ball_value,
-                               phi.scaled(0.9), seed=rng.seed,
+                               phi.times(exact_log_estimate(math.log(0.9))), seed=rng.seed,
                                inputs={"frames": frames, "sphere_samples": sphere_samples})
     report.note = "self-test fixture: the reversed inequality is expected to fail"
     return report

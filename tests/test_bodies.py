@@ -201,6 +201,17 @@ class TestTranslate:
         with pytest.raises(ValueError, match="origin not interior"):
             translate(cube(2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("make", [translate, TranslatedBody])
+    @pytest.mark.parametrize("body", [
+        LpBall(2, 0.5), LinearImage(LpBall(2, 0.5), np.diag([0.5, 2.0]))],
+        ids=["l_half_ball", "its_image"])
+    def test_nonconvex_body_is_not_translated(self, make, body):
+        # bisection needs a body star-shaped about 0, as every translate of a convex body
+        # is; shifted by (0, 0.5) the L^1/2 ball holds t (cos .468, sin .468) up to
+        # t = 1.108, where bisection stops at 0.125
+        with pytest.raises(ValueError, match="non-convex"):
+            make(body, np.array([0.0, 0.5]))
+
     @pytest.mark.parametrize("body, shift", [
         (cube(3), [0.3, -0.2, 0.5]),
         (cube(2, 2.0), [1.5, 0.1]),

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,8 @@ from hypothesis import strategies as st
 
 from scipy import special
 
-from sectlab.estimates import (CheckReport, Estimate, _logsumexp, equality_report,
-                               exact_log_estimate, inequality_report, log_mean_estimate,
-                               log_power_product)
+from sectlab.estimates import (CheckReport, Estimate, equality_report, exact_log_estimate,
+                               inequality_report, log_mean_estimate, log_power_product)
 
 
 def _linear(value, se, n=100):
@@ -60,38 +63,26 @@ class TestMeanEstimates:
         assert math.isfinite(est.value)
         assert 4999.0 < est.value < 5001.0
 
-
-class TestLogSumExp:
-    @staticmethod
-    def _same_bits(a):
-        with np.errstate(all="ignore"):
-            ref = float(special.logsumexp(a))
-        got = _logsumexp(a)
-        assert np.array_equal(np.float64(got), np.float64(ref), equal_nan=True), (a, got, ref)
-
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
-    def test_random_arrays_match_scipy_bit_for_bit(self, scale):
-        gen = np.random.default_rng(int(scale * 1000))
-        for i in range(200):
-            n = int(gen.integers(1, 2000))
-            a = gen.standard_normal(n) * scale
-            if i % 3 == 0:                          # ties at the maximum
-                a[gen.integers(0, n, max(1, n // 10))] = a.max()
-            if i % 4 == 0:                          # zero terms
-                a[gen.integers(0, n, max(1, n // 7))] = -math.inf
-            self._same_bits(a)
-
-    @pytest.mark.parametrize("a", [
-        [0.25, -1.5], [2.0, 2.0], [700.0, 699.5], [-745.0, -746.0],
-        [1.7] * 9, [-math.inf] * 4, [-math.inf, 0.3], [math.inf, 1.0], [math.nan, 1.0],
-    ])
-    def test_edge_arrays_match_scipy(self, a):
-        self._same_bits(np.array(a))
-
-    def test_log_mean_takes_it(self):
+    def test_log_mean_agrees_with_scipy_logsumexp(self):
         lv = np.random.default_rng(3).standard_normal(500)
         est = log_mean_estimate(lv)
-        assert est.value == float(special.logsumexp(lv)) - math.log(500)
+        assert est.value == pytest.approx(float(special.logsumexp(lv)) - math.log(500),
+                                          rel=0, abs=1e-15)
+
+    def test_log_mean_bits_do_not_depend_on_numpy_simd_level(self):
+        # numpy's vectorised exp differs in the last bit between its AVX-512 and AVX2
+        # kernels, by enough on this vector to reach the SE; math.exp has one kernel
+        code = ("import numpy as np\n"
+                "from sectlab.estimates import log_mean_estimate\n"
+                "est = log_mean_estimate(-np.random.default_rng(15).random(16) * 40)\n"
+                "print(est.value.hex(), float(est.std_error).hex())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        off = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        outs = [subprocess.run([sys.executable, "-c", code], env=e, check=True,
+                               capture_output=True, text=True).stdout for e in (env, off)]
+        assert outs[0] == outs[1]
 
 
 class TestLogPowerProduct:
@@ -187,12 +178,6 @@ class TestEstimateAlgebra:
         assert sampled.divided_by(exact).n_samples == 500
         assert exact.divided_by(exact).n_samples == 1
         assert sampled.times(Estimate.of_mean(3.0, 0.03, 40)).n_samples == 40
-
-    def test_scaled(self):
-        est = Estimate(2.0, 0.5, 10).scaled(3.0)
-        assert (est.value, est.std_error) == (2.0 + math.log(3.0), 0.5)
-        with pytest.raises(ValueError):
-            est.scaled(-3.0)
 
     def test_to_log_rejects_nonpositive(self):
         # a linear mean takes its log in of_mean, the one place that can reject it

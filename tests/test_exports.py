@@ -75,8 +75,9 @@ def test_frame_design_is_the_only_frame_plumbing():
     # functionals and the functionals and density that no check read, the linear
     # mode of Estimate, the identity checks' iid directions, the verifier's second
     # Haar routine, the design's log_mean wrapper, the max-section helper that
-    # the section pass absorbed, and the QR frames and closed-form rotations that
-    # Gram-Schmidt replaced
+    # the section pass absorbed, the QR frames and closed-form rotations that
+    # Gram-Schmidt replaced, the per-check section reductions that
+    # _FrameDesign.sections replaced, and the logsumexp port and Estimate.scaled
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
@@ -84,7 +85,8 @@ def test_frame_design_is_the_only_frame_plumbing():
             "_stream_normals", "_stream_directions", "_rekeyable", "_rotated_points",
             "log_domain", "to_linear", "exact_estimate", "mean_estimate", "_combined_log_se",
             "_iid", "_haar_rotation", "log_mean", "_max_section_log", "_haar_bases",
-            "_ORTHO_TOL", "_rotations", "_ROTATION_NORMALS"}
+            "_ORTHO_TOL", "_rotations", "_ROTATION_NORMALS", "_section_stats", "_group_sizes",
+            "_logsumexp", "logsumexp", "scaled", "itertools"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())
@@ -95,11 +97,28 @@ def test_frame_design_is_the_only_frame_plumbing():
                    else node.arg if isinstance(node, (ast.keyword, ast.arg))
                    else None)
             assert ref not in gone, f"{name}:{node.lineno} refers to {ref}"
-            if isinstance(node, ast.Call):
-                func = node.func
-                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                assert callee not in ("_logsumexp", "logsumexp") or name == "estimates.py", (
-                    f"{name}:{node.lineno} calls _logsumexp outside log_mean_estimate")
+
+
+def test_frame_design_sections_is_the_only_section_pass():
+    # the checks take section values only through _FrameDesign.sections; measure_of_body
+    # and perfbench's one-frame section_measure_values are the other callers allowed
+    src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
+    allowed = {"_FrameDesign.sections", "measure_of_body", "section_measure_values"}
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "_section_measure_values"):
+            callers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), "")
+    assert "_FrameDesign.sections" in callers and callers <= allowed, callers
 
 
 def test_no_qr_in_the_package():
