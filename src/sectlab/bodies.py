@@ -256,6 +256,8 @@ class LinearImage(StarBody):
         t = np.asarray(transform, dtype=float)
         if t.shape != (body.dim, body.dim):
             raise ValueError(f"transform shape {t.shape} does not match dimension {body.dim}")
+        if isinstance(body, LinearImage):    # T(S(K)) is (T S)(K): one matmul per radial call
+            body, t = body.base, t @ body.transform
         svals = np.linalg.svd(t, compute_uv=False)
         if svals.min() <= _COND_TOL * svals.max():
             raise ValueError("singular transform")

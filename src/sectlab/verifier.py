@@ -18,13 +18,10 @@ formula over one frame's directions (the largest section in ``slicing_chain``, t
 dominance test of ``busemann_petty_volume``), or over frames, compares with the true
 one is said at :class:`~sectlab.functionals._FrameDesign`.
 
-:func:`run_suite` runs the grid entries on forked worker processes, one per
-CPU this process may run on, or ``SECTLAB_WORKERS`` of them.  The runner is
-plain ``os.fork`` and pipes: the workers, forked once per suite, take entry
-indices one at a time from one shared pipe and send each pickled result back
-on a pipe of their own.  The reports come back in grid order, so the result
-is byte-identical to a serial run.  ``SECTLAB_WORKERS=1`` runs every entry in
-this process, which is the way to debug or profile a check.
+:func:`run_suite` runs the grid entries on ``SECTLAB_WORKERS`` worker processes, by
+default one per CPU this process may run on; ``SECTLAB_WORKERS=1`` runs them in this
+process, the way to debug or profile a check.  The output does not depend on the count,
+and a worker that dies raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import struct
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -440,14 +436,13 @@ def _run_entry(name: str, params: dict, label: str, index: int,
     return reports, None
 
 
-_INDEX = struct.Struct("=I")     # an entry index on the shared task pipe
-_LENGTH = struct.Struct("=Q")    # the length of a pickled result on a worker's pipe
+_INDEX_SIZE = 4    # bytes of an entry index on a worker's task pipe
 
 
 def _serve(entries: list[tuple], tasks: int, out: int, inherited: set[int]) -> NoReturn:
-    """A forked worker: close the ``inherited`` pipe ends, run the entries whose
-    indices it reads from ``tasks``, one at a time until EOF, and write each
-    ``(index, result)`` to ``out`` as a pickle after its length.
+    """A forked worker: close the ``inherited`` pipe ends, then, until EOF on ``tasks``,
+    read an entry index from it, run that entry and write its result to ``out`` as
+    one pickle.
 
     It leaves only through ``os._exit``, so it never returns into its caller's stack
     or flushes the stdio buffers it inherited; an error ends it with status 1 and
@@ -457,12 +452,11 @@ def _serve(entries: list[tuple], tasks: int, out: int, inherited: set[int]) -> N
     try:
         for fd in inherited:
             os.close(fd)
-        while data := os.read(tasks, _INDEX.size):
-            (index,) = _INDEX.unpack(data)
-            record = pickle.dumps((index, _run_entry(*entries[index])), pickle.HIGHEST_PROTOCOL)
-            view = memoryview(_LENGTH.pack(len(record)) + record)
-            while view:
-                view = view[os.write(out, view):]
+        with open(out, "wb") as results:
+            while data := os.read(tasks, _INDEX_SIZE):
+                pickle.dump(_run_entry(*entries[int.from_bytes(data, "little")]), results,
+                            pickle.HIGHEST_PROTOCOL)
+                results.flush()
         status = 0
     except BaseException:
         import traceback
@@ -474,15 +468,17 @@ def _serve(entries: list[tuple], tasks: int, out: int, inherited: set[int]) -> N
 def _run_entries(entries: list[tuple], workers: int) -> list[tuple]:
     """``_run_entry`` over the entries, in their order, on ``workers`` processes.
 
-    The workers are forked once, so they start without importing anything and
-    see ``CHECKS`` as it is now.  They take entry indices one at a time from one
-    shared pipe, which this process fills from its poll loop in writes of at most
-    ``PIPE_BUF`` bytes, so an idle worker takes the next entry and no grid size
-    can fill the pipe.  Each worker writes its results to a pipe of its own, which
-    this process drains.  A worker that dies by a signal or a non-zero status
-    raises ``RuntimeError`` with its pid and status, and so do entries whose
-    results never came; on any error every worker is killed, and every worker is
-    reaped before this returns or raises.
+    The workers are forked once, so they start without importing anything and see
+    ``CHECKS`` as it is now.  Each has a task pipe and a result pipe of its own and
+    holds one entry at a time: this process writes it an entry index, reads the
+    pickled result once poll reports it, then writes it the next index in grid
+    order, or closes its task pipe when none is left.  No pipe holds more than one
+    message, so no write blocks, and as this process keeps every task pipe's read
+    end, a write to a worker that has just died does not raise either.  A worker
+    that has gone shows as EOF, or as a truncated pickle if it died mid-write.  One
+    that died by a signal or a non-zero status raises ``RuntimeError`` with its pid
+    and status, and so do entries whose results never came; on any error every
+    worker is killed, and every worker is reaped before this returns or raises.
     """
     if workers < 2 or not hasattr(os, "fork"):
         return [_run_entry(*entry) for entry in entries]
@@ -490,65 +486,52 @@ def _run_entries(entries: list[tuple], workers: int) -> list[tuple]:
     import select
     import signal
     results: dict[int, tuple] = {}
-    todo = memoryview(np.arange(len(entries), dtype=np.uint32).tobytes())
-    task_r, task_w = os.pipe()
-    fds = {task_r, task_w}            # this process's open pipe ends
-    children: dict[int, tuple] = {}   # result pipe's read end -> (pid, unread bytes)
+    todo = iter(range(len(entries)))
+    fds: set[int] = set()             # this process's open pipe ends
+    children: dict[int, list] = {}    # result read end -> [pid, reader, task write end, entry]
+    poller = select.poll()
     try:
         for _ in range(workers):
+            task_r, task_w = os.pipe()
             out_r, out_w = os.pipe()
-            fds |= {out_r, out_w}
+            fds |= {task_r, task_w, out_r, out_w}
             pid = os.fork()
             if pid == 0:
                 _serve(entries, task_r, out_w, fds - {task_r, out_w})
-            children[out_r] = pid, bytearray()
+            children[out_r] = [pid, open(out_r, "rb", closefd=False), task_w, None]
             os.close(out_w)
             fds.remove(out_w)
-        os.close(task_r)
-        fds.remove(task_r)
-        os.set_blocking(task_w, False)
-        poller = select.poll()
-        poller.register(task_w, select.POLLOUT)
-        for out_r in children:
             poller.register(out_r, select.POLLIN)
+        idle = list(children)
         while children:
+            for fd in idle:
+                child = children[fd]
+                child[3] = next(todo, None)
+                if child[3] is None:
+                    os.close(child[2])
+                    fds.remove(child[2])
+                else:
+                    os.write(child[2], child[3].to_bytes(_INDEX_SIZE, "little"))
+            idle = []
             for fd, _ in poller.poll():
-                if fd == task_w:
-                    try:
-                        todo = todo[os.write(task_w, todo[:select.PIPE_BUF]):]
-                    except BlockingIOError:     # polled writable, yet under PIPE_BUF free
-                        continue
-                    except BrokenPipeError:     # every worker is gone; EOF says which
-                        todo = todo[:0]
-                    if not todo:
-                        poller.unregister(task_w)
-                        os.close(task_w)
-                        fds.remove(task_w)
-                    continue
-                pid, buf = children[fd]
-                data = os.read(fd, 1 << 16)
-                if data:
-                    buf += data
-                    while len(buf) >= _LENGTH.size:
-                        end = _LENGTH.size + _LENGTH.unpack_from(buf)[0]
-                        if len(buf) < end:
-                            break
-                        index, result = pickle.loads(buf[_LENGTH.size:end])
-                        results[index] = result
-                        del buf[:end]
-                    continue
-                poller.unregister(fd)
-                os.close(fd)
-                fds.remove(fd)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[fd]
-                if status:
-                    how = f"signal {-status}" if status < 0 else f"status {status}"
-                    raise RuntimeError(f"worker process {pid} died with {how}")
+                pid, reader, _, index = children[fd]
+                try:
+                    results[index] = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):  # gone, maybe mid-write
+                    poller.unregister(fd)
+                    os.close(fd)
+                    fds.remove(fd)
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del children[fd]
+                    if status:
+                        how = f"signal {-status}" if status < 0 else f"status {status}"
+                        raise RuntimeError(f"worker process {pid} died with {how}")
+                else:
+                    idle.append(fd)
     finally:
         for fd in fds:
             os.close(fd)
-        for pid, _ in children.values():  # none is left after a clean run
+        for pid, *_ in children.values():  # none is left after a clean run
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if len(results) < len(entries):
@@ -560,16 +543,12 @@ def _run_entries(entries: list[tuple], workers: int) -> list[tuple]:
 def run_suite(config: SuiteConfig) -> SuiteResult:
     """Run a configured grid of checks; deterministic given the seed.
 
-    Entry ``i`` runs on the substream ``StreamHandle(seed).split(i)``, in one
-    of the worker processes that :func:`_run_entries` forks for this call:
-    ``SECTLAB_WORKERS`` of them, by default one per CPU this process may run
-    on (``os.sched_getaffinity``), and at most one per entry.  An idle worker
-    takes the next entry.  Reports and errors are gathered in grid order, so
-    the result does not depend on the worker count, and no worker outlives
-    the call.  ``SECTLAB_WORKERS=1``, an empty grid, or a platform without
-    fork runs every entry in this process, where a debugger or profiler sees
-    it.  A value that is not a positive integer raises ``ValueError``; a
-    worker that dies raises ``RuntimeError``.
+    Entry ``i`` runs on the substream ``StreamHandle(seed).split(i)``, on one of
+    ``SECTLAB_WORKERS`` worker processes, by default one per CPU this process may
+    run on.  ``SECTLAB_WORKERS=1`` runs every entry in this process.  Reports and
+    errors come in grid order, so the result does not depend on the count.  A
+    value that is not a positive integer raises ``ValueError``; a worker that dies
+    raises ``RuntimeError``.
     """
     grid = _default_grid() if config.grid is None else list(config.grid)
     if config.include_negative_control:

@@ -499,6 +499,20 @@ def test_radial_of_one_direction_is_a_scalar(body):
     np.testing.assert_allclose(rho, body.radial(v[None])[0], rtol=1e-15, atol=0)
 
 
+def test_image_of_an_image_is_one_image():
+    # T(S(K)) is built as (T S)(K), so its radial call runs one matmul, not one per level;
+    # the radii of the two-level evaluation agree to rounding
+    inner = HOMOGENEOUS_KINDS["ellipsoid"]
+    image = linear_image(inner, _SHEAR3)
+    assert image.base is inner.base and np.array_equal(image.transform,
+                                                       _SHEAR3 @ inner.transform)
+    assert image.exact_volume == pytest.approx(inner.exact_volume * np.linalg.det(_SHEAR3),
+                                               rel=1e-14)
+    dirs = sphere_directions(StreamHandle(21).generator(), 3000, 3).reshape(3, 1000, 3)
+    np.testing.assert_allclose(image.radial(dirs),
+                               inner.radial(dirs @ np.linalg.inv(_SHEAR3).T), rtol=1e-14, atol=0)
+
+
 class TestEllipsoid:
     def test_is_the_unit_balls_image_under_the_cholesky_factor(self):
         # one radial kernel, membership and bounding radius for the ellipsoid family

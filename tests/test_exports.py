@@ -52,7 +52,7 @@ def test_import_and_default_suite_load_no_scipy():
 
 
 def test_pooled_suite_loads_no_multiprocessing():
-    # the fork runner needs only os, select, signal, struct and pickle
+    # the fork runner needs only os, select, signal and pickle
     code = ("import sys\n"
             "from sectlab.bodies import cube\n"
             "from sectlab.verifier import SuiteConfig, run_suite\n"

@@ -658,6 +658,16 @@ class TestWorkerPool:
         else:
             assert pids == {os.getpid()}
 
+    def test_idle_worker_takes_the_next_entry(self, monkeypatch):
+        # while one worker runs the long first entry, the other must take every short
+        # one; a runner that split the grid between the workers up front would not
+        self._stub(monkeypatch, lambda: None)
+        monkeypatch.setenv("SECTLAB_WORKERS", "2")
+        grid = [("stub", {"delay": 0.5 if i == 0 else 0.01}, f"entry{i}") for i in range(7)]
+        pids = [r.inputs["pid"] for r in run_suite(SuiteConfig(seed=0, grid=grid)).reports]
+        assert os.getpid() not in pids and len(pids) == 7
+        assert pids[0] not in pids[1:] and len(set(pids[1:])) == 1
+
     def test_large_results_come_back_intact(self, monkeypatch):
         # each result is longer than a pipe holds, so it crosses in many reads
         self._stub(monkeypatch, lambda: None)
@@ -724,6 +734,35 @@ class TestWorkerPool:
         message, pid = self._die_in_first_child(
             monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL))
         assert message == f"worker process {pid} died with signal {int(signal.SIGKILL)}"
+
+    def test_worker_killed_while_writing_its_result_raises(self, monkeypatch, tmp_path):
+        # the blob fills the result pipe before pickling reaches the object that kills
+        # the worker, so this process reads a truncated pickle, which it takes as EOF
+        class KillOnPickle:
+            def __reduce__(self):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def check(rng, die):
+            inputs = {"blob": bytes(1 << 17)}
+            if die:
+                (tmp_path / "died").write_text(str(os.getpid()))
+                inputs["kill"] = KillOnPickle()
+            else:
+                time.sleep(30.0)
+            return equality_report("stub", 3, 1, exact_log_estimate(0.0),
+                                   exact_log_estimate(0.0), seed=rng.seed, inputs=inputs)
+
+        monkeypatch.setitem(CHECKS, "stub", check)
+        monkeypatch.setenv("SECTLAB_WORKERS", "2")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError) as info:
+            run_suite(SuiteConfig(seed=0, grid=[("stub", {"die": True}, "a"),
+                                                ("stub", {"die": False}, "b")]))
+        assert time.perf_counter() - start < 15.0
+        self._assert_no_child_left()
+        pid = (tmp_path / "died").read_text()
+        signum = int(signal.SIGKILL)
+        assert str(info.value) == f"worker process {pid} died with signal {signum}"
 
     def test_lost_result_raises(self, monkeypatch):
         parent = os.getpid()
