@@ -12,7 +12,7 @@ Subcommands:
              run on SECTLAB_WORKERS worker processes, by default one per CPU
              this process may use; SECTLAB_WORKERS=1 runs them all in this
              process.  The count does not change the output, and a worker
-             that dies raises RuntimeError.
+             that dies is an error (exit 2).
 
 ``python -m sectlab`` runs the same interface.
 
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n")
         return 2
 

@@ -82,6 +82,21 @@ def _haar_stack(n: int, s: int, count: int, gen: np.random.Generator) -> np.ndar
     return _haar_columns(gen.standard_normal((count, n, s)))
 
 
+def _lattice_groups(s: int, m: int, start: int, stop: int) -> np.ndarray:
+    """Groups start .. stop - 1 of m directions, (stop - start, m, s): group g is rows a_g j
+    mod m of :func:`~sectlab.sampler._point_set` (s, m), a_0 = 1 and a_g the integer nearest
+    m / phi^g raised until coprime to m, so row j of s groups is a rank-1 lattice (Sloan &
+    Joe, 1994); pairing in point-set order would give two rotated m-gons one angle per frame."""
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    rows = []
+    for g in range(start, stop):
+        a = round(m / golden ** g) if g else 1
+        while math.gcd(a, m) != 1:
+            a += 1
+        rows.append(np.arange(m) * a % m)
+    return _point_set(s, m)[np.array(rows)]
+
+
 class _FrameDesign:
     """The frames of one average over the Grassmannian G_{n,n-k}, and their directions.
 
@@ -94,20 +109,21 @@ class _FrameDesign:
     :func:`~sectlab.estimates.log_mean_estimate`.
 
     A frame's directions are ``groups`` (default n) consecutive groups, sized
-    as ``np.array_split`` sizes them, each a fixed point set P
-    (:func:`~sectlab.sampler._point_set`) under its own Haar rotation R of
-    O(s), :func:`~sectlab.sampler._haar_columns` of an s x s Gaussian block.
-    R is folded into the frame's basis B, so a group embeds as P (B R)^T.
-    The groups are independent and each group's mean is unbiased, so the
+    as ``np.array_split`` sizes them, each a fixed point set P, in
+    :func:`_lattice_groups`' order, under its own Haar rotation R of O(s),
+    :func:`~sectlab.sampler._haar_columns` of an s x s Gaussian block.  R is
+    folded into the frame's basis B, so a group embeds as P (B R)^T.  The
+    groups are independent and each group's mean is unbiased, so the
     product of n group means is an unbiased n-th power (Owen, *Monte Carlo
     theory, methods and examples*, ch. 17).  The identity checks take s
-    groups, one per slot of their s-tuples.  The iid formula over one
-    frame's directions over-reports the SE for s <= 3, where the point sets
-    beat independent draws by far; for s >= 4 it is about right, but may
-    under-report small groups: over 2000 Haar rotations of groups of 24, 60
-    and 120 points, a group mean's spread on ``centered_simplex(4)`` is 1.08,
-    1.03 and 0.77 times it.  Over frames it is an iid SE for iid Haar frames
-    and over-reports for rule frames and stratified lines.
+    groups, one per slot of their s-tuples: tuple j is row j of each group.
+    The iid formula over one frame's directions over-reports the SE for
+    s <= 3, where the point sets beat independent draws by far; for s >= 4
+    it is about right, but may under-report small groups: over 2000 Haar
+    rotations of groups of 24, 60 and 120 points, a group mean's spread on
+    ``centered_simplex(4)`` is 1.08, 1.03 and 0.77 times it.  Over frames it
+    is an iid SE for iid Haar frames and over-reports for rule frames and
+    stratified lines.
     """
 
     def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle, *,
@@ -126,9 +142,9 @@ class _FrameDesign:
         # (F, groups, s, n): group g of frame f embeds as its point set @ E[f, g]
         self._embeddings = np.ascontiguousarray(
             (self.bases[:, None] @ rotations).swapaxes(-1, -2))
-        # runs of equal group sizes (the first count % groups one longer), as (point set, slice)
+        # runs of equal group sizes (the first count % groups one longer), as (point sets, slice)
         size, extra = divmod(count, groups)
-        self._runs = [(_point_set(s, m), slice(start, stop))
+        self._runs = [(_lattice_groups(s, m, start, stop), slice(start, stop))
                       for m, start, stop in ((size + 1, 0, extra), (size, extra, groups))
                       if m and start < stop]
 
@@ -139,8 +155,9 @@ class _FrameDesign:
         """fn(dirs) on blocks of frames, concatenated along the frame axis.
 
         dirs (B, count, n) holds each frame's directions embedded in R^n, group
-        after group: one matmul per run of equal group sizes.  A block holds
-        at most ``_BLOCK_DIRS`` directions, and at least one frame.
+        after group: one (groups, m, s) @ (B, groups, s, n) matmul per run of
+        groups of m.  A block holds at most ``_BLOCK_DIRS`` directions, and at
+        least one frame.
         """
         step = max(1, _BLOCK_DIRS // self.count)
         frames, n, _ = self.bases.shape

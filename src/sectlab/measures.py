@@ -196,13 +196,15 @@ class LebesgueDensity(DensityOracle):
 
 
 class GaussianDensity(DensityOracle):
-    """g(x) = exp(-x^T P x / 2); isotropic with P = I/sigma^2 by default."""
+    """g(x) = exp(-x^T P x / 2); P = I/sigma^2 (sigma 1 by default), or ``precision``."""
 
     radially_nonincreasing = True
 
-    def __init__(self, dim: int, sigma: float = 1.0, precision: np.ndarray | None = None):
+    def __init__(self, dim: int, sigma: float | None = None, precision: np.ndarray | None = None):
         super().__init__(dim)
         if precision is not None:
+            if sigma is not None:
+                raise ValueError("give sigma or precision, not both")
             p = np.asarray(precision, dtype=float)
             if p.shape != (dim, dim):
                 raise ValueError(f"precision shape {p.shape} does not match dim {dim}")
@@ -212,6 +214,7 @@ class GaussianDensity(DensityOracle):
                 raise ValueError("precision must be symmetric positive definite")
             self.precision = p
         else:
+            sigma = 1.0 if sigma is None else sigma
             if sigma <= 0:
                 raise ValueError(f"sigma must be positive, got {sigma}")
             self.precision = np.eye(dim) / sigma ** 2

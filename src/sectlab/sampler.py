@@ -203,27 +203,6 @@ def _point_set(s: int, m: int) -> np.ndarray:
     return points
 
 
-@functools.lru_cache(maxsize=None)
-def _tuple_rows(s: int, m: int) -> np.ndarray:
-    """The rows that a frame's m s-tuples take from its s slots of m directions, (s, m).
-
-    Tuple j takes row i m + a_i j mod m of slot i, a_0 = 1 and a_i the integer
-    nearest m / phi^i raised until coprime to m: a randomly shifted rank-1
-    lattice (Sloan & Joe, 1994) under the slots' rotations.  Pairing index by
-    index would give two rotated m-gons one angle per frame.  Cached, read-only.
-    """
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    rows = []
-    for i in range(s):
-        a = round(m / golden ** i) if i else 1
-        while math.gcd(a, m) != 1:
-            a += 1
-        rows.append([i * m + a * j % m for j in range(m)])
-    rows = np.array(rows)
-    rows.flags.writeable = False
-    return rows
-
-
 def uniform_in_body(body, rng, size: int | None = None) -> np.ndarray:
     """Exactly uniform points in a star body, by rejection from its bounding ball.
 

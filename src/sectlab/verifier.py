@@ -13,10 +13,10 @@ frames and directions from one substream of rng, and every other purpose has its
 own substream, so a rerun gives a bit-identical report regardless of scheduling.  Every
 check reads embedded directions, from randomised point sets per frame, each group's
 rotation folded into the frame's basis; the identity checks take one group per slot
-of their s-tuples, so a tuple's directions are independent.  How an SE by the iid
-formula over one frame's directions (the largest section in ``slicing_chain``, the
-dominance test of ``busemann_petty_volume``), or over frames, compares with the true
-one is said at :class:`~sectlab.functionals._FrameDesign`.
+of their s-tuples, tuple j being row j of each group, so a tuple's directions are
+independent.  How an SE by the iid formula over one frame's directions (the largest
+section in ``slicing_chain``, the dominance test of ``busemann_petty_volume``), or over
+frames, compares with the true one is said at :class:`~sectlab.functionals._FrameDesign`.
 
 :func:`run_suite` runs the grid entries on ``SECTLAB_WORKERS`` worker processes, by
 default one per CPU this process may run on; ``SECTLAB_WORKERS=1`` runs them in this
@@ -41,7 +41,7 @@ from .estimates import (CheckReport, Estimate, _log, _log_product, equality_repo
 from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
                           dual_affine_quermass, log_measure_estimate, log_volume_estimate)
 from .measures import DensityOracle, LebesgueDensity
-from .sampler import StreamHandle, _fold_columns, _haar_columns, _tuple_rows, simplex_volume
+from .sampler import StreamHandle, _fold_columns, _haar_columns, simplex_volume
 
 __all__ = [
     "check_bp_identity",
@@ -61,7 +61,7 @@ __all__ = [
 _SAMPLED_MAX_NOTE = "max is sampled (lower bound of the true Grassmannian max)"
 
 
-def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: int,
+def _polar_log_moments(density: DensityOracle, body: StarBody, k: int,
                        dirs: np.ndarray) -> np.ndarray:
     """log of the integral over (K cap F)^s of |conv(0, x_1..x_s)|^k prod_i g(x_i) dx,
     one per frame of a block.
@@ -69,20 +69,20 @@ def _polar_log_moments(density: DensityOracle, body: StarBody, k: int, points: i
     Writing x_i = r_i theta_i inside F and integrating the radii gives
     (s omega_s)^s E_theta[ (|det theta| / s!)^k prod_i m(theta_i) ], with
     theta_1..theta_s independent and uniform on S^(s-1) and m(theta) the ray
-    mass of g up to rho(theta) at power s + k.  dirs (B, points * s, n) holds each
-    frame's s slots of ``points`` embedded directions, paired into tuples by
-    :func:`~sectlab.sampler._tuple_rows`; |det theta| is the root of their Gram det.
+    mass of g up to rho(theta) at power s + k.  dirs (B, s m, n) holds each frame's
+    s slot groups of m embedded directions, and tuple j is row j of each group
+    (:class:`~sectlab.functionals._FrameDesign`); |det theta| is the root of their Gram det.
     """
-    s = dirs.shape[1] // points
-    mass = density.ray_mass(dirs, body.radial(dirs), float(s + k))
-    rows = _tuple_rows(s, points)
-    slots = [np.take(dirs, slot, axis=1) for slot in rows]
-    gram = np.ones(slots[0].shape[:-1] + (s, s))
+    frames, count, n = dirs.shape
+    s = n - k
+    slots = dirs.reshape(frames, s, count // s, n)
+    mass = density.ray_mass(dirs, body.radial(dirs), float(s + k)).reshape(slots.shape[:-1])
+    gram = np.ones((frames, count // s, s, s))
     for i in range(s):
         for j in range(i):
-            gram[..., i, j] = gram[..., j, i] = _fold_columns(np.add, slots[i] * slots[j])
+            gram[..., i, j] = gram[..., j, i] = _fold_columns(np.add, slots[:, i] * slots[:, j])
     vols = np.sqrt(simplex_volume(gram) / math.factorial(s))
-    moment = (vols ** k * np.take(mass, rows, axis=1).prod(axis=1)).mean(axis=-1)
+    moment = (vols ** k * mass.prod(axis=1)).mean(axis=-1)
     if np.any(moment <= 0):
         raise ValueError("simplex moment vanished; degenerate section directions")
     return s * (math.log(s) + log_ball_volume(s)) + _log(moment)
@@ -96,7 +96,7 @@ def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, 
     lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(n - k)
     design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng, groups=n - k)
     mean_log = log_mean_estimate(design.map(
-        lambda dirs: _polar_log_moments(density, body, k, points_per_frame, dirs)))
+        lambda dirs: _polar_log_moments(density, body, k, dirs)))
     rhs = exact_log_estimate(log_bp_constant(n, n - k)).times(mean_log)
     return equality_report(name, n, k, lhs, rhs, seed=rng.seed,
                            inputs={"frames": len(design),

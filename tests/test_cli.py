@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sectlab import cli
+from sectlab import cli, verifier
 from sectlab.bodies import body_from_spec
 from sectlab.cli import main
 from sectlab.functionals import log_volume_estimate
@@ -342,6 +342,25 @@ class TestSuiteCommand:
         assert code == 0
         payload = json.loads(out, parse_constant=reject)
         assert payload["status"] == "pass" and payload["n_checks"] == 64
+
+    def test_dead_worker_is_structured_error(self, capsys, monkeypatch):
+        # both entries run in forked workers, which die with status 3
+        parent = os.getpid()
+
+        def die(rng):
+            assert os.getpid() != parent, "the stub entry must not run in this process"
+            os._exit(3)
+
+        monkeypatch.setitem(verifier.CHECKS, "die", die)
+        monkeypatch.setattr(verifier, "_default_grid", lambda: [("die", {}, "a"),
+                                                                ("die", {}, "b")])
+        monkeypatch.setenv("SECTLAB_WORKERS", "2")
+        code, out, err = run_cli(["suite", "--seed", "0", "--deterministic"], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        message = json.loads(line)["error"]
+        assert message.startswith("RuntimeError: worker process ")
+        assert message.endswith(" died with status 3")
 
     @pytest.mark.parametrize("flag", ["--frames", "--samples", "--points"])
     def test_takes_no_budget_flags(self, capsys, flag):

@@ -89,19 +89,28 @@ def _reference_frames(gen, n, s, count):
     return frames
 
 
+def _lattice_order(m, g):
+    """Group g of m points takes point a_g j mod m as its row j: a_0 = 1, a_g the integer
+    nearest m / phi^g raised until coprime to m."""
+    a = round(m / ((1.0 + math.sqrt(5.0)) / 2.0) ** g) if g else 1
+    while math.gcd(a, m) != 1:
+        a += 1
+    return [a * j % m for j in range(m)]
+
+
 def _rule_directions(gen, basis, count, groups=None):
     """One frame's (count, n) embedded directions, written out group by group: the
-    ``groups`` (default n) groups of np.array_split, group g the fixed point set P under
-    its rotation R, embedded as P (B R)^T.  R is the frame's next Haar draw of O(s).
-    (B R)^T is made contiguous, as the design holds it: numpy's product of one point with
-    a transposed view sums in another order."""
+    ``groups`` (default n) groups of np.array_split, group g the fixed point set P in
+    :func:`_lattice_order` under its rotation R, embedded as P (B R)^T.  R is the frame's
+    next Haar draw of O(s).  (B R)^T is made contiguous, as the design holds it: numpy's
+    product of one point with a transposed view sums in another order."""
     n, s = basis.shape
     groups = n if groups is None else groups
     rotations = [_haar_draw(gen, s, s) for _ in range(groups)]
     sizes = [len(group) for group in np.array_split(np.arange(count), groups)]
     rows = []
-    for rotation, m in zip(rotations, sizes):
-        points = np.array([_rule_point(s, m, i) for i in range(m)]).reshape(m, s)
+    for g, (rotation, m) in enumerate(zip(rotations, sizes)):
+        points = np.array([_rule_point(s, m, i) for i in _lattice_order(m, g)]).reshape(m, s)
         rows.append(points @ np.ascontiguousarray((basis @ rotation).T))
     return np.concatenate(rows)
 
@@ -305,7 +314,8 @@ def test_folded_kernel_is_the_old_kernel_up_to_rounding():
         functionals._haar_stack(n, s, frames, gen)
         rotations = sampler._haar_columns(gen.standard_normal((frames, n, s, s)))
         sizes = [len(group) for group in np.array_split(np.arange(count), n)]
-        theta = np.concatenate([sampler._point_set(s, m) @ rotations[:, g].swapaxes(-1, -2)
+        theta = np.concatenate([sampler._point_set(s, m)[_lattice_order(m, g)]
+                                @ rotations[:, g].swapaxes(-1, -2)
                                 for g, m in enumerate(sizes)], axis=1)
         v = (theta @ design.bases.swapaxes(-1, -2)) @ body._inv_t
         norms = np.linalg.norm(v, axis=-1)

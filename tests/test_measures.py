@@ -186,6 +186,12 @@ class TestRayMass:
         with pytest.raises(ValueError, match="positive definite"):
             GaussianDensity(2, precision=np.array(precision))
 
+    def test_gaussian_takes_sigma_or_precision_not_both(self):
+        assert GaussianDensity(3).sigma == 1.0
+        assert GaussianDensity(3, precision=np.eye(3)).sigma is None
+        with pytest.raises(ValueError, match="not both"):
+            GaussianDensity(3, sigma=2.0, precision=np.eye(3))
+
 
 class TestMeasureOfSection:
     def test_ball_disc_section(self):

@@ -21,7 +21,7 @@ from sectlab.functionals import _FrameDesign, log_volume_estimate
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity,
                               RadialExpDensity, _section_measure_values)
-from sectlab.sampler import (StreamHandle, _tuple_rows, sample_restricted, simplex_volume,
+from sectlab.sampler import (StreamHandle, _point_set, sample_restricted, simplex_volume,
                              sphere_directions)
 from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _polar_log_moments,
                               _worker_count, check_bp_identity, check_busemann_petty_volume,
@@ -103,7 +103,7 @@ def _polar_log_moment(density, body, frame, k, points, rng):
     """The polar log moment of one frame, its directions drawn iid from ``rng``, so
     its tuples are iid whichever rows the kernel pairs."""
     theta = sphere_directions(rng.generator(), points * frame.s, frame.s)
-    return float(_polar_log_moments(density, body, k, points, frame.embed(theta)[None])[0])
+    return float(_polar_log_moments(density, body, k, frame.embed(theta)[None])[0])
 
 
 class TestPolarLogMoment:
@@ -140,11 +140,23 @@ class TestPolarLogMoment:
 
     @pytest.mark.parametrize("s,m", [(1, 7), (2, 300), (3, 300), (3, 64), (4, 2)])
     def test_each_slot_rows_are_a_permutation(self, s, m):
-        rows = _tuple_rows(s, m)
-        assert rows is _tuple_rows(s, m) and not rows.flags.writeable
-        assert rows.shape == (s, m) and rows[0].tolist() == list(range(m))
-        for i, slot in enumerate(rows):
-            assert sorted(slot.tolist()) == list(range(i * m, (i + 1) * m))
+        # an identity check's design of s slot groups of m: slot i is its rotated point
+        # set P in the order a_i j mod m, a_0 = 1 and a_i the integer nearest m / phi^i
+        # raised until coprime to m, so tuple j, row j of each slot, is a rank-1 lattice
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        n, frames = s + 1, 3
+        design = _FrameDesign(frames, n, 1, s * m, StreamHandle(60), groups=s)
+        dirs = design.map(lambda d: d)
+        assert dirs.shape == (frames, s * m, n)
+        for i in range(s):
+            a = round(m / golden ** i) if i else 1
+            while math.gcd(a, m) != 1:
+                a += 1
+            order = [a * j % m for j in range(m)]
+            assert sorted(order) == list(range(m))
+            for f in range(frames):
+                rotated = _point_set(s, m) @ design._embeddings[f, i]
+                assert dirs[f, i * m:(i + 1) * m].tobytes() == rotated[order].tobytes()
 
     def test_same_seed_same_report_bytes(self):
         a = check_bp_identity(CUBE3, 1, 40, 100, StreamHandle(4), sphere_samples=300)
