@@ -6,6 +6,7 @@ Subcommands:
   estimate   one functional of one body
   verify     one named check; exit 0 pass / 1 fail / 2 error.  section_bounds
              gives the slicing_chain and dpp_bound reports of one section pass.
+             A check that reads a density takes --measure, Lebesgue by default.
   scan       (n, k) sweep of the constants to CSV
   suite      the default verification grid at its fixed budgets (it takes
              no budget flags); byte-identical JSON per seed.  Its entries
@@ -64,14 +65,16 @@ _ESTIMATE_READERS = {
 }
 _ESTIMATE_DEFAULTS = {"k": 1, "frames": 500, "samples": 20_000}
 _VERIFY_READERS = {
-    "measure": ("slicing_chain", "dpp_bound", "section_bounds", "logconcave_identity"),
+    "measure": ("bp_identity", "slicing_chain", "dpp_bound", "section_bounds",
+                "logconcave_identity"),
     "points": ("bp_identity", "logconcave_identity"),
     "transforms": ("grinberg",),
     "body2": ("busemann_petty_volume",),
     "samples": ("slicing_chain", "dpp_bound", "section_bounds", "grinberg",
                 "busemann_petty_volume", "negative_control"),
 }
-_VERIFY_DEFAULTS = {"points": 500, "transforms": 5, "samples": 2000}
+_VERIFY_DEFAULTS = {"measure": '{"kind":"lebesgue"}', "points": 500, "transforms": 5,
+                    "samples": 2000}
 
 
 def _emit(payload: dict, path: str | None, pretty: bool) -> None:
@@ -170,8 +173,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         kwargs["body"] = body
     if args.check in _VERIFY_READERS["measure"]:
-        if not args.measure:
-            raise ValueError(f"{args.check} needs --measure")
         kwargs["density"] = density_from_json(args.measure, body.dim)
     out = CHECKS[args.check](**kwargs)
     reports = out if isinstance(out, list) else [out]
@@ -246,15 +247,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True)
     p.add_argument("--body", required=True, metavar="SPEC")
     p.add_argument("--body2", metavar="SPEC")
-    p.add_argument("--measure", metavar="SPEC")
+    p.add_argument("--measure", metavar="SPEC", help="density (bp_identity, slicing_chain, "
+                   "dpp_bound, section_bounds; default Lebesgue measure)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--frames", type=int, default=500)
     p.add_argument("--samples", type=int, help="sphere samples per frame (slicing_chain, "
                    "dpp_bound, section_bounds, grinberg, busemann_petty_volume, "
                    "negative_control; default 2000)")
     p.add_argument("--points", type=int,
-                   help="direction s-tuples per frame (bp_identity and "
-                        "logconcave_identity only; default 500)")
+                   help="direction s-tuples per frame (bp_identity only; default 500)")
     p.add_argument("--transforms", type=int,
                    help="volume-preserving images (grinberg only; default 5)")
     p.add_argument("--seed", type=int, default=0)

@@ -59,8 +59,8 @@ def _haar_stack(n: int, s: int, count: int, gen: np.random.Generator) -> np.ndar
     """Bases of count subspaces, each Haar, as one (count, n, s) stack drawn from ``gen``.
 
     Lines in the plane are stratified: frame j is the line at angle
-    pi (j + U) / count, with one uniform U drawn from ``gen``.  For n = 3, 4
-    and s = 1 or n - 1 (the outer rule) the lines, or the normals u, are
+    pi (j + U) / count, with one uniform U drawn from ``gen``.  At every other
+    n, for s = 1 or n - 1 (the outer rule) the lines, or the normals u, are
     :func:`~sectlab.sampler._point_set` (n, count) under one Haar rotation; a
     normal's basis is the first n - 1 columns of the Householder reflection
     I - 2 v v^T / v^T v, v = u + sign(u_n) e_n.  Otherwise the frames are
@@ -72,7 +72,7 @@ def _haar_stack(n: int, s: int, count: int, gen: np.random.Generator) -> np.ndar
         offset = gen.random()
         angles = [math.pi * (j + offset) / count for j in range(count)]
         return np.array([[[math.cos(a)], [math.sin(a)]] for a in angles])
-    if n <= 4 and s in (1, n - 1):
+    if s in (1, n - 1):
         u = _point_set(n, count) @ _haar_columns(gen.standard_normal((n, n))).T
         if s == 1:
             return u[:, :, None]
@@ -100,13 +100,13 @@ def _lattice_groups(s: int, m: int, start: int, stop: int) -> np.ndarray:
 class _FrameDesign:
     """The frames of one average over the Grassmannian G_{n,n-k}, and their directions.
 
-    ``frames`` frames are drawn by :func:`_haar_stack` and held as one
-    (F, n, n - k) stack.  Frame j gets ``count`` directions on the sphere of
-    its subspace, drawn from rng.split(0) alone (see the module docstring),
-    so designs built with the same arguments share every frame and
-    direction.  Every average over frames goes through :meth:`map`, section
-    values through :meth:`sections`, and its per-frame logs through
-    :func:`~sectlab.estimates.log_mean_estimate`.
+    ``frames`` frames are drawn by :func:`_haar_stack`, by its outer rule at
+    k = 1 or n - 1 for every n >= 3, and held as one (F, n, n - k) stack.
+    Frame j gets ``count`` directions on the sphere of its subspace, drawn
+    from rng.split(0) alone (see the module docstring), so designs built with
+    the same arguments share every frame and direction.  Every average over
+    frames goes through :meth:`map`, section values through :meth:`sections`,
+    and its per-frame logs through :func:`~sectlab.estimates.log_mean_estimate`.
 
     A frame's directions are ``groups`` (default n) consecutive groups, sized
     as ``np.array_split`` sizes them, each a fixed point set P, in

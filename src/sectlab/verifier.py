@@ -12,11 +12,12 @@ one frame design (:class:`~sectlab.functionals._FrameDesign`), which draws all i
 frames and directions from one substream of rng, and every other purpose has its
 own substream, so a rerun gives a bit-identical report regardless of scheduling.  Every
 check reads embedded directions, from randomised point sets per frame, each group's
-rotation folded into the frame's basis; the identity checks take one group per slot
-of their s-tuples, tuple j being row j of each group, so a tuple's directions are
-independent.  How an SE by the iid formula over one frame's directions (the largest
-section in ``slicing_chain``, the dominance test of ``busemann_petty_volume``), or over
-frames, compares with the true one is said at :class:`~sectlab.functionals._FrameDesign`.
+rotation folded into the frame's basis.  The one identity check, ``bp_identity`` at any
+density (Lebesgue by default), takes one group per slot of its s-tuples, tuple j being
+row j of each group, so a tuple's directions are independent.  How an SE by the iid
+formula over one frame's directions (the largest section in ``slicing_chain``, the
+dominance test of ``busemann_petty_volume``), or over frames, compares with the true
+one is said at :class:`~sectlab.functionals._FrameDesign`.
 
 :func:`run_suite` runs the grid entries on ``SECTLAB_WORKERS`` worker processes, by
 default one per CPU this process may run on; ``SECTLAB_WORKERS=1`` runs them in this
@@ -48,7 +49,6 @@ __all__ = [
     "check_slicing_chain",
     "check_dpp",
     "check_section_bounds",
-    "check_logconcave_identity",
     "check_grinberg",
     "check_busemann_petty_volume",
     "negative_control",
@@ -88,30 +88,34 @@ def _polar_log_moments(density: DensityOracle, body: StarBody, k: int,
     return s * (math.log(s) + log_ball_volume(s)) + _log(moment)
 
 
-def _identity_report(name: str, density: DensityOracle, body: StarBody, k: int, frames: int,
-                     points_per_frame: int, rng: StreamHandle) -> CheckReport:
-    """Compare mu(K)^(n-k), by :func:`~sectlab.functionals.log_measure_estimate`, with
-    p(n, n-k) E_F[ polar moment of K cap F ] over sampled frames."""
+def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int,
+                      rng: StreamHandle, density: DensityOracle | None = None,
+                      sphere_samples: int | None = None) -> CheckReport:
+    """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ].
+
+    The generalized Blaschke-Petkantschin formula: it holds for every
+    locally integrable density g, by default Lebesgue measure, and every
+    star body K with 0 in its interior, symmetric or not (Schneider & Weil,
+    Stochastic and Integral Geometry, 2008, sec. 7.2).  mu(K) is
+    :func:`~sectlab.functionals.log_measure_estimate`'s.
+
+    Inside each section the integral is taken in polar form,
+    (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
+    s = n - k and m(theta) = ``density.ray_mass`` up to rho(theta) at power
+    s + k, averaged over ``points_per_frame`` direction s-tuples; no point
+    is sampled and no density supremum is needed.  ``sphere_samples`` is
+    neither read nor recorded: only the benchmark's workloads still pass it.
+    """
     n = body.dim
+    density = LebesgueDensity(n) if density is None else density
     lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(n - k)
     design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng, groups=n - k)
     mean_log = log_mean_estimate(design.map(
         lambda dirs: _polar_log_moments(density, body, k, dirs)))
     rhs = exact_log_estimate(log_bp_constant(n, n - k)).times(mean_log)
-    return equality_report(name, n, k, lhs, rhs, seed=rng.seed,
+    return equality_report("bp_identity", n, k, lhs, rhs, seed=rng.seed,
                            inputs={"frames": len(design),
                                    "points_per_frame": points_per_frame})
-
-
-def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int,
-                      rng: StreamHandle, sphere_samples: int = 2000) -> CheckReport:
-    """|K|^(n-k) against p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k ].
-
-    :func:`check_logconcave_identity` at Lebesgue measure, where the ray mass
-    is rho^(s+k) / (s+k); ``sphere_samples`` is likewise unread.
-    """
-    return _identity_report("bp_identity", LebesgueDensity(body.dim), body, k, frames,
-                            points_per_frame, rng)
 
 
 def _section_bounds(density: DensityOracle, body: StarBody, k: int, frames: int,
@@ -177,28 +181,6 @@ def check_section_bounds(density: DensityOracle, body: StarBody, k: int, frames:
                          sphere_samples: int, rng: StreamHandle) -> list[CheckReport]:
     """The ``slicing_chain`` and ``dpp_bound`` reports of one section pass, on one stream."""
     return _section_bounds(density, body, k, frames, sphere_samples, rng)
-
-
-def check_logconcave_identity(density: DensityOracle, body: StarBody, k: int, frames: int,
-                              points_per_frame: int, rng: StreamHandle,
-                              sphere_samples: int = 2000) -> CheckReport:
-    """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ].
-
-    The generalized Blaschke-Petkantschin formula: it holds for every
-    locally integrable density g and every star body K with 0 in its
-    interior, symmetric or not (Schneider & Weil, Stochastic and Integral
-    Geometry, 2008, sec. 7.2).  The name is historical: g need not be
-    log-concave or even.
-
-    Inside each section the integral is taken in polar form,
-    (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
-    s = n - k and m(theta) = ``density.ray_mass`` up to rho(theta) at power
-    s + k, averaged over ``points_per_frame`` direction s-tuples; no point
-    is sampled and no density supremum is needed.  ``sphere_samples`` is
-    neither read nor recorded: only the benchmark's workloads still pass it.
-    """
-    return _identity_report("logconcave_identity", density, body, k, frames,
-                            points_per_frame, rng)
 
 
 def _random_sl_matrix(n: int, rng: StreamHandle) -> np.ndarray:
@@ -317,7 +299,8 @@ CHECKS = {
     "slicing_chain": check_slicing_chain,
     "dpp_bound": check_dpp,
     "section_bounds": check_section_bounds,
-    "logconcave_identity": check_logconcave_identity,
+    # the benchmark's identity_sampling grid still runs the Gaussian entries by this name
+    "logconcave_identity": check_bp_identity,
     "grinberg": check_grinberg,
     "busemann_petty_volume": check_busemann_petty_volume,
     "negative_control": negative_control,
@@ -392,7 +375,7 @@ def _default_grid() -> list:
         grid.append(("grinberg", {"body": body, "k": 1, "transforms": 2,
                                   "frames": 800, "sphere_samples": 1000}, bname))
     for bname in ("ball3", "cube3"):
-        grid.append(("logconcave_identity",
+        grid.append(("bp_identity",
                      {"density": GaussianDensity(3), "body": bodies[bname], "k": 1,
                       "frames": 400 if bname == "ball3" else 1500,
                       "points_per_frame": 300},

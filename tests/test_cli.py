@@ -171,10 +171,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown check" in json.loads(err)["error"]
 
-    def test_missing_measure_is_error(self, capsys):
-        code, _, err = run_cli(["verify", "--check", "slicing_chain",
-                                "--body", '{"kind":"cube","dim":2}'], capsys)
-        assert code == 2
+    def test_measure_defaults_to_lebesgue(self, capsys):
+        args = ["verify", "--check", "slicing_chain", "--body", '{"kind":"cube","dim":2}',
+                "--frames", "10", "--samples", "100", "--deterministic"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert (code, out) == run_cli(args + ["--measure", '{"kind":"lebesgue"}'], capsys)[:2]
 
     def test_measure_unused_by_check_is_error(self, capsys):
         code, _, err = run_cli(["verify", "--check", "grinberg",
@@ -235,13 +237,13 @@ class TestVerifyCommand:
         assert payload["reports"][0]["inputs"]["points_per_frame"] == 500
 
     def test_identity_runs_on_a_non_symmetric_body(self, capsys):
-        code, out, _ = run_cli(["verify", "--check", "logconcave_identity",
+        code, out, _ = run_cli(["verify", "--check", "bp_identity",
                                 "--body", '{"kind":"simplex","dim":3}',
                                 "--measure", '{"kind":"gaussian"}',
                                 "--frames", "40", "--points", "100",
                                 "--deterministic"], capsys)
         assert code in (0, 1)
-        assert json.loads(out)["reports"][0]["check_name"] == "logconcave_identity"
+        assert json.loads(out)["reports"][0]["check_name"] == "bp_identity"
 
     def test_section_bounds_gives_both_reports(self, capsys):
         args = ["verify", "--check", "section_bounds", "--body", '{"kind":"cube","dim":3}',

@@ -77,8 +77,9 @@ def test_frame_design_is_the_only_frame_plumbing():
     # Haar routine, the design's log_mean wrapper, the max-section helper that
     # the section pass absorbed, the QR frames and closed-form rotations that
     # Gram-Schmidt replaced, the per-check section reductions that
-    # _FrameDesign.sections replaced, the logsumexp port and Estimate.scaled, and
-    # the tuple rows that the design's lattice-ordered groups replaced
+    # _FrameDesign.sections replaced, the logsumexp port and Estimate.scaled, the
+    # tuple rows that the design's lattice-ordered groups replaced, and the second
+    # identity check and its shared body, which bp_identity's density absorbed
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
@@ -87,7 +88,8 @@ def test_frame_design_is_the_only_frame_plumbing():
             "log_domain", "to_linear", "exact_estimate", "mean_estimate", "_combined_log_se",
             "_iid", "_haar_rotation", "log_mean", "_max_section_log", "_haar_bases",
             "_ORTHO_TOL", "_rotations", "_ROTATION_NORMALS", "_section_stats", "_group_sizes",
-            "_logsumexp", "logsumexp", "scaled", "itertools", "_tuple_rows"}
+            "_logsumexp", "logsumexp", "scaled", "itertools", "_tuple_rows",
+            "check_logconcave_identity", "_identity_report"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())

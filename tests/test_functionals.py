@@ -70,11 +70,11 @@ def _haar_draw(gen, n, s):
 
 
 def _reference_frames(gen, n, s, count):
-    """count frames of G(n, s) from gen, written out: Haar draws one at a time, or for
-    n = 3, 4 and s = 1 or n - 1 the outer rule, point i of P_n(count) under the Haar
-    rotation of one Gaussian (n, n) draw, a line or a normal u completed to a basis by
-    the first n - 1 columns of I - 2 v v^T / v^T v, v = u + sign(u_n) e_n."""
-    if n > 4 or s not in (1, n - 1):
+    """count frames of G(n, s), n >= 3, from gen, written out: for s = 1 or n - 1 the outer
+    rule, point i of P_n(count) under the Haar rotation of one Gaussian (n, n) draw, a
+    line or a normal u completed to a basis by the first n - 1 columns of
+    I - 2 v v^T / v^T v, v = u + sign(u_n) e_n; otherwise Haar draws one at a time."""
+    if s not in (1, n - 1):
         return [_haar_draw(gen, n, s) for _ in range(count)]
     rule = np.array([_rule_point(n, count, i) for i in range(count)])
     frames = []
@@ -278,7 +278,7 @@ class TestFrameDesign:
     @pytest.mark.parametrize("block_dirs", [1, 3 * COUNT, 1 << 40])
     def test_blocks_equal_per_frame_loop(self, monkeypatch, block_dirs):
         # the section kernel's designs, on Haar and on rule frames, an identity check's
-        # design of s groups, and the groups of s = 4 and s = 5 under Haar rotations
+        # design of s groups, and the groups of s = 4 and s = 5 on rule frames of n = 5, 6
         monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
         step = max(1, block_dirs // self.COUNT)
         for n, k, groups in [(self.N, self.K, None), (3, 1, None), (4, 2, 2), (5, 1, None),
@@ -401,6 +401,15 @@ class TestDirectionRule:
         assert len(np.unique(points, axis=0)) == (2 if s == 1 else 9)
         # a one-point set is a unit row too, although at s >= 5 its first quantile is 0
         assert np.isclose(np.linalg.norm(sampler._point_set(s, 1)), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [7, 100, 1001])
+    def test_fibonacci_heights_have_the_sphere_moments(self, m):
+        # the heights 1 - (2i + 1)/m have sum 0 and sum of squares m/3 - 1/(3m); heights
+        # (2i + 0.5)/m off, for one, would sum to 1/2
+        heights = sampler._point_set(3, m)[:, 2].tolist()
+        assert abs(math.fsum(heights)) <= 1e-12
+        assert math.fsum(z * z for z in heights) == pytest.approx(m / 3 - 1 / (3 * m),
+                                                                  rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("s", [4, 5, 6])
     def test_group_se_does_not_understate_the_spread_over_rotations(self, s):

@@ -25,9 +25,8 @@ from sectlab.sampler import (StreamHandle, _point_set, sample_restricted, simple
                              sphere_directions)
 from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _polar_log_moments,
                               _worker_count, check_bp_identity, check_busemann_petty_volume,
-                              check_dpp, check_grinberg, check_logconcave_identity,
-                              check_section_bounds, check_slicing_chain, negative_control,
-                              run_suite)
+                              check_dpp, check_grinberg, check_section_bounds,
+                              check_slicing_chain, negative_control, run_suite)
 
 BALL3 = LpBall(3, 2.0)
 CUBE3 = cube(3)
@@ -198,6 +197,18 @@ class TestChains:
         vol = log_volume_estimate(BOX3, StreamHandle(9))
         assert (rep.lhs.value, rep.lhs.std_error) == (2 * vol.value, 2 * vol.std_error)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dpp_takes_the_supremum_at_power_k(self, k):
+        # twice the Gaussian scales mu(K cap F)^n and sup^k mu(K)^(n-k) both by 2^n, so
+        # only a wrong power of sup_K g moves the slack (a flipped one by 2k log 2)
+        plain = check_dpp(GaussianDensity(3), CUBE3, k, 20, 200, StreamHandle(10))
+        doubled = check_dpp(DoubledGaussian(3), CUBE3, k, 20, 200, StreamHandle(10))
+        assert (plain.inputs["sup_on_body"], doubled.inputs["sup_on_body"]) == (1.0, 2.0)
+        assert doubled.rhs.value - plain.rhs.value == pytest.approx(3 * math.log(2.0),
+                                                                    rel=0, abs=1e-12)
+        assert doubled.inputs["log_slack"] == pytest.approx(plain.inputs["log_slack"],
+                                                            rel=0, abs=1e-12)
+
     def test_l1_ball_4d(self):
         rep = check_slicing_chain(LebesgueDensity(4), LpBall(4, 1.0), 2, 80, 300,
                                   StreamHandle(7))
@@ -315,30 +326,32 @@ class ShiftedGaussian(DensityOracle):
         return np.exp(-0.5 * np.sum(d * d, axis=-1))
 
 
+class DoubledGaussian(GaussianDensity):
+    """Twice the standard Gaussian, so its supremum on any body with 0 inside is 2."""
+
+    def __call__(self, x):
+        return 2.0 * super().__call__(x)
+
+    def ray_mass(self, dirs, upper, power):
+        return 2.0 * super().ray_mass(dirs, upper, power)
+
+
 def _within_three_se(rep):
     lhs, rhs = rep.lhs, rep.rhs
     return abs(lhs.value - rhs.value) <= 3 * math.hypot(lhs.std_error, rhs.std_error)
 
 
 class TestLogconcaveIdentity:
+    """bp_identity with a density, the kind once named logconcave_identity."""
+
     def test_uniform_reduces_to_bp(self):
-        rep = check_logconcave_identity(LebesgueDensity(3), BALL3, 1, 200, 300,
-                                        StreamHandle(12), sphere_samples=300)
+        rep = check_bp_identity(BALL3, 1, 200, 300, StreamHandle(12),
+                                density=LebesgueDensity(3), sphere_samples=300)
         assert rep.passed
 
-    @pytest.mark.parametrize("body", [CUBE3, BOX3], ids=["exact", "sampled"])
-    def test_at_lebesgue_is_bp_identity(self, body):
-        # the two identity checks share one left side and differ only in their density
-        a = check_logconcave_identity(LebesgueDensity(3), body, 1, 20, 50, StreamHandle(17))
-        b = check_bp_identity(body, 1, 20, 50, StreamHandle(17))
-        a, b = a.as_dict(), b.as_dict()
-        assert (a.pop("check_name"), b.pop("check_name")) == ("logconcave_identity",
-                                                              "bp_identity")
-        assert a == b
-
     def test_gaussian_ball(self):
-        rep = check_logconcave_identity(GaussianDensity(3), BALL3, 1, 300, 300,
-                                        StreamHandle(13), sphere_samples=400)
+        rep = check_bp_identity(BALL3, 1, 300, 300, StreamHandle(13),
+                                density=GaussianDensity(3), sphere_samples=400)
         assert rep.passed
         mu = 3.1302041562817155
         assert math.exp(rep.lhs.value) == pytest.approx(mu ** 2, rel=1e-6)
@@ -351,21 +364,21 @@ class TestLogconcaveIdentity:
     def test_gaussian_on_translated_ball(self):
         # passed on each of seeds 0-19
         body = translate(BALL3, np.array([0.3, 0.1, 0.0]))
-        rep = check_logconcave_identity(GaussianDensity(3), body, 1, 400, 300,
-                                        StreamHandle(14))
+        rep = check_bp_identity(body, 1, 400, 300, StreamHandle(14),
+                                density=GaussianDensity(3))
         assert rep.passed
 
     def test_shifted_gaussian_on_cube(self):
         # g(x) = exp(-|x - c|^2 / 2) is neither even nor radially nonincreasing;
         # the 2% gate failed on 1 of seeds 0-19
-        rep = check_logconcave_identity(ShiftedGaussian([0.3, -0.2, 0.1]), CUBE3, 1, 400,
-                                        300, StreamHandle(15))
+        rep = check_bp_identity(CUBE3, 1, 400, 300, StreamHandle(15),
+                                density=ShiftedGaussian([0.3, -0.2, 0.1]))
         assert _within_three_se(rep)
 
     def test_gaussian_on_simplex(self):
         # the 2% gate failed on 11 of seeds 0-19: the combined log SE is about 0.025
-        rep = check_logconcave_identity(GaussianDensity(3), centered_simplex(3), 1, 1500,
-                                        300, StreamHandle(16))
+        rep = check_bp_identity(centered_simplex(3), 1, 1500, 300, StreamHandle(16),
+                                density=GaussianDensity(3))
         assert _within_three_se(rep)
 
 
@@ -382,6 +395,12 @@ class TestGrinberg:
         max_rep = reports[1]
         assert max_rep.passed
         assert math.exp(max_rep.lhs.value) == pytest.approx(1.2089939655123523, rel=1e-6)
+
+    @pytest.mark.parametrize("body", [CUBE3, BALL3], ids=["cube3", "ball3"])
+    def test_images_are_not_the_body(self, body):
+        # were the images the body itself, the three values would agree bit for bit
+        worst = check_grinberg(body, 1, 2, 50, 200, StreamHandle(23))[0]
+        assert len(set(worst.inputs["all_values"])) == 3
 
     def test_no_transforms_is_an_error(self):
         # invariance with no image would compare the functional with itself
@@ -439,12 +458,14 @@ class TestSuite:
         assert set(CHECKS) == {"bp_identity", "slicing_chain", "dpp_bound", "section_bounds",
                                "logconcave_identity", "grinberg",
                                "busemann_petty_volume", "negative_control"}
+        # one identity check: the second name is kept for the benchmark's grid
+        assert CHECKS["logconcave_identity"] is CHECKS["bp_identity"]
 
     def test_default_grid_composition(self, monkeypatch):
         grid = _default_grid()
         counts = Counter(name for name, _, _ in grid)
-        assert counts == {"bp_identity": 4, "section_bounds": 24, "grinberg": 4,
-                          "logconcave_identity": 2, "busemann_petty_volume": 2}
+        assert counts == {"bp_identity": 6, "section_bounds": 24, "grinberg": 4,
+                          "busemann_petty_volume": 2}
         assert len(grid) == 36
         assert all(name in CHECKS for name, _, _ in grid)
         # the section_bounds entries, at tiny budgets, report the (check, fixture, k)
@@ -519,8 +540,8 @@ BLOCKED_CHECKS = {
                                                    StreamHandle(55)),
     "bp_identity": lambda: check_bp_identity(CUBE3, 1, 10, 50, StreamHandle(47),
                                              sphere_samples=300),
-    "logconcave_identity": lambda: check_logconcave_identity(
-        GaussianDensity(3), CUBE3, 1, 10, 50, StreamHandle(48), sphere_samples=300),
+    "logconcave_identity": lambda: check_bp_identity(
+        CUBE3, 1, 10, 50, StreamHandle(48), density=GaussianDensity(3), sphere_samples=300),
 }
 
 
@@ -578,8 +599,8 @@ def test_report_seed_is_the_stream_seed(name):
     assert reports and all(r.seed == 7 for r in reports)
 
 
-# the checks that draw sphere directions; the identity checks take sphere_samples
-# but draw points_per_frame * (n - k) directions per frame instead
+# the checks that draw sphere directions; the identity check takes sphere_samples
+# but draws points_per_frame * (n - k) directions per frame instead
 READS_SPHERE_SAMPLES = {"slicing_chain", "dpp_bound", "section_bounds", "grinberg",
                         "busemann_petty_volume", "negative_control"}
 
@@ -599,7 +620,7 @@ def test_sphere_samples_recorded_exactly_where_read(name):
 
 @pytest.mark.parametrize("check", [
     lambda: check_bp_identity(CUBE3, 1, 10, 0, StreamHandle(52)),
-    lambda: check_logconcave_identity(GaussianDensity(3), CUBE3, 1, 10, 0, StreamHandle(52))],
+    lambda: check_bp_identity(CUBE3, 1, 10, 0, StreamHandle(52), density=GaussianDensity(3))],
     ids=["bp_identity", "logconcave_identity"])
 def test_zero_points_per_frame_is_an_error(check):
     with pytest.raises(ValueError, match="sphere direction per frame, got 0$"):
