@@ -11,7 +11,8 @@ Every subspace average, here and in the checks, runs on one
 :class:`_FrameDesign`, built from a frame count and a stream.  Designs
 that share (count, rng) share every frame and direction, which is how
 paired comparisons share common random frames.  Its :meth:`~_FrameDesign.sections`
-is the one pass over section values.
+is the one pass over section values; on lines (s = 1), where every direction
+is u or -u, it runs the section kernel once per end and frame, with the same bits.
 
 A check entry's stream rng splits as:
 
@@ -123,7 +124,11 @@ class _FrameDesign:
     rotations of groups of 24, 60 and 120 points, a group mean's spread on
     ``centered_simplex(4)`` is 1.08, 1.03 and 0.77 times it.  Over frames it
     is an iid SE for iid Haar frames and over-reports for rule frames and
-    stratified lines.
+    stratified lines.  At s = 1, P is +1, -1 in turn and R is +-1, so every
+    direction is u = B[:, 0] or -u, and the iid SE over a frame's directions
+    is an artefact of that layout: a group of even size has the exact chord
+    mass as its mean.  It is kept for the reports' bytes until replicate SEs
+    (ROADMAP direction 2(c)) replace it.
     """
 
     def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle, *,
@@ -147,9 +152,17 @@ class _FrameDesign:
         self._runs = [(_lattice_groups(s, m, start, stop), slice(start, stop))
                       for m, start, stop in ((size + 1, 0, extra), (size, extra, groups))
                       if m and start < stop]
+        if s == 1:      # (F, count): True where point * R is -1, so the direction is -u
+            self._flips = np.concatenate([(points[..., 0] * rotations[:, run, 0]).reshape(
+                frames, -1) < 0 for points, run in self._runs], axis=1)
 
     def __len__(self) -> int:
         return len(self.bases)
+
+    def _blocks(self) -> list[slice]:
+        """Blocks of frames of at most ``_BLOCK_DIRS`` directions, and at least one frame."""
+        step = max(1, _BLOCK_DIRS // self.count)
+        return [slice(start, start + step) for start in range(0, len(self), step)]
 
     def map(self, fn) -> np.ndarray:
         """fn(dirs) on blocks of frames, concatenated along the frame axis.
@@ -159,11 +172,10 @@ class _FrameDesign:
         groups of m.  A block holds at most ``_BLOCK_DIRS`` directions, and at
         least one frame.
         """
-        step = max(1, _BLOCK_DIRS // self.count)
-        frames, n, _ = self.bases.shape
+        n = self.bases.shape[1]
         parts = []
-        for start in range(0, frames, step):
-            embeddings = self._embeddings[start:start + step]
+        for block in self._blocks():
+            embeddings = self._embeddings[block]
             runs = [(points @ embeddings[:, groups]).reshape(len(embeddings), -1, n)
                     for points, groups in self._runs]
             parts.append(fn(runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)))
@@ -173,13 +185,19 @@ class _FrameDesign:
                  powers: bool = True) -> np.ndarray:
         """The one section pass, as (F, len(bodies), columns): per frame and body, the mean
         of :func:`~sectlab.measures._section_measure_values` over the frame's directions
-        and its iid SE (``spread``), then the n group means (``powers``)."""
+        and its iid SE (``spread``), then the n group means (``powers``).  At s = 1 the
+        kernel sees only the (F, 2, n) stack [u, -u], laid out as the directions."""
         n, s = self.bases.shape[1:]
 
         def reduce(values):
             columns = list(_mean_and_se(values)) if spread else []
             return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
 
+        if s == 1:
+            lines = np.stack([self.bases[:, :, 0], -self.bases[:, :, 0]], axis=1)
+            ends = [_section_measure_values(density, body, lines, s) for body in bodies]
+            return np.concatenate([np.stack([reduce(np.where(self._flips[b], e[b, 1:], e[b, :1]))
+                                             for e in ends], axis=1) for b in self._blocks()])
         return self.map(lambda dirs: np.stack(
             [reduce(_section_measure_values(density, body, dirs, s)) for body in bodies], axis=1))
 

@@ -12,7 +12,8 @@ exponential) evaluate the ray mass in closed form; any other density
 falls back to adaptive Gauss-Legendre refinement to relative 1e-9,
 which needs the integer power to keep the integrand smooth at r = 0.
 Either way the spherical average, done by Monte Carlo with a
-reported standard error, dominates the error.
+reported standard error, dominates the error, except on lines (s = 1):
+their sphere is the two points +-u, and the error is the frames'.
 
 The Gaussian and radial exponential closed forms are Gamma(a) P(a, x) at
 a = power/2 or a = power, with P the regularised lower incomplete gamma

@@ -9,7 +9,7 @@ import pytest
 from sectlab import functionals, sampler
 from sectlab.bodies import Ellipsoid, HPolytope, LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import log_ball_volume, log_gamma_nk
-from sectlab.estimates import log_mean_estimate, log_power_product
+from sectlab.estimates import _group_means, _mean_and_se, log_mean_estimate, log_power_product
 from sectlab.functionals import (_AUX, dual_affine_quermass, log_measure_estimate,
                                  log_volume_estimate, section_volume_values)
 from sectlab.grassmann import Frame, sample_haar
@@ -291,6 +291,46 @@ class TestFrameDesign:
             assert np.concatenate(blocks).tobytes() == expected.tobytes()
             assert out.tobytes() == np.concatenate(
                 [d.sum(axis=(1, 2)) for d in blocks]).tobytes()
+
+    @pytest.mark.parametrize("k,rows", [(2, 2), (1, 600)])
+    def test_line_sections_evaluate_each_end_once(self, monkeypatch, k, rows):
+        # at k = n - 1 every direction is u or -u: the kernel sees [u, -u] once per frame
+        seen = []
+
+        def counted(density, body, dirs, s):
+            seen.append(dirs.size // dirs.shape[-1])
+            return _section_measure_values(density, body, dirs, s)
+
+        monkeypatch.setattr(functionals, "_section_measure_values", counted)
+        design = functionals._FrameDesign(40, 3, k, 600, StreamHandle(59))
+        design.sections(GaussianDensity(3), [cube(3), LpBall(3, 1.0)], spread=True)
+        assert sum(seen) == 2 * 40 * rows
+
+    @pytest.mark.parametrize("block_dirs", [1, 300, 1 << 40])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_line_sections_equal_per_direction_path(self, monkeypatch, n, block_dirs):
+        # two kernel values per frame, laid out as its directions, give the bytes of the
+        # kernel on every direction, for odd and uneven group sizes
+        monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
+        density, bodies = GaussianDensity(n), [cube(n), LpBall(n, 1.0)]
+        for count in (600, 100, 7):
+            design = functionals._FrameDesign(40, n, n - 1, count, StreamHandle(60))
+            for spread, powers in [(True, False), (False, True), (True, True)]:
+
+                if powers and count < 2 * n:      # too few directions for n groups
+                    with pytest.raises(ValueError, match="values for"):
+                        design.sections(density, bodies, spread, powers)
+                    continue
+
+                def reduction(values):
+                    columns = list(_mean_and_se(values)) if spread else []
+                    return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
+
+                expected = design.map(lambda dirs: np.stack(
+                    [reduction(_section_measure_values(density, body, dirs, 1))
+                     for body in bodies], axis=1))
+                got = design.sections(density, bodies, spread, powers)
+                assert got.tobytes() == expected.tobytes()
 
     def test_lines_in_the_plane_are_stratified(self):
         # G(2,1): frame j is the line at angle pi (j + U) / F, U uniform from rng.split(0)
