@@ -19,11 +19,11 @@ Subcommands:
 
 Every report embeds the full configuration, so a run can be reproduced
 from the report file alone: byte for byte on the same CPU path (BLAS
-kernel and numpy SIMD level), and to rounding elsewhere.  On an AVX-512
-x86 CPU, 1 of the 64 seed-0 suite reports changes bytes under
-OPENBLAS_CORETYPE=Haswell, 12 with numpy's AVX-512 kernels off
-(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and 13 with
-both; no log moves by more than 2.3e-16 and no verdict changes.  A
+kernel and numpy SIMD level), and to rounding elsewhere.  Emulating the
+other CPU paths on one AVX-512 x86 host, 1 of the 64 seed-0 suite reports
+changes bytes under OPENBLAS_CORETYPE=Haswell, 12 with numpy's AVX-512
+kernels off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and
+13 with both; no log moves by more than 2.2e-16 and no verdict changes.  A
 ``sectlab.report.v2`` side holds ``log``, the natural log of the estimate,
 ``value`` = exp(log) with its std error ``se``, both null at |log| >= 700,
 and ``n_samples``.  ``--deterministic`` drops the timestamp so reruns with
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True, metavar="SPEC", help="JSON literal or path")
     p.add_argument("--k", type=int, help="codimension (phi only; default 1)")
     p.add_argument("--samples", type=int,
-                   help="sphere directions per frame (phi only; default 20000)")
+                   help="sphere directions per frame of dimension >= 2 (phi only; default 20000)")
     p.add_argument("--frames", type=int, help="sampled frames (phi only; default 500)")
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -251,11 +251,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    "dpp_bound, section_bounds; default Lebesgue measure)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--frames", type=int, default=500)
-    p.add_argument("--samples", type=int, help="sphere samples per frame (slicing_chain, "
-                   "dpp_bound, section_bounds, grinberg, busemann_petty_volume, "
-                   "negative_control; default 2000)")
-    p.add_argument("--points", type=int,
-                   help="direction s-tuples per frame (bp_identity only; default 500)")
+    p.add_argument("--samples", type=int, help="sphere samples per frame of dimension >= 2 "
+                   "(slicing_chain, dpp_bound, section_bounds, grinberg, "
+                   "busemann_petty_volume, negative_control; default 2000)")
+    p.add_argument("--points", type=int, help="direction s-tuples per frame of dimension "
+                   ">= 2 (bp_identity only; default 500)")
     p.add_argument("--transforms", type=int,
                    help="volume-preserving images (grinberg only; default 5)")
     p.add_argument("--seed", type=int, default=0)

@@ -3,21 +3,21 @@
 Implements the dual affine quermassintegral, the one functional the
 checks read, and the logs of |K| and mu(K) it and the checks share.
 Subspace averages are Monte Carlo over Haar frames, and inside a frame
-over randomised point sets on the section's sphere; means of n-th powers
-of section volumes are heavy-tailed and therefore accumulated in log
-domain.
+over randomised point sets on the section's sphere, except on lines, whose
+sphere {u, -u} is taken whole; means of n-th powers of section volumes are
+heavy-tailed and therefore accumulated in log domain.
 
 Every subspace average, here and in the checks, runs on one
 :class:`_FrameDesign`, built from a frame count and a stream.  Designs
 that share (count, rng) share every frame and direction, which is how
 paired comparisons share common random frames.  Its :meth:`~_FrameDesign.sections`
-is the one pass over section values; on lines (s = 1), where every direction
-is u or -u, it runs the section kernel once per end and frame, with the same bits.
+is the one pass over section values, and :meth:`~_FrameDesign.map` the one
+path from a design to its directions.
 
 A check entry's stream rng splits as:
 
-- rng.split(0): the frames (:func:`_haar_stack`), then the Gaussian
-  (F, groups, s, s) stack of the groups' rotations;
+- rng.split(0): the frames (:func:`_haar_stack`), then, for s >= 2, the
+  Gaussian (F, groups, s, s) stack of the groups' rotations;
 - |K|, rng.split(_AUX); mu(K) of a density other than Lebesgue,
   rng.split(_AUX + 1); Grinberg's t-th image, rng.split(_AUX + 2 + t).
 """
@@ -103,11 +103,12 @@ class _FrameDesign:
 
     ``frames`` frames are drawn by :func:`_haar_stack`, by its outer rule at
     k = 1 or n - 1 for every n >= 3, and held as one (F, n, n - k) stack.
-    Frame j gets ``count`` directions on the sphere of its subspace, drawn
-    from rng.split(0) alone (see the module docstring), so designs built with
-    the same arguments share every frame and direction.  Every average over
-    frames goes through :meth:`map`, section values through :meth:`sections`,
-    and its per-frame logs through :func:`~sectlab.estimates.log_mean_estimate`.
+    Frame j gets ``count`` directions on the sphere of its subspace (two on
+    lines, below), drawn from rng.split(0) alone (see the module docstring),
+    so designs built with the same arguments share every frame and direction.
+    Every average over frames goes through :meth:`map`, section values through
+    :meth:`sections`, and its per-frame logs through
+    :func:`~sectlab.estimates.log_mean_estimate`.
 
     A frame's directions are ``groups`` (default n) consecutive groups, sized
     as ``np.array_split`` sizes them, each a fixed point set P, in
@@ -124,11 +125,10 @@ class _FrameDesign:
     rotations of groups of 24, 60 and 120 points, a group mean's spread on
     ``centered_simplex(4)`` is 1.08, 1.03 and 0.77 times it.  Over frames it
     is an iid SE for iid Haar frames and over-reports for rule frames and
-    stratified lines.  At s = 1, P is +1, -1 in turn and R is +-1, so every
-    direction is u = B[:, 0] or -u, and the iid SE over a frame's directions
-    is an artefact of that layout: a group of even size has the exact chord
-    mass as its mean.  It is kept for the reports' bytes until replicate SEs
-    (ROADMAP direction 2(c)) replace it.
+    stratified lines.  At s = 1 a line's sphere S^0 = {u, -u}, u = B[:, 0],
+    has two points, which give its average exactly: the design is one group,
+    [+1], [-1] with no rotation drawn, whatever ``count`` and ``groups`` ask,
+    so ``count`` is 2 and a line's mean has no error within its frame.
     """
 
     def __init__(self, frames: int, n: int, k: int, count: int, rng: StreamHandle, *,
@@ -142,6 +142,10 @@ class _FrameDesign:
         gen = rng.split(0).generator()
         s, groups = n - k, n if groups is None else groups
         self.bases = _haar_stack(n, s, frames, gen)
+        if s == 1:      # S^0 = {u, -u}: one group, the exact two-point rule, not rotated
+            self.count, self._runs = 2, [(np.array([[[1.0], [-1.0]]]), slice(0, 1))]
+            self._embeddings = np.ascontiguousarray(self.bases.swapaxes(-1, -2)[:, None])
+            return
         self.count = count
         rotations = _haar_columns(gen.standard_normal((frames, groups, s, s)))
         # (F, groups, s, n): group g of frame f embeds as its point set @ E[f, g]
@@ -152,30 +156,23 @@ class _FrameDesign:
         self._runs = [(_lattice_groups(s, m, start, stop), slice(start, stop))
                       for m, start, stop in ((size + 1, 0, extra), (size, extra, groups))
                       if m and start < stop]
-        if s == 1:      # (F, count): True where point * R is -1, so the direction is -u
-            self._flips = np.concatenate([(points[..., 0] * rotations[:, run, 0]).reshape(
-                frames, -1) < 0 for points, run in self._runs], axis=1)
 
     def __len__(self) -> int:
         return len(self.bases)
-
-    def _blocks(self) -> list[slice]:
-        """Blocks of frames of at most ``_BLOCK_DIRS`` directions, and at least one frame."""
-        step = max(1, _BLOCK_DIRS // self.count)
-        return [slice(start, start + step) for start in range(0, len(self), step)]
 
     def map(self, fn) -> np.ndarray:
         """fn(dirs) on blocks of frames, concatenated along the frame axis.
 
         dirs (B, count, n) holds each frame's directions embedded in R^n, group
         after group: one (groups, m, s) @ (B, groups, s, n) matmul per run of
-        groups of m.  A block holds at most ``_BLOCK_DIRS`` directions, and at
-        least one frame.
+        groups of m, which on lines gives [u, -u] exactly.  A block holds at
+        most ``_BLOCK_DIRS`` directions, and at least one frame.
         """
+        step = max(1, _BLOCK_DIRS // self.count)
         n = self.bases.shape[1]
         parts = []
-        for block in self._blocks():
-            embeddings = self._embeddings[block]
+        for start in range(0, len(self), step):
+            embeddings = self._embeddings[start:start + step]
             runs = [(points @ embeddings[:, groups]).reshape(len(embeddings), -1, n)
                     for points, groups in self._runs]
             parts.append(fn(runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)))
@@ -185,19 +182,18 @@ class _FrameDesign:
                  powers: bool = True) -> np.ndarray:
         """The one section pass, as (F, len(bodies), columns): per frame and body, the mean
         of :func:`~sectlab.measures._section_measure_values` over the frame's directions
-        and its iid SE (``spread``), then the n group means (``powers``).  At s = 1 the
-        kernel sees only the (F, 2, n) stack [u, -u], laid out as the directions."""
+        and its iid SE (``spread``), then the n group means (``powers``).  On lines the mean
+        over u and -u is exact: its SE is 0, and each of the n group means is that mean."""
         n, s = self.bases.shape[1:]
 
         def reduce(values):
+            if s == 1:
+                mean = values.mean(axis=-1)
+                return np.column_stack(([mean, np.zeros_like(mean)] if spread else [])
+                                       + ([mean] * n if powers else []))
             columns = list(_mean_and_se(values)) if spread else []
             return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
 
-        if s == 1:
-            lines = np.stack([self.bases[:, :, 0], -self.bases[:, :, 0]], axis=1)
-            ends = [_section_measure_values(density, body, lines, s) for body in bodies]
-            return np.concatenate([np.stack([reduce(np.where(self._flips[b], e[b, 1:], e[b, :1]))
-                                             for e in ends], axis=1) for b in self._blocks()])
         return self.map(lambda dirs: np.stack(
             [reduce(_section_measure_values(density, body, dirs, s)) for body in bodies], axis=1))
 

@@ -13,7 +13,8 @@ falls back to adaptive Gauss-Legendre refinement to relative 1e-9,
 which needs the integer power to keep the integrand smooth at r = 0.
 Either way the spherical average, done by Monte Carlo with a
 reported standard error, dominates the error, except on lines (s = 1):
-their sphere is the two points +-u, and the error is the frames'.
+their sphere is the two points +-u, which the frame design takes whole,
+so the average over it is exact and the error is the frames'.
 
 The Gaussian and radial exponential closed forms are Gamma(a) P(a, x) at
 a = power/2 or a = power, with P the regularised lower incomplete gamma

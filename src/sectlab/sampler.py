@@ -156,9 +156,9 @@ def _haar_columns(g: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _point_set(s: int, m: int) -> np.ndarray:
-    """The fixed m-point set P_s(m) on S^(s-1) that a random rotation turns, (m, s).
+    """The fixed m-point set P_s(m) on S^(s-1), s >= 2, that a random rotation turns, (m, s).
 
-    s = 1: +1, -1 in turn; s = 2: the m-gon at angles 2 pi i / m; s = 3: the
+    s = 2: the m-gon at angles 2 pi i / m; s = 3: the
     spherical Fibonacci set, height 1 - (2i + 1) / m at longitude i times the
     golden angle (Marques et al., *Computer Graphics Forum* 2013); s = 4: the
     super-Fibonacci set (Alexa, *CVPR* 2022); s >= 5: m distinct points, the
@@ -167,9 +167,7 @@ def _point_set(s: int, m: int) -> np.ndarray:
     golden ratio).  Built with ``math`` and ``statistics``, so its bits do not
     depend on numpy's SIMD kernels.  Cached and read-only.
     """
-    if s == 1:
-        rows = [[1.0 - 2.0 * (i % 2)] for i in range(m)]
-    elif s == 2:
+    if s == 2:
         rows = [[math.cos(2.0 * math.pi * i / m), math.sin(2.0 * math.pi * i / m)]
                 for i in range(m)]
     elif s == 3:

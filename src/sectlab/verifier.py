@@ -103,8 +103,10 @@ def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int
     (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
     s = n - k and m(theta) = ``density.ray_mass`` up to rho(theta) at power
     s + k, averaged over ``points_per_frame`` direction s-tuples; no point
-    is sampled and no density supremum is needed.  ``sphere_samples`` is
-    neither read nor recorded: only the benchmark's workloads still pass it.
+    is sampled and no density supremum is needed.  At k = n - 1 the tuples
+    are u and -u, the whole of S^0, so ``points_per_frame`` is not read.
+    ``sphere_samples`` is neither read nor recorded: only the benchmark's
+    workloads still pass it.
     """
     n = body.dim
     density = LebesgueDensity(n) if density is None else density
@@ -159,8 +161,8 @@ def check_slicing_chain(density: DensityOracle, body: StarBody, k: int, frames: 
 
     The sampled max under-estimates the true max, so the check is
     conservative (stricter than the proved inequality).  The max section's
-    SE is the iid formula's over its frame's directions.  At Lebesgue
-    measure mu(K) and |K| are one number.  A view of :func:`_section_bounds`.
+    SE is the iid formula's over its frame's directions, 0 on a line.  At
+    Lebesgue measure mu(K) and |K| are one number.  A view of :func:`_section_bounds`.
     """
     return _section_bounds(density, body, k, frames, sphere_samples, rng, ("slicing_chain",))[0]
 

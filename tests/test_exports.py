@@ -78,8 +78,10 @@ def test_frame_design_is_the_only_frame_plumbing():
     # the section pass absorbed, the QR frames and closed-form rotations that
     # Gram-Schmidt replaced, the per-check section reductions that
     # _FrameDesign.sections replaced, the logsumexp port and Estimate.scaled, the
-    # tuple rows that the design's lattice-ordered groups replaced, and the second
-    # identity check and its shared body, which bp_identity's density absorbed
+    # tuple rows that the design's lattice-ordered groups replaced, the second
+    # identity check and its shared body, which bp_identity's density absorbed, and
+    # the line sections' +-u layout and second frame-block path, which the exact
+    # two-point rule on S^0 replaced
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
@@ -89,7 +91,7 @@ def test_frame_design_is_the_only_frame_plumbing():
             "_iid", "_haar_rotation", "log_mean", "_max_section_log", "_haar_bases",
             "_ORTHO_TOL", "_rotations", "_ROTATION_NORMALS", "_section_stats", "_group_sizes",
             "_logsumexp", "logsumexp", "scaled", "itertools", "_tuple_rows",
-            "check_logconcave_identity", "_identity_report"}
+            "check_logconcave_identity", "_identity_report", "_flips", "_blocks"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())

@@ -9,7 +9,7 @@ import pytest
 from sectlab import functionals, sampler
 from sectlab.bodies import Ellipsoid, HPolytope, LpBall, centered_simplex, cube, linear_image
 from sectlab.constants import log_ball_volume, log_gamma_nk
-from sectlab.estimates import _group_means, _mean_and_se, log_mean_estimate, log_power_product
+from sectlab.estimates import log_mean_estimate, log_power_product
 from sectlab.functionals import (_AUX, dual_affine_quermass, log_measure_estimate,
                                  log_volume_estimate, section_volume_values)
 from sectlab.grassmann import Frame, sample_haar
@@ -38,8 +38,6 @@ def _rule_point(s, m, i):
         alpha, beta = angle / math.sqrt(2.0), angle / 1.533751168755204
         return [math.sqrt(t) * math.sin(alpha), math.sqrt(t) * math.cos(alpha),
                 math.sqrt(1.0 - t) * math.sin(beta), math.sqrt(1.0 - t) * math.cos(beta)]
-    if s == 1:
-        return [1.0 if i % 2 == 0 else -1.0]
     # s >= 5: normal quantiles of ((i + 1/2) / m, frac((i + 1/2) / phi^c)), phi^s = phi + 1
     phi = 2.0
     for _ in range(100):
@@ -308,29 +306,24 @@ class TestFrameDesign:
 
     @pytest.mark.parametrize("block_dirs", [1, 300, 1 << 40])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_line_sections_equal_per_direction_path(self, monkeypatch, n, block_dirs):
-        # two kernel values per frame, laid out as its directions, give the bytes of the
-        # kernel on every direction, for odd and uneven group sizes
+    def test_line_sections_are_the_chord(self, monkeypatch, n, block_dirs):
+        # at k = n - 1 a frame's sphere S^0 is {u, -u}: per frame and body, the mean of the
+        # kernel at the two ends, an SE of 0 and n copies of that mean, whatever the count
+        # (7 < 2n included), on a body that is not symmetric too
         monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
-        density, bodies = GaussianDensity(n), [cube(n), LpBall(n, 1.0)]
-        for count in (600, 100, 7):
-            design = functionals._FrameDesign(40, n, n - 1, count, StreamHandle(60))
+        bodies = [centered_simplex(n), LpBall(n, 1.0)]
+        u = functionals._haar_stack(n, 1, 40, StreamHandle(60).split(0).generator())[:, :, 0]
+        for density in (LebesgueDensity(n), GaussianDensity(n)):
+            means = [_section_measure_values(density, body, np.stack([u, -u], 1), 1).mean(-1)
+                     for body in bodies]
             for spread, powers in [(True, False), (False, True), (True, True)]:
-
-                if powers and count < 2 * n:      # too few directions for n groups
-                    with pytest.raises(ValueError, match="values for"):
-                        design.sections(density, bodies, spread, powers)
-                    continue
-
-                def reduction(values):
-                    columns = list(_mean_and_se(values)) if spread else []
-                    return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
-
-                expected = design.map(lambda dirs: np.stack(
-                    [reduction(_section_measure_values(density, body, dirs, 1))
-                     for body in bodies], axis=1))
-                got = design.sections(density, bodies, spread, powers)
-                assert got.tobytes() == expected.tobytes()
+                expected = np.stack([np.column_stack(([mean, np.full(40, 0.0)] if spread else [])
+                                                     + ([mean] * n if powers else []))
+                                     for mean in means], axis=1)
+                for count in (1000, 600, 7):
+                    design = functionals._FrameDesign(40, n, n - 1, count, StreamHandle(60))
+                    got = design.sections(density, bodies, spread, powers)
+                    assert got.tobytes() == expected.tobytes()
 
     def test_lines_in_the_plane_are_stratified(self):
         # G(2,1): frame j is the line at angle pi (j + U) / F, U uniform from rng.split(0)
@@ -346,7 +339,7 @@ def test_folded_kernel_is_the_old_kernel_up_to_rounding():
     # the rotations folded into the frame bases, P (B R)^T, against rotating the points
     # and then embedding them, (P R^T) B^T; and a linear image's radial at T^{-1} theta
     # against normalising it first: the section values agree but for rounding
-    for n, k in [(3, 2), (3, 1), (4, 1)]:
+    for n, k in [(3, 1), (4, 1)]:
         s, rng, frames, count = n - k, StreamHandle(63), 20, 301
         body = linear_image(LpBall(n, 1.0), np.eye(n) + 0.2 * np.ones((n, n)))
         design = functionals._FrameDesign(frames, n, k, count, rng)
@@ -391,7 +384,7 @@ class TestDirectionRule:
         chords = [float(body.radial(b[:, 0]) + body.radial(-b[:, 0])) for b in design.bases]
         assert np.abs(means / chords - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("s", [2, 3])
     def test_embedded_point_is_uniform_in_mean_and_second_moment(self, s):
         # point 3 of each group of 7, embedded by the design and read back in its
         # frame's coordinates, is R p: uniform on S^(s-1) whatever the frame
@@ -431,14 +424,13 @@ class TestDirectionRule:
             se = sample.std(axis=0, ddof=1) / math.sqrt(draws)
             assert (np.abs(mean - target) <= 4.0 * se + 1e-12).all()
 
-    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
     def test_point_sets_are_cached_unit_rows(self, s):
         points = sampler._point_set(s, 9)
         assert points is sampler._point_set(s, 9) and not points.flags.writeable
         assert points.shape == (9, s)
         assert np.allclose(np.linalg.norm(points, axis=-1), 1.0, rtol=0, atol=1e-15)
-        # s = 1 has only +1 and -1; every other set has m distinct points
-        assert len(np.unique(points, axis=0)) == (2 if s == 1 else 9)
+        assert len(np.unique(points, axis=0)) == 9
         # a one-point set is a unit row too, although at s >= 5 its first quantile is 0
         assert np.isclose(np.linalg.norm(sampler._point_set(s, 1)), 1.0, rtol=0, atol=1e-15)
 
