@@ -21,9 +21,9 @@ Every report embeds the full configuration, so a run can be reproduced
 from the report file alone: byte for byte on the same CPU path (BLAS
 kernel and numpy SIMD level), and to rounding elsewhere.  Emulating the
 other CPU paths on one AVX-512 x86 host, 1 of the 64 seed-0 suite reports
-changes bytes under OPENBLAS_CORETYPE=Haswell, 12 with numpy's AVX-512
+changes bytes under OPENBLAS_CORETYPE=Haswell, 11 with numpy's AVX-512
 kernels off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") and
-13 with both; no log moves by more than 2.2e-16 and no verdict changes.  A
+12 with both; no log moves by more than 2.2e-16 and no verdict changes.  A
 ``sectlab.report.v2`` side holds ``log``, the natural log of the estimate,
 ``value`` = exp(log) with its std error ``se``, both null at |log| >= 700,
 and ``n_samples``.  ``--deterministic`` drops the timestamp so reruns with
@@ -56,8 +56,9 @@ _SCAN_SCHEMA = "sectlab.scan.v1"
 # where and how the output is written, not what is computed
 _NOT_CONFIG = ("func", "json", "csv", "pretty")
 # optional flags and the functionals (estimate) or checks (verify) that read
-# each; any other rejects the flag.  Defaults are filled in only where read,
-# so config records only budgets that ran.
+# each; any other rejects the flag, as every check does --points at k = n - 1, where
+# a line's tuples are u and -u.  Defaults are filled in only where read, so config
+# records only budgets that ran.
 _ESTIMATE_READERS = {
     "k": ("phi",),
     "frames": ("phi",),
@@ -157,8 +158,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.check not in CHECKS:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
-    _read_flags(args, args.check, _VERIFY_READERS, _VERIFY_DEFAULTS)
     body = body_from_json(args.body)
+    readers = {**_VERIFY_READERS, "points": ()} if args.k == body.dim - 1 else _VERIFY_READERS
+    _read_flags(args, args.check, readers, _VERIFY_DEFAULTS)
     rng = StreamHandle(args.seed)
     kwargs: dict = {"k": args.k, "frames": args.frames, "rng": rng}
     for flag, param in (("samples", "sphere_samples"), ("points", "points_per_frame"),
@@ -255,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(slicing_chain, dpp_bound, section_bounds, grinberg, "
                    "busemann_petty_volume, negative_control; default 2000)")
     p.add_argument("--points", type=int, help="direction s-tuples per frame of dimension "
-                   ">= 2 (bp_identity only; default 500)")
+                   ">= 2 (bp_identity at k < n - 1 only; default 500)")
     p.add_argument("--transforms", type=int,
                    help="volume-preserving images (grinberg only; default 5)")
     p.add_argument("--seed", type=int, default=0)

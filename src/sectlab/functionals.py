@@ -161,12 +161,12 @@ class _FrameDesign:
         return len(self.bases)
 
     def map(self, fn) -> np.ndarray:
-        """fn(dirs) on blocks of frames, concatenated along the frame axis.
+        """fn(dirs, bases) on blocks of frames, concatenated along the frame axis.
 
-        dirs (B, count, n) holds each frame's directions embedded in R^n, group
-        after group: one (groups, m, s) @ (B, groups, s, n) matmul per run of
-        groups of m, which on lines gives [u, -u] exactly.  A block holds at
-        most ``_BLOCK_DIRS`` directions, and at least one frame.
+        dirs (B, count, n) holds each frame's directions embedded in R^n, group after
+        group: one (groups, m, s) @ (B, groups, s, n) matmul per run of groups of m, which
+        on lines gives [u, -u] exactly, and bases (B, n, s) the block's rows of ``bases``.
+        A block holds at most ``_BLOCK_DIRS`` directions, and at least one frame.
         """
         step = max(1, _BLOCK_DIRS // self.count)
         n = self.bases.shape[1]
@@ -175,7 +175,8 @@ class _FrameDesign:
             embeddings = self._embeddings[start:start + step]
             runs = [(points @ embeddings[:, groups]).reshape(len(embeddings), -1, n)
                     for points, groups in self._runs]
-            parts.append(fn(runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)))
+            parts.append(fn(runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1),
+                            self.bases[start:start + step]))
         return np.concatenate(parts)
 
     def sections(self, density: DensityOracle, bodies: list, spread: bool = False,
@@ -194,7 +195,7 @@ class _FrameDesign:
             columns = list(_mean_and_se(values)) if spread else []
             return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
 
-        return self.map(lambda dirs: np.stack(
+        return self.map(lambda dirs, _: np.stack(
             [reduce(_section_measure_values(density, body, dirs, s)) for body in bodies], axis=1))
 
 

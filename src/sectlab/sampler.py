@@ -165,8 +165,10 @@ def _point_set(s: int, m: int) -> np.ndarray:
     normalised normal quantiles of ((i + 1/2) / m, frac((i + 1/2) / phi^c) for
     c = 1 .. s - 1), phi > 1 the root of x^s = x + 1 (Roberts' generalised
     golden ratio).  Built with ``math`` and ``statistics``, so its bits do not
-    depend on numpy's SIMD kernels.  Cached and read-only.
+    depend on numpy's SIMD kernels.  Cached and read-only; s < 2 raises ValueError.
     """
+    if s < 2:
+        raise ValueError(f"need a sphere S^(s-1) with s >= 2, got s={s}")
     if s == 2:
         rows = [[math.cos(2.0 * math.pi * i / m), math.sin(2.0 * math.pi * i / m)]
                 for i in range(m)]

@@ -14,10 +14,10 @@ own substream, so a rerun gives a bit-identical report regardless of scheduling.
 check reads embedded directions, from randomised point sets per frame, each group's
 rotation folded into the frame's basis.  The one identity check, ``bp_identity`` at any
 density (Lebesgue by default), takes one group per slot of its s-tuples, tuple j being
-row j of each group, so a tuple's directions are independent.  How an SE by the iid
-formula over one frame's directions (the largest section in ``slicing_chain``, the
-dominance test of ``busemann_petty_volume``), or over frames, compares with the true
-one is said at :class:`~sectlab.functionals._FrameDesign`.
+row j of each group, so a tuple's directions are independent, and reads each tuple in
+its frame's basis.  How an SE by the iid formula over one frame's directions (the largest
+section in ``slicing_chain``, the dominance test of ``busemann_petty_volume``), or over
+frames, compares with the true one is said at :class:`~sectlab.functionals._FrameDesign`.
 
 :func:`run_suite` runs the grid entries on ``SECTLAB_WORKERS`` worker processes, by
 default one per CPU this process may run on; ``SECTLAB_WORKERS=1`` runs them in this
@@ -42,7 +42,7 @@ from .estimates import (CheckReport, Estimate, _log, _log_product, equality_repo
 from .functionals import (_AUX, _VOLUME_SAMPLES, _FrameDesign, _quermass_from_logs,
                           dual_affine_quermass, log_measure_estimate, log_volume_estimate)
 from .measures import DensityOracle, LebesgueDensity
-from .sampler import StreamHandle, _fold_columns, _haar_columns, simplex_volume
+from .sampler import StreamHandle, _haar_columns, simplex_volume
 
 __all__ = [
     "check_bp_identity",
@@ -61,34 +61,26 @@ __all__ = [
 _SAMPLED_MAX_NOTE = "max is sampled (lower bound of the true Grassmannian max)"
 
 
-def _polar_log_moments(density: DensityOracle, body: StarBody, k: int,
-                       dirs: np.ndarray) -> np.ndarray:
-    """log of the integral over (K cap F)^s of |conv(0, x_1..x_s)|^k prod_i g(x_i) dx,
-    one per frame of a block.
+def _polar_moments(density: DensityOracle, body: StarBody, k: int, dirs: np.ndarray,
+                   bases: np.ndarray) -> np.ndarray:
+    """E_theta[ (|det theta| / s!)^k prod_i m(theta_i) ], one per frame of a block.
 
-    Writing x_i = r_i theta_i inside F and integrating the radii gives
-    (s omega_s)^s E_theta[ (|det theta| / s!)^k prod_i m(theta_i) ], with
-    theta_1..theta_s independent and uniform on S^(s-1) and m(theta) the ray
-    mass of g up to rho(theta) at power s + k.  dirs (B, s m, n) holds each frame's
-    s slot groups of m embedded directions, and tuple j is row j of each group
-    (:class:`~sectlab.functionals._FrameDesign`); |det theta| is the root of their Gram det.
+    In polar form the integral over (K cap F)^s of |conv(0, x_1..x_s)|^k prod_i g(x_i) dx
+    is (s omega_s)^s times this mean, theta_1..theta_s independent and uniform on S^(s-1)
+    and m(theta) the ray mass of g up to rho(theta) at power s + k.  dirs (B, s m, n) holds
+    each frame's s slot groups of m embedded directions, tuple j row j of each group
+    (:class:`~sectlab.functionals._FrameDesign`), and |det theta| / s! is
+    :func:`~sectlab.sampler.simplex_volume` of its coordinates in the frame, dirs @ bases.
     """
     frames, count, n = dirs.shape
     s = n - k
-    slots = dirs.reshape(frames, s, count // s, n)
-    mass = density.ray_mass(dirs, body.radial(dirs), float(s + k)).reshape(slots.shape[:-1])
-    gram = np.ones((frames, count // s, s, s))
-    for i in range(s):
-        for j in range(i):
-            gram[..., i, j] = gram[..., j, i] = _fold_columns(np.add, slots[:, i] * slots[:, j])
-    vols = np.sqrt(simplex_volume(gram) / math.factorial(s))
-    moment = (vols ** k * mass.prod(axis=1)).mean(axis=-1)
-    if np.any(moment <= 0):
-        raise ValueError("simplex moment vanished; degenerate section directions")
-    return s * (math.log(s) + log_ball_volume(s)) + _log(moment)
+    mass = density.ray_mass(dirs, body.radial(dirs), float(s + k)).reshape(frames, s, -1)
+    # (B, m, s, s): row i of tuple j's block is slot i's coordinates in the frame
+    coords = (dirs @ bases).reshape(frames, s, count // s, s).swapaxes(1, 2)
+    return (simplex_volume(coords) ** k * mass.prod(axis=1)).mean(axis=-1)
 
 
-def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int,
+def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int | None,
                       rng: StreamHandle, density: DensityOracle | None = None,
                       sphere_samples: int | None = None) -> CheckReport:
     """mu(K)^(n-k) = p(n, n-k) E_F[ integral over (K cap F)^(n-k) of |conv|^k prod g ].
@@ -102,22 +94,25 @@ def check_bp_identity(body: StarBody, k: int, frames: int, points_per_frame: int
     Inside each section the integral is taken in polar form,
     (s omega_s)^s E_theta[ (|det theta|/s!)^k prod_i m(theta_i) ] with
     s = n - k and m(theta) = ``density.ray_mass`` up to rho(theta) at power
-    s + k, averaged over ``points_per_frame`` direction s-tuples; no point
-    is sampled and no density supremum is needed.  At k = n - 1 the tuples
-    are u and -u, the whole of S^0, so ``points_per_frame`` is not read.
+    s + k, averaged over ``points_per_frame`` direction s-tuples
+    (:func:`_polar_moments`); no point is sampled and no density supremum
+    is needed.  The logs and the constant are taken once, over all frames.
+    At k = n - 1 the tuples are u and -u, the whole of S^0, so
+    ``points_per_frame`` is neither read nor recorded, and may be None.
     ``sphere_samples`` is neither read nor recorded: only the benchmark's
     workloads still pass it.
     """
-    n = body.dim
+    n, s = body.dim, body.dim - k
     density = LebesgueDensity(n) if density is None else density
-    lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(n - k)
-    design = _FrameDesign(frames, n, k, points_per_frame * (n - k), rng, groups=n - k)
-    mean_log = log_mean_estimate(design.map(
-        lambda dirs: _polar_log_moments(density, body, k, dirs)))
-    rhs = exact_log_estimate(log_bp_constant(n, n - k)).times(mean_log)
-    return equality_report("bp_identity", n, k, lhs, rhs, seed=rng.seed,
-                           inputs={"frames": len(design),
-                                   "points_per_frame": points_per_frame})
+    lhs = log_measure_estimate(density, body, _VOLUME_SAMPLES, rng).powered(s)
+    design = _FrameDesign(frames, n, k, 2 if s == 1 else points_per_frame * s, rng, groups=s)
+    moments = design.map(lambda dirs, bases: _polar_moments(density, body, k, dirs, bases))
+    if np.any(moments <= 0):
+        raise ValueError("simplex moment vanished; degenerate section directions")
+    mean_log = log_mean_estimate(s * (math.log(s) + log_ball_volume(s)) + _log(moments))
+    rhs = exact_log_estimate(log_bp_constant(n, s)).times(mean_log)
+    inputs = {"frames": len(design)} | ({"points_per_frame": points_per_frame} if s > 1 else {})
+    return equality_report("bp_identity", n, k, lhs, rhs, seed=rng.seed, inputs=inputs)
 
 
 def _section_bounds(density: DensityOracle, body: StarBody, k: int, frames: int,

@@ -236,6 +236,24 @@ class TestVerifyCommand:
         assert "transforms" not in payload["config"]
         assert payload["reports"][0]["inputs"]["points_per_frame"] == 500
 
+    @pytest.mark.parametrize("check, extra", [
+        ("bp_identity", []),
+        ("logconcave_identity", ["--measure", '{"kind":"gaussian"}']),
+    ])
+    def test_line_identity_takes_no_points(self, capsys, check, extra):
+        # at k = n - 1 the tuples are u and -u whatever --points asks, so it is refused
+        # and no points budget is recorded
+        args = ["verify", "--check", check, "--body", '{"kind":"simplex","dim":3}', *extra,
+                "--k", "2", "--frames", "20", "--deterministic"]
+        code, out, err = run_cli(args + ["--points", "7"], capsys)
+        assert code == 2 and out == ""
+        assert f"{check} takes no --points" in json.loads(err)["error"]
+        code, out, _ = run_cli(args, capsys)
+        assert code in (0, 1)
+        payload = json.loads(out)
+        assert "points" not in payload["config"]
+        assert payload["reports"][0]["inputs"] == {"frames": 20}
+
     def test_identity_runs_on_a_non_symmetric_body(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "bp_identity",
                                 "--body", '{"kind":"simplex","dim":3}',
@@ -373,10 +391,10 @@ class TestSuiteCommand:
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys, tmp_path):
+        # k = n - 1, so bp_identity takes no --points
         args = ["verify", "--check", "bp_identity",
                 "--body", '{"kind":"cube","dim":2}', "--k", "1",
-                "--frames", "50", "--points", "100",
-                "--seed", "11", "--deterministic"]
+                "--frames", "50", "--seed", "11", "--deterministic"]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert main(args + ["--json", str(a)]) == 0

@@ -81,7 +81,8 @@ def test_frame_design_is_the_only_frame_plumbing():
     # tuple rows that the design's lattice-ordered groups replaced, the second
     # identity check and its shared body, which bp_identity's density absorbed, and
     # the line sections' +-u layout and second frame-block path, which the exact
-    # two-point rule on S^0 replaced
+    # two-point rule on S^0 replaced, and the identity kernel's per-block logs, which
+    # the check takes once over all frames
     src = Path(__file__).resolve().parents[1] / "src" / "sectlab"
     gone = {"_resolve_frames", "_over_frames", "_embedded_directions", "draw_frames",
             "simplex_moment", "sylvester", "isotropic_constant", "_batched_cov_dets",
@@ -91,7 +92,8 @@ def test_frame_design_is_the_only_frame_plumbing():
             "_iid", "_haar_rotation", "log_mean", "_max_section_log", "_haar_bases",
             "_ORTHO_TOL", "_rotations", "_ROTATION_NORMALS", "_section_stats", "_group_sizes",
             "_logsumexp", "logsumexp", "scaled", "itertools", "_tuple_rows",
-            "check_logconcave_identity", "_identity_report", "_flips", "_blocks"}
+            "check_logconcave_identity", "_identity_report", "_flips", "_blocks",
+            "_polar_log_moments"}
     for path in sorted(src.glob("*.py")):
         name = path.name
         tree = ast.parse(path.read_text())
@@ -181,7 +183,7 @@ def test_frame_streams_have_no_per_frame_set_up(monkeypatch):
     counts.update(split=0)
     design = functionals._FrameDesign(40, 3, 1, 20, StreamHandle(5))
     for _ in range(2):
-        design.map(lambda dirs: dirs[:, 0, 0])
+        design.map(lambda dirs, _: dirs[:, 0, 0])
     assert counts["split"] == 1
 
 

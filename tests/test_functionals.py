@@ -145,7 +145,7 @@ class TestSectionPowerFunctional:
         handle = StreamHandle(29)
         est = dual_affine_quermass(body, 1, 200, 600, handle).as_dict()
         vols = functionals._FrameDesign(200, 3, 1, 600, handle).map(
-            lambda dirs: _section_measure_values(LebesgueDensity(3), body, dirs,
+            lambda dirs, _: _section_measure_values(LebesgueDensity(3), body, dirs,
                                                  2).mean(axis=-1))
         max_normalized = max(vols) / body.exact_volume ** (2 / 3)
         assert est["value"] <= max_normalized * (1 + 3 * est["se"] / est["value"] + 1e-9)
@@ -268,9 +268,13 @@ class TestFrameDesign:
         return np.stack([_rule_directions(gen, f, self.COUNT, groups) for f in frames])
 
     def _blocks(self, rng, n=N, k=K, groups=None):
-        blocks = []
-        out = functionals._FrameDesign(self.FRAMES, n, k, self.COUNT, rng, groups=groups).map(
-            lambda dirs: blocks.append(dirs) or dirs.sum(axis=(1, 2)))
+        blocks, bases = [], []
+        design = functionals._FrameDesign(self.FRAMES, n, k, self.COUNT, rng, groups=groups)
+        out = design.map(lambda dirs, b: blocks.append(dirs) or bases.append(b)
+                         or dirs.sum(axis=(1, 2)))
+        # each block comes with its frames' bases, the design's rows in order
+        assert np.concatenate(bases).tobytes() == design.bases.tobytes()
+        assert [len(b) for b in bases] == [len(d) for d in blocks]
         return blocks, out
 
     @pytest.mark.parametrize("block_dirs", [1, 3 * COUNT, 1 << 40])
@@ -353,7 +357,7 @@ def test_folded_kernel_is_the_old_kernel_up_to_rounding():
         v = (theta @ design.bases.swapaxes(-1, -2)) @ body._inv_t
         norms = np.linalg.norm(v, axis=-1)
         old = body.base.radial(v / norms[..., None]) / norms
-        new = design.map(lambda dirs: body.radial(dirs))
+        new = design.map(lambda dirs, _: body.radial(dirs))
         np.testing.assert_allclose(new, old, rtol=1e-14, atol=0)
 
 
@@ -367,7 +371,7 @@ class TestDirectionRule:
         body, n = Ellipsoid(matrix), len(matrix)
         s, inv = n - k, np.linalg.inv(matrix)
         design = functionals._FrameDesign(5, n, k, 600, StreamHandle(59))
-        means = design.map(lambda dirs: _section_measure_values(
+        means = design.map(lambda dirs, _: _section_measure_values(
             LebesgueDensity(n), body, dirs, s).mean(axis=-1))
         exact = [math.exp(log_ball_volume(s)) / math.sqrt(np.linalg.det(b.T @ inv @ b))
                  for b in design.bases]
@@ -379,7 +383,7 @@ class TestDirectionRule:
         # chord rho(u) + rho(-u) whether or not the body is symmetric
         body = centered_simplex(3)
         design = functionals._FrameDesign(5, 3, 2, 600, StreamHandle(61))
-        means = design.map(lambda dirs: _section_measure_values(
+        means = design.map(lambda dirs, _: _section_measure_values(
             LebesgueDensity(3), body, dirs, 1).mean(axis=-1))
         chords = [float(body.radial(b[:, 0]) + body.radial(-b[:, 0])) for b in design.bases]
         assert np.abs(means / chords - 1.0).max() <= 1e-12
@@ -390,7 +394,7 @@ class TestDirectionRule:
         # frame's coordinates, is R p: uniform on S^(s-1) whatever the frame
         n = s + 1
         design = functionals._FrameDesign(20_000 // n, n, 1, 7 * n, StreamHandle(60))
-        embedded = design.map(lambda dirs: dirs[:, 3::7])
+        embedded = design.map(lambda dirs, _: dirs[:, 3::7])
         x = (embedded @ design.bases).reshape(-1, s)
         draws = len(x)
         second = (x[:, :, None] * x[:, None, :]).reshape(draws, s * s)
@@ -433,6 +437,14 @@ class TestDirectionRule:
         assert len(np.unique(points, axis=0)) == 9
         # a one-point set is a unit row too, although at s >= 5 its first quantile is 0
         assert np.isclose(np.linalg.norm(sampler._point_set(s, 1)), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_point_sets_reject_s_below_two(self, s):
+        # S^0 = {u, -u} is the design's exact two-point rule, not a point set; at m = 7
+        # s = 1 fell into the s >= 5 rule and divided by zero, at m = 4 gave -1, -1, 1, 1
+        for m in (4, 7):
+            with pytest.raises(ValueError, match=f"s >= 2, got s={s}$"):
+                sampler._point_set(s, m)
 
     @pytest.mark.parametrize("m", [7, 100, 1001])
     def test_fibonacci_heights_have_the_sphere_moments(self, m):

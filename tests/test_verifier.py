@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectlab import functionals, verifier
-from sectlab.constants import log_gamma_nk
+from sectlab import estimates, functionals, verifier
+from sectlab.constants import log_ball_volume, log_gamma_nk
 from sectlab.bodies import (Ellipsoid, HPolytope, LpBall, StarBody, centered_simplex, cube,
                             translate)
 from sectlab.estimates import (equality_report, exact_log_estimate, log_mean_estimate,
@@ -21,9 +21,9 @@ from sectlab.functionals import _FrameDesign, log_volume_estimate
 from sectlab.grassmann import Frame, sample_haar
 from sectlab.measures import (DensityOracle, GaussianDensity, LebesgueDensity,
                               RadialExpDensity, _section_measure_values)
-from sectlab.sampler import (StreamHandle, _point_set, sample_restricted, simplex_volume,
-                             sphere_directions)
-from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _polar_log_moments,
+from sectlab.sampler import (StreamHandle, _haar_columns, _point_set, sample_restricted,
+                             simplex_volume, sphere_directions)
+from sectlab.verifier import (CHECKS, SuiteConfig, _default_grid, _polar_moments,
                               _worker_count, check_bp_identity, check_busemann_petty_volume,
                               check_dpp, check_grinberg, check_section_bounds,
                               check_slicing_chain, negative_control, run_suite)
@@ -70,6 +70,37 @@ class TestBpIdentity:
             for points in (1, 2, 301))}
         assert len(sides) == 1
 
+    def test_line_sections_record_no_points(self):
+        # a budget that is not read is not recorded, and may be None; at k < n - 1 it is
+        line = check_bp_identity(centered_simplex(3), 2, 50, None, StreamHandle(8))
+        assert line.inputs == {"frames": 50}
+        assert line.rhs == check_bp_identity(centered_simplex(3), 2, 50, 7, StreamHandle(8)).rhs
+        plane = check_bp_identity(centered_simplex(3), 1, 20, 30, StreamHandle(8))
+        assert plane.inputs == {"frames": 20, "points_per_frame": 30}
+
+    def test_vanished_moment_is_an_error(self):
+        with pytest.raises(ValueError, match="^simplex moment vanished"):
+            check_bp_identity(CUBE3, 1, 10, 20, StreamHandle(70), density=NoMassDensity(3))
+
+    def test_logs_are_taken_once_per_check(self, monkeypatch):
+        # the kernel returns raw moments block by block, and the check takes their logs
+        # and adds the constant once over all frames, which gives per-block logs' bits
+        kernel_calls, log_sizes = [], []
+
+        def counted_kernel(*args):
+            kernel_calls.append(len(args[3]))
+            return _polar_moments(*args)
+
+        def counted_log(values):
+            log_sizes.append(np.size(values))
+            return estimates._log(values)
+
+        monkeypatch.setattr(verifier, "_polar_moments", counted_kernel)
+        monkeypatch.setattr(verifier, "_log", counted_log)
+        check_bp_identity(LpBall(4, 1.0), 1, 100, 300, StreamHandle(71))
+        assert len(kernel_calls) == 25 and sum(kernel_calls) == 100
+        assert log_sizes == [100]
+
     def test_segment_sections(self):
         # k = n-1: one-point simplices, conv(0, x) has length |x|
         rep = check_bp_identity(LpBall(2, 2.0), 1, 300, 500, StreamHandle(3),
@@ -78,6 +109,13 @@ class TestBpIdentity:
 
 
 AXIS_FRAME = Frame(np.eye(3)[:, :2])
+
+
+class NoMassDensity(LebesgueDensity):
+    """Test-only: no ray carries mass, so every simplex moment vanishes."""
+
+    def ray_mass(self, dirs, upper, power):
+        return np.zeros(np.shape(upper))
 
 
 class SectionBody(StarBody):
@@ -107,10 +145,13 @@ class SectionDensity(DensityOracle):
 
 
 def _polar_log_moment(density, body, frame, k, points, rng):
-    """The polar log moment of one frame, its directions drawn iid from ``rng``, so
-    its tuples are iid whichever rows the kernel pairs."""
-    theta = sphere_directions(rng.generator(), points * frame.s, frame.s)
-    return float(_polar_log_moments(density, body, k, frame.embed(theta)[None])[0])
+    """The polar log moment of one frame, log (s omega_s)^s + log of the kernel's mean,
+    its directions drawn iid from ``rng``, so its tuples are iid whichever rows the
+    kernel pairs."""
+    s = frame.s
+    theta = sphere_directions(rng.generator(), points * s, s)
+    moment = _polar_moments(density, body, k, frame.embed(theta)[None], frame.basis[None])
+    return s * (math.log(s) + log_ball_volume(s)) + math.log(float(moment[0]))
 
 
 class TestPolarLogMoment:
@@ -154,7 +195,7 @@ class TestPolarLogMoment:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         n, frames = s + 1, 3
         design = _FrameDesign(frames, n, 1, s * m, StreamHandle(60), groups=s)
-        dirs = design.map(lambda d: d)
+        dirs = design.map(lambda d, _: d)
         if s == 1:
             u = design.bases[:, :, 0]
             assert dirs.tobytes() == np.stack([u, -u], axis=1).tobytes()
@@ -169,6 +210,51 @@ class TestPolarLogMoment:
             for f in range(frames):
                 rotated = _point_set(s, m) @ design._embeddings[f, i]
                 assert dirs[f, i * m:(i + 1) * m].tobytes() == rotated[order].tobytes()
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2)])
+    def test_kernel_does_not_depend_on_the_basis(self, n, k):
+        # in the basis B Q a tuple's coordinates are its coordinates in B times Q, so
+        # for Q in O(s), a reflection among them, |det theta| and the moments stay
+        s = n - k
+        design = _FrameDesign(6, n, k, 40 * s, StreamHandle(66), groups=s)
+        dirs = design.map(lambda d, _: d)
+        density, body = GaussianDensity(n), centered_simplex(n)
+        moments = _polar_moments(density, body, k, dirs, design.bases)
+        rotation = _haar_columns(StreamHandle(67).generator().standard_normal((s, s)))
+        reflection = np.diag([-1.0] + [1.0] * (s - 1))
+        for q in (rotation, reflection, rotation @ reflection):
+            got = _polar_moments(density, body, k, dirs, design.bases @ q)
+            np.testing.assert_allclose(got, moments, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (4, 2)])
+    def test_kernel_matches_a_per_tuple_loop(self, n, k):
+        # one frame's moment tuple by tuple: |det(B^T theta)| / s!, theta the tuple's s
+        # directions as columns, to the k-th power times the product of their ray masses
+        s, m = n - k, 50
+        design = _FrameDesign(3, n, k, s * m, StreamHandle(68), groups=s)
+        dirs = design.map(lambda d, _: d)[:1]
+        density, body = GaussianDensity(n), centered_simplex(n)
+        basis, rows = design.bases[0], dirs[0]
+        mass = density.ray_mass(rows, body.radial(rows), float(n))
+        terms = []
+        for j in range(m):
+            slots = [i * m + j for i in range(s)]
+            volume = abs(np.linalg.det(basis.T @ rows[slots].T)) / math.factorial(s)
+            terms.append(volume ** k * math.prod(mass[slots]))
+        got = _polar_moments(density, body, k, dirs, design.bases[:1])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(math.fsum(terms) / m, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_line_volume_is_one(self, n):
+        # s = 1: the tuples are u and -u, whose volume |u . u| is 1 to rounding, so a
+        # frame's moment is the mean of the ray masses at its two ends
+        design = _FrameDesign(5, n, n - 1, 7, StreamHandle(69), groups=1)
+        dirs = design.map(lambda d, _: d)
+        density, body = GaussianDensity(n), centered_simplex(n)
+        mass = density.ray_mass(dirs, body.radial(dirs), float(n))
+        got = _polar_moments(density, body, n - 1, dirs, design.bases)
+        np.testing.assert_allclose(got, mass.mean(axis=-1), rtol=2e-15, atol=0)
 
     def test_same_seed_same_report_bytes(self):
         a = check_bp_identity(CUBE3, 1, 40, 100, StreamHandle(4), sphere_samples=300)
@@ -461,7 +547,7 @@ class TestBusemannPetty:
         design = _FrameDesign(160, 3, 1, 600, StreamHandle(5))
 
         def log_mean_power(body):
-            return log_mean_estimate(design.map(lambda dirs: log_power_product(
+            return log_mean_estimate(design.map(lambda dirs, _: log_power_product(
                 _section_measure_values(LebesgueDensity(3), body, dirs, 2), 3))).value
 
         expected = (log_mean_power(BOX3) - log_mean_power(CUBE3)) / 3
