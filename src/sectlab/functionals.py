@@ -183,20 +183,23 @@ class _FrameDesign:
                  powers: bool = True) -> np.ndarray:
         """The one section pass, as (F, len(bodies), columns): per frame and body, the mean
         of :func:`~sectlab.measures._section_measure_values` over the frame's directions
-        and its iid SE (``spread``), then the n group means (``powers``).  On lines the mean
-        over u and -u is exact: its SE is 0, and each of the n group means is that mean."""
+        and its iid SE (``spread``), then the n group means (``powers``).  Each block runs
+        the kernel once on all the bodies and reduces the (B, bodies, count) stack once; a
+        body's columns have the bits of a pass on it alone.  On lines the mean over u and
+        -u is exact: its SE is 0, and each of the n group means is that mean."""
         n, s = self.bases.shape[1:]
 
         def reduce(values):
             if s == 1:
-                mean = values.mean(axis=-1)
-                return np.column_stack(([mean, np.zeros_like(mean)] if spread else [])
-                                       + ([mean] * n if powers else []))
-            columns = list(_mean_and_se(values)) if spread else []
-            return np.column_stack(columns + ([_group_means(values, n)] if powers else []))
+                mean = values.mean(axis=-1, keepdims=True)
+                columns = [mean, np.zeros_like(mean)] if spread else []
+                columns += [mean] * n if powers else []
+            else:
+                columns = [c[..., None] for c in _mean_and_se(values)] if spread else []
+                columns += [_group_means(values, n)] if powers else []
+            return np.concatenate(columns, axis=-1)
 
-        return self.map(lambda dirs, _: np.stack(
-            [reduce(_section_measure_values(density, body, dirs, s)) for body in bodies], axis=1))
+        return self.map(lambda dirs, _: reduce(_section_measure_values(density, bodies, dirs, s)))
 
 
 def log_volume_estimate(body: StarBody, rng: StreamHandle) -> Estimate:

@@ -4,8 +4,9 @@ A measure mu(B) = integral of a pointwise-evaluable density g over B is
 estimated in polar form, mu(B) = n omega_n E_theta[ m(theta) ], where the
 ray mass m(theta) = integral_0^rho(theta) r^(n-1) g(r theta) dr comes from
 :meth:`DensityOracle.ray_mass`.  A central section K cap F of dimension s
-takes the same form inside F at power s (:func:`_section_measure_values`,
-the one section kernel); volume is the case g == 1, :class:`LebesgueDensity`.
+takes the same form inside F at power s in :func:`_section_measure_values`,
+the one section kernel, which takes one ray mass over the stacked radii of
+all the bodies a pass reads; volume is g == 1, :class:`LebesgueDensity`.
 The power is a positive integer: n for mu(K), s for a section, s + k in
 the identity checks.  The built-in kinds (Lebesgue, Gaussian, radial
 exponential) evaluate the ray mass in closed form; any other density
@@ -260,39 +261,41 @@ def _radial_integrals(density: DensityOracle, dirs: np.ndarray, upper: np.ndarra
                       power: float) -> np.ndarray:
     """integral_0^upper r^(power-1) g(r * theta) dr per direction, vectorized.
 
-    ``dirs`` has shape (..., n) and ``upper`` its leading shape, so a block
-    of frames (B, count, n) works as well as one frame; the leading axes are
-    flattened, and a block gives the same values as its flattened call.
+    ``dirs`` (..., n) and ``upper`` broadcast over their leading axes, which
+    are flattened: a block of frames (B, count, n) or the section kernel's
+    (B, 1, count, n) against (B, bodies, count) works as one frame does.
     Panels of 15-point Gauss-Legendre; the panel count doubles until
-    consecutive refinements agree to relative 1e-9 on every direction.  The
-    integrand must be smooth on [0, upper], which holds for the integer
-    powers of the polar volume weights.
+    consecutive refinements agree to relative 1e-9, and each direction keeps
+    the first refinement that does, so its bits do not depend on the rest of
+    the call.  The integrand must be smooth on [0, upper], which holds for
+    the integer powers of the polar volume weights.
     """
-    dirs = np.asarray(dirs, dtype=float)
-    shape = dirs.shape[:-1]
-    dirs = dirs.reshape(-1, dirs.shape[-1])
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    prev = None
+    dirs, upper = np.asarray(dirs, dtype=float), np.asarray(upper, dtype=float)
+    shape = np.broadcast_shapes(dirs.shape[:-1], upper.shape)
+    dirs = np.broadcast_to(dirs, shape + dirs.shape[-1:]).reshape(-1, dirs.shape[-1])
+    upper = np.broadcast_to(upper, shape).reshape(-1)
+    out, todo, prev = np.empty(len(upper)), np.arange(len(upper)), None
     panels = 1
     while panels <= _MAX_PANELS:
         edges = np.arange(panels) / panels
         t = edges[:, None] + (0.5 + 0.5 * _GL_NODES[None, :]) / panels   # (P, 15)
-        r = upper[:, None, None] * t[None, :, :]                         # (D, P, 15)
-        pts = r[..., None] * dirs[:, None, None, :]
+        r = upper[todo, None, None] * t[None, :, :]                      # (D, P, 15)
+        pts = r[..., None] * dirs[todo, None, None, :]
         vals = density(pts)
         if power != 1.0:
             vals = vals * r ** (power - 1.0)
-        integral = upper * np.einsum("dpk,k->d", vals, _GL_WEIGHTS) / (2.0 * panels)
+        integral = upper[todo] * np.einsum("dpk,k->d", vals, _GL_WEIGHTS) / (2.0 * panels)
         if prev is not None:
             err = np.abs(integral - prev)
-            tol = _REL_TOL * np.maximum(np.abs(integral), 1e-300)
-            if np.all(err <= tol):
-                return integral.reshape(shape)
+            done = err <= _REL_TOL * np.maximum(np.abs(integral), 1e-300)
+            out[todo[done]] = integral[done]
+            todo, integral, err = todo[~done], integral[~done], err[~done]
+            if not todo.size:
+                return out.reshape(shape)
         prev = integral
         panels *= 2
-    worst = int(np.argmax(np.abs(integral - prev)))
-    raise QuadratureError(
-        f"radial quadrature did not converge at {_MAX_PANELS} panels", dirs[worst])
+    raise QuadratureError(f"radial quadrature did not converge at {_MAX_PANELS} panels",
+                          dirs[todo[int(np.argmax(err))]])
 
 
 def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
@@ -311,16 +314,18 @@ def measure_of_body(density: DensityOracle, body: StarBody, sphere_samples: int,
     return Estimate.of_mean(factor * float(mean), factor * float(se), sphere_samples)
 
 
-def _section_measure_values(density: DensityOracle, body: StarBody, dirs: np.ndarray,
+def _section_measure_values(density: DensityOracle, bodies: list, dirs: np.ndarray,
                             s: int) -> np.ndarray:
-    """s omega_s times the ray mass at power s of each embedded direction of a section.
+    """s omega_s times the ray mass at power s of each embedded direction, for each body.
 
-    The mean over uniform directions of one frame estimates mu(K cap F);
-    with :class:`LebesgueDensity` the values are omega_s rho^s and the mean
-    estimates |K cap F|.  ``dirs`` may stack several frames' directions.
+    ``dirs`` (..., count, n) gives (..., len(bodies), count): the bodies'
+    radials, stacked, take one ray mass and one scaling, and each row has
+    the bits of a call on its body alone.  A body's mean over one frame's
+    uniform directions estimates mu(K cap F), and |K cap F| with
+    :class:`LebesgueDensity`, whose values are omega_s rho^s.
     """
-    rho = body.radial(dirs)
-    inner = density.ray_mass(dirs, rho, float(s))
+    rho = np.stack([body.radial(dirs) for body in bodies], axis=-2)
+    inner = density.ray_mass(dirs[..., None, :, :], rho, float(s))
     return s * math.exp(log_ball_volume(s)) * inner
 
 
@@ -328,11 +333,12 @@ def section_measure_values(density: DensityOracle, body: StarBody, frame: Frame,
                            sphere_samples: int, rng) -> np.ndarray:
     """Per-direction polar values of one frame whose mean estimates mu(K cap F).
 
-    The checks evaluate :func:`_section_measure_values` on blocks of frames;
-    this one-frame form stays for ``perfbench``'s tracer, which binds it.
+    The checks evaluate :func:`_section_measure_values` on blocks of frames
+    and all their bodies at once; this one-frame, one-body form, the row of
+    ``[body]``, stays for ``perfbench``'s tracer, which binds it.
     """
     theta = sphere_directions(as_generator(rng), sphere_samples, frame.s)
-    return _section_measure_values(density, body, frame.embed(theta), frame.s)
+    return _section_measure_values(density, [body], frame.embed(theta), frame.s)[0]
 
 
 def density_from_spec(spec: dict, dim: int) -> DensityOracle:

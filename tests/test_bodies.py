@@ -100,8 +100,8 @@ class TestRadial:
 
 def _section_volume_values(body, frame, theta):
     """omega_s rho^s of K cap F at unit directions theta of F, by the section kernel."""
-    return _section_measure_values(LebesgueDensity(body.dim), body, frame.embed(theta),
-                                   frame.s)
+    return _section_measure_values(LebesgueDensity(body.dim), [body], frame.embed(theta),
+                                   frame.s)[0]
 
 
 class TestSection:

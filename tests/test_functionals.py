@@ -13,8 +13,8 @@ from sectlab.estimates import log_mean_estimate, log_power_product
 from sectlab.functionals import (_AUX, dual_affine_quermass, log_measure_estimate,
                                  log_volume_estimate, section_volume_values)
 from sectlab.grassmann import Frame, sample_haar
-from sectlab.measures import (GaussianDensity, LebesgueDensity, _section_measure_values,
-                              measure_of_body, section_measure_values)
+from sectlab.measures import (GaussianDensity, LebesgueDensity, RadialExpDensity,
+                              _section_measure_values, measure_of_body, section_measure_values)
 from sectlab.sampler import StreamHandle, sphere_directions
 
 # a non-diagonal ellipsoid {x : x^T A^{-1} x <= 1} in R^3 and one in R^4
@@ -145,8 +145,8 @@ class TestSectionPowerFunctional:
         handle = StreamHandle(29)
         est = dual_affine_quermass(body, 1, 200, 600, handle).as_dict()
         vols = functionals._FrameDesign(200, 3, 1, 600, handle).map(
-            lambda dirs, _: _section_measure_values(LebesgueDensity(3), body, dirs,
-                                                 2).mean(axis=-1))
+            lambda dirs, _: _section_measure_values(LebesgueDensity(3), [body], dirs,
+                                                 2)[:, 0].mean(axis=-1))
         max_normalized = max(vols) / body.exact_volume ** (2 / 3)
         assert est["value"] <= max_normalized * (1 + 3 * est["se"] / est["value"] + 1e-9)
 
@@ -299,9 +299,9 @@ class TestFrameDesign:
         # at k = n - 1 every direction is u or -u: the kernel sees [u, -u] once per frame
         seen = []
 
-        def counted(density, body, dirs, s):
-            seen.append(dirs.size // dirs.shape[-1])
-            return _section_measure_values(density, body, dirs, s)
+        def counted(density, bodies, dirs, s):
+            seen.append(dirs.size // dirs.shape[-1] * len(bodies))
+            return _section_measure_values(density, bodies, dirs, s)
 
         monkeypatch.setattr(functionals, "_section_measure_values", counted)
         design = functionals._FrameDesign(40, 3, k, 600, StreamHandle(59))
@@ -318,7 +318,8 @@ class TestFrameDesign:
         bodies = [centered_simplex(n), LpBall(n, 1.0)]
         u = functionals._haar_stack(n, 1, 40, StreamHandle(60).split(0).generator())[:, :, 0]
         for density in (LebesgueDensity(n), GaussianDensity(n)):
-            means = [_section_measure_values(density, body, np.stack([u, -u], 1), 1).mean(-1)
+            ends = np.stack([u, -u], 1)
+            means = [_section_measure_values(density, [body], ends, 1)[:, 0].mean(-1)
                      for body in bodies]
             for spread, powers in [(True, False), (False, True), (True, True)]:
                 expected = np.stack([np.column_stack(([mean, np.full(40, 0.0)] if spread else [])
@@ -328,6 +329,25 @@ class TestFrameDesign:
                     design = functionals._FrameDesign(40, n, n - 1, count, StreamHandle(60))
                     got = design.sections(density, bodies, spread, powers)
                     assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("block_dirs", [1, 300, 1 << 40])
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 1), (4, 3), (4, 2), (4, 1)])
+    def test_stacked_bodies_keep_their_bytes(self, monkeypatch, n, k, block_dirs):
+        # one pass over several bodies gives each body the columns of a pass on it alone,
+        # and reordering the bodies permutes the columns, whatever the block size
+        monkeypatch.setattr(functionals, "_BLOCK_DIRS", block_dirs)
+        bodies = [linear_image(LpBall(n, 1.0), np.eye(n) + 0.2 * np.ones((n, n))),
+                  centered_simplex(n), LpBall(n, 3.0)]
+        design = functionals._FrameDesign(12, n, k, 50, StreamHandle(64))
+        for density in (LebesgueDensity(n), GaussianDensity(n), RadialExpDensity(n)):
+            for spread, powers in [(True, False), (False, True), (True, True)]:
+                stacked = design.sections(density, bodies, spread, powers)
+                assert stacked.shape[:2] == (12, 3)
+                for i, body in enumerate(bodies):
+                    alone = design.sections(density, [body], spread, powers)[:, 0]
+                    assert stacked[:, i].tobytes() == alone.tobytes()
+                reordered = design.sections(density, bodies[::-1], spread, powers)
+                assert reordered.tobytes() == stacked[:, ::-1].tobytes()
 
     def test_lines_in_the_plane_are_stratified(self):
         # G(2,1): frame j is the line at angle pi (j + U) / F, U uniform from rng.split(0)
@@ -372,7 +392,7 @@ class TestDirectionRule:
         s, inv = n - k, np.linalg.inv(matrix)
         design = functionals._FrameDesign(5, n, k, 600, StreamHandle(59))
         means = design.map(lambda dirs, _: _section_measure_values(
-            LebesgueDensity(n), body, dirs, s).mean(axis=-1))
+            LebesgueDensity(n), [body], dirs, s)[:, 0].mean(axis=-1))
         exact = [math.exp(log_ball_volume(s)) / math.sqrt(np.linalg.det(b.T @ inv @ b))
                  for b in design.bases]
         assert np.abs(means / exact - 1.0).max() <= tol
@@ -384,7 +404,7 @@ class TestDirectionRule:
         body = centered_simplex(3)
         design = functionals._FrameDesign(5, 3, 2, 600, StreamHandle(61))
         means = design.map(lambda dirs, _: _section_measure_values(
-            LebesgueDensity(3), body, dirs, 1).mean(axis=-1))
+            LebesgueDensity(3), [body], dirs, 1)[:, 0].mean(axis=-1))
         chords = [float(body.radial(b[:, 0]) + body.radial(-b[:, 0])) for b in design.bases]
         assert np.abs(means / chords - 1.0).max() <= 1e-12
 

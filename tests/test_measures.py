@@ -40,11 +40,20 @@ class CauchyDensity(DensityOracle):
         return 1.0 / (1.0 + np.sum(x * x, axis=-1))
 
 
+class WavyDensity(DensityOracle):
+    """g(x) = exp(-|x|^2 / 2) (1 + cos(40 x_1) / 2): no closed form, and a long ray needs
+    more quadrature panels than a short one."""
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-0.5 * np.sum(x * x, axis=-1)) * (1.0 + 0.5 * np.cos(40.0 * x[..., 0]))
+
+
 def measure_of_section(density, body, frame, sphere_samples, rng):
     """mu(K cap F) and its std error: the mean of the section kernel over uniform
     directions of F."""
     theta = sphere_directions(rng.generator(), sphere_samples, frame.s)
-    vals = _section_measure_values(density, body, frame.embed(theta), frame.s)
+    vals = _section_measure_values(density, [body], frame.embed(theta), frame.s)[0]
     return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
 
@@ -162,6 +171,19 @@ class TestRayMass:
         assert np.array_equal(block.reshape(-1),
                               g.ray_mass(dirs.reshape(-1, 3), upper.reshape(-1), 2.0))
 
+    def test_generic_path_takes_stacked_bodies(self):
+        # the section kernel's (B, 1, count, n) directions against (B, bodies, count) radii:
+        # each body's rows keep the bits of its call alone, though the rays of the large
+        # cube settle at more panels than those of the small cross-polytope
+        g, bodies = WavyDensity(3), [cube(3, 4.0), LpBall(3, 1.0)]
+        theta = sphere_directions(StreamHandle(65).generator(), 60, 2)
+        dirs = sample_haar(3, 2, StreamHandle(66)).embed(theta).reshape(4, 15, 3)
+        both = _section_measure_values(g, bodies, dirs, 2)
+        assert both.shape == (4, 2, 15)
+        for i, body in enumerate(bodies):
+            alone = _section_measure_values(g, [body], dirs, 2)[:, 0]
+            assert both[:, i].tobytes() == alone.tobytes()
+
     def test_section_checks_run_on_the_generic_path(self):
         g = CauchyDensity(3)
         assert check_slicing_chain(g, cube(3), 1, 20, 200, StreamHandle(52)).passed
@@ -175,7 +197,7 @@ class TestRayMass:
         for density in _closed_form_kinds(3):
             sec = SectionDensity(density, frame)
             reference = 2 * math.pi * _radial_integrals(sec, theta, rho, 2.0)
-            values = _section_measure_values(density, body, frame.embed(theta), 2)
+            values = _section_measure_values(density, [body], frame.embed(theta), 2)[0]
             assert np.allclose(values, reference, rtol=1e-12, atol=0), density
 
     @pytest.mark.parametrize("precision", [[[1.0, 0.0], [0.0, -1.0]],
@@ -218,7 +240,7 @@ class TestMeasureOfSection:
         # the regular 16384-gon's directions integrate pi rho^2 over the plane: the square
         # e1, e2 and the regular hexagon perpendicular to (1, 1, 1), of side sqrt 2
         dirs = Frame(basis).embed(_point_set(2, 16384))
-        values = _section_measure_values(LebesgueDensity(3), cube(3), dirs, 2)
+        values = _section_measure_values(LebesgueDensity(3), [cube(3)], dirs, 2)[0]
         assert values.mean() == pytest.approx(area, rel=1e-6, abs=0)
 
     def test_codim_one_segment(self):
@@ -265,6 +287,18 @@ class TestQuadratureControl:
         with pytest.raises(QuadratureError) as err:
             measure_of_body(Wild(), LpBall(2, 2.0), 100, StreamHandle(19))
         assert err.value.direction is not None
+
+    def test_error_names_the_direction_that_does_not_settle(self):
+        class HalfWild(DensityOracle):
+            def __call__(self, x):
+                x = np.asarray(x, float)
+                r = np.linalg.norm(x, axis=-1)
+                return np.where(x[..., 0] > 0, 1.0 + 0.9 * np.sin(3.0e5 * r), 1.0)
+
+        dirs = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(QuadratureError) as err:
+            _radial_integrals(HalfWild(2), dirs, np.ones(4), 2.0)
+        assert err.value.direction.tolist() == [1.0, 0.0]
 
 
 class TestDensitySpecs:

@@ -177,7 +177,7 @@ class TestPolarLogMoment:
                                            StreamHandle(7).split(r)) for r in range(reps)])
         polar_mean, polar_se = polar.mean(), polar.std(ddof=1) / math.sqrt(reps)
         theta = sphere_directions(StreamHandle(8).generator(), 20_000, 2)
-        mu = _section_measure_values(density, CUBE3, frame.embed(theta), 2)
+        mu = _section_measure_values(density, [CUBE3], frame.embed(theta), 2)[0]
         pts = sample_restricted(SectionDensity(density, frame), SectionBody(CUBE3, frame),
                                 StreamHandle(9), size=40_000).points
         moment = simplex_volume(pts.reshape(20_000, 2, 2))
@@ -508,6 +508,25 @@ class TestGrinberg:
         with pytest.raises(ValueError, match="at least one transform"):
             check_grinberg(CUBE3, 1, 0, 50, 300, StreamHandle(16))
 
+    def test_one_section_pass_per_block_over_all_bodies(self, monkeypatch):
+        # the body and its two images share one kernel call and one reduction per block
+        kernel_frames, reductions = [], []
+
+        def counted_kernel(density, bodies, dirs, s):
+            kernel_frames.append(len(dirs))
+            return _section_measure_values(density, bodies, dirs, s)
+
+        def counted_means(values, power):
+            reductions.append(values.shape[:-1])
+            return estimates._group_means(values, power)
+
+        monkeypatch.setattr(functionals, "_section_measure_values", counted_kernel)
+        monkeypatch.setattr(functionals, "_group_means", counted_means)
+        check_grinberg(CUBE3, 1, 2, 100, 300, StreamHandle(72))
+        step = functionals._BLOCK_DIRS // 300
+        assert kernel_frames == [min(step, 100 - start) for start in range(0, 100, step)]
+        assert reductions == [(frames, 3) for frames in kernel_frames]
+
     def test_maximality_l1_ball(self):
         # the cross-polytope value sits within half a percent of the ball's
         reports = check_grinberg(LpBall(4, 1.0), 2, 1, 250, 600, StreamHandle(18))
@@ -548,7 +567,7 @@ class TestBusemannPetty:
 
         def log_mean_power(body):
             return log_mean_estimate(design.map(lambda dirs, _: log_power_product(
-                _section_measure_values(LebesgueDensity(3), body, dirs, 2), 3))).value
+                _section_measure_values(LebesgueDensity(3), [body], dirs, 2)[:, 0], 3))).value
 
         expected = (log_mean_power(BOX3) - log_mean_power(CUBE3)) / 3
         assert rep.inputs["log_slack"] == pytest.approx(expected, rel=0, abs=1e-12)
